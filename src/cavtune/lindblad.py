@@ -16,17 +16,27 @@ Integration is carried out in a frame rotating at the target-cavity frequency
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
+from scipy import sparse
 from scipy.integrate import solve_ivp
-from scipy.linalg import expm
+from scipy.sparse.linalg import expm as sparse_expm
+from scipy.sparse.linalg import splu
 
 from .errors import ConvergenceFailure, InvalidInput, NumericalFailure
-from .modespace import BareMode, CoupledModes, SystemParams, couple, omega_to_wl, wl_to_omega
-from .tuning import TuningProfile, fp_shift_at
+from .modespace import (
+    BareMode,
+    CoupledModes,
+    SystemParams,
+    couple,
+    omega_to_wl,
+    wl_to_omega,
+)
+from .tuning import TuningProfile, fp_shift_at, fp_shift_scalar
 
 _PS = 1e-12  # seconds per picosecond; multiplies rad/s rates into rad/ps
 _FWHM_TO_SIGMA = 1.0 / (2.0 * np.sqrt(2.0 * np.log(2.0)))
@@ -104,8 +114,8 @@ class PumpSchedule:
         if self.mode == "gaussian":
             for p in self.pulse_events:
                 sig = p.sigma_ps
-                rate += p.area * np.exp(-0.5 * ((t_ps - p.t0_ps) / sig) ** 2) / (
-                    sig * np.sqrt(2.0 * np.pi)
+                rate += p.area * math.exp(-0.5 * ((t_ps - p.t0_ps) / sig) ** 2) / (
+                    sig * math.sqrt(2.0 * math.pi)
                 )
         return rate
 
@@ -186,92 +196,100 @@ def _spec_from_dim(dim: int) -> HilbertSpec:
     return HilbertSpec(m - 1)
 
 
-class _Generator:
-    """Master-equation right-hand side in rad/ps units.
+def _model(params: SystemParams, spec: HilbertSpec, frame: str, broken_target_dissipator=False):
+    """Operators, the Hamiltonian without its FP term, and the fixed channels, in rad/ps.
 
-    ``delta_fp`` is the instantaneous FP detuning (rotating frame) or absolute
-    FP frequency contribution (lab frame), in rad/ps.  ``pump`` is the
-    emitter pump rate in 1/ps.  ``broken_target_dissipator`` flips the sign of
-    the target-cavity anticommutator term; it exists only as a negative
-    control for the self-test suite.
+    Returns ``(ops, h0, channels)``.  Each channel ``(rate, L, sign)`` adds
+    ``rate * (L rho L^T - sign/2 {L^T L, rho})``; every operator is real.  The
+    FP term is ``delta_fp * n_fp``, with ``delta_fp`` the FP detuning (rotating
+    frame) or FP frequency (lab frame).  ``broken_target_dissipator`` flips the
+    sign of the target-cavity anticommutator term; it exists only as a
+    negative control for the self-test suite.
+    """
+    if frame not in ("rotating", "lab"):
+        raise InvalidInput(f"frame must be 'rotating' or 'lab', got {frame!r}")
+    ops = build_space(spec)
+    em = params.emitter
+    g = em.g * _PS
+    eta = params.eta * _PS
+    coupling = g * (ops.a_t @ ops.sigma_plus + ops.a_t.T @ ops.sigma_minus) + eta * (
+        ops.a_t.T @ ops.a_fp + ops.a_fp.T @ ops.a_t
+    )
+    if frame == "rotating":
+        h0 = (em.omega0 - params.target.omega) * _PS * ops.n_e + coupling
+    else:
+        h0 = em.omega0 * _PS * ops.n_e + params.target.omega * _PS * ops.n_t + coupling
+
+    channels = [
+        (2.0 * params.target.kappa * _PS, ops.a_t, -1.0 if broken_target_dissipator else 1.0),
+        (2.0 * params.fp.kappa * _PS, ops.a_fp, 1.0),
+    ]
+    if em.gamma_leaky > 0.0:
+        channels.append((em.gamma_leaky * _PS, ops.sigma_minus, 1.0))
+    pump = params.pump
+    if pump is not None and getattr(pump, "cavity_cw_rate", 0.0) > 0.0:
+        channels.append((pump.cavity_cw_rate * _PS, ops.a_t.T, 1.0))
+    return ops, h0, channels
+
+
+def _fixed_delta(params: SystemParams, fp: BareMode, frame: str) -> float:
+    """The FP term ``delta_fp`` (rad/ps) of a fixed FP mode."""
+    return (fp.omega if frame == "lab" else fp.omega - params.target.omega) * _PS
+
+
+class _Generator:
+    """The master equation compiled as ``L(t) = l0 + delta_fp(t) d_fp + (p(t) - p_cw) l_pump``.
+
+    Acts in rad/ps on the row-major vectorization of rho, where
+    ``vec(A rho B) = (A kron B^T) vec(rho)``: ``l0`` (CSR) holds the
+    Hamiltonian without its FP term and every time-independent dissipator,
+    the CW emitter pump ``p_cw`` included; ``d_fp`` is the diagonal of
+    ``-i(n_fp kron 1 - 1 kron n_fp)`` and ``l_pump`` (CSR) the emitter pump
+    dissipator D[sigma+] at unit rate, so the pump term costs a product only
+    while a pulse adds to the CW rate.
     """
 
-    def __init__(
-        self,
-        params: SystemParams,
-        spec: HilbertSpec,
-        frame: str = "rotating",
-        broken_target_dissipator: bool = False,
-    ):
-        if frame not in ("rotating", "lab"):
-            raise InvalidInput(f"frame must be 'rotating' or 'lab', got {frame!r}")
-        self.params = params
-        self.spec = spec
-        self.frame = frame
-        ops = build_space(spec)
-        self.ops = ops
+    def __init__(self, params, spec, frame, broken_target_dissipator=False):
+        ops, h0, channels = _model(params, spec, frame, broken_target_dissipator)
+        eye = sparse.identity(ops.dim, format="csr")
 
-        em = params.emitter
-        g = em.g * _PS
-        eta = params.eta * _PS
-        coupling = g * (ops.a_t @ ops.sigma_plus + ops.a_t.T @ ops.sigma_minus) + eta * (
-            ops.a_t.T @ ops.a_fp + ops.a_fp.T @ ops.a_t
-        )
-        if frame == "rotating":
-            h0 = (em.omega0 - params.target.omega) * _PS * ops.n_e + coupling
-        else:
-            h0 = em.omega0 * _PS * ops.n_e + params.target.omega * _PS * ops.n_t + coupling
-        self.h0 = h0.astype(complex)
-        self.n_fp_op = ops.n_fp.astype(complex)
+        def kron(a, b):
+            return sparse.kron(a, b, format="csr")
 
-        channels = [
-            (2.0 * params.target.kappa * _PS, ops.a_t, 1.0 if not broken_target_dissipator else -1.0),
-            (2.0 * params.fp.kappa * _PS, ops.a_fp, 1.0),
-        ]
-        if em.gamma_leaky > 0.0:
-            channels.append((em.gamma_leaky * _PS, ops.sigma_minus, 1.0))
-        pump = params.pump
-        if pump is not None and getattr(pump, "cavity_cw_rate", 0.0) > 0.0:
-            channels.append((pump.cavity_cw_rate * _PS, ops.a_t.T.copy(), 1.0))
-        self.channels = [
-            (r, L.astype(complex), L.conj().T.astype(complex), (L.conj().T @ L).astype(complex), s)
-            for (r, L, s) in channels
-        ]
-        sp = ops.sigma_plus.astype(complex)
-        self.pump_channel = (sp, sp.conj().T, sp.conj().T @ sp)
+        def dissipator(rate, op, sign):
+            op = sparse.csr_matrix(op)
+            ldl = (op.T @ op).tocsr()
+            return rate * kron(op, op) - sign * 0.5 * rate * (kron(ldl, eye) + kron(eye, ldl.T))
 
-    def apply(self, rho: np.ndarray, delta_fp: float, pump: float) -> np.ndarray:
-        h = self.h0 + delta_fp * self.n_fp_op
-        out = -1j * (h @ rho - rho @ h)
-        for rate, L, Ld, LdL, sign in self.channels:
-            out += rate * (L @ rho @ Ld) - sign * 0.5 * rate * (LdL @ rho + rho @ LdL)
-        if pump > 0.0:
-            L, Ld, LdL = self.pump_channel
-            out += pump * (L @ rho @ Ld) - 0.5 * pump * (LdL @ rho + rho @ LdL)
-        return out
+        self.p_cw = params.pump.cw_rate * _PS if params.pump is not None else 0.0
+        self.l_pump = dissipator(1.0, ops.sigma_plus, 1.0)
+        h0 = sparse.csr_matrix(h0)
+        l0 = -1j * (kron(h0, eye) - kron(eye, h0.T)) + self.p_cw * self.l_pump
+        for channel in channels:
+            l0 = l0 + dissipator(*channel)
+        l0.eliminate_zeros()
+        self.l0 = l0
+        n_fp = np.diag(ops.n_fp)
+        self.d_fp = -1j * (n_fp[:, None] - n_fp[None, :]).ravel()
 
-    def superoperator(self, delta_fp: float, pump: float) -> np.ndarray:
-        """Dense matrix acting on the row-major vectorization of rho."""
-        d = self.ops.dim
-        eye = np.eye(d, dtype=complex)
-        h = self.h0 + delta_fp * self.n_fp_op
-        sup = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
-        for rate, L, Ld, LdL, sign in self.channels:
-            sup += rate * np.kron(L, L.conj())
-            sup -= sign * 0.5 * rate * (np.kron(LdL, eye) + np.kron(eye, LdL.T))
-        if pump > 0.0:
-            L, Ld, LdL = self.pump_channel
-            sup += pump * np.kron(L, L.conj())
-            sup -= 0.5 * pump * (np.kron(LdL, eye) + np.kron(eye, LdL.T))
-        return sup
+    def rhs(self, y: np.ndarray, delta_fp: float, pump: float) -> np.ndarray:
+        dy = self.l0 @ y + (delta_fp * self.d_fp) * y
+        if pump != self.p_cw:
+            dy += (pump - self.p_cw) * (self.l_pump @ y)
+        return dy
+
+    def matrix(self, delta_fp: float, pump: float) -> sparse.csr_matrix:
+        shift = sparse.diags(delta_fp * self.d_fp)
+        return (self.l0 + shift + (pump - self.p_cw) * self.l_pump).tocsr()
 
 
 def _delta_fp_fn(params: SystemParams, profile: TuningProfile, frame: str):
+    """``delta_fp(t_ps)`` in rad/ps, in float arithmetic: it runs on every RHS call."""
     lambda_t = omega_to_wl(params.target.omega)
     base = 0.0 if frame == "rotating" else params.target.omega
 
     def delta_fp(t_ps: float) -> float:
-        omega_fp = wl_to_omega(lambda_t + fp_shift_at(profile, t_ps))
+        omega_fp = wl_to_omega(lambda_t + fp_shift_scalar(profile, t_ps))
         return (omega_fp - params.target.omega + base) * _PS
 
     return delta_fp
@@ -288,19 +306,22 @@ def liouvillian_apply(
 
     ``pump_rate`` (1/s) defaults to the CW rate of ``params.pump``.  The FP
     loss rate is taken from ``fp_now`` only through ``params.fp`` (held
-    constant); its frequency is taken from ``fp_now``.
+    constant); its frequency is taken from ``fp_now``.  This matrix-free
+    commutator form never compiles the sparse generator, so it serves as the
+    independent oracle for it.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise InvalidInput(f"density matrix must be square, got shape {rho.shape}")
-    spec = _spec_from_dim(rho.shape[0])
-    gen = _Generator(params, spec, frame=frame)
+    ops, h0, channels = _model(params, _spec_from_dim(rho.shape[0]), frame)
     if pump_rate is None:
         pump_rate = params.pump.cw_rate if params.pump is not None else 0.0
-    delta = (fp_now.omega - params.target.omega) * _PS
-    if frame == "lab":
-        delta = fp_now.omega * _PS
-    return gen.apply(rho, delta, pump_rate * _PS) / _PS
+    h = h0 + _fixed_delta(params, fp_now, frame) * ops.n_fp
+    out = -1j * (h @ rho - rho @ h)
+    for rate, op, sign in channels + [(pump_rate * _PS, ops.sigma_plus, 1.0)]:
+        ldl = op.T @ op
+        out += rate * (op @ rho @ op.T) - sign * 0.5 * rate * (ldl @ rho + rho @ ldl)
+    return out / _PS
 
 
 @dataclass
@@ -362,12 +383,8 @@ def _max_step_for(a: float, b: float, caps) -> float:
     return max(step, 1e-6)
 
 
-def _instant_pump_map(gen: _Generator, area: float) -> np.ndarray:
-    L, Ld, LdL = gen.pump_channel
-    d = gen.ops.dim
-    eye = np.eye(d, dtype=complex)
-    sup = np.kron(L, L.conj()) - 0.5 * (np.kron(LdL, eye) + np.kron(eye, LdL.T))
-    return expm(area * sup)
+def _instant_pump_map(gen: _Generator, area: float) -> sparse.csc_matrix:
+    return sparse_expm((area * gen.l_pump).tocsc())
 
 
 def evolve(
@@ -386,9 +403,10 @@ def evolve(
     """Integrate the master equation over ``t_grid_ps`` with time-dependent tuning.
 
     The FP frequency follows ``lambda_t + fp_shift_at(profile, t)``; the pump
-    rate follows ``params.pump``.  Raises :class:`NumericalFailure` with the
-    failing time on integrator breakdown and, when ``check`` is set, when the
-    recorded trace deviates from 1 by more than 1e-8.
+    rate follows ``params.pump``.  An instant pump event at a grid time acts
+    after the state there is recorded.  Raises :class:`NumericalFailure` with
+    the failing time on integrator breakdown and, when ``check`` is set, when
+    the recorded trace deviates from 1 by more than 1e-8.
     """
     t_grid = np.asarray(t_grid_ps, dtype=float)
     if t_grid.size < 2 or not np.all(np.diff(t_grid) > 0.0):
@@ -401,27 +419,25 @@ def evolve(
     if params.pump is None:
         raise InvalidInput("params.pump must be a PumpSchedule for time evolution")
 
-    gen = _Generator(params, spec, frame=frame, broken_target_dissipator=_broken_target_dissipator)
+    gen = _Generator(params, spec, frame, _broken_target_dissipator)
     delta_fp = _delta_fp_fn(params, profile, frame)
     pump = params.pump
 
     def rhs(t, y):
-        rho = y.reshape(spec.dim, spec.dim)
-        return gen.apply(rho, delta_fp(t), pump.rate_at_ps(t)).ravel()
+        return gen.rhs(y, delta_fp(t), pump.rate_at_ps(t))
 
     bounds, caps, events = _segment_breakpoints(profile, pump, float(t_grid[0]), float(t_grid[-1]))
     event_times = {p.t0_ps: p for p in events}
     instant_maps = {}
 
-    states = {float(t_grid[0]): rho0.copy()}
-    y = rho0.ravel().copy()
+    recorded = np.empty((t_grid.size, spec.dim, spec.dim), dtype=complex)
+    recorded[0] = rho0
+    y = rho0.ravel()
     for a, b in zip(bounds[:-1], bounds[1:]):
-        if b <= a:
-            continue
-        inside = t_grid[(t_grid > a) & (t_grid <= b)]
-        t_eval = np.unique(np.append(inside, b))
+        inside = np.flatnonzero((t_grid > a) & (t_grid <= b))
+        t_eval = np.unique(np.append(t_grid[inside], b))
         if fixed_step_ps is not None:
-            y = _rk4_segment(rhs, a, b, y, t_eval, fixed_step_ps, states, spec)
+            ys = _rk4_segment(rhs, a, y, t_eval, fixed_step_ps)
         else:
             sol = solve_ivp(
                 rhs,
@@ -437,30 +453,22 @@ def evolve(
                 raise NumericalFailure(
                     f"integrator failed in segment [{a}, {b}] ps: {sol.message}"
                 )
-            for tk, yk in zip(sol.t, sol.y.T):
-                if tk in t_grid or np.any(np.isclose(t_grid, tk, rtol=0.0, atol=1e-9)):
-                    states[float(tk)] = yk.reshape(spec.dim, spec.dim).copy()
-            y = sol.y[:, -1].copy()
+            ys = sol.y.T
+        recorded[inside] = ys[: inside.size].reshape(-1, spec.dim, spec.dim)
+        y = ys[-1]
         if b in event_times:
-            p = event_times[b]
-            if p.area not in instant_maps:
-                instant_maps[p.area] = _instant_pump_map(gen, p.area)
-            y = (instant_maps[p.area] @ y.reshape(-1)).copy()
-            # event happens after the state at time b was recorded
-
-    recorded = np.empty((t_grid.size, spec.dim, spec.dim), dtype=complex)
-    for i, t in enumerate(t_grid):
-        key_candidates = [k for k in states if abs(k - t) <= 1e-9]
-        if not key_candidates:
-            raise NumericalFailure(f"no recorded state at grid time {t} ps")
-        recorded[i] = states[key_candidates[0]]
+            area = event_times[b].area
+            if area not in instant_maps:
+                instant_maps[area] = _instant_pump_map(gen, area)
+            y = instant_maps[area] @ y
 
     return _make_trajectory(params, profile, t_grid, recorded, check)
 
 
-def _rk4_segment(rhs, a, b, y, t_eval, h_target, states, spec):
-    t = a
-    for tk in t_eval:
+def _rk4_segment(rhs, t, y, t_eval, h_target):
+    """Fixed-step RK4 from ``(t, y)`` through ``t_eval``; the states there, one per row."""
+    out = np.empty((t_eval.size, y.size), dtype=complex)
+    for k, tk in enumerate(t_eval):
         n = max(1, int(np.ceil((tk - t) / h_target)))
         h = (tk - t) / n
         for _ in range(n):
@@ -471,8 +479,8 @@ def _rk4_segment(rhs, a, b, y, t_eval, h_target, states, spec):
             y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             t += h
         t = tk
-        states[float(tk)] = y.reshape(spec.dim, spec.dim).copy()
-    return y
+        out[k] = y
+    return out
 
 
 def _make_trajectory(params, profile, t_grid, states, check) -> Trajectory:
@@ -573,14 +581,15 @@ def dense_superoperator(
     spec: Optional[HilbertSpec] = None,
     frame: str = "rotating",
 ) -> np.ndarray:
-    """Explicit Kronecker-built generator matrix (1/s) on row-major vec(rho)."""
+    """The compiled generator (1/s) on row-major vec(rho), as a dense matrix.
+
+    Checks of the compiled operator compare it against the matrix-free
+    :func:`liouvillian_apply`.
+    """
     if spec is None:
         spec = HilbertSpec(2)
-    gen = _Generator(params, spec, frame=frame)
-    delta = (fp_now.omega - params.target.omega) * _PS
-    if frame == "lab":
-        delta = fp_now.omega * _PS
-    return gen.superoperator(delta, pump_rate * _PS) / _PS
+    gen = _Generator(params, spec, frame)
+    return gen.matrix(_fixed_delta(params, fp_now, frame), pump_rate * _PS).toarray() / _PS
 
 
 def steady_state(
@@ -588,17 +597,16 @@ def steady_state(
     fp_fixed: BareMode,
     spec: Optional[HilbertSpec] = None,
     frame: str = "rotating",
-    max_time_ps: float = 4500.0,
-    chunk_ps: float = 1500.0,
     residual_tol: float = 1e-10,
 ) -> np.ndarray:
-    """Steady state under CW pumping at a fixed FP frequency.
+    """The steady state reached from the vacuum under CW pumping at a fixed FP frequency.
 
-    Marches the master equation in chunks until the generator residual drops
-    below ``residual_tol * ||rho||``; if the integrator's accuracy floor is
-    reached first, polishes with a deterministic least-squares solve of the
-    generator null space (trace constrained to 1) and re-verifies the
-    residual.  An unpumped system returns the vacuum analytically.
+    Solves ``L vec(rho) = 0``, ``tr rho = 1`` by sparse LU on the entries that
+    ``L`` populates from the vacuum (the k = 0 block; the others are 0), so an
+    emitter with neither coupling nor decay stays in its ground state.  Raises
+    :class:`ConvergenceFailure` when the solve is singular, when the residual
+    ``||L rho|| / ||rho||`` (rad/ps) is not below ``residual_tol``, or when rho
+    is not a valid state.  An unpumped system returns the vacuum analytically.
     """
     if spec is None:
         spec = HilbertSpec(2)
@@ -608,51 +616,37 @@ def steady_state(
     if cw == 0.0 and cavity_cw == 0.0:
         return vacuum_state(spec)
 
-    gen = _Generator(params, spec, frame=frame)
-    delta = (fp_fixed.omega - params.target.omega) * _PS
-    if frame == "lab":
-        delta = fp_fixed.omega * _PS
-    p_ps = cw * _PS
-
-    def residual(rho):
-        return np.linalg.norm(gen.apply(rho, delta, p_ps)) / max(np.linalg.norm(rho), 1e-300)
-
-    rho = vacuum_state(spec)
-    t = 0.0
-    while t < max_time_ps:
-        sol = solve_ivp(
-            lambda _t, y: gen.apply(y.reshape(spec.dim, spec.dim), delta, p_ps).ravel(),
-            (0.0, chunk_ps),
-            rho.ravel(),
-            method="RK45",
-            rtol=1e-10,
-            atol=1e-14,
-        )
-        if not sol.success:
-            raise NumericalFailure(f"steady-state marching failed at t={t} ps: {sol.message}")
-        rho = sol.y[:, -1].reshape(spec.dim, spec.dim)
-        t += chunk_ps
-        if residual(rho) < residual_tol:
-            return _sanitize_state(rho)
-
-    # Accuracy floor of the marching integrator: polish on the explicit generator.
-    sup = gen.superoperator(delta, p_ps)
     d = spec.dim
-    trace_row = np.zeros(d * d, dtype=complex)
-    trace_row[:: d + 1] = 1.0
-    a_mat = np.vstack([sup, trace_row[None, :]])
-    b_vec = np.zeros(d * d + 1, dtype=complex)
-    b_vec[-1] = 1.0
-    x, *_ = np.linalg.lstsq(a_mat, b_vec, rcond=None)
-    rho = x.reshape(d, d)
-    rho = 0.5 * (rho + rho.conj().T)
-    rho = rho / np.trace(rho).real
-    if residual(rho) >= residual_tol:
+    mat = _Generator(params, spec, frame).matrix(_fixed_delta(params, fp_fixed, frame), cw * _PS)
+    keep = _reachable_from_vacuum(mat)
+    sub = mat[keep][:, keep]
+    # the rho_00 row is redundant, since L preserves the trace: put tr rho = 1 there
+    trace_row = sparse.csr_matrix((keep % (d + 1) == 0).astype(complex)[None, :])
+    rhs = np.zeros(keep.size, dtype=complex)
+    rhs[0] = 1.0
+    x = np.zeros(d * d, dtype=complex)
+    try:
+        x[keep] = splu(sparse.vstack([trace_row, sub[1:]], format="csc")).solve(rhs)
+    except RuntimeError as exc:  # exactly singular
+        raise ConvergenceFailure(f"steady state is not unique: {exc}") from exc
+    residual = np.linalg.norm(mat @ x) / max(np.linalg.norm(x), 1e-300)
+    if not residual < residual_tol:
         raise ConvergenceFailure(
-            f"steady state not reached within {max_time_ps} ps "
-            f"(residual {residual(rho):.3e})"
+            f"steady-state residual {residual:.3e} not below {residual_tol:.3e}"
         )
-    return _sanitize_state(rho)
+    return _sanitize_state(x.reshape(d, d))
+
+
+def _reachable_from_vacuum(mat: sparse.csr_matrix) -> np.ndarray:
+    """Sorted indices of vec(rho), from rho_00 at 0, that ``mat`` populates from the vacuum."""
+    flow = abs(mat)
+    seen = np.zeros(mat.shape[0], dtype=bool)
+    seen[0] = True
+    while True:
+        grown = seen | (flow @ seen.astype(float) > 0.0)
+        if np.array_equal(grown, seen):
+            return np.flatnonzero(seen)
+        seen = grown
 
 
 def _sanitize_state(rho: np.ndarray) -> np.ndarray:

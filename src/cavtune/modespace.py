@@ -27,7 +27,15 @@ _TWO_PI_C_NM = 2.0 * np.pi * C_M_PER_S * 1e9  # 2*pi*c with wavelengths in nm
 
 
 def wl_to_omega(lambda_nm):
-    """Convert a vacuum wavelength in nm to an angular frequency in rad/s."""
+    """Convert a vacuum wavelength in nm to an angular frequency in rad/s.
+
+    A float argument takes a float-only path: the master-equation integrator
+    converts one wavelength on every right-hand-side evaluation.
+    """
+    if isinstance(lambda_nm, float):
+        if lambda_nm <= 0.0:
+            raise InvalidInput(f"wavelength must be positive, got {lambda_nm}")
+        return float(_TWO_PI_C_NM / lambda_nm)
     lam = np.asarray(lambda_nm, dtype=float)
     if np.any(lam <= 0.0):
         raise InvalidInput(f"wavelength must be positive, got {lambda_nm}")

@@ -190,7 +190,7 @@ def _check_dense_oracle():
     sup = dense_superoperator(p, p.fp, pump_rate=2e8, spec=spec)
     via_sup = (sup @ rho.reshape(-1)).reshape(spec.dim, spec.dim)
     dev = np.max(np.abs(direct - via_sup)) / np.max(np.abs(direct))
-    return dev < 1e-10, f"matrix-free vs dense generator deviation {dev:.2e}"
+    return dev < 1e-10, f"matrix-free vs compiled generator deviation {dev:.2e}"
 
 
 def _check_mode_population_sum():

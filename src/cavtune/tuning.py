@@ -7,6 +7,7 @@ wavelength (negative nm) with an exponential recovery.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -83,6 +84,8 @@ def fp_shift_at(profile: TuningProfile, t_ps):
     t = np.asarray(t_ps, dtype=float)
     if not np.all(np.isfinite(t)):
         raise InvalidInput("evaluation time must be finite")
+    if t.ndim == 0:
+        return fp_shift_scalar(profile, float(t))
     shift = np.full(t.shape, profile.static_detuning_nm, dtype=float)
     if profile.thermo is not None:
         shift += thermo_shift(profile.thermo)
@@ -92,7 +95,27 @@ def fp_shift_at(profile: TuningProfile, t_ps):
         if pulse.tau_rise_ps > 0.0:
             env = env * (1.0 - np.exp(-np.clip(dt, 0.0, None) / pulse.tau_rise_ps))
         shift -= np.where(dt >= 0.0, pulse.delta_lambda_max_nm * env, 0.0)
-    return float(shift) if np.isscalar(t_ps) or shift.ndim == 0 else shift
+    return shift
+
+
+def fp_shift_scalar(profile: TuningProfile, t_ps: float) -> float:
+    """:func:`fp_shift_at` at one float time, in float arithmetic and unchecked.
+
+    The master-equation integrator calls this on every right-hand-side
+    evaluation, where the array path would cost more than the step it feeds;
+    :func:`fp_shift_at` answers a scalar time through it.
+    """
+    shift = float(profile.static_detuning_nm)
+    if profile.thermo is not None:
+        shift += thermo_shift(profile.thermo)
+    for pulse in profile.pulses:
+        dt = t_ps - pulse.t0_ps
+        if dt >= 0.0:
+            env = math.exp(-dt / pulse.tau_fc_ps)
+            if pulse.tau_rise_ps > 0.0:
+                env *= 1.0 - math.exp(-dt / pulse.tau_rise_ps)
+            shift -= pulse.delta_lambda_max_nm * env
+    return shift
 
 
 def sample_profile(

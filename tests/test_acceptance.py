@@ -137,7 +137,7 @@ def test_acceptance_3_master_equation_oracles(burst_run, dip_run, delay_runs):
         rate = -np.polyfit(t_grid[mask] * 1e-12, np.log(traj.n_e[mask]), 1)[0]
         assert abs(rate - expected_rate) / expected_rate < 0.05
 
-        # (d) matrix-free generator equals the dense superoperator, n_max <= 2
+        # (d) matrix-free generator equals the compiled operator made dense, n_max <= 2
         rng = np.random.RandomState(7)
         p = make_params(pump=PumpSchedule(cw_rate=2e8))
         for n_max in (1, 2):

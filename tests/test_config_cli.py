@@ -277,6 +277,8 @@ class TestSelftestCommand:
         res = runner.invoke(main, ["selftest", "--inject-kappa-sign"])
         assert res.exit_code == 1
         assert "FAIL" in res.output
+        failed = [l for l in res.output.splitlines() if "FAIL" in l]
+        assert len(failed) == 1 and failed[0].startswith("master-equation trace preservation")
 
 
 class TestCalibratedScenarioValues:

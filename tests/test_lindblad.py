@@ -3,6 +3,7 @@ import pytest
 
 from cavtune import (
     BareMode,
+    ConvergenceFailure,
     EmitterParams,
     FreeCarrierPulse,
     HilbertSpec,
@@ -17,6 +18,7 @@ from cavtune import (
     emitter_excited_state,
     evolve,
     fock_state,
+    fp_shift_at,
     liouvillian_apply,
     mode_populations,
     se_rate_ratio,
@@ -24,7 +26,8 @@ from cavtune import (
     vacuum_state,
     wl_to_omega,
 )
-from cavtune.lindblad import expectation
+from cavtune.lindblad import _Generator, _delta_fp_fn, expectation
+from cavtune.tuning import fp_shift_scalar
 from conftest import KAPPA_T, LAMBDA_T, make_params
 
 
@@ -112,6 +115,43 @@ class TestLiouvillian:
             sup = dense_superoperator(p, p.fp, pump_rate=2e8, spec=spec)
             via = (sup @ rho.reshape(-1)).reshape(spec.dim, spec.dim)
             assert np.max(np.abs(direct - via)) <= 1e-10 * np.max(np.abs(direct))
+
+    def test_compiled_operator_matches_matrix_free(self, rng):
+        # the compiled sparse operator (as dense matrix and as the evolve RHS)
+        # against the matrix-free commutator form, over channel variants
+        variants = {
+            "default": make_params(pump=PumpSchedule(cw_rate=1e8)),
+            "no leaky decay": make_params(gamma_leaky=0.0, pump=PumpSchedule(cw_rate=1e8)),
+            "cavity pump": make_params(pump=PumpSchedule(cw_rate=1e8, cavity_cw_rate=3e8)),
+        }
+        for name, p in variants.items():
+            for frame in ("rotating", "lab"):
+                for n_max in (1, 2, 3):
+                    spec = HilbertSpec(n_max)
+                    rho = random_density_matrix(rng, spec.dim)
+                    lambda_fp = LAMBDA_T + rng.uniform(-1.0, 1.0)
+                    fp_now = BareMode(wl_to_omega(lambda_fp), p.fp.kappa)
+                    pump = rng.uniform(0.0, 5e8)
+                    direct = liouvillian_apply(p, fp_now, rho, pump_rate=pump, frame=frame)
+                    sup = dense_superoperator(p, fp_now, pump_rate=pump, spec=spec, frame=frame)
+                    delta = fp_now.omega if frame == "lab" else fp_now.omega - p.target.omega
+                    gen = _Generator(p, spec, frame)
+                    via_rhs = gen.rhs(rho.ravel(), delta * 1e-12, pump * 1e-12) / 1e-12
+                    scale = np.max(np.abs(direct))
+                    for via in (sup @ rho.ravel(), via_rhs):
+                        dev = np.max(np.abs(direct - via.reshape(spec.dim, spec.dim))) / scale
+                        assert dev < 1e-12, (name, frame, n_max, dev)
+
+    def test_broken_dissipator_breaks_trace(self, rng):
+        # the self-test negative control reaches the compiled operator
+        p = make_params(pump=PumpSchedule(cw_rate=1e8))
+        spec = HilbertSpec(1)
+        y = random_density_matrix(rng, spec.dim).ravel()
+        trace = [
+            abs(_Generator(p, spec, "rotating", broken).rhs(y, 0.0, 0.0)[:: spec.dim + 1].sum())
+            for broken in (False, True)
+        ]
+        assert trace[0] < 1e-15 and trace[1] > 1e-3
 
     def test_hand_built_kron_oracle(self, rng):
         # fully independent 8x8 construction for n_max = 1
@@ -265,6 +305,48 @@ class TestEvolve:
         decay = np.exp(-1e9 * 1e-12 * (t[i_after] - 100.0))
         assert traj.n_e[i_after] == pytest.approx((1.0 - np.exp(-1.0)) * decay, rel=1e-3)
 
+    def test_instant_event_on_grid_time_recorded_before_event(self):
+        # the state recorded at the event time is the pre-event one; the
+        # next sample carries the pump map's 1 - e^{-A} of the ground population
+        gamma, area = 1e9, 0.7
+        pump = PumpSchedule(pulse_events=(PumpPulse(100.0, area, 6.0),), mode="instant")
+        p = make_params(g=0.0, gamma_leaky=gamma, eta=0.0, pump=pump)
+        spec = HilbertSpec(1)
+        t = np.linspace(0.0, 400.0, 81)
+        i_event = int(np.flatnonzero(t == 100.0)[0])
+        before = np.exp(-gamma * 1e-12 * 100.0)
+        after = before + (1.0 - np.exp(-area)) * (1.0 - before)
+        decay = np.exp(-gamma * 1e-12 * (t[i_event + 1] - 100.0))
+        for fixed_step in (None, 0.25):
+            traj = evolve(
+                p, TuningProfile(), emitter_excited_state(spec), t, rtol=1e-11, atol=1e-15,
+                fixed_step_ps=fixed_step,
+            )
+            assert traj.n_e[i_event] == pytest.approx(before, rel=1e-8)
+            assert traj.n_e[i_event + 1] == pytest.approx(after * decay, rel=1e-8)
+
+    def test_scalar_delta_matches_array_path(self):
+        pulses = (
+            FreeCarrierPulse(0.0, 0.6, 352.0),
+            FreeCarrierPulse(150.0, 0.3, 120.0, tau_rise_ps=15.0),
+            FreeCarrierPulse(200.0, 0.4, 200.0, tau_rise_ps=5.0),
+        )
+        t = np.concatenate([np.linspace(-100.0, 1200.0, 1301), [0.0, 150.0, 200.0]])
+        for frame in ("rotating", "lab"):
+            for profile in (
+                TuningProfile(static_detuning_nm=0.3, pulses=pulses[:1]),
+                TuningProfile(static_detuning_nm=-0.2, pulses=pulses),
+            ):
+                p = make_params()
+                base = 0.0 if frame == "rotating" else p.target.omega
+                omega_fp = wl_to_omega(LAMBDA_T + fp_shift_at(profile, t))
+                expected = (omega_fp - p.target.omega + base) * 1e-12
+                fast = _delta_fp_fn(p, profile, frame)
+                got = np.array([fast(float(tk)) for tk in t])
+                assert np.all(np.abs(got - expected) <= 1e-15 * np.abs(expected))
+                shifts = np.array([fp_shift_scalar(profile, float(tk)) for tk in t])
+                assert np.max(np.abs(shifts - fp_shift_at(profile, t))) <= 1e-15
+
     def test_non_monotonic_grid_rejected(self, default_params):
         p = make_params(pump=PumpSchedule())
         with pytest.raises(InvalidInput):
@@ -376,11 +458,11 @@ class TestSteadyState:
         drho = liouvillian_apply(p, p.fp, rho, pump_rate=1e8)
         assert np.linalg.norm(drho) * 1e-12 < 1e-10 * np.linalg.norm(rho)
 
-    def test_matches_long_time_evolution(self):
+    @staticmethod
+    def _long_time_check(spec):
         from cavtune import apply_filter, synthesize_map
 
         p = make_params(pump=PumpSchedule(cw_rate=1e8))
-        spec = HilbertSpec(2)
         rho_ss = steady_state(p, p.fp, spec=spec)
         t = np.linspace(0.0, 12000.0, 241)
         traj = evolve(p, TuningProfile(), vacuum_state(spec), t)
@@ -390,3 +472,47 @@ class TestSteadyState:
         traj_ss = evolve(p, TuningProfile(), rho_ss, np.array([0.0, 1.0]))
         curve_ss = apply_filter(synthesize_map(traj_ss, lam_grid), 1552.2, 0.5)
         assert curve.intensity[-1] == pytest.approx(curve_ss.intensity[0], rel=0.01)
+        return traj.states[-1], rho_ss
+
+    def test_matches_long_time_evolution(self):
+        self._long_time_check(HilbertSpec(2))
+
+    def test_matches_long_time_evolution_n_max_3(self):
+        evolved, rho_ss = self._long_time_check(HilbertSpec(3))
+        assert np.max(np.abs(evolved - rho_ss)) < 1e-6
+
+    def test_cavity_pump_only(self):
+        # cw_rate = 0 with a target-mode pump: the solve still runs
+        pump = PumpSchedule(cw_rate=0.0, cavity_cw_rate=1e9)
+        spec = HilbertSpec(2)
+        ops = build_space(spec)
+        for p in (make_params(pump=pump), make_params(g=0.0, eta=0.0, pump=pump)):
+            rho = steady_state(p, p.fp, spec=spec)
+            drho = liouvillian_apply(p, p.fp, rho)
+            assert np.linalg.norm(drho) * 1e-12 < 1e-10 * np.linalg.norm(rho)
+            assert abs(np.trace(rho) - 1.0) < 1e-12
+            assert np.max(np.abs(rho - rho.conj().T)) < 1e-12
+            assert np.linalg.eigvalsh(rho).min() > -1e-12
+            assert expectation(ops.n_t, rho).real > 1e-4
+        # decoupled target mode: thermal-like n_t = P / (2 kappa_t - P),
+        # up to the n_max = 2 truncation of its tail
+        expected = 1e9 / (2.0 * p.target.kappa - 1e9)
+        assert expectation(ops.n_t, rho).real == pytest.approx(expected, rel=1e-4)
+
+    def test_unreachable_residual_raises(self):
+        p = make_params(pump=PumpSchedule(cw_rate=1e8))
+        with pytest.raises(ConvergenceFailure):
+            steady_state(p, p.fp, spec=HilbertSpec(2), residual_tol=1e-30)
+
+    def test_non_unique_returns_state_reached_from_vacuum(self):
+        # an emitter with neither coupling nor decay keeps any population, so
+        # the steady state is not unique; the one reached from vacuum keeps the
+        # emitter in its ground state
+        p = make_params(g=0.0, gamma_leaky=0.0, pump=PumpSchedule(cavity_cw_rate=1e9))
+        for n_max in (1, 3):
+            spec = HilbertSpec(n_max)
+            rho = steady_state(p, p.fp, spec=spec)
+            evolved = evolve(p, TuningProfile(), vacuum_state(spec), [0.0, 3000.0]).states[-1]
+            assert np.max(np.abs(rho - evolved)) < 1e-8
+            assert expectation(build_space(spec).n_e, rho).real == 0.0
+            assert abs(np.trace(rho) - 1.0) < 1e-12

@@ -40,6 +40,12 @@ class TestUnitConversions:
         for lam in (1550.0, 1552.0, 632.8, 10600.0):
             assert omega_to_wl(wl_to_omega(lam)) == pytest.approx(lam, rel=1e-12)
 
+    def test_float_path_matches_array_path(self):
+        lams = np.array([1550.0, 1552.0 - 0.37, 632.8, 10600.0])
+        floats = [wl_to_omega(float(lam)) for lam in lams] + [wl_to_omega(lams[1])]
+        assert all(type(w) is float for w in floats)
+        assert np.array_equal(floats[:4], wl_to_omega(lams)) and floats[4] == floats[1]
+
     def test_positive_input_required(self):
         with pytest.raises(InvalidInput):
             wl_to_omega(-1.0)
