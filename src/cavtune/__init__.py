@@ -35,21 +35,16 @@ from .modespace import (
     total_decay_time,
     wl_to_omega,
 )
-from .tuning import FreeCarrierPulse, ThermoOpticModel, TuningProfile, fp_shift_at, sample_profile, thermo_shift
-from .lindblad import (
+from .tuning import (
+    FreeCarrierPulse,
     HilbertSpec,
     PumpPulse,
     PumpSchedule,
-    Trajectory,
-    build_space,
-    dense_superoperator,
-    emitter_excited_state,
-    evolve,
-    fock_state,
-    liouvillian_apply,
-    mode_populations,
-    steady_state,
-    vacuum_state,
+    ThermoOpticModel,
+    TuningProfile,
+    fp_shift_at,
+    sample_profile,
+    thermo_shift,
 )
 from .spectra import (
     BurstMetrics,
@@ -70,3 +65,28 @@ from .fitting import (
     residuals,
     synthetic_data,
 )
+
+# The master-equation solver imports scipy, which costs more start-up time than
+# the rest of the package together; its names load on first access (PEP 562).
+_LINDBLAD_NAMES = frozenset(
+    {
+        "Trajectory",
+        "build_space",
+        "dense_superoperator",
+        "emitter_excited_state",
+        "evolve",
+        "fock_state",
+        "liouvillian_apply",
+        "mode_populations",
+        "steady_state",
+        "vacuum_state",
+    }
+)
+
+
+def __getattr__(name):
+    if name in _LINDBLAD_NAMES:
+        from . import lindblad
+
+        return getattr(lindblad, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -22,7 +22,7 @@ from .config import (
     scenario_config,
 )
 from .errors import CavtuneError, ConvergenceFailure, NumericalFailure, SchemaError
-from .fitting import FitOptions, fit as run_fit, read_anticrossing_csv, residuals
+from .fitting import FitOptions, fit as run_fit, read_anticrossing_csv
 from .render import render_csv_file
 from .runs import format_number, run_dynamic, run_static_sweep, write_json
 
@@ -109,8 +109,9 @@ def cmd_dynamic(config_path, scenario, outdir, threads, render):
 @click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False),
               default=None, help="Config with a 'fit' section (init/bounds/options).")
 @click.option("--out", "outdir", type=click.Path(file_okay=False), required=True)
-@click.option("--seed", type=int, default=0, show_default=True,
-              help="Seed for the multi-start initialization lattice.")
+@click.option("--seed", type=int, default=None,
+              help="Seed for the multi-start initializations; overrides fit.seed "
+                   "(default 0).")
 @click.option("--threads", type=int, default=1, show_default=True)
 def cmd_fit(data_csv, config_path, outdir, seed, threads):
     """Fit the coupled-mode model to an anticrossing CSV."""
@@ -140,19 +141,16 @@ def cmd_fit(data_csv, config_path, outdir, seed, threads):
         options = FitOptions(
             max_evals=fit_node.get("max_evals", 40000),
             multistart=fit_node.get("multistart", 0),
-            seed=seed,
+            seed=seed if seed is not None else fit_node.get("seed", 0),
         )
         result = run_fit(data, init, bounds=fit_node.get("bounds"), options=options)
 
         out = Path(outdir)
         out.mkdir(parents=True, exist_ok=True)
         write_json(out / "fit.json", result.to_dict())
-        res_vec = residuals(
-            np.array([result.estimates[n] for n in result.param_names]), data
-        )
         with open(out / "residuals.csv", "w", encoding="utf-8", newline="") as fh:
             fh.write("index,weighted_residual\n")
-            for i, r in enumerate(res_vec):
+            for i, r in enumerate(result.weighted_residuals):
                 fh.write(f"{i},{format_number(r)}\n")
     except CavtuneError as exc:
         _fail(exc)

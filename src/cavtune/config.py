@@ -16,9 +16,15 @@ from typing import Optional
 import numpy as np
 
 from .errors import CavtuneError, SchemaError
-from .lindblad import HilbertSpec, PumpPulse, PumpSchedule
 from .modespace import BareMode, EmitterParams, SystemParams, wl_to_omega
-from .tuning import FreeCarrierPulse, ThermoOpticModel, TuningProfile
+from .tuning import (
+    FreeCarrierPulse,
+    HilbertSpec,
+    PumpPulse,
+    PumpSchedule,
+    ThermoOpticModel,
+    TuningProfile,
+)
 
 SCHEMA_VERSION = 1
 
@@ -310,6 +316,9 @@ def load_config(raw: dict) -> RunConfig:
 
     fit_node = raw.get("fit", {})
     _check_keys(fit_node, {"control", "init", "bounds", "multistart", "max_evals", "seed"}, "fit")
+    fit_seed = fit_node.get("seed", 0)
+    if not isinstance(fit_seed, int) or isinstance(fit_seed, bool) or not 0 <= fit_seed < 2**32:
+        _err("fit.seed", f"expected an integer in [0, 2**32), got {fit_seed!r}")
 
     # -- build domain objects, re-raising with key paths -------------------------
     try:

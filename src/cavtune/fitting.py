@@ -17,13 +17,13 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import InvalidInput, SchemaError
-from .modespace import detuning_wl_to_omega, omega_to_wl, wl_to_omega
+from .modespace import TWO_PI_C_NM, detuning_wl_to_omega, wl_to_omega
 
 DEFAULT_SIGMA_LAMBDA_NM = 0.05
 DEFAULT_SIGMA_Q_FRAC = 0.10
@@ -231,6 +231,8 @@ class FitOptions:
 
 @dataclass(frozen=True)
 class FitResult:
+    """Fit outcome; ``weighted_residuals`` are taken at the estimates under the fit's bounds."""
+
     estimates: dict
     std_errors: dict
     residual_norm: float
@@ -238,6 +240,7 @@ class FitResult:
     n_evals: int
     near_degenerate: bool
     param_names: tuple
+    weighted_residuals: np.ndarray = field(repr=False, compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -268,104 +271,125 @@ def _bounds_for(names, data: AnticrossingData, overrides=None):
     return {n: bounds[n] for n in names}
 
 
-def model_predictions(theta: dict, data: AnticrossingData):
-    """Branch wavelengths (ascending), Q's and decay times for each data row.
+class _CompiledModel:
+    """The fit model of one table, compiled once per :func:`fit`.
 
-    Vectorized closed form of :func:`cavtune.modespace.couple` over the rows:
-    a residual evaluation inside the simplex loop must not build per-row
-    objects.  Agreement with the object path is pinned by a test.
+    The closed form of :func:`cavtune.modespace.couple` over the rows, in the
+    array form that a residual evaluation inside the simplex loop needs: no
+    per-row objects, no per-call dicts, and the measured values and their
+    sigmas stacked once into matrices.  ``theta`` vectors are ordered as
+    ``names``.  Agreement with the object path is pinned by a test, and so are
+    the evaluation counts and estimates of two seeded fits, bit for bit:
+    reordering the floating-point operations here moves the simplex path.
     """
-    lam_t = theta["lambda_t"]
-    omega_t = wl_to_omega(lam_t)
-    eta = theta["eta"]
-    kappa_t = theta["kappa_t"]
-    kappa_fp = theta["kappa_fp"]
 
-    if data.control_kind == "power_mw":
-        detunings_nm = theta["cal_slope"] * data.control + theta["cal_offset"]
-    else:
-        detunings_nm = data.control
+    def __init__(self, data: AnticrossingData, names, bounds=None):
+        at = {name: i for i, name in enumerate(names)}
+        self.names = tuple(names)
+        bounds = bounds or _bounds_for(self.names, data)
+        self.lo = np.array([bounds[n][0] for n in self.names], dtype=float)
+        self.hi = np.array([bounds[n][1] for n in self.names], dtype=float)
+        self.i_core = [at[n] for n in ("eta", "kappa_t", "kappa_fp", "lambda_t")]
+        self.i_cal = (at["cal_slope"], at["cal_offset"]) if data.control_kind == "power_mw" else None
+        self.i_tau = (at["g"], at["gamma_leaky"]) if data.tau_ns is not None else None
+        self.control = data.control
 
-    lam_fp = lam_t + np.asarray(detunings_nm, dtype=float)
-    if np.any(lam_fp <= 0.0):
-        raise InvalidInput("detuned FP wavelength is non-positive")
-    wt = omega_t - 1j * kappa_t
-    wf = wl_to_omega(lam_fp) - 1j * kappa_fp
-    mean = 0.5 * (wt + wf)
-    half = 0.5 * (wt - wf)
-    split = np.sqrt(half * half + eta * eta + 0j)
-    mu_a, mu_b = mean + split, mean - split
+        # predictions are one matrix row per quantity (lambda1, lambda2, q1, q2[, tau])
+        # and one column per table row; ordering the branches by wavelength swaps
+        # quantity rows 0<->1 and 2<->3
+        n_quantities = 5 if self.i_tau else 4
+        self.shape = (n_quantities, data.n_rows)
+        self.swapped = [1, 0, 3, 2, 4][:n_quantities]
 
-    lam_a = omega_to_wl(mu_a.real)
-    lam_b = omega_to_wl(mu_b.real)
-    q_a = mu_a.real / (-2.0 * mu_a.imag)
-    q_b = mu_b.real / (-2.0 * mu_b.imag)
-    a_first = lam_a <= lam_b
-    lam1 = np.where(a_first, lam_a, lam_b)
-    lam2 = np.where(a_first, lam_b, lam_a)
-    q1 = np.where(a_first, q_a, q_b)
-    q2 = np.where(a_first, q_b, q_a)
+        s_lam, s_q, s_tau = data.sigmas()
+        measured, sigma, compared = [data.lambda1, data.lambda2], [s_lam, s_lam], [0, 1]
+        if data.q1 is not None:
+            measured += [data.q1, data.q2]
+            sigma += [s_q, s_q]
+            compared += [2, 3]
+        if data.tau_ns is not None:
+            measured.append(data.tau_ns)
+            sigma.append(s_tau)
+            compared.append(4)
+        self.measured = np.array(measured)
+        self.sigma = np.array([np.broadcast_to(s, (data.n_rows,)) for s in sigma], dtype=float)
+        self.compared = slice(None) if len(compared) == n_quantities else compared
+        self.n_res = self.measured.size
 
-    tau = None
-    if data.tau_ns is not None:
-        g, gamma_leaky = theta["g"], theta["gamma_leaky"]
-        # Euclidean target weight of each eigenvector: |c|^2 = eta^2/(eta^2+|mu-wt|^2);
-        # the weights of the pair sum to 1 exactly
-        if eta > 0.0:
-            ca2 = eta**2 / (eta**2 + np.abs(mu_a - wt) ** 2)
-            cb2 = 1.0 - ca2
+    def predict(self, x: np.ndarray) -> np.ndarray:
+        """Predictions for the parameter vector ``x``; InvalidInput when unphysical."""
+        eta, kappa_t, kappa_fp, lam_t = x[self.i_core]
+        omega_t = wl_to_omega(lam_t)
+        if self.i_cal is None:
+            lam_fp = lam_t + self.control
         else:
-            ca2 = np.where(np.abs(mu_a - wt) < np.abs(mu_a - wf), 1.0, 0.0)
-            cb2 = 1.0 - ca2
-        gamma = gamma_leaky + 2.0 * g**2 * (ca2 / (-mu_a.imag) + cb2 / (-mu_b.imag))
-        tau = 1e9 / gamma
-    return lam1, lam2, q1, q2, tau
+            lam_fp = lam_t + (x[self.i_cal[0]] * self.control + x[self.i_cal[1]])
+        if (lam_fp <= 0.0).any():
+            raise InvalidInput("detuned FP wavelength is non-positive")
+        wt = omega_t - 1j * kappa_t
+        wf = TWO_PI_C_NM / lam_fp - 1j * kappa_fp
+        mean = 0.5 * (wt + wf)
+        half = 0.5 * (wt - wf)
+        split = np.sqrt(half * half + eta * eta + 0j)
+        mu = np.empty((2, self.shape[1]), dtype=complex)
+        np.add(mean, split, out=mu[0])
+        np.subtract(mean, split, out=mu[1])
+        if (mu.real <= 0.0).any():
+            raise InvalidInput("coupled-mode frequency is non-positive")
+
+        pred = np.empty(self.shape)
+        np.divide(TWO_PI_C_NM, mu.real, out=pred[:2])
+        np.divide(mu.real, -2.0 * mu.imag, out=pred[2:4])
+        if self.i_tau:
+            g, gamma_leaky = x[self.i_tau[0]], x[self.i_tau[1]]
+            mu_a, mu_b = mu
+            # Euclidean target weight of each eigenvector: |c|^2 = eta^2/(eta^2+|mu-wt|^2);
+            # the weights of the pair sum to 1 exactly
+            if eta > 0.0:
+                ca2 = eta**2 / (eta**2 + np.abs(mu_a - wt) ** 2)
+                cb2 = 1.0 - ca2
+            else:
+                ca2 = np.where(np.abs(mu_a - wt) < np.abs(mu_a - wf), 1.0, 0.0)
+                cb2 = 1.0 - ca2
+            gamma = gamma_leaky + 2.0 * g**2 * (ca2 / (-mu_a.imag) + cb2 / (-mu_b.imag))
+            np.divide(1e9, gamma, out=pred[4])
+        a_first = pred[0] <= pred[1]
+        return pred if a_first.all() else np.where(a_first, pred, pred[self.swapped])
+
+    def residuals(self, theta_vec) -> np.ndarray:
+        """Weighted residual vector; out-of-bounds parameters give large finite penalties."""
+        x = np.asarray(theta_vec, dtype=float)
+        # the exact violation sum, in parameter order, runs only off the common path
+        if not (((self.lo <= x) & (x <= self.hi)).all() and np.isfinite(x).all()):
+            violation = 0.0
+            for v, lo, hi in zip(x, self.lo, self.hi):
+                span = max(hi - lo, 1e-300)
+                if v < lo:
+                    violation += (lo - v) / span
+                elif v > hi:
+                    violation += (v - hi) / span
+            if violation > 0.0 or not np.isfinite(x).all():
+                return np.full(self.n_res, _PENALTY * (1.0 + violation))
+        try:
+            model = self.predict(x)
+        except (InvalidInput, ValueError):
+            return np.full(self.n_res, _PENALTY)
+        res = ((model[self.compared] - self.measured) / self.sigma).ravel()
+        if not np.isfinite(res).all():
+            return np.full(self.n_res, _PENALTY)
+        return res
+
+
+def model_predictions(theta: dict, data: AnticrossingData):
+    """Branch wavelengths (ascending), Q's and decay times (None without a tau column)."""
+    names = _active_params(data)
+    pred = _CompiledModel(data, names).predict(np.array([theta[n] for n in names], dtype=float))
+    return pred[0], pred[1], pred[2], pred[3], pred[4] if data.tau_ns is not None else None
 
 
 def residuals(theta_vec: np.ndarray, data: AnticrossingData, names=None, bounds=None) -> np.ndarray:
     """Weighted residual vector; out-of-bounds parameters give large finite penalties."""
-    names = names or _active_params(data)
-    bounds = bounds or _bounds_for(names, data)
-    theta = dict(zip(names, np.asarray(theta_vec, dtype=float)))
-
-    n_res = 2 * data.n_rows
-    if data.q1 is not None:
-        n_res += 2 * data.n_rows
-    if data.tau_ns is not None:
-        n_res += data.n_rows
-
-    violation = 0.0
-    for name in names:
-        lo, hi = bounds[name]
-        v = theta[name]
-        span = max(hi - lo, 1e-300)
-        if v < lo:
-            violation += (lo - v) / span
-        elif v > hi:
-            violation += (v - hi) / span
-    if violation > 0.0 or not all(np.isfinite(v) for v in theta.values()):
-        return np.full(n_res, _PENALTY * (1.0 + violation))
-
-    try:
-        lam1, lam2, q1, q2, tau = model_predictions(theta, data)
-    except (InvalidInput, ValueError):
-        return np.full(n_res, _PENALTY)
-
-    s_lam, s_q, s_tau = data.sigmas()
-    parts = [(lam1 - data.lambda1) / s_lam, (lam2 - data.lambda2) / s_lam]
-    if data.q1 is not None:
-        parts += [(q1 - data.q1) / s_q, (q2 - data.q2) / s_q]
-    if data.tau_ns is not None:
-        parts.append((tau - data.tau_ns) / s_tau)
-    res = np.concatenate(parts)
-    if not np.all(np.isfinite(res)):
-        return np.full(n_res, _PENALTY)
-    return res
-
-
-def _objective(theta_vec, data, names, bounds):
-    r = residuals(theta_vec, data, names, bounds)
-    return float(r @ r)
+    return _CompiledModel(data, names or _active_params(data), bounds).residuals(theta_vec)
 
 
 def _nelder_mead(func, x0, steps, spread_tol, max_evals):
@@ -448,8 +472,11 @@ def fit(
         if not lo <= v <= hi:
             raise InvalidInput(f"init[{n!r}]={v} outside bounds [{lo}, {hi}]")
 
+    model = _CompiledModel(data, names, all_bounds)
+
     def func(vec):
-        return _objective(vec, data, names, all_bounds)
+        r = model.residuals(vec)
+        return float(r @ r)
 
     starts = [x0]
     if options.multistart > 0:
@@ -493,7 +520,8 @@ def fit(
     x_best, f_best, converged, _ = best
     estimates = dict(zip(names, (float(v) for v in x_best)))
 
-    std_errors = _finite_difference_errors(x_best, data, names, all_bounds)
+    res_best = model.residuals(x_best)
+    std_errors = _finite_difference_errors(x_best, res_best, model)
     res_norm = float(np.sqrt(f_best))
 
     eta_resolution = abs(
@@ -509,12 +537,12 @@ def fit(
         n_evals=total_evals,
         near_degenerate=near_degenerate,
         param_names=names,
+        weighted_residuals=res_best,
     )
 
 
-def _finite_difference_errors(x, data, names, bounds):
-    """Gauss-Newton standard errors from a central-difference Jacobian."""
-    r0 = residuals(x, data, names, bounds)
+def _finite_difference_errors(x, r0, model: _CompiledModel):
+    """Gauss-Newton standard errors from a central-difference Jacobian at ``x``."""
     m, n = r0.size, x.size
     jac = np.empty((m, n))
     for j in range(n):
@@ -522,9 +550,7 @@ def _finite_difference_errors(x, data, names, bounds):
         xp, xm = x.copy(), x.copy()
         xp[j] += h
         xm[j] -= h
-        jac[:, j] = (residuals(xp, data, names, bounds) - residuals(xm, data, names, bounds)) / (
-            2.0 * h
-        )
+        jac[:, j] = (model.residuals(xp) - model.residuals(xm)) / (2.0 * h)
     dof = max(m - n, 1)
     scale = float(r0 @ r0) / dof
     try:
@@ -532,7 +558,7 @@ def _finite_difference_errors(x, data, names, bounds):
         errs = np.sqrt(np.clip(np.diag(cov), 0.0, None))
     except np.linalg.LinAlgError:
         errs = np.full(n, np.nan)
-    return dict(zip(names, (float(e) for e in errs)))
+    return dict(zip(model.names, (float(e) for e in errs)))
 
 
 def calibrate_power(data: AnticrossingData, result: FitResult) -> tuple[float, float]:

@@ -23,7 +23,7 @@ from .errors import InvalidConfiguration, InvalidInput
 
 C_M_PER_S = 2.99792458e8  # vacuum speed of light
 
-_TWO_PI_C_NM = 2.0 * np.pi * C_M_PER_S * 1e9  # 2*pi*c with wavelengths in nm
+TWO_PI_C_NM = 2.0 * np.pi * C_M_PER_S * 1e9  # omega = TWO_PI_C_NM / lambda_nm
 
 
 def wl_to_omega(lambda_nm):
@@ -35,11 +35,11 @@ def wl_to_omega(lambda_nm):
     if isinstance(lambda_nm, float):
         if lambda_nm <= 0.0:
             raise InvalidInput(f"wavelength must be positive, got {lambda_nm}")
-        return float(_TWO_PI_C_NM / lambda_nm)
+        return float(TWO_PI_C_NM / lambda_nm)
     lam = np.asarray(lambda_nm, dtype=float)
     if np.any(lam <= 0.0):
         raise InvalidInput(f"wavelength must be positive, got {lambda_nm}")
-    out = _TWO_PI_C_NM / lam
+    out = TWO_PI_C_NM / lam
     return float(out) if np.isscalar(lambda_nm) or out.ndim == 0 else out
 
 
@@ -48,7 +48,7 @@ def omega_to_wl(omega):
     om = np.asarray(omega, dtype=float)
     if np.any(om <= 0.0):
         raise InvalidInput(f"angular frequency must be positive, got {omega}")
-    out = _TWO_PI_C_NM / om
+    out = TWO_PI_C_NM / om
     return float(out) if np.isscalar(omega) or om.ndim == 0 else out
 
 
@@ -60,14 +60,14 @@ def detuning_wl_to_omega(delta_lambda_nm, lambda_ref_nm):
     """
     if lambda_ref_nm <= 0.0:
         raise InvalidInput(f"reference wavelength must be positive, got {lambda_ref_nm}")
-    return -_TWO_PI_C_NM * np.asarray(delta_lambda_nm, dtype=float) / lambda_ref_nm**2
+    return -TWO_PI_C_NM * np.asarray(delta_lambda_nm, dtype=float) / lambda_ref_nm**2
 
 
 def detuning_omega_to_wl(delta_omega, lambda_ref_nm):
     """Inverse of :func:`detuning_wl_to_omega` at the same reference wavelength."""
     if lambda_ref_nm <= 0.0:
         raise InvalidInput(f"reference wavelength must be positive, got {lambda_ref_nm}")
-    return -np.asarray(delta_omega, dtype=float) * lambda_ref_nm**2 / _TWO_PI_C_NM
+    return -np.asarray(delta_omega, dtype=float) * lambda_ref_nm**2 / TWO_PI_C_NM
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,6 @@ import numpy as np
 from . import __version__
 from .config import RunConfig, config_hash
 from .errors import CavtuneError, InvalidInput, NoFeature
-from .lindblad import emitter_excited_state, evolve, steady_state, vacuum_state
 from .modespace import anticrossing_sweep, wl_to_omega
 from .spectra import (
     DecayCurve,
@@ -28,7 +27,7 @@ from .spectra import (
     irf_convolve,
     synthesize_map,
 )
-from .tuning import FreeCarrierPulse, TuningProfile
+from .tuning import FreeCarrierPulse, HilbertSpec, TuningProfile, sample_profile
 
 
 def format_number(x: float) -> str:
@@ -117,6 +116,9 @@ def run_static_sweep(cfg: RunConfig, outdir: Path, render: bool = False, threads
 
 
 def initial_state_for(cfg: RunConfig, profile: Optional[TuningProfile] = None) -> np.ndarray:
+    # cavtune.lindblad, and with it scipy, loads only for dynamic runs
+    from .lindblad import emitter_excited_state, steady_state, vacuum_state
+
     profile = profile or cfg.profile
     if cfg.initial_state == "vacuum":
         return vacuum_state(cfg.hilbert)
@@ -126,8 +128,6 @@ def initial_state_for(cfg: RunConfig, profile: Optional[TuningProfile] = None) -
     baseline = TuningProfile(
         static_detuning_nm=profile.static_detuning_nm, thermo=profile.thermo, pulses=()
     )
-    from .tuning import sample_profile
-
     fp0 = sample_profile(baseline, [0.0], cfg.lambda_t_nm, cfg.params.fp.kappa)[0]
     return steady_state(cfg.params, fp0, spec=cfg.hilbert, frame=cfg.frame)
 
@@ -136,6 +136,8 @@ def simulate_dynamic(
     cfg: RunConfig, profile: Optional[TuningProfile] = None, rho0: Optional[np.ndarray] = None
 ):
     """Trajectory + map + filtered curves for one dynamic configuration."""
+    from .lindblad import evolve
+
     profile = profile or cfg.profile
     if rho0 is None:
         rho0 = initial_state_for(cfg, profile)
@@ -212,8 +214,6 @@ def _emit_dynamic_outputs(outdir: Path, prefix: str, pl_map: PLMap, curves, cfg:
 def _truncation_drift(cfg: RunConfig, profile, base_result) -> dict:
     """Re-run one Fock level higher and report the worst relative drift."""
     import dataclasses
-
-    from .lindblad import HilbertSpec
 
     bigger = dataclasses.replace(cfg, hilbert=HilbertSpec(cfg.hilbert.n_max + 1))
     traj_a, _, curves_a = base_result

@@ -9,13 +9,15 @@ linewidth set by the instantaneous loss rate, weighted by the photon flux
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .errors import InvalidInput, NoFeature
-from .lindblad import Trajectory
 from .modespace import C_M_PER_S
+
+if TYPE_CHECKING:
+    from .lindblad import Trajectory
 
 _PS = 1e-12
 

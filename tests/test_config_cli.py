@@ -1,9 +1,10 @@
 import json
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from cavtune import SchemaError
+from cavtune import SchemaError, synthetic_data
 from cavtune.cli import main
 from cavtune.config import (
     SCENARIO_NAMES,
@@ -168,6 +169,79 @@ class TestCliStaticSweep:
         values = [float(x) for x in lines[3].split(",")]
         rendered = [f"{v:.17g}" for v in values]
         assert lines[3] == ",".join(rendered)
+
+
+def write_table(path, data):
+    """An anticrossing table as the CSV that `cavtune fit` reads."""
+    columns = [data.control, data.lambda1, data.lambda2, data.q1, data.q2]
+    header = "control,lambda1,lambda2,q1,q2"
+    if data.tau_ns is not None:
+        columns.append(data.tau_ns)
+        header += ",tau"
+    rows = [",".join(f"{v:.17g}" for v in row) for row in zip(*columns)]
+    path.write_text(header + "\n" + "\n".join(rows) + "\n")
+    return path
+
+
+def fit_config(tmp_path, name, fit_node):
+    cfg = scenario_config("fig2-sweep")
+    cfg["fit"] = fit_node
+    path = tmp_path / name
+    path.write_text(json.dumps(cfg))
+    return path
+
+
+TRUTH = {"eta": 1.564e11, "kappa_t": 1.564e11, "kappa_fp": 4.692e11, "lambda_t": 1552.0}
+
+
+class TestCliFit:
+    def test_residuals_use_the_fit_bounds(self, tmp_path):
+        # gamma_leaky = 2e4 lies below the default lower bound of 1e5
+        data = synthetic_data(**TRUTH, detunings_nm=np.linspace(-1.2, 1.2, 25), g=1e10,
+                              gamma_leaky=2e4)
+        table = write_table(tmp_path / "table.csv", data)
+        cfg = fit_config(tmp_path, "fit.json", {
+            "init": dict(TRUTH, g=1e10, gamma_leaky=2e4),
+            "bounds": {"gamma_leaky": [1e3, 1e14]},
+        })
+        out = tmp_path / "fit"
+        res = CliRunner().invoke(main, ["fit", str(table), "--config", str(cfg), "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        norm = json.loads((out / "fit.json").read_text())["residual_norm"]
+        assert norm < 1e-6
+        lines = (out / "residuals.csv").read_text().splitlines()
+        assert lines[0] == "index,weighted_residual"
+        written = np.array([float(line.split(",")[1]) for line in lines[1:]])
+        assert written.size == 5 * data.n_rows
+        assert np.sqrt(written @ written) == pytest.approx(norm, rel=1e-9, abs=1e-12)
+
+    def test_config_seed_and_override(self, tmp_path):
+        data = synthetic_data(**TRUTH, detunings_nm=np.linspace(-1.2, 1.2, 25),
+                              noise_sigma_nm=0.01, seed=2)
+        table = write_table(tmp_path / "table.csv", data)
+        init = {"eta": 1.3e11, "kappa_t": 1.2e11, "kappa_fp": 5.5e11, "lambda_t": 1552.1}
+        seeded = fit_config(tmp_path, "seeded.json", {"init": init, "multistart": 1, "seed": 5})
+        plain = fit_config(tmp_path, "plain.json", {"init": init, "multistart": 1})
+
+        def run(name, cfg, *extra):
+            out = tmp_path / name
+            res = CliRunner().invoke(
+                main, ["fit", str(table), "--config", str(cfg), "--out", str(out), *extra]
+            )
+            assert res.exit_code == 0, res.output
+            return (out / "fit.json").read_text()
+
+        from_config = run("a", seeded)
+        assert from_config == run("b", plain, "--seed", "5")
+        assert from_config != run("c", plain)
+        # an explicit --seed overrides fit.seed
+        assert run("d", seeded, "--seed", "0") == run("c", plain)
+
+    def test_bad_config_seed_rejected(self):
+        raw = scenario_config("fig2-sweep")
+        raw["fit"] = {"seed": -1}
+        with pytest.raises(SchemaError, match="fit.seed"):
+            load_config(raw)
 
 
 class TestCliDynamic:

@@ -14,7 +14,7 @@ from cavtune import (
     residuals,
     synthetic_data,
 )
-from cavtune.fitting import model_predictions
+from cavtune.fitting import _active_params, _bounds_for, model_predictions
 
 ETA_TRUE = 1.564e11
 KT_TRUE = 1.564e11
@@ -130,6 +130,115 @@ class TestModelAgainstObjectPath:
             assert q2[i] == pytest.approx(ref[1][1], rel=1e-10)
             ref_tau = total_decay_time(params, fp.omega - omega_t) * 1e9
             assert tau[i] == pytest.approx(ref_tau, rel=1e-10)
+
+
+class TestCompiledObjective:
+    """The fit objective is compiled once per fit; its values pin the simplex path."""
+
+    # fits of the noisy table below, recorded before the objective was compiled:
+    # n_evals, residual norm and estimates must stay bit-identical
+    GOLDEN = {
+        "detuning_nm": (
+            3718,
+            2.1103143301572387,
+            {
+                "eta": 155983292576.17096,
+                "kappa_t": 156756600621.1009,
+                "kappa_fp": 468636227914.28076,
+                "lambda_t": 1551.9990661143843,
+                "g": 10300896367.367588,
+                "gamma_leaky": 437724110.12776446,
+            },
+        ),
+        "power_mw": (
+            16495,
+            2.109779677404298,
+            {
+                "eta": 156118418873.74164,
+                "kappa_t": 156695830827.74927,
+                "kappa_fp": 468841503141.2296,
+                "lambda_t": 1551.9990474307453,
+                "cal_slope": 0.09994180944336563,
+                "cal_offset": -0.2997880971913739,
+                "g": 10297179104.253761,
+                "gamma_leaky": 438561174.9649159,
+            },
+        ),
+    }
+
+    @staticmethod
+    def noisy(control_kind):
+        """Seeded noise on every column: 0.01 nm on the wavelengths, 2% on Q and tau."""
+        clean = noiseless_data(
+            g=1e10, gamma_leaky=5e8, control_kind=control_kind, cal_slope=0.1,
+            cal_offset=-0.3, noise_sigma_nm=0.01, seed=7,
+        )
+        scale = 1.0 + 0.02 * np.random.RandomState(8).normal(size=(3, clean.n_rows))
+        return AnticrossingData(
+            control=clean.control, lambda1=clean.lambda1, lambda2=clean.lambda2,
+            control_kind=control_kind, q1=clean.q1 * scale[0], q2=clean.q2 * scale[1],
+            tau_ns=clean.tau_ns * scale[2],
+        )
+
+    @pytest.mark.parametrize("control_kind", ["detuning_nm", "power_mw"])
+    def test_golden_fit_path(self, control_kind):
+        result = fit(self.noisy(control_kind), INIT, options=FitOptions(multistart=1, seed=4))
+        n_evals, norm, estimates = self.GOLDEN[control_kind]
+        assert result.converged
+        assert result.n_evals == n_evals
+        assert result.residual_norm == norm
+        assert result.estimates == estimates
+        assert float(np.sqrt(result.weighted_residuals @ result.weighted_residuals)) == (
+            pytest.approx(norm, rel=1e-12)
+        )
+
+    def theta(self, data, **changes):
+        values = {**INIT, "lambda_t": LAM_TRUE, "cal_slope": 0.1, "cal_offset": -0.3, **changes}
+        return np.array([values[n] for n in _active_params(data)])
+
+    def penalty_of(self, data, bounds=None, **changes):
+        names = _active_params(data)
+        theta = self.theta(data, **changes)
+        return residuals(theta, data, names, _bounds_for(names, data, bounds))
+
+    def test_penalty_out_of_bounds_grows_with_violation(self):
+        data = self.noisy("detuning_nm")
+        near = self.penalty_of(data, eta=-1.0)
+        far = self.penalty_of(data, eta=-1e14)
+        assert near.size == 5 * data.n_rows
+        assert np.all(near == near[0]) and near[0] > 1e8
+        assert np.all(far == far[0]) and far[0] > near[0]
+
+    def test_penalty_nan_parameter(self):
+        data = self.noisy("detuning_nm")
+        r = self.penalty_of(data, kappa_t=np.nan)
+        assert np.array_equal(r, np.full(5 * data.n_rows, 1e8))
+
+    def test_penalty_fp_wavelength_not_positive(self):
+        data = self.noisy("power_mw")
+        # the calibration maps every row to a negative FP wavelength
+        r = self.penalty_of(data, {"cal_offset": (-1e6, 50.0)}, cal_offset=-2000.0)
+        assert np.array_equal(r, np.full(5 * data.n_rows, 1e8))
+        theta = dict(zip(_active_params(data), self.theta(data, cal_offset=-2000.0)))
+        with pytest.raises(InvalidInput, match="FP wavelength"):
+            model_predictions(theta, data)
+
+    def test_penalty_mode_frequency_not_positive(self):
+        data = self.noisy("detuning_nm")
+        # a coupling far above the optical frequency pushes the lower branch below zero
+        r = self.penalty_of(data, {"eta": (1e9, 1e18)}, eta=1e17)
+        assert np.array_equal(r, np.full(5 * data.n_rows, 1e8))
+        theta = dict(zip(_active_params(data), self.theta(data, eta=1e17)))
+        with pytest.raises(InvalidInput, match="mode frequency"):
+            model_predictions(theta, data)
+
+    def test_penalty_non_finite_residual(self):
+        data = self.noisy("detuning_nm")
+        # lossless modes have an infinite Q
+        lossless = {"kappa_t": (0.0, 1e14), "kappa_fp": (0.0, 1e14)}
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r = self.penalty_of(data, lossless, kappa_t=0.0, kappa_fp=0.0)
+        assert np.array_equal(r, np.full(5 * data.n_rows, 1e8))
 
 
 class TestResiduals:
