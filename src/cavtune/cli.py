@@ -112,8 +112,7 @@ def cmd_dynamic(config_path, scenario, outdir, threads, render):
 @click.option("--seed", type=int, default=None,
               help="Seed for the multi-start initializations; overrides fit.seed "
                    "(default 0).")
-@click.option("--threads", type=int, default=1, show_default=True)
-def cmd_fit(data_csv, config_path, outdir, seed, threads):
+def cmd_fit(data_csv, config_path, outdir, seed):
     """Fit the coupled-mode model to an anticrossing CSV."""
     started = time.monotonic()
     try:

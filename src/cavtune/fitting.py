@@ -1,7 +1,7 @@
 """Recover coupled-cavity parameters from measured anticrossing tables.
 
 The model behind the fit is the complex 2x2 diagonalization of
-:func:`cavtune.modespace.couple`: each data row's control value (a detuning in
+:func:`cavtune.modespace.pair_modes`: each data row's control value (a detuning in
 nm, or a power in mW mapped through a linear calibration) positions the FP
 mode, and the predicted branch wavelengths / Q factors / decay times are
 compared against the measured columns.
@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import InvalidInput, SchemaError
-from .modespace import TWO_PI_C_NM, detuning_wl_to_omega, wl_to_omega
+from .modespace import TWO_PI_C_NM, decay_rate, detuning_wl_to_omega, pair_modes, wl_to_omega
 
 DEFAULT_SIGMA_LAMBDA_NM = 0.05
 DEFAULT_SIGMA_Q_FRAC = 0.10
@@ -274,13 +274,13 @@ def _bounds_for(names, data: AnticrossingData, overrides=None):
 class _CompiledModel:
     """The fit model of one table, compiled once per :func:`fit`.
 
-    The closed form of :func:`cavtune.modespace.couple` over the rows, in the
-    array form that a residual evaluation inside the simplex loop needs: no
-    per-row objects, no per-call dicts, and the measured values and their
+    The coupled-mode kernel :func:`cavtune.modespace.pair_modes` over all
+    rows at once, as a residual evaluation inside the simplex loop needs it:
+    no per-row objects, no per-call dicts, and the measured values and their
     sigmas stacked once into matrices.  ``theta`` vectors are ordered as
-    ``names``.  Agreement with the object path is pinned by a test, and so are
-    the evaluation counts and estimates of two seeded fits, bit for bit:
-    reordering the floating-point operations here moves the simplex path.
+    ``names``.  The evaluation counts and estimates of two seeded fits are
+    pinned bit for bit: reordering the floating-point operations here moves
+    the simplex path.
     """
 
     def __init__(self, data: AnticrossingData, names, bounds=None):
@@ -295,11 +295,9 @@ class _CompiledModel:
         self.control = data.control
 
         # predictions are one matrix row per quantity (lambda1, lambda2, q1, q2[, tau])
-        # and one column per table row; ordering the branches by wavelength swaps
-        # quantity rows 0<->1 and 2<->3
+        # and one column per table row
         n_quantities = 5 if self.i_tau else 4
         self.shape = (n_quantities, data.n_rows)
-        self.swapped = [1, 0, 3, 2, 4][:n_quantities]
 
         s_lam, s_q, s_tau = data.sigmas()
         measured, sigma, compared = [data.lambda1, data.lambda2], [s_lam, s_lam], [0, 1]
@@ -328,33 +326,20 @@ class _CompiledModel:
             raise InvalidInput("detuned FP wavelength is non-positive")
         wt = omega_t - 1j * kappa_t
         wf = TWO_PI_C_NM / lam_fp - 1j * kappa_fp
-        mean = 0.5 * (wt + wf)
-        half = 0.5 * (wt - wf)
-        split = np.sqrt(half * half + eta * eta + 0j)
-        mu = np.empty((2, self.shape[1]), dtype=complex)
-        np.add(mean, split, out=mu[0])
-        np.subtract(mean, split, out=mu[1])
-        if (mu.real <= 0.0).any():
+        mu_a, mu_b, w_a = pair_modes(wt, wf, eta)
+        # Re mu_a >= Re mu_b: the rows come out in ascending wavelength order
+        if (mu_b.real <= 0.0).any():
             raise InvalidInput("coupled-mode frequency is non-positive")
 
         pred = np.empty(self.shape)
-        np.divide(TWO_PI_C_NM, mu.real, out=pred[:2])
-        np.divide(mu.real, -2.0 * mu.imag, out=pred[2:4])
+        np.divide(TWO_PI_C_NM, mu_a.real, out=pred[0])
+        np.divide(TWO_PI_C_NM, mu_b.real, out=pred[1])
+        np.divide(mu_a.real, -2.0 * mu_a.imag, out=pred[2])
+        np.divide(mu_b.real, -2.0 * mu_b.imag, out=pred[3])
         if self.i_tau:
             g, gamma_leaky = x[self.i_tau[0]], x[self.i_tau[1]]
-            mu_a, mu_b = mu
-            # Euclidean target weight of each eigenvector: |c|^2 = eta^2/(eta^2+|mu-wt|^2);
-            # the weights of the pair sum to 1 exactly
-            if eta > 0.0:
-                ca2 = eta**2 / (eta**2 + np.abs(mu_a - wt) ** 2)
-                cb2 = 1.0 - ca2
-            else:
-                ca2 = np.where(np.abs(mu_a - wt) < np.abs(mu_a - wf), 1.0, 0.0)
-                cb2 = 1.0 - ca2
-            gamma = gamma_leaky + 2.0 * g**2 * (ca2 / (-mu_a.imag) + cb2 / (-mu_b.imag))
-            np.divide(1e9, gamma, out=pred[4])
-        a_first = pred[0] <= pred[1]
-        return pred if a_first.all() else np.where(a_first, pred, pred[self.swapped])
+            np.divide(1e9, decay_rate(g, gamma_leaky, w_a, -mu_a.imag, -mu_b.imag), out=pred[4])
+        return pred
 
     def residuals(self, theta_vec) -> np.ndarray:
         """Weighted residual vector; out-of-bounds parameters give large finite penalties."""
@@ -542,20 +527,27 @@ def fit(
 
 
 def _finite_difference_errors(x, r0, model: _CompiledModel):
-    """Gauss-Newton standard errors from a central-difference Jacobian at ``x``."""
+    """Gauss-Newton standard errors from a central-difference Jacobian at ``x``.
+
+    Column ``j`` of the Jacobian is scaled by ``|x_j|`` and the errors are
+    unscaled after the inversion: the parameters span many decades (rates
+    near 1e11 rad/s next to wavelengths near 1e3 nm), and the unscaled normal
+    matrix is singular to working precision.
+    """
     m, n = r0.size, x.size
+    col_scale = np.maximum(np.abs(x), 1e-12)
     jac = np.empty((m, n))
     for j in range(n):
-        h = 1e-6 * max(abs(x[j]), 1e-12)
+        h = 1e-6 * col_scale[j]
         xp, xm = x.copy(), x.copy()
         xp[j] += h
         xm[j] -= h
-        jac[:, j] = (model.residuals(xp) - model.residuals(xm)) / (2.0 * h)
+        jac[:, j] = (model.residuals(xp) - model.residuals(xm)) / (2.0 * h) * col_scale[j]
     dof = max(m - n, 1)
     scale = float(r0 @ r0) / dof
     try:
         cov = np.linalg.pinv(jac.T @ jac) * scale
-        errs = np.sqrt(np.clip(np.diag(cov), 0.0, None))
+        errs = col_scale * np.sqrt(np.clip(np.diag(cov), 0.0, None))
     except np.linalg.LinAlgError:
         errs = np.full(n, np.nan)
     return dict(zip(model.names, (float(e) for e in errs)))

@@ -269,9 +269,6 @@ class Trajectory:
     kappa2: np.ndarray
     w1: np.ndarray  # |target amplitude|^2 of mode 1
     w2: np.ndarray
-    alpha: np.ndarray
-    beta: np.ndarray
-    degenerate: np.ndarray
     states: np.ndarray
     kappa_t: float  # bare target loss rate (rad/s), constant over the run
     trace_dev_max: float
@@ -422,40 +419,22 @@ def _make_trajectory(params, profile, t_grid, states, check) -> Trajectory:
 
     traces = np.einsum("tii->t", states)
     trace_dev = float(np.max(np.abs(traces - 1.0)))
-    herm_dev = float(np.max(np.abs(states - np.conj(np.transpose(states, (0, 2, 1))))))
-    min_eig = float(
-        min(
-            np.linalg.eigvalsh(0.5 * (s + s.conj().T)).min()
-            for s in states
-        )
-    )
+    # the adjoints, then in place (no further state-sized buffer) the Hermitian parts
+    hermitian_parts = np.conj(np.transpose(states, (0, 2, 1)))
+    herm_dev = float(np.max(np.abs(states - hermitian_parts)))
+    hermitian_parts += states
+    hermitian_parts *= 0.5
+    min_eig = float(np.linalg.eigvalsh(hermitian_parts).min())
 
     lambda_t = omega_to_wl(params.target.omega)
     shifts = np.atleast_1d(fp_shift_at(profile, t_grid))
-    n = t_grid.size
-    lam1 = np.empty(n)
-    lam2 = np.empty(n)
-    kap1 = np.empty(n)
-    kap2 = np.empty(n)
-    w1 = np.empty(n)
-    w2 = np.empty(n)
-    alphas = np.empty(n, dtype=complex)
-    betas = np.empty(n, dtype=complex)
-    degen = np.zeros(n, dtype=bool)
-    n1 = np.empty(n)
-    n2 = np.empty(n)
-    for i in range(n):
-        fp_i = BareMode(wl_to_omega(lambda_t + shifts[i]), params.fp.kappa)
-        cm = couple(params.target, fp_i, params.eta)
-        lam1[i], lam2[i] = cm.wavelength_nm(1), cm.wavelength_nm(2)
-        kap1[i], kap2[i] = cm.kappa1, cm.kappa2
-        w1[i], w2[i] = abs(cm.alpha) ** 2, abs(cm.beta) ** 2
-        alphas[i], betas[i] = cm.alpha, cm.beta
-        degen[i] = cm.degenerate
-        a_re = cm.alpha.real
-        cross = 2.0 * a_re * (cm.beta * coherence[i]).real
-        n1[i] = a_re**2 * n_t[i] + abs(cm.beta) ** 2 * n_fp[i] - cross
-        n2[i] = abs(cm.beta) ** 2 * n_t[i] + a_re**2 * n_fp[i] + cross
+    fp = BareMode(wl_to_omega(lambda_t + shifts), params.fp.kappa)
+    cm = couple(params.target, fp, params.eta)
+    a_re = cm.alpha.real
+    w1, w2 = abs(cm.alpha) ** 2, abs(cm.beta) ** 2
+    cross = 2.0 * a_re * (cm.beta * coherence).real
+    n1 = a_re**2 * n_t + w2 * n_fp - cross
+    n2 = w2 * n_t + a_re**2 * n_fp + cross
 
     if check and trace_dev > 1e-8:
         raise NumericalFailure(f"trace deviation {trace_dev:.3e} exceeds 1e-8")
@@ -468,15 +447,12 @@ def _make_trajectory(params, profile, t_grid, states, check) -> Trajectory:
         n1=n1,
         n2=n2,
         coherence=coherence,
-        lambda1_nm=lam1,
-        lambda2_nm=lam2,
-        kappa1=kap1,
-        kappa2=kap2,
+        lambda1_nm=omega_to_wl(cm.omega1),
+        lambda2_nm=omega_to_wl(cm.omega2),
+        kappa1=cm.kappa1,
+        kappa2=cm.kappa2,
         w1=w1,
         w2=w2,
-        alpha=alphas,
-        beta=betas,
-        degenerate=degen,
         states=states,
         kappa_t=params.target.kappa,
         trace_dev_max=trace_dev,

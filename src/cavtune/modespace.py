@@ -8,7 +8,9 @@ Conventions used throughout the package:
   ``Q = omega / (2*kappa)``.
 - The weak-coupling emitter decay rate into the bare target cavity is
   ``2*g**2/kappa_t`` (adiabatic elimination under the amplitude convention).
-- Mode 1 of a coupled pair is the eigenmode with the smaller real frequency;
+- The cavity pair is evaluated by one array-valued kernel, :func:`pair_modes`;
+  :func:`couple`, the sweep, the master-equation trajectory and the fit all
+  go through it.  Mode 1 is the eigenmode with the smaller real frequency;
   ties are broken by the smaller loss rate.
 """
 
@@ -72,17 +74,20 @@ def detuning_omega_to_wl(delta_omega, lambda_ref_nm):
 
 @dataclass(frozen=True)
 class BareMode:
-    """One uncoupled cavity mode: center frequency and amplitude loss rate (rad/s)."""
+    """One uncoupled cavity mode: center frequency and amplitude loss rate (rad/s).
+
+    ``omega`` may be an array (one FP frequency per detuning) for :func:`couple`.
+    """
 
     omega: float
     kappa: float
 
     def __post_init__(self):
-        if not (self.omega > 0.0 and np.isfinite(self.omega)):
+        if not np.all((self.omega > 0.0) & np.isfinite(self.omega)):
             raise InvalidInput(f"mode frequency must be positive and finite, got {self.omega}")
         if not (self.kappa > 0.0 and np.isfinite(self.kappa)):
             raise InvalidInput(f"loss rate must be positive and finite, got {self.kappa}")
-        if not self.q > 1.0:
+        if not np.all(self.q > 1.0):
             raise InvalidInput(f"quality factor {self.q} must exceed 1 (kappa < omega/2)")
 
     @property
@@ -156,7 +161,9 @@ class CoupledModes:
     target-cavity amplitude of mode 2; the FP amplitudes are ``-beta`` and
     ``alpha`` respectively, with Euclidean normalization
     ``|alpha|**2 + |beta|**2 = 1``.  ``alpha`` is made real nonnegative by the
-    phase convention (the FP component carries the complex phase).
+    phase convention (the FP component carries the complex phase); where it
+    vanishes (``eta == 0`` with the FP mode as mode 1) ``beta`` is -1.  Every
+    field is an array when :func:`couple` was given an array FP frequency.
     """
 
     omega1: float
@@ -205,7 +212,7 @@ def q_factor(mode_or_omega, kappa: Optional[float] = None) -> float:
         omega = mode_or_omega
         if kappa is None:
             raise InvalidInput("q_factor needs a BareMode or an (omega, kappa) pair")
-    if kappa <= 0.0:
+    if np.any(np.asarray(kappa) <= 0.0):
         raise InvalidInput(f"loss rate must be positive, got {kappa}")
     return omega / (2.0 * kappa)
 
@@ -213,59 +220,88 @@ def q_factor(mode_or_omega, kappa: Optional[float] = None) -> float:
 _DEGENERACY_RTOL = 1e-12
 
 
-def couple(target: BareMode, fp: BareMode, eta: float) -> CoupledModes:
-    """Diagonalize the 2x2 cavity sub-block.
+def pair_modes(wt, wf, eta: float):
+    """Eigenvalues and target weights of the cavity pair.
 
-    The complex-symmetric sub-matrix ``[[w_t, eta], [eta, w_fp]]`` with
-    ``w = omega - 1j*kappa`` has eigenvalues
-    ``(w_t+w_fp)/2 +- sqrt(((w_t-w_fp)/2)**2 + eta**2)``.  At an exact
-    eigenvalue degeneracy (exceptional point) the eigenvectors coalesce to
-    ``|alpha|**2 = |beta|**2 = 1/2`` and the result is flagged degenerate.
+    The complex-symmetric pair ``[[wt, eta], [eta, wf]]`` (``w = omega -
+    1j*kappa``; ``wt`` and ``wf`` broadcast, ``eta`` is a float) has the
+    eigenvalues ``mu_a, mu_b = mean +- split`` with ``mean = (wt+wf)/2`` and
+    ``split`` the principal square root of ``((wt-wf)/2)**2 + eta**2``.  Its
+    real part is nonnegative, so ``Re mu_a >= Re mu_b``.  At ``eta == 0`` the
+    eigenvalues are the bare ones, exactly, in the same order.
+
+    ``w_a = eta**2/(eta**2 + |mu_a - wt|**2)`` is the squared target-cavity
+    component of the Euclidean-normalized ``mu_a`` eigenvector; that of
+    ``mu_b`` is ``1 - w_a``.
+
+    The fit evaluates this inside its simplex loop, and its seeded fits are
+    pinned bit for bit: reordering these floating-point operations moves the
+    simplex path.  The degeneracy flag, which the fit never reads, is left to
+    :func:`couple`.
+    """
+    if eta == 0.0:
+        # the principal root's order: higher real part first, ties to the lower loss
+        t_first = (wt.real > wf.real) | ((wt.real == wf.real) & (wt.imag > wf.imag))
+        mu_a, mu_b = np.where(t_first, wt, wf), np.where(t_first, wf, wt)
+        w_a = np.where(t_first, 1.0, 0.0)
+    else:
+        mean = 0.5 * (wt + wf)
+        half = 0.5 * (wt - wf)
+        split = np.sqrt(half * half + eta * eta + 0j)
+        mu_a = mean + split
+        mu_b = mean - split
+        w_a = eta**2 / (eta**2 + np.abs(mu_a - wt) ** 2)
+    return mu_a, mu_b, w_a
+
+
+def decay_rate(g: float, gamma_leaky: float, w_a, kappa_a, kappa_b):
+    """Emitter decay rate ``gamma_leaky + 2*g**2*sum_l w_l/kappa_l`` (1/s) over both modes.
+
+    ``w_a`` is the target weight of the mode with loss rate ``kappa_a``; the
+    other mode carries ``1 - w_a``.
+    """
+    return gamma_leaky + 2.0 * g**2 * (w_a / kappa_a + (1.0 - w_a) / kappa_b)
+
+
+def couple(target: BareMode, fp: BareMode, eta: float) -> CoupledModes:
+    """Diagonalize the 2x2 cavity sub-block with :func:`pair_modes`.
+
+    ``fp.omega`` may be an array; the result's fields then are arrays too.
+    Mode 1 is ``mu_b``, the lower real frequency, except where the real parts
+    tie and ``mu_a`` has the lower loss.  The target amplitudes follow from
+    the weights: ``alpha = sqrt(w_1)``, and ``|beta| = sqrt(w_2)`` with the
+    phase of the mode-1 eigenvector ``(eta, mu_1 - w_t)``, whose FP component
+    is ``-beta``.  Eigenvalues that coincide to ``_DEGENERACY_RTOL`` of the
+    pair's scale (an exceptional point, where the eigenvectors coalesce at
+    weight 1/2) are flagged degenerate.
     """
     if eta < 0.0:
         raise InvalidInput(f"cavity-cavity coupling must be >= 0, got {eta}")
 
-    wt = target.complex_freq()
-    wf = fp.complex_freq()
-
-    if eta == 0.0:
-        modes = sorted(((wt, "t"), (wf, "f")), key=lambda p: (p[0].real, -p[0].imag))
-        (mu1, tag1), (mu2, _) = modes
-        degenerate = mu1 == mu2
-        if tag1 == "t":
-            alpha, beta = 1.0 + 0.0j, 0.0 + 0.0j
-        else:
-            alpha, beta = 0.0 + 0.0j, -1.0 + 0.0j
-        return CoupledModes(mu1.real, mu2.real, -mu1.imag, -mu2.imag, alpha, beta, degenerate)
-
-    mean = 0.5 * (wt + wf)
-    half = 0.5 * (wt - wf)
-    split = np.sqrt(complex(half * half + eta * eta))
-    mu_a, mu_b = mean + split, mean - split
-    mu1, mu2 = sorted((mu_a, mu_b), key=lambda m: (m.real, -m.imag))
-
-    scale = max(abs(wt), abs(wf), eta)
-    degenerate = abs(mu_a - mu_b) <= _DEGENERACY_RTOL * scale
-
-    # Eigenvector of mode 1; two algebraically equivalent forms, keep the
-    # better-conditioned one.
-    u = np.array([eta, mu1 - wt], dtype=complex)
-    v = np.array([mu1 - wf, eta], dtype=complex)
-    vec = u if np.linalg.norm(u) >= np.linalg.norm(v) else v
-    norm = np.linalg.norm(vec)
-    if norm == 0.0:
-        raise InvalidInput("degenerate uncoupled modes with eta=0 reached coupled branch")
-    vec = vec / norm
-    # Phase: target component real >= 0 when possible, FP component otherwise.
-    ref = vec[0] if abs(vec[0]) > 1e-14 else vec[1]
-    vec = vec * (np.conj(ref) / abs(ref))
-
-    alpha = complex(vec[0])
-    beta = complex(-vec[1])
+    wt, wf = target.complex_freq(), fp.complex_freq()
+    mu_a, mu_b, w_a = pair_modes(wt, wf, eta)
+    scale = np.maximum(np.maximum(abs(wt), np.abs(wf)), eta)
+    degenerate = np.abs(mu_a - mu_b) <= _DEGENERACY_RTOL * scale
+    a_first = (mu_a.real == mu_b.real) & (mu_a.imag > mu_b.imag)
+    mu1, mu2 = np.where(a_first, mu_a, mu_b), np.where(a_first, mu_b, mu_a)
+    w1, w2 = np.where(a_first, w_a, 1.0 - w_a), np.where(a_first, 1.0 - w_a, w_a)
     kappa1, kappa2 = -mu1.imag, -mu2.imag
-    if kappa1 <= 0.0 or kappa2 <= 0.0:
+    if np.any(kappa1 <= 0.0) or np.any(kappa2 <= 0.0):
         raise InvalidInput("coupled-mode loss rates must stay positive")
-    return CoupledModes(mu1.real, mu2.real, kappa1, kappa2, alpha, beta, degenerate)
+
+    alpha = np.sqrt(w1) + 0j
+    if eta == 0.0:
+        beta = -np.sqrt(w2) + 0j
+    else:
+        # (mu1 - wt)(mu2 - wt) = -eta**2: read the phase of mu1 - wt off the
+        # larger of the two factors, whose rounding error is the smaller
+        d1, d2 = mu1 - wt, np.conj(wt - mu2)
+        d = np.where(np.abs(d1) >= np.abs(d2), d1, d2)
+        beta = -np.sqrt(w2) * (d / np.abs(d))
+    fields = (mu1.real, mu2.real, kappa1, kappa2, alpha, beta, degenerate)
+    if np.ndim(fp.omega) == 0:  # scalar callers get Python scalars
+        fields = tuple(np.asarray(f).item() for f in fields)
+    return CoupledModes(*fields)
 
 
 def hamiltonian_bare_basis(params: SystemParams) -> np.ndarray:
@@ -338,18 +374,18 @@ def se_rate_ratio(coupled: CoupledModes, mode_index: int, kappa_t: float) -> flo
 
 
 def total_decay_time(params: SystemParams, detuning: float = 0.0) -> float:
-    """Emitter decay time 1/(gamma_leaky + sum_l gamma_t * ratio_l) in seconds.
+    """Emitter decay time 1/(gamma_leaky + 2*g**2*sum_l |c_l|**2/kappa_l) in seconds.
 
     ``detuning`` (rad/s) is added to the FP mode frequency before coupling.
     """
     fp = BareMode(params.fp.omega + detuning, params.fp.kappa)
-    coupled = couple(params.target, fp, params.eta)
-    gamma_t = params.purcell_rate
-    gamma = params.emitter.gamma_leaky + gamma_t * (
-        se_rate_ratio(coupled, 1, params.target.kappa)
-        + se_rate_ratio(coupled, 2, params.target.kappa)
-    )
-    if gamma <= 0.0:
+    return _decay_time(params, couple(params.target, fp, params.eta))
+
+
+def _decay_time(params: SystemParams, coupled: CoupledModes):
+    e = params.emitter
+    gamma = decay_rate(e.g, e.gamma_leaky, abs(coupled.alpha) ** 2, coupled.kappa1, coupled.kappa2)
+    if np.any(gamma <= 0.0):
         raise InvalidConfiguration("total decay rate is zero: no leaky or cavity channel")
     return 1.0 / gamma
 
@@ -372,19 +408,7 @@ def anticrossing_sweep(params: SystemParams, detuning_grid: Sequence[float]) -> 
         raise InvalidInput("detuning grid must be non-empty")
     if not np.all(np.isfinite(grid)):
         raise InvalidInput("detuning grid must be finite")
-    rows = []
-    for d in grid:
-        fp = BareMode(params.fp.omega + d, params.fp.kappa)
-        cm = couple(params.target, fp, params.eta)
-        rows.append(
-            SweepRow(
-                detuning=float(d),
-                lambda1_nm=cm.wavelength_nm(1),
-                lambda2_nm=cm.wavelength_nm(2),
-                q1=cm.q(1),
-                q2=cm.q(2),
-                decay_time_s=total_decay_time(params, float(d)),
-                degenerate=cm.degenerate,
-            )
-        )
-    return rows
+    cm = couple(params.target, BareMode(params.fp.omega + grid, params.fp.kappa), params.eta)
+    columns = (grid, cm.wavelength_nm(1), cm.wavelength_nm(2), cm.q(1), cm.q(2),
+               _decay_time(params, cm), cm.degenerate)
+    return [SweepRow(*row) for row in zip(*(c.tolist() for c in columns))]

@@ -232,9 +232,6 @@ def _check_map_area():
         kappa2=np.full(n, kappa),
         w1=np.ones(n),
         w2=np.zeros(n),
-        alpha=np.ones(n, dtype=complex),
-        beta=np.zeros(n, dtype=complex),
-        degenerate=np.zeros(n, dtype=bool),
         states=np.zeros((n, 8, 8), dtype=complex),
         kappa_t=kappa,
         trace_dev_max=0.0,

@@ -95,18 +95,8 @@ class TestDataIngest:
             )
 
 
-class TestModelAgainstObjectPath:
-    def test_vectorized_model_matches_couple(self):
-        from cavtune import (
-            BareMode,
-            EmitterParams,
-            PumpSchedule,
-            SystemParams,
-            couple,
-            total_decay_time,
-            wl_to_omega,
-        )
-
+class TestModelAgainstEig:
+    def test_predictions_match_numpy_eig(self):
         theta = dict(
             eta=ETA_TRUE, kappa_t=KT_TRUE, kappa_fp=KFP_TRUE, lambda_t=LAM_TRUE,
             g=1e10, gamma_leaky=5e8,
@@ -114,22 +104,27 @@ class TestModelAgainstObjectPath:
         data = noiseless_data(g=1e10, gamma_leaky=5e8)
         lam1, lam2, q1, q2, tau = model_predictions(theta, data)
 
-        omega_t = wl_to_omega(LAM_TRUE)
-        target = BareMode(omega_t, KT_TRUE)
-        params = SystemParams(
-            EmitterParams(omega_t, 1e10, 5e8), target, BareMode(omega_t, KFP_TRUE),
-            ETA_TRUE, PumpSchedule(),
-        )
-        for i, d_nm in enumerate(data.control):
-            fp = BareMode(wl_to_omega(LAM_TRUE + d_nm), KFP_TRUE)
-            cm = couple(target, fp, ETA_TRUE)
-            ref = sorted(((cm.wavelength_nm(m), cm.q(m)) for m in (1, 2)))
-            assert lam1[i] == pytest.approx(ref[0][0], rel=1e-12)
-            assert lam2[i] == pytest.approx(ref[1][0], rel=1e-12)
-            assert q1[i] == pytest.approx(ref[0][1], rel=1e-10)
-            assert q2[i] == pytest.approx(ref[1][1], rel=1e-10)
-            ref_tau = total_decay_time(params, fp.omega - omega_t) * 1e9
-            assert tau[i] == pytest.approx(ref_tau, rel=1e-10)
+        omega = 2 * np.pi * 2.99792458e17 / (LAM_TRUE + data.control)
+        omega_t = 2 * np.pi * 2.99792458e17 / LAM_TRUE
+        for i, omega_fp in enumerate(omega):
+            mat = np.array(
+                [[omega_t - 1j * KT_TRUE, ETA_TRUE], [ETA_TRUE, omega_fp - 1j * KFP_TRUE]]
+            )
+            evals, evecs = np.linalg.eig(mat)
+            if abs(evals[0] - evals[1]) < 1e-8 * abs(evals[0]):
+                # the exceptional point: LAPACK splits the defective pair by about
+                # sqrt(machine epsilon), while their mean (trace / 2) stays exact
+                evals[:] = evals.mean()
+            order = np.argsort(-evals.real)  # ascending wavelength
+            evals, weights = evals[order], np.abs(evecs[0, order]) ** 2
+            lam = 2 * np.pi * 2.99792458e17 / evals.real
+            q = evals.real / (-2 * evals.imag)
+            rate = 5e8 + 2 * 1e10**2 * np.sum(weights / -evals.imag)
+            assert lam1[i] == pytest.approx(lam[0], rel=1e-12)
+            assert lam2[i] == pytest.approx(lam[1], rel=1e-12)
+            assert q1[i] == pytest.approx(q[0], rel=1e-10)
+            assert q2[i] == pytest.approx(q[1], rel=1e-10)
+            assert tau[i] == pytest.approx(1e9 / rate, rel=1e-10)
 
 
 class TestCompiledObjective:
@@ -303,6 +298,26 @@ class TestFit:
         assert r1.estimates == r2.estimates
         assert r1.residual_norm == r2.residual_norm
         assert r1.n_evals == r2.n_evals
+
+    def test_standard_errors_from_scaled_normal_matrix(self):
+        data = noiseless_data(noise_sigma_nm=0.01, seed=7, g=1e10, gamma_leaky=5e8)
+        names = _active_params(data)
+        result = fit(data, {n: INIT[n] for n in names})
+        x = np.array([result.estimates[n] for n in names])
+        # independent Gauss-Newton covariance: central differences in relative
+        # steps give the Jacobian with columns scaled by |x_j|
+        rel = 1e-6
+        jac = np.column_stack([
+            (residuals(x + step, data) - residuals(x - step, data)) / (2 * rel)
+            for step in np.diag(rel * np.abs(x))
+        ])
+        r0 = residuals(x, data)
+        cov = np.linalg.inv(jac.T @ jac) * (r0 @ r0) / (r0.size - x.size)
+        expected = np.abs(x) * np.sqrt(np.diag(cov))
+        errors = np.array([result.std_errors[n] for n in names])
+        np.testing.assert_allclose(errors, expected, rtol=1e-6)
+        eta = result.estimates["eta"]
+        assert 1e-3 * eta < result.std_errors["eta"] < 0.1 * eta
 
     def test_crossing_flagged_near_degenerate(self):
         data = synthetic_data(0.0, KT_TRUE, KFP_TRUE, LAM_TRUE, GRID)

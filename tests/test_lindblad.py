@@ -249,6 +249,25 @@ class TestEvolve:
         assert np.all(traj.n_t > -1e-8)
         assert np.all(traj.n1 + traj.n2 - (traj.n_t + traj.n_fp) < 1e-8)
 
+    def test_post_processing_matches_per_state_reference(self):
+        # the array-valued post-processing against one scalar couple and one
+        # operator-based mode_populations per recorded state
+        p = make_params(pump=PumpSchedule(cw_rate=1e8))
+        profile = TuningProfile(pulses=(FreeCarrierPulse(50.0, 0.6, 150.0),))
+        t = np.linspace(0.0, 400.0, 81)
+        traj = evolve(p, profile, emitter_excited_state(HilbertSpec(2)), t)
+        lam_fp = LAMBDA_T + fp_shift_at(profile, t)
+        for i, rho in enumerate(traj.states):
+            cm = couple(p.target, BareMode(wl_to_omega(float(lam_fp[i])), p.fp.kappa), p.eta)
+            n1, n2 = mode_populations(rho, cm)
+            assert traj.n1[i] == pytest.approx(n1, abs=1e-13)
+            assert traj.n2[i] == pytest.approx(n2, abs=1e-13)
+            assert traj.lambda1_nm[i] == pytest.approx(cm.wavelength_nm(1), rel=1e-15)
+            assert traj.kappa2[i] == pytest.approx(cm.kappa2, rel=1e-13)
+            assert traj.w1[i] == pytest.approx(abs(cm.alpha) ** 2, abs=1e-13)
+        min_eig = min(np.linalg.eigvalsh(0.5 * (s + s.conj().T)).min() for s in traj.states)
+        assert traj.min_eigenvalue == min_eig
+
     def test_truncation_convergence(self):
         p = make_params(pump=PumpSchedule(cw_rate=1e8))
         profile = TuningProfile(pulses=(FreeCarrierPulse(0.0, 0.6, 352.0),))

@@ -17,6 +17,7 @@ from cavtune import (
     total_decay_time,
     wl_to_omega,
 )
+from cavtune.modespace import decay_rate, pair_modes
 from conftest import (
     ETA,
     KAPPA_T,
@@ -205,6 +206,106 @@ class TestCouple:
     def test_negative_eta_rejected(self):
         with pytest.raises(InvalidInput):
             couple(BareMode(1e15, 1e11), BareMode(1e15, 1e11), -1.0)
+
+
+def eig_reference(wt, wf, eta):
+    """Eigenvalues and Euclidean target weights of each 2x2 pair from numpy.linalg.eig.
+
+    One row per pair; column 0 holds the eigenvalue with the larger real part.
+    """
+    mats = np.empty((wf.size, 2, 2), dtype=complex)
+    mats[:, 0, 0], mats[:, 1, 1] = wt, wf
+    mats[:, 0, 1] = mats[:, 1, 0] = eta
+    evals, evecs = np.linalg.eig(mats)
+    order = np.argsort(-evals.real, axis=1, kind="stable")
+    evals = np.take_along_axis(evals, order, axis=1)
+    weights = np.take_along_axis(np.abs(evecs[:, 0, :]) ** 2, order, axis=1)
+    return evals, weights
+
+
+class TestPairKernel:
+    """``pair_modes`` and the flag of ``couple`` against numpy.linalg.eig of the 2x2 pair."""
+
+    G, GAMMA_LEAKY = 1e10, 5e8
+
+    def kernel(self, target, fp, eta):
+        wt, wf = target.complex_freq(), fp.complex_freq()
+        mu_a, mu_b, w_a = pair_modes(wt, wf, eta)
+        rate = decay_rate(self.G, self.GAMMA_LEAKY, w_a, -mu_a.imag, -mu_b.imag)
+        evals, weights = eig_reference(wt, np.atleast_1d(wf), eta)
+        ref_rate = self.GAMMA_LEAKY + 2 * self.G**2 * np.sum(weights / -evals.imag, axis=1)
+        flag = couple(target, fp, eta).degenerate
+        return (mu_a, mu_b, w_a, rate, flag), (evals, weights, ref_rate)
+
+    def test_random_draws_with_array_inputs(self, rng):
+        for _ in range(40):
+            omega_t = 1e15 * rng.uniform(0.5, 2)
+            target = BareMode(omega_t, 1e11 * rng.uniform(0.2, 5))
+            # detunings from far below to far above the coupling, one array per draw
+            fp = BareMode(omega_t + 1e11 * rng.uniform(-20, 20, 64), 1e11 * rng.uniform(0.2, 5))
+            eta = 1e11 * rng.uniform(0.05, 5)
+            (mu_a, mu_b, w_a, rate, degenerate), (evals, weights, ref_rate) = self.kernel(
+                target, fp, eta
+            )
+            scale = np.abs(evals).max(axis=1)
+            assert np.all(np.abs(mu_a - evals[:, 0]) <= 1e-13 * scale)
+            assert np.all(np.abs(mu_b - evals[:, 1]) <= 1e-13 * scale)
+            assert np.all(mu_a.real >= mu_b.real)
+            np.testing.assert_allclose(w_a, weights[:, 0], rtol=0, atol=1e-10)
+            np.testing.assert_allclose(1.0 - w_a, weights[:, 1], rtol=0, atol=1e-10)
+            np.testing.assert_allclose(rate, ref_rate, rtol=1e-9)
+            assert not degenerate.any()
+
+    @pytest.mark.parametrize(
+        "omega_fp, kappa_fp, degenerate",
+        [
+            (1.2e15 - 3e11, 3e11, False),  # FP below the target: mode a is the target
+            (1.2e15 + 3e11, 3e11, False),  # FP above the target
+            (1.2e15, 3e11, False),  # real-part tie: the lower-loss target comes first
+            (1.2e15, 1e11, True),  # identical bare modes
+        ],
+    )
+    def test_uncoupled_branch(self, omega_fp, kappa_fp, degenerate):
+        target = BareMode(1.2e15, 1e11)
+        fp = BareMode(np.array([omega_fp]), kappa_fp)
+        (mu_a, mu_b, w_a, rate, flag), (evals, weights, ref_rate) = self.kernel(target, fp, 0.0)
+        wt, wf = target.complex_freq(), fp.complex_freq()[0]
+        a_is_target = wt.real > wf.real or (wt.real == wf.real and kappa_fp > 1e11)
+        assert (mu_a[0], mu_b[0]) == ((wt, wf) if a_is_target else (wf, wt))
+        assert sorted([mu_a[0], mu_b[0]], key=abs) == sorted(evals[0], key=abs)
+        assert w_a[0] == (1.0 if a_is_target else 0.0)
+        if not degenerate:  # the weight eig gives the eigenvalue mu_a
+            assert w_a[0] == weights[0, np.argmin(np.abs(evals[0] - mu_a[0]))]
+        assert rate[0] == ref_rate[0] == self.GAMMA_LEAKY + 2 * self.G**2 / 1e11
+        assert flag[0] == degenerate
+
+    def test_exceptional_point(self):
+        # eta = (kappa_fp - kappa_t)/2 at zero detuning: the pair is defective
+        omega = wl_to_omega(LAMBDA_T)
+        target, fp = BareMode(omega, KAPPA_T), BareMode(np.array([omega]), 3 * KAPPA_T)
+        (mu_a, mu_b, w_a, rate, degenerate), (evals, weights, ref_rate) = self.kernel(
+            target, fp, KAPPA_T
+        )
+        assert degenerate.all()
+        # LAPACK resolves a defective pair only to about sqrt(machine epsilon)
+        assert np.all(np.abs(mu_a - evals[:, 0]) <= 1e-8 * omega)
+        assert np.all(np.abs(mu_b - evals[:, 1]) <= 1e-8 * omega)
+        assert mu_a[0] == pytest.approx(omega - 2j * KAPPA_T, rel=1e-12)
+        assert w_a[0] == pytest.approx(0.5, abs=1e-9)
+        np.testing.assert_allclose(weights, 0.5, atol=1e-5)
+        np.testing.assert_allclose(rate, ref_rate, rtol=1e-6)
+
+    def test_array_couple_matches_scalar_calls(self, default_params):
+        p = default_params
+        grid = np.linspace(-8e11, 8e11, 41)
+        arr = couple(p.target, BareMode(p.fp.omega + grid, p.fp.kappa), p.eta)
+        for i, d in enumerate(grid):
+            one = couple(p.target, BareMode(p.fp.omega + d, p.fp.kappa), p.eta)
+            assert type(one.omega1) is float and type(one.alpha) is complex
+            for name in ("omega1", "omega2", "kappa1", "kappa2", "alpha", "beta", "degenerate"):
+                assert getattr(one, name) == pytest.approx(
+                    getattr(arr, name)[i], rel=1e-13, abs=1e-13
+                )
 
 
 class TestHamiltonians:

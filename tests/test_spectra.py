@@ -45,9 +45,6 @@ def constant_trajectory(
         kappa2=np.full(n, kappa2),
         w1=np.full(n, w1),
         w2=np.full(n, w2),
-        alpha=np.full(n, 1.0 + 0j),
-        beta=np.zeros(n, dtype=complex),
-        degenerate=np.zeros(n, dtype=bool),
         states=np.zeros((n, 8, 8), dtype=complex),
         kappa_t=kappa_t,
         trace_dev_max=0.0,
