@@ -26,7 +26,6 @@ from .modespace import (
     anticrossing_sweep,
     couple,
     coupled_hamiltonian,
-    detuning_omega_to_wl,
     detuning_wl_to_omega,
     hamiltonian_bare_basis,
     omega_to_wl,

@@ -59,8 +59,8 @@ _common = [
                  help="Shipped scenario name."),
     click.option("--out", "outdir", type=click.Path(file_okay=False), required=True,
                  help="Output directory."),
-    click.option("--threads", type=int, default=1, show_default=True,
-                 help="Worker threads for independent sub-runs."),
+    click.option("--threads", type=int, default=1, show_default=True, expose_value=False,
+                 help="Has no effect: accepted for old command lines; runs are serial."),
     click.option("--render/--no-render", default=False, show_default=True,
                  help="Also emit SVG/PPM plots."),
 ]
@@ -74,13 +74,13 @@ def _with_common(fn):
 
 @main.command("static-sweep")
 @_with_common
-def cmd_static_sweep(config_path, scenario, outdir, threads, render):
+def cmd_static_sweep(config_path, scenario, outdir, render):
     """Anticrossing sweep over a detuning grid -> sweep.csv."""
     try:
         cfg = _resolve_config(config_path, scenario)
         if cfg.kind != "static-sweep":
             raise SchemaError(f"config kind {cfg.kind!r} is not 'static-sweep'")
-        outputs = run_static_sweep(cfg, Path(outdir), render=render, threads=threads)
+        outputs = run_static_sweep(cfg, Path(outdir), render=render)
     except CavtuneError as exc:
         _fail(exc)
     except OSError as exc:
@@ -90,13 +90,13 @@ def cmd_static_sweep(config_path, scenario, outdir, threads, render):
 
 @main.command("dynamic")
 @_with_common
-def cmd_dynamic(config_path, scenario, outdir, threads, render):
+def cmd_dynamic(config_path, scenario, outdir, render):
     """Dynamic burst/dip/delay scenario -> map CSV, curves, metrics.json."""
     try:
         cfg = _resolve_config(config_path, scenario)
         if cfg.kind != "dynamic":
             raise SchemaError(f"config kind {cfg.kind!r} is not 'dynamic'")
-        outputs = run_dynamic(cfg, Path(outdir), render=render, threads=threads)
+        outputs = run_dynamic(cfg, Path(outdir), render=render)
     except CavtuneError as exc:
         _fail(exc)
     except OSError as exc:

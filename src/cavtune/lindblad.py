@@ -16,7 +16,7 @@ Integration is carried out in a frame rotating at the target-cavity frequency
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Optional, Sequence
 
@@ -54,7 +54,6 @@ class OperatorSet:
 
     n_max: int
     dim: int
-    identity: np.ndarray
     sigma_minus: np.ndarray
     sigma_plus: np.ndarray
     n_e: np.ndarray
@@ -80,7 +79,6 @@ def _build_space_cached(n_max: int) -> OperatorSet:
     return OperatorSet(
         n_max=n_max,
         dim=2 * m * m,
-        identity=np.eye(2 * m * m),
         sigma_minus=sigma_minus,
         sigma_plus=sigma_minus.T.copy(),
         n_e=np.kron(np.diag([0.0, 1.0]), np.kron(im, im)),
@@ -276,9 +274,11 @@ class Trajectory:
     min_eigenvalue: float
 
 
-def _segment_breakpoints(profile: TuningProfile, pump: PumpSchedule, t0: float, t1: float):
-    """Times where the RHS is non-smooth, plus locally required step caps."""
-    points = set()
+def _segment_breakpoints(
+    profile: TuningProfile, pump: PumpSchedule, t0: float, t1: float, extra: Sequence[float]
+):
+    """Times where the RHS is non-smooth, the ``extra`` times, and locally required step caps."""
+    points = set(extra)
     caps = []  # (a, b, max_step)
     for p in profile.pulses:
         points.add(p.t0_ps)
@@ -323,13 +323,17 @@ def evolve(
     frame: str = "rotating",
     fixed_step_ps: Optional[float] = None,
     check: bool = True,
+    breakpoints_ps: Sequence[float] = (),
     _broken_target_dissipator: bool = False,
 ) -> Trajectory:
     """Integrate the master equation over ``t_grid_ps`` with time-dependent tuning.
 
     The FP frequency follows ``lambda_t + fp_shift_at(profile, t)``; the pump
-    rate follows ``params.pump``.  An instant pump event at a grid time acts
-    after the state there is recorded.  Raises :class:`NumericalFailure` with
+    rate follows ``params.pump``.  The integration restarts at every pulse
+    onset and at each time of ``breakpoints_ps``, so the state recorded at
+    such a time is the end of an integrator segment.  A free-carrier pulse
+    that starts at a grid time acts only after the state there is recorded,
+    and so does an instant pump event.  Raises :class:`NumericalFailure` with
     the failing time on integrator breakdown and, when ``check`` is set, when
     the recorded trace deviates from 1 by more than 1e-8.
     """
@@ -345,13 +349,19 @@ def evolve(
         raise InvalidInput("params.pump must be a PumpSchedule for time evolution")
 
     gen = _Generator(params, spec, frame, _broken_target_dissipator)
-    delta_fp = _delta_fp_fn(params, profile, frame)
     pump = params.pump
 
-    def rhs(t, y):
-        return gen.rhs(y, delta_fp(t), pump.rate_at_ps(t))
+    def rhs_on(a):
+        # Only the pulses started by a act on the segment [a, b].  At t = b
+        # that is the left limit of delta_fp: a pulse that starts at b stays
+        # out of the stages Dormand-Prince and RK4 evaluate there.
+        started = replace(profile, pulses=tuple(p for p in profile.pulses if p.t0_ps <= a))
+        delta_fp = _delta_fp_fn(params, started, frame)
+        return lambda t, y: gen.rhs(y, delta_fp(t), pump.rate_at_ps(t))
 
-    bounds, caps, events = _segment_breakpoints(profile, pump, float(t_grid[0]), float(t_grid[-1]))
+    bounds, caps, events = _segment_breakpoints(
+        profile, pump, float(t_grid[0]), float(t_grid[-1]), breakpoints_ps
+    )
     event_times = {p.t0_ps: p for p in events}
     instant_maps = {}
 
@@ -359,6 +369,7 @@ def evolve(
     recorded[0] = rho0
     y = rho0.ravel()
     for a, b in zip(bounds[:-1], bounds[1:]):
+        rhs = rhs_on(a)
         inside = np.flatnonzero((t_grid > a) & (t_grid <= b))
         t_eval = np.unique(np.append(t_grid[inside], b))
         if fixed_step_ps is not None:
@@ -387,7 +398,7 @@ def evolve(
                 instant_maps[area] = _instant_pump_map(gen, area)
             y = instant_maps[area] @ y
 
-    return _make_trajectory(params, profile, t_grid, recorded, check)
+    return make_trajectory(params, profile, t_grid, recorded, check)
 
 
 def _rk4_segment(rhs, t, y, t_eval, h_target):
@@ -408,7 +419,12 @@ def _rk4_segment(rhs, t, y, t_eval, h_target):
     return out
 
 
-def _make_trajectory(params, profile, t_grid, states, check) -> Trajectory:
+def make_trajectory(params, profile, t_grid, states, check=True) -> Trajectory:
+    """The observables of ``states`` (``(t, d, d)``, one per time of ``t_grid``) under ``profile``.
+
+    Raises :class:`NumericalFailure`, when ``check`` is set, if a trace
+    deviates from 1 by more than 1e-8.
+    """
     spec = _spec_from_dim(states.shape[1])
     ops = build_space(spec)
     n_e = np.einsum("ij,tji->t", ops.n_e, states).real

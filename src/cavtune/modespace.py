@@ -65,13 +65,6 @@ def detuning_wl_to_omega(delta_lambda_nm, lambda_ref_nm):
     return -TWO_PI_C_NM * np.asarray(delta_lambda_nm, dtype=float) / lambda_ref_nm**2
 
 
-def detuning_omega_to_wl(delta_omega, lambda_ref_nm):
-    """Inverse of :func:`detuning_wl_to_omega` at the same reference wavelength."""
-    if lambda_ref_nm <= 0.0:
-        raise InvalidInput(f"reference wavelength must be positive, got {lambda_ref_nm}")
-    return -np.asarray(delta_omega, dtype=float) * lambda_ref_nm**2 / TWO_PI_C_NM
-
-
 @dataclass(frozen=True)
 class BareMode:
     """One uncoupled cavity mode: center frequency and amplitude loss rate (rad/s).

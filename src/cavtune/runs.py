@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 from typing import Optional
 
@@ -30,8 +30,12 @@ from .spectra import (
 from .tuning import FreeCarrierPulse, HilbertSpec, TuningProfile, sample_profile
 
 
+# every number in the CSV outputs; write_map_csv formats with it directly
+NUMBER_FORMAT = ".17g"
+
+
 def format_number(x: float) -> str:
-    return f"{x:.17g}"
+    return format(x, NUMBER_FORMAT)
 
 
 def write_csv(path: Path, header: list, rows) -> None:
@@ -62,7 +66,7 @@ def write_manifest(outdir: Path, cfg: RunConfig, outputs: list, started: float) 
     return path
 
 
-def run_static_sweep(cfg: RunConfig, outdir: Path, render: bool = False, threads: int = 1):
+def run_static_sweep(cfg: RunConfig, outdir: Path, render: bool = False):
     """Anticrossing sweep over the detuning grid -> sweep.csv (+ optional SVG)."""
     started = time.monotonic()
     outdir = Path(outdir)
@@ -136,22 +140,31 @@ def simulate_dynamic(
     cfg: RunConfig, profile: Optional[TuningProfile] = None, rho0: Optional[np.ndarray] = None
 ):
     """Trajectory + map + filtered curves for one dynamic configuration."""
-    from .lindblad import evolve
-
     profile = profile or cfg.profile
     if rho0 is None:
         rho0 = initial_state_for(cfg, profile)
-    traj = evolve(
+    return _observe(cfg, _evolve(cfg, profile, rho0, cfg.time_grid_ps))
+
+
+def _evolve(cfg: RunConfig, profile: TuningProfile, rho0, t_grid, breakpoints_ps=()):
+    from .lindblad import evolve
+
+    return evolve(
         cfg.params,
         profile,
         rho0,
-        cfg.time_grid_ps,
+        t_grid,
         spec=cfg.hilbert,
         rtol=cfg.rtol,
         atol=cfg.atol,
         frame=cfg.frame,
         fixed_step_ps=cfg.fixed_step_ps,
+        breakpoints_ps=breakpoints_ps,
     )
+
+
+def _observe(cfg: RunConfig, traj):
+    """``(traj, map, curves)``: the emission map of ``traj`` and its filtered traces."""
     pl_map = synthesize_map(traj, cfg.lambda_grid_nm, cfg.collection_exponent)
     curves = []
     for lam_c, fwhm in cfg.filters:
@@ -160,6 +173,54 @@ def simulate_dynamic(
             curve = irf_convolve(curve, cfg.irf_sigma_ps)
         curves.append(curve)
     return traj, pl_map, curves
+
+
+def delay_profile(cfg: RunConfig, delay_ps: float) -> TuningProfile:
+    """``cfg.profile`` with its one template pulse moved to ``delay_ps``."""
+    return replace(cfg.profile, pulses=(replace(cfg.profile.pulses[0], t0_ps=delay_ps),))
+
+
+def delay_scan(cfg: RunConfig):
+    """The pulse-free reference, then the run of each delay of ``cfg.delays_ps``.
+
+    Yields ``(traj, map, curves)``, the reference first.  Before its pulse, a
+    delayed run is the reference: the pulse adds no shift before it starts,
+    and every run starts from the same initial state.  So the reference is
+    integrated once, with a segment end at the last grid time at or before
+    each delay, and each delayed run copies the reference's states up to that
+    time and integrates only from there.  The state recorded at an instant
+    pump event is the one before the event, so a run never starts at one: it
+    starts at the grid time before.  A run that would start at the first grid
+    time is a full run.  :func:`simulate_dynamic` with :func:`delay_profile`
+    is the from-scratch run this reproduces.
+    """
+    from .lindblad import make_trajectory
+
+    rho0 = initial_state_for(cfg)
+    t_grid = cfg.time_grid_ps
+    pump = cfg.params.pump
+    kicks = {p.t0_ps for p in pump.pulse_events} if pump.mode == "instant" else set()
+    starts = []
+    for delay in cfg.delays_ps:
+        k = int(np.searchsorted(t_grid, delay, side="right")) - 1
+        while k > 0 and t_grid[k] in kicks:
+            k -= 1
+        starts.append(max(k, 0))
+    reference = _evolve(
+        cfg, replace(cfg.profile, pulses=()), rho0, t_grid, breakpoints_ps=t_grid[starts]
+    )
+    yield _observe(cfg, reference)
+    for delay, k in zip(cfg.delays_ps, starts):
+        profile = delay_profile(cfg, delay)
+        if k == 0:
+            traj = _evolve(cfg, profile, rho0, t_grid)
+        else:
+            states = reference.states
+            if k < t_grid.size - 1:
+                tail = _evolve(cfg, profile, states[k], t_grid[k:]).states
+                states = np.concatenate([states[:k], tail])
+            traj = make_trajectory(cfg.params, profile, t_grid, states)
+        yield _observe(cfg, traj)
 
 
 def _metrics_entry(cfg: RunConfig, curve: DecayCurve, window) -> dict:
@@ -174,16 +235,25 @@ def _metrics_entry(cfg: RunConfig, curve: DecayCurve, window) -> dict:
     return entry
 
 
+def write_map_csv(path: Path, pl_map: PLMap) -> None:
+    """``pl_map`` in long format, ``t_ps,lambda_nm,intensity_au``, one row per cell.
+
+    Each wavelength is formatted once per map, each time once per row, and
+    the intensities one map row at a time.
+    """
+    lams = [format_number(lam) for lam in pl_map.lambda_grid_nm.tolist()]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("t_ps,lambda_nm,intensity_au\n")
+        for t, row in zip(pl_map.t_grid_ps.tolist(), pl_map.intensity):
+            t_s = format_number(t)
+            cells = zip(lams, row.tolist())
+            fh.write("".join([f"{t_s},{lam},{v:{NUMBER_FORMAT}}\n" for lam, v in cells]))
+
+
 def _emit_dynamic_outputs(outdir: Path, prefix: str, pl_map: PLMap, curves, cfg: RunConfig, render):
     outputs = []
     map_csv = outdir / f"{prefix}map.csv"
-    with open(map_csv, "w", encoding="utf-8", newline="") as fh:
-        fh.write("t_ps,lambda_nm,intensity_au\n")
-        for i, t in enumerate(pl_map.t_grid_ps):
-            t_s = format_number(t)
-            row = pl_map.intensity[i]
-            for lam, v in zip(pl_map.lambda_grid_nm, row):
-                fh.write(f"{t_s},{format_number(lam)},{format_number(v)}\n")
+    write_map_csv(map_csv, pl_map)
     outputs.append(map_csv.name)
 
     for curve in curves:
@@ -234,7 +304,7 @@ def _truncation_drift(cfg: RunConfig, profile, base_result) -> dict:
     }
 
 
-def run_dynamic(cfg: RunConfig, outdir: Path, render: bool = False, threads: int = 1):
+def run_dynamic(cfg: RunConfig, outdir: Path, render: bool = False):
     """Dynamic scenario: map CSV, filtered curve CSVs, metrics JSON, optional plots."""
     started = time.monotonic()
     outdir = Path(outdir)
@@ -242,40 +312,11 @@ def run_dynamic(cfg: RunConfig, outdir: Path, render: bool = False, threads: int
     outputs = []
 
     if cfg.delays_ps:
-        template = cfg.profile.pulses[0]
-        delays = list(cfg.delays_ps)
-
-        rho0 = initial_state_for(cfg)
-        baseline_profile = TuningProfile(
-            static_detuning_nm=cfg.profile.static_detuning_nm,
-            thermo=cfg.profile.thermo,
-            pulses=(),
-        )
+        runs = delay_scan(cfg)
         # the decay trace without a control pulse normalizes the delayed runs:
         # against a decaying baseline, raw-trace metrics are ill-posed
-        reference = simulate_dynamic(cfg, baseline_profile, rho0=rho0.copy())
-
-        def one(delay):
-            pulse = FreeCarrierPulse(
-                t0_ps=delay,
-                delta_lambda_max_nm=template.delta_lambda_max_nm,
-                tau_fc_ps=template.tau_fc_ps,
-                tau_rise_ps=template.tau_rise_ps,
-            )
-            profile = TuningProfile(
-                static_detuning_nm=cfg.profile.static_detuning_nm,
-                thermo=cfg.profile.thermo,
-                pulses=(pulse,),
-            )
-            return simulate_dynamic(cfg, profile, rho0=rho0.copy())
-
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(one, delays))
-        else:
-            results = [one(d) for d in delays]
-
-        for ref_curve in reference[2]:
+        _, _, ref_curves = next(runs)
+        for ref_curve in ref_curves:
             name = f"reference_curve_{ref_curve.center_nm:.2f}nm.csv"
             write_csv(
                 outdir / name,
@@ -285,12 +326,13 @@ def run_dynamic(cfg: RunConfig, outdir: Path, render: bool = False, threads: int
             outputs.append(name)
 
         metrics = {"scenario": cfg.scenario, "delays": []}
-        for delay, (traj, pl_map, curves) in zip(delays, results):
+        for i, (delay, result) in enumerate(zip(cfg.delays_ps, runs)):
+            _, pl_map, curves = result
             prefix = f"delay{delay:.0f}_"
             outputs += _emit_dynamic_outputs(outdir, prefix, pl_map, curves, cfg, render)
             window = (delay - 500.0, delay)
             entries = []
-            for curve, ref_curve in zip(curves, reference[2]):
+            for curve, ref_curve in zip(curves, ref_curves):
                 floor = max(float(ref_curve.intensity.max()), 1e-300) * 1e-12
                 ratio = DecayCurve(
                     curve.t_grid_ps,
@@ -302,16 +344,9 @@ def run_dynamic(cfg: RunConfig, outdir: Path, render: bool = False, threads: int
                 entry["normalization"] = "ratio to the pulse-free reference decay"
                 entries.append(entry)
             metrics["delays"].append({"delay_ps": delay, "filters": entries})
-        if cfg.check_truncation:
-            first_pulse = FreeCarrierPulse(
-                delays[0], template.delta_lambda_max_nm, template.tau_fc_ps, template.tau_rise_ps
-            )
-            first_profile = TuningProfile(
-                static_detuning_nm=cfg.profile.static_detuning_nm,
-                thermo=cfg.profile.thermo,
-                pulses=(first_pulse,),
-            )
-            metrics["truncation_check"] = _truncation_drift(cfg, first_profile, results[0])
+            if cfg.check_truncation and i == 0:
+                drift = _truncation_drift(cfg, delay_profile(cfg, delay), result)
+                metrics["truncation_check"] = drift
     else:
         traj, pl_map, curves = simulate_dynamic(cfg)
         outputs += _emit_dynamic_outputs(outdir, "", pl_map, curves, cfg, render)

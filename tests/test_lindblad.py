@@ -344,6 +344,22 @@ class TestEvolve:
             assert traj.n_e[i_event] == pytest.approx(before, rel=1e-8)
             assert traj.n_e[i_event + 1] == pytest.approx(after * decay, rel=1e-8)
 
+    def test_pulse_at_grid_time_acts_after_it(self):
+        # The pulse onset t0 ends a segment, whose last stages sit at t0: they
+        # take the left limit of the FP shift, so up to t0 the pulsed run is
+        # the pulse-free one, bit for bit
+        p = make_params(pump=PumpSchedule(cw_rate=1e8))
+        spec = HilbertSpec(1)
+        t = np.linspace(0.0, 200.0, 41)
+        before = t <= 100.0
+        pulsed = TuningProfile(pulses=(FreeCarrierPulse(100.0, 0.6, 150.0),))
+        for fixed_step in (None, 0.5):
+            with_pulse = evolve(p, pulsed, emitter_excited_state(spec), t, fixed_step_ps=fixed_step)
+            free = evolve(
+                p, TuningProfile(), emitter_excited_state(spec), t[before], fixed_step_ps=fixed_step
+            )
+            np.testing.assert_array_equal(with_pulse.states[before], free.states)
+
     def test_scalar_delta_matches_array_path(self):
         pulses = (
             FreeCarrierPulse(0.0, 0.6, 352.0),
