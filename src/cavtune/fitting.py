@@ -220,13 +220,17 @@ DEFAULT_BOUNDS = {
 }
 
 
+# the simplex stops below this relative spread; its first round steps each
+# parameter by this fraction of its value, later rounds by a tenth of it
+_SPREAD_TOL = 1e-10
+_INIT_STEP_FRAC = 0.05
+
+
 @dataclass(frozen=True)
 class FitOptions:
     max_evals: int = 40000
-    spread_tol: float = 1e-10
     multistart: int = 0
     seed: int = 0
-    init_step_frac: float = 0.05
 
 
 @dataclass(frozen=True)
@@ -488,11 +492,9 @@ def fit(
         for round_no in range(6):
             if budget <= 0:
                 break
-            frac = options.init_step_frac if round_no == 0 else options.init_step_frac / 10.0
+            frac = _INIT_STEP_FRAC if round_no == 0 else _INIT_STEP_FRAC / 10.0
             steps = np.array([frac * abs(s) if s != 0.0 else frac for s in x])
-            x_new, f_new, n_evals, ok = _nelder_mead(
-                func, x, steps, options.spread_tol, budget
-            )
+            x_new, f_new, n_evals, ok = _nelder_mead(func, x, steps, _SPREAD_TOL, budget)
             total_evals += n_evals
             budget -= n_evals
             improved = f_new < fval * (1.0 - 1e-9) if np.isfinite(fval) else True

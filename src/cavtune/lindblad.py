@@ -64,8 +64,9 @@ class OperatorSet:
 
 
 @lru_cache(maxsize=8)
-def _build_space_cached(n_max: int) -> OperatorSet:
-    m = n_max + 1
+def build_space(spec: HilbertSpec) -> OperatorSet:
+    """Truncated-boson and emitter operators for the given Hilbert space."""
+    m = spec.n_max + 1
     a = np.zeros((m, m))
     for n in range(1, m):
         a[n - 1, n] = np.sqrt(n)
@@ -77,7 +78,7 @@ def _build_space_cached(n_max: int) -> OperatorSet:
     a_t = np.kron(i2, np.kron(a, im))
     a_fp = np.kron(i2, np.kron(im, a))
     return OperatorSet(
-        n_max=n_max,
+        n_max=spec.n_max,
         dim=2 * m * m,
         sigma_minus=sigma_minus,
         sigma_plus=sigma_minus.T.copy(),
@@ -87,11 +88,6 @@ def _build_space_cached(n_max: int) -> OperatorSet:
         n_t=a_t.T @ a_t,
         n_fp=a_fp.T @ a_fp,
     )
-
-
-def build_space(spec: HilbertSpec) -> OperatorSet:
-    """Truncated-boson and emitter operators for the given Hilbert space."""
-    return _build_space_cached(spec.n_max)
 
 
 def vacuum_state(spec: HilbertSpec) -> np.ndarray:
@@ -153,13 +149,14 @@ def _model(params: SystemParams, spec: HilbertSpec, frame: str, broken_target_di
     if em.gamma_leaky > 0.0:
         channels.append((em.gamma_leaky * _PS, ops.sigma_minus, 1.0))
     pump = params.pump
-    if pump is not None and getattr(pump, "cavity_cw_rate", 0.0) > 0.0:
+    if pump is not None and pump.cavity_cw_rate > 0.0:
         channels.append((pump.cavity_cw_rate * _PS, ops.a_t.T, 1.0))
     return ops, h0, channels
 
 
-def _fixed_delta(params: SystemParams, fp: BareMode, frame: str) -> float:
-    """The FP term ``delta_fp`` (rad/ps) of a fixed FP mode."""
+def _fixed_delta(params: SystemParams, frame: str) -> float:
+    """The FP term ``delta_fp`` (rad/ps) of the FP mode ``params.fp``."""
+    fp = params.fp
     return (fp.omega if frame == "lab" else fp.omega - params.target.omega) * _PS
 
 
@@ -223,18 +220,16 @@ def _delta_fp_fn(params: SystemParams, profile: TuningProfile, frame: str):
 
 def liouvillian_apply(
     params: SystemParams,
-    fp_now: BareMode,
     rho: np.ndarray,
     pump_rate: Optional[float] = None,
     frame: str = "rotating",
 ) -> np.ndarray:
-    """drho/dt (1/s) for the instantaneous FP mode ``fp_now``.
+    """drho/dt (1/s) with the FP mode at ``params.fp``, frequency and loss rate.
 
-    ``pump_rate`` (1/s) defaults to the CW rate of ``params.pump``.  The FP
-    loss rate is taken from ``fp_now`` only through ``params.fp`` (held
-    constant); its frequency is taken from ``fp_now``.  This matrix-free
-    commutator form never compiles the sparse generator, so it serves as the
-    independent oracle for it.
+    ``pump_rate`` (1/s) defaults to the CW rate of ``params.pump``; for another
+    FP frequency pass ``dataclasses.replace(params, fp=...)``.  This
+    matrix-free commutator form never compiles the sparse generator, so it
+    serves as the independent oracle for it.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
@@ -242,7 +237,7 @@ def liouvillian_apply(
     ops, h0, channels = _model(params, _spec_from_dim(rho.shape[0]), frame)
     if pump_rate is None:
         pump_rate = params.pump.cw_rate if params.pump is not None else 0.0
-    h = h0 + _fixed_delta(params, fp_now, frame) * ops.n_fp
+    h = h0 + _fixed_delta(params, frame) * ops.n_fp
     out = -1j * (h @ rho - rho @ h)
     for rate, op, sign in channels + [(pump_rate * _PS, ops.sigma_plus, 1.0)]:
         ldl = op.T @ op
@@ -317,34 +312,30 @@ def evolve(
     profile: TuningProfile,
     rho0: np.ndarray,
     t_grid_ps: Sequence[float],
-    spec: Optional[HilbertSpec] = None,
     rtol: float = 1e-8,
     atol: float = 1e-12,
     frame: str = "rotating",
     fixed_step_ps: Optional[float] = None,
-    check: bool = True,
     breakpoints_ps: Sequence[float] = (),
     _broken_target_dissipator: bool = False,
 ) -> Trajectory:
     """Integrate the master equation over ``t_grid_ps`` with time-dependent tuning.
 
-    The FP frequency follows ``lambda_t + fp_shift_at(profile, t)``; the pump
-    rate follows ``params.pump``.  The integration restarts at every pulse
-    onset and at each time of ``breakpoints_ps``, so the state recorded at
-    such a time is the end of an integrator segment.  A free-carrier pulse
+    The Fock space is that of ``rho0``.  The FP frequency follows
+    ``lambda_t + fp_shift_at(profile, t)``, and only its loss rate comes from
+    ``params.fp``; the pump rate follows ``params.pump``.  The integration
+    restarts at every pulse onset and at each time of ``breakpoints_ps``, so
+    the state recorded at such a time is the end of an integrator segment.  A free-carrier pulse
     that starts at a grid time acts only after the state there is recorded,
     and so does an instant pump event.  Raises :class:`NumericalFailure` with
-    the failing time on integrator breakdown and, when ``check`` is set, when
-    the recorded trace deviates from 1 by more than 1e-8.
+    the failing time on integrator breakdown and when the recorded trace
+    deviates from 1 by more than 1e-8.
     """
     t_grid = np.asarray(t_grid_ps, dtype=float)
     if t_grid.size < 2 or not np.all(np.diff(t_grid) > 0.0):
         raise InvalidInput("time grid must be strictly increasing with >= 2 points")
     rho0 = np.asarray(rho0, dtype=complex)
-    if spec is None:
-        spec = _spec_from_dim(rho0.shape[0])
-    elif rho0.shape[0] != spec.dim:
-        raise InvalidInput(f"rho0 dimension {rho0.shape[0]} does not match spec dim {spec.dim}")
+    spec = _spec_from_dim(rho0.shape[0])
     if params.pump is None:
         raise InvalidInput("params.pump must be a PumpSchedule for time evolution")
 
@@ -398,7 +389,7 @@ def evolve(
                 instant_maps[area] = _instant_pump_map(gen, area)
             y = instant_maps[area] @ y
 
-    return make_trajectory(params, profile, t_grid, recorded, check)
+    return make_trajectory(params, profile, t_grid, recorded)
 
 
 def _rk4_segment(rhs, t, y, t_eval, h_target):
@@ -419,11 +410,10 @@ def _rk4_segment(rhs, t, y, t_eval, h_target):
     return out
 
 
-def make_trajectory(params, profile, t_grid, states, check=True) -> Trajectory:
+def make_trajectory(params, profile, t_grid, states) -> Trajectory:
     """The observables of ``states`` (``(t, d, d)``, one per time of ``t_grid``) under ``profile``.
 
-    Raises :class:`NumericalFailure`, when ``check`` is set, if a trace
-    deviates from 1 by more than 1e-8.
+    Raises :class:`NumericalFailure` if a trace deviates from 1 by more than 1e-8.
     """
     spec = _spec_from_dim(states.shape[1])
     ops = build_space(spec)
@@ -452,7 +442,7 @@ def make_trajectory(params, profile, t_grid, states, check=True) -> Trajectory:
     n1 = a_re**2 * n_t + w2 * n_fp - cross
     n2 = w2 * n_t + a_re**2 * n_fp + cross
 
-    if check and trace_dev > 1e-8:
+    if trace_dev > 1e-8:
         raise NumericalFailure(f"trace deviation {trace_dev:.3e} exceeds 1e-8")
 
     return Trajectory(
@@ -496,7 +486,6 @@ def mode_populations(rho: np.ndarray, coupled: CoupledModes) -> tuple[float, flo
 
 def dense_superoperator(
     params: SystemParams,
-    fp_now: BareMode,
     pump_rate: float = 0.0,
     spec: Optional[HilbertSpec] = None,
     frame: str = "rotating",
@@ -509,17 +498,16 @@ def dense_superoperator(
     if spec is None:
         spec = HilbertSpec(2)
     gen = _Generator(params, spec, frame)
-    return gen.matrix(_fixed_delta(params, fp_now, frame), pump_rate * _PS).toarray() / _PS
+    return gen.matrix(_fixed_delta(params, frame), pump_rate * _PS).toarray() / _PS
 
 
 def steady_state(
     params: SystemParams,
-    fp_fixed: BareMode,
     spec: Optional[HilbertSpec] = None,
     frame: str = "rotating",
     residual_tol: float = 1e-10,
 ) -> np.ndarray:
-    """The steady state reached from the vacuum under CW pumping at a fixed FP frequency.
+    """The steady state reached from the vacuum under CW pumping, the FP mode at ``params.fp``.
 
     Solves ``L vec(rho) = 0``, ``tr rho = 1`` by sparse LU on the entries that
     ``L`` populates from the vacuum (the k = 0 block; the others are 0), so an
@@ -532,12 +520,12 @@ def steady_state(
         spec = HilbertSpec(2)
     pump = params.pump
     cw = 0.0 if pump is None else pump.cw_rate
-    cavity_cw = 0.0 if pump is None else getattr(pump, "cavity_cw_rate", 0.0)
+    cavity_cw = 0.0 if pump is None else pump.cavity_cw_rate
     if cw == 0.0 and cavity_cw == 0.0:
         return vacuum_state(spec)
 
     d = spec.dim
-    mat = _Generator(params, spec, frame).matrix(_fixed_delta(params, fp_fixed, frame), cw * _PS)
+    mat = _Generator(params, spec, frame).matrix(_fixed_delta(params, frame), cw * _PS)
     keep = _reachable_from_vacuum(mat)
     sub = mat[keep][:, keep]
     # the rho_00 row is redundant, since L preserves the trace: put tr rho = 1 there

@@ -94,27 +94,20 @@ def run_static_sweep(cfg: RunConfig, outdir: Path, render: bool = False):
     if render:
         from .render import render_curve_svg
 
-        svg = render_curve_svg(
-            x=grid_nm,
-            series=[
-                ("lambda1_nm", [r.lambda1_nm for r in rows]),
-                ("lambda2_nm", [r.lambda2_nm for r in rows]),
-            ],
-            x_label="detuning_nm",
-            y_label="wavelength_nm",
-            title=f"{cfg.scenario}: coupled-mode wavelengths",
+        plots = (
+            ("sweep_wavelengths.svg", ("lambda1_nm", "lambda2_nm"), "wavelength_nm", "wavelengths"),
+            ("sweep_q.svg", ("q1", "q2"), "quality_factor", "Q"),
         )
-        (outdir / "sweep_wavelengths.svg").write_text(svg, encoding="utf-8")
-        outputs.append("sweep_wavelengths.svg")
-        svg_q = render_curve_svg(
-            x=grid_nm,
-            series=[("q1", [r.q1 for r in rows]), ("q2", [r.q2 for r in rows])],
-            x_label="detuning_nm",
-            y_label="quality_factor",
-            title=f"{cfg.scenario}: coupled-mode Q",
-        )
-        (outdir / "sweep_q.svg").write_text(svg_q, encoding="utf-8")
-        outputs.append("sweep_q.svg")
+        for name, fields, y_label, what in plots:
+            svg = render_curve_svg(
+                x=grid_nm,
+                series=[(f, [getattr(r, f) for r in rows]) for f in fields],
+                x_label="detuning_nm",
+                y_label=y_label,
+                title=f"{cfg.scenario}: coupled-mode {what}",
+            )
+            (outdir / name).write_text(svg, encoding="utf-8")
+            outputs.append(name)
     write_manifest(outdir, cfg, outputs, started)
     return outputs
 
@@ -133,7 +126,7 @@ def initial_state_for(cfg: RunConfig, profile: Optional[TuningProfile] = None) -
         static_detuning_nm=profile.static_detuning_nm, thermo=profile.thermo, pulses=()
     )
     fp0 = sample_profile(baseline, [0.0], cfg.lambda_t_nm, cfg.params.fp.kappa)[0]
-    return steady_state(cfg.params, fp0, spec=cfg.hilbert, frame=cfg.frame)
+    return steady_state(replace(cfg.params, fp=fp0), spec=cfg.hilbert, frame=cfg.frame)
 
 
 def simulate_dynamic(
@@ -154,7 +147,6 @@ def _evolve(cfg: RunConfig, profile: TuningProfile, rho0, t_grid, breakpoints_ps
         profile,
         rho0,
         t_grid,
-        spec=cfg.hilbert,
         rtol=cfg.rtol,
         atol=cfg.atol,
         frame=cfg.frame,

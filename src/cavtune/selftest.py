@@ -23,6 +23,7 @@ from .lindblad import (
     mode_populations,
 )
 from .modespace import (
+    TWO_PI_C_NM,
     BareMode,
     EmitterParams,
     SystemParams,
@@ -64,7 +65,7 @@ def _check_trace_conservation():
         x = rng.randn(18, 18) + 1j * rng.randn(18, 18)
         rho = x @ x.conj().T
         rho /= np.trace(rho).real
-        drho = liouvillian_apply(p, p.fp, rho, pump_rate=1e8)
+        drho = liouvillian_apply(p, rho, pump_rate=1e8)
         dev = abs(np.trace(drho)) / np.linalg.norm(drho)
         worst = max(worst, dev)
         ok = ok and dev < 1e-12
@@ -186,8 +187,8 @@ def _check_dense_oracle():
     x = rng.randn(spec.dim, spec.dim) + 1j * rng.randn(spec.dim, spec.dim)
     rho = x @ x.conj().T
     rho /= np.trace(rho).real
-    direct = liouvillian_apply(p, p.fp, rho, pump_rate=2e8)
-    sup = dense_superoperator(p, p.fp, pump_rate=2e8, spec=spec)
+    direct = liouvillian_apply(p, rho, pump_rate=2e8)
+    sup = dense_superoperator(p, pump_rate=2e8, spec=spec)
     via_sup = (sup @ rho.reshape(-1)).reshape(spec.dim, spec.dim)
     dev = np.max(np.abs(direct - via_sup)) / np.max(np.abs(direct))
     return dev < 1e-10, f"matrix-free vs compiled generator deviation {dev:.2e}"
@@ -239,7 +240,7 @@ def _check_map_area():
         min_eigenvalue=0.0,
     )
     # +-80 linewidths: the Lorentzian tails then carry ~0.4% < 0.5% of the area
-    line_fwhm = 2.0 * kappa * lam_t**2 / (2.0 * np.pi * 2.99792458e17)
+    line_fwhm = 2.0 * kappa * lam_t**2 / TWO_PI_C_NM
     grid = np.linspace(lam_t - 80 * line_fwhm, lam_t + 80 * line_fwhm, 8001)
     pl = synthesize_map(traj, grid, collection_exponent=1.0)
     integral = np.trapezoid(pl.intensity[0], grid)

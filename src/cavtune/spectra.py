@@ -14,12 +14,11 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .errors import InvalidInput, NoFeature
-from .modespace import C_M_PER_S
+from .modespace import TWO_PI_C_NM
+from .tuning import SECONDS_PER_PS
 
 if TYPE_CHECKING:
     from .lindblad import Trajectory
-
-_PS = 1e-12
 
 
 @dataclass(frozen=True)
@@ -117,13 +116,12 @@ def synthesize_map(
     centers = {1: traj.lambda1_nm, 2: traj.lambda2_nm}
     kappas = {1: traj.kappa1, 2: traj.kappa2}
     weights = {1: traj.w1**p, 2: traj.w2**p}
-    two_pi_c_nm = 2.0 * np.pi * C_M_PER_S * 1e9
     for mode in (1, 2):
         lam_l = centers[mode][:, None]
         # spectral FWHM in angular frequency is 2*kappa_l; convert at the line position
-        gamma_nm = 2.0 * kappas[mode][:, None] * lam_l**2 / two_pi_c_nm
+        gamma_nm = 2.0 * kappas[mode][:, None] * lam_l**2 / TWO_PI_C_NM
         lorentz = (gamma_nm / (2.0 * np.pi)) / ((lam[None, :] - lam_l) ** 2 + (gamma_nm / 2.0) ** 2)
-        flux = weights[mode] * 2.0 * traj.kappa_t * _PS * pops[mode]
+        flux = weights[mode] * 2.0 * traj.kappa_t * SECONDS_PER_PS * pops[mode]
         out += flux[:, None] * lorentz
     return PLMap(lam, traj.t_ps, np.clip(out, 0.0, None))
 

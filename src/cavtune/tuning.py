@@ -130,24 +130,19 @@ def sample_profile(
     t_grid_ps: Sequence[float],
     lambda_t_nm: float,
     kappa_fp: float,
-    kappa_scale: float = 1.0,
 ) -> list[BareMode]:
     """FP-mode snapshots over a strictly increasing time grid.
 
     The FP frequency tracks ``lambda_t + shift(t)``; the loss rate is held
-    constant (``kappa_scale`` is a hook for a uniform loss multiplier,
-    default off at 1.0).
+    constant at ``kappa_fp``.
     """
     t = np.asarray(t_grid_ps, dtype=float)
     if t.size == 0:
         raise InvalidInput("time grid must be non-empty")
     if t.size > 1 and not np.all(np.diff(t) > 0.0):
         raise InvalidInput("time grid must be strictly increasing")
-    if kappa_scale <= 0.0:
-        raise InvalidInput(f"loss multiplier must be positive, got {kappa_scale}")
     shifts = np.atleast_1d(fp_shift_at(profile, t))
-    kappa = kappa_fp * kappa_scale
-    return [BareMode(wl_to_omega(lambda_t_nm + s), kappa) for s in shifts]
+    return [BareMode(wl_to_omega(lambda_t_nm + s), kappa_fp) for s in shifts]
 
 
 @dataclass(frozen=True)

@@ -145,8 +145,8 @@ def test_acceptance_3_master_equation_oracles(burst_run, dip_run, delay_runs):
             x = rng.randn(spec.dim, spec.dim) + 1j * rng.randn(spec.dim, spec.dim)
             rho = x @ x.conj().T
             rho /= np.trace(rho).real
-            direct = liouvillian_apply(p, p.fp, rho, pump_rate=2e8)
-            sup = dense_superoperator(p, p.fp, pump_rate=2e8, spec=spec)
+            direct = liouvillian_apply(p, rho, pump_rate=2e8)
+            sup = dense_superoperator(p, pump_rate=2e8, spec=spec)
             via = (sup @ rho.reshape(-1)).reshape(spec.dim, spec.dim)
             assert np.max(np.abs(direct - via)) <= 1e-10 * np.max(np.abs(direct))
 

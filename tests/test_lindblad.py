@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -83,7 +85,7 @@ class TestBuildSpace:
 class TestLiouvillian:
     def test_vacuum_stationary(self, default_params):
         rho = vacuum_state(HilbertSpec(2))
-        drho = liouvillian_apply(default_params, default_params.fp, rho, pump_rate=0.0)
+        drho = liouvillian_apply(default_params, rho, pump_rate=0.0)
         assert np.max(np.abs(drho)) < 1e-20
 
     def test_bare_decay_generator(self, rng):
@@ -91,19 +93,19 @@ class TestLiouvillian:
         spec = HilbertSpec(2)
         ops = build_space(spec)
         rho = random_density_matrix(rng, spec.dim)
-        drho = liouvillian_apply(p, p.fp, rho)
+        drho = liouvillian_apply(p, rho)
         n_dot = expectation(ops.n_t, drho).real
         n_val = expectation(ops.n_t, rho).real
         # d<n_t>/dt = -2 kappa_t <n_t> when only the target channel is lossy...
         # (FP loss also runs here, so check the target-only part via a_t photons)
         p_only = SystemParams(p.emitter, p.target, BareMode(p.fp.omega, 1e-30 + 1e9), 0.0, PumpSchedule())
-        drho2 = liouvillian_apply(p_only, p_only.fp, rho)
+        drho2 = liouvillian_apply(p_only, rho)
         n_dot2 = expectation(ops.n_t, drho2).real
         assert n_dot2 == pytest.approx(-2.0 * p.target.kappa * n_val, rel=1e-10)
 
     def test_trace_zero(self, rng, default_params):
         rho = random_density_matrix(rng, 18)
-        drho = liouvillian_apply(default_params, default_params.fp, rho, pump_rate=3e8)
+        drho = liouvillian_apply(default_params, rho, pump_rate=3e8)
         assert abs(np.trace(drho)) <= 1e-12 * np.linalg.norm(drho)
 
     def test_matches_dense_superoperator(self, rng):
@@ -111,8 +113,8 @@ class TestLiouvillian:
         for n_max in (1, 2):
             spec = HilbertSpec(n_max)
             rho = random_density_matrix(rng, spec.dim)
-            direct = liouvillian_apply(p, p.fp, rho, pump_rate=2e8)
-            sup = dense_superoperator(p, p.fp, pump_rate=2e8, spec=spec)
+            direct = liouvillian_apply(p, rho, pump_rate=2e8)
+            sup = dense_superoperator(p, pump_rate=2e8, spec=spec)
             via = (sup @ rho.reshape(-1)).reshape(spec.dim, spec.dim)
             assert np.max(np.abs(direct - via)) <= 1e-10 * np.max(np.abs(direct))
 
@@ -131,9 +133,10 @@ class TestLiouvillian:
                     rho = random_density_matrix(rng, spec.dim)
                     lambda_fp = LAMBDA_T + rng.uniform(-1.0, 1.0)
                     fp_now = BareMode(wl_to_omega(lambda_fp), p.fp.kappa)
+                    moved = replace(p, fp=fp_now)
                     pump = rng.uniform(0.0, 5e8)
-                    direct = liouvillian_apply(p, fp_now, rho, pump_rate=pump, frame=frame)
-                    sup = dense_superoperator(p, fp_now, pump_rate=pump, spec=spec, frame=frame)
+                    direct = liouvillian_apply(moved, rho, pump_rate=pump, frame=frame)
+                    sup = dense_superoperator(moved, pump_rate=pump, spec=spec, frame=frame)
                     delta = fp_now.omega if frame == "lab" else fp_now.omega - p.target.omega
                     gen = _Generator(p, spec, frame)
                     via_rhs = gen.rhs(rho.ravel(), delta * 1e-12, pump * 1e-12) / 1e-12
@@ -183,12 +186,12 @@ class TestLiouvillian:
         expected += dissipator(at, 2 * p.target.kappa, rho)
         expected += dissipator(af, 2 * p.fp.kappa, rho)
         expected += dissipator(sm, p.emitter.gamma_leaky, rho)
-        got = liouvillian_apply(p, p.fp, rho, pump_rate=0.0)
+        got = liouvillian_apply(p, rho, pump_rate=0.0)
         assert np.max(np.abs(got - expected)) <= 1e-10 * np.max(np.abs(expected))
 
     def test_dimension_mismatch(self, default_params):
         with pytest.raises(InvalidInput):
-            liouvillian_apply(default_params, default_params.fp, np.eye(7, dtype=complex))
+            liouvillian_apply(default_params, np.eye(7, dtype=complex))
 
 
 class TestEvolve:
@@ -229,7 +232,7 @@ class TestEvolve:
         p = make_params(pump=PumpSchedule(cw_rate=1e8))
         profile = TuningProfile(pulses=(FreeCarrierPulse(0.0, 0.6, 352.0),))
         spec = HilbertSpec(2)
-        rho0 = steady_state(p, p.fp, spec=spec)
+        rho0 = steady_state(p, spec=spec)
         t = np.linspace(-300.0, 1200.0, 501)
         traj = evolve(p, profile, rho0, t)
         pl = synthesize_map(traj, np.linspace(1550.6, 1553.4, 141))
@@ -275,8 +278,8 @@ class TestEvolve:
         out = {}
         for n_max in (2, 4):
             spec = HilbertSpec(n_max)
-            rho0 = steady_state(p, p.fp, spec=spec)
-            out[n_max] = evolve(p, profile, rho0, t, spec=spec)
+            rho0 = steady_state(p, spec=spec)
+            out[n_max] = evolve(p, profile, rho0, t)
         for field in ("n_e", "n_t", "n_fp", "n1", "n2"):
             a, b = getattr(out[2], field), getattr(out[4], field)
             scale = np.max(np.abs(b))
@@ -298,7 +301,7 @@ class TestEvolve:
         t = np.linspace(0.0, 60.0, 61)
         obs = {}
         for frame in ("rotating", "lab"):
-            traj = evolve(p, profile, rho0, t, spec=spec, rtol=1e-12, atol=1e-16, frame=frame)
+            traj = evolve(p, profile, rho0, t, rtol=1e-12, atol=1e-16, frame=frame)
             obs[frame] = np.stack([traj.n_e, traj.n_t, traj.n_fp, traj.n1, traj.n2])
         assert np.max(np.abs(obs["rotating"] - obs["lab"])) < 1e-9
 
@@ -470,7 +473,7 @@ class TestModePopulations:
 
 class TestSteadyState:
     def test_unpumped_vacuum(self, default_params):
-        rho = steady_state(default_params, default_params.fp, spec=HilbertSpec(1))
+        rho = steady_state(default_params, spec=HilbertSpec(1))
         assert rho[0, 0] == pytest.approx(1.0)
         assert np.max(np.abs(rho - vacuum_state(HilbertSpec(1)))) < 1e-12
 
@@ -479,7 +482,7 @@ class TestSteadyState:
         pump_rate = 1e7
         p = make_params(eta=0.0, lambda_fp=1560.0, pump=PumpSchedule(cw_rate=pump_rate))
         spec = HilbertSpec(2)
-        rho = steady_state(p, p.fp, spec=spec)
+        rho = steady_state(p, spec=spec)
         ops = build_space(spec)
         n_e = expectation(ops.n_e, rho).real
         gamma = p.emitter.gamma_leaky + p.purcell_rate
@@ -489,8 +492,8 @@ class TestSteadyState:
     def test_residual_is_small(self, default_params):
         p = make_params(pump=PumpSchedule(cw_rate=1e8))
         spec = HilbertSpec(2)
-        rho = steady_state(p, p.fp, spec=spec)
-        drho = liouvillian_apply(p, p.fp, rho, pump_rate=1e8)
+        rho = steady_state(p, spec=spec)
+        drho = liouvillian_apply(p, rho, pump_rate=1e8)
         assert np.linalg.norm(drho) * 1e-12 < 1e-10 * np.linalg.norm(rho)
 
     @staticmethod
@@ -498,7 +501,7 @@ class TestSteadyState:
         from cavtune import apply_filter, synthesize_map
 
         p = make_params(pump=PumpSchedule(cw_rate=1e8))
-        rho_ss = steady_state(p, p.fp, spec=spec)
+        rho_ss = steady_state(p, spec=spec)
         t = np.linspace(0.0, 12000.0, 241)
         traj = evolve(p, TuningProfile(), vacuum_state(spec), t)
         lam_grid = np.linspace(1550.6, 1553.4, 141)
@@ -522,8 +525,8 @@ class TestSteadyState:
         spec = HilbertSpec(2)
         ops = build_space(spec)
         for p in (make_params(pump=pump), make_params(g=0.0, eta=0.0, pump=pump)):
-            rho = steady_state(p, p.fp, spec=spec)
-            drho = liouvillian_apply(p, p.fp, rho)
+            rho = steady_state(p, spec=spec)
+            drho = liouvillian_apply(p, rho)
             assert np.linalg.norm(drho) * 1e-12 < 1e-10 * np.linalg.norm(rho)
             assert abs(np.trace(rho) - 1.0) < 1e-12
             assert np.max(np.abs(rho - rho.conj().T)) < 1e-12
@@ -537,7 +540,7 @@ class TestSteadyState:
     def test_unreachable_residual_raises(self):
         p = make_params(pump=PumpSchedule(cw_rate=1e8))
         with pytest.raises(ConvergenceFailure):
-            steady_state(p, p.fp, spec=HilbertSpec(2), residual_tol=1e-30)
+            steady_state(p, spec=HilbertSpec(2), residual_tol=1e-30)
 
     def test_non_unique_returns_state_reached_from_vacuum(self):
         # an emitter with neither coupling nor decay keeps any population, so
@@ -546,7 +549,7 @@ class TestSteadyState:
         p = make_params(g=0.0, gamma_leaky=0.0, pump=PumpSchedule(cavity_cw_rate=1e9))
         for n_max in (1, 3):
             spec = HilbertSpec(n_max)
-            rho = steady_state(p, p.fp, spec=spec)
+            rho = steady_state(p, spec=spec)
             evolved = evolve(p, TuningProfile(), vacuum_state(spec), [0.0, 3000.0]).states[-1]
             assert np.max(np.abs(rho - evolved)) < 1e-8
             assert expectation(build_space(spec).n_e, rho).real == 0.0

@@ -5,7 +5,8 @@ import filecmp
 import numpy as np
 import pytest
 
-from cavtune.config import load_config
+from cavtune.config import load_config, scenario_config
+from cavtune.lindblad import steady_state
 from cavtune.runs import (
     delay_profile,
     delay_scan,
@@ -101,6 +102,27 @@ def test_delay_scan_matches_from_scratch_runs(fixed_step_ps, pump_mode, delays, 
         np.testing.assert_array_equal(pl_map.intensity[before], ref_map.intensity[before])
         for curve, ref_curve in zip(curves, ref_curves):
             np.testing.assert_array_equal(curve.intensity[before], ref_curve.intensity[before])
+
+
+def _thermo_scaled_dip():
+    raw = scenario_config("fig3-dip")
+    raw["profile"]["thermo"] = {"coeff_nm_per_mw": 0.03, "power_mw": 7.0}
+    raw["profile"]["kappa_fp_scale"] = 1.7
+    return raw
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [scenario_config("fig3-burst"), scenario_config("fig3-dip"), _thermo_scaled_dip()],
+    ids=["fig3-burst", "fig3-dip", "thermo-kappa-scaled"],
+)
+def test_initial_state_is_the_steady_state_of_the_config(raw):
+    # initial_state_for resamples the baseline profile for its FP mode; the
+    # config's own params.fp must be that same mode, bit for bit
+    cfg = load_config(raw)
+    assert cfg.initial_state == "steady"
+    expected = steady_state(cfg.params, spec=cfg.hilbert, frame=cfg.frame)
+    assert np.array_equal(initial_state_for(cfg), expected)
 
 
 def test_map_csv_matches_per_value_writer(tmp_path):

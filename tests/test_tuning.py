@@ -136,7 +136,3 @@ class TestSampleProfile:
         prof = TuningProfile(pulses=(FreeCarrierPulse(0.0, 0.6, 150.0),))
         modes = sample_profile(prof, np.linspace(-10, 500, 20), 1552.0, KAPPA_FP)
         assert all(m.kappa == KAPPA_FP for m in modes)
-
-    def test_kappa_scale_hook(self):
-        modes = sample_profile(TuningProfile(), [0.0], 1552.0, KAPPA_FP, kappa_scale=1.5)
-        assert modes[0].kappa == pytest.approx(1.5 * KAPPA_FP)
