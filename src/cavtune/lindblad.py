@@ -16,6 +16,7 @@ Integration is carried out in a frame rotating at the target-cavity frequency
 
 from __future__ import annotations
 
+from copy import copy
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Optional, Sequence
@@ -205,6 +206,14 @@ class _Generator:
         shift = sparse.diags(delta_fp * self.d_fp)
         return (self.l0 + shift + (pump - self.p_cw) * self.l_pump).tocsr()
 
+    def restricted(self, keep: np.ndarray) -> "_Generator":
+        """This generator on the entries ``keep`` of vec(rho), a set it maps into itself."""
+        block = copy(self)
+        block.l0 = self.l0[keep][:, keep]
+        block.l_pump = self.l_pump[keep][:, keep]
+        block.d_fp = self.d_fp[keep]
+        return block
+
 
 def _delta_fp_fn(params: SystemParams, profile: TuningProfile, frame: str):
     """``delta_fp(t_ps)`` in rad/ps, in float arithmetic: it runs on every RHS call."""
@@ -327,19 +336,49 @@ def evolve(
     restarts at every pulse onset and at each time of ``breakpoints_ps``, so
     the state recorded at such a time is the end of an integrator segment.  A free-carrier pulse
     that starts at a grid time acts only after the state there is recorded,
-    and so does an instant pump event.  Raises :class:`NumericalFailure` with
-    the failing time on integrator breakdown and when the recorded trace
-    deviates from 1 by more than 1e-8.
+    and so does an instant pump event.  Only the entries of vec(rho) that
+    ``rho0`` reaches are integrated (see :func:`_closure`); the others stay 0.
+    Raises :class:`InvalidInput` for a non-square ``rho0``, and
+    :class:`NumericalFailure` with the failing time on integrator breakdown
+    and when the recorded trace deviates from 1 by more than 1e-8.
     """
     t_grid = np.asarray(t_grid_ps, dtype=float)
+    states = _evolve_states(
+        params, profile, rho0, t_grid, rtol, atol, frame, fixed_step_ps, breakpoints_ps,
+        _broken_target_dissipator,
+    )
+    return make_trajectory(params, profile, t_grid, states)
+
+
+def _evolve_states(
+    params, profile, rho0, t_grid, rtol, atol, frame, fixed_step_ps, breakpoints_ps=(),
+    _broken_target_dissipator=False,
+) -> np.ndarray:
+    """The states of :func:`evolve`, ``(t, d, d)`` with one per time of ``t_grid``."""
+    t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.size < 2 or not np.all(np.diff(t_grid) > 0.0):
         raise InvalidInput("time grid must be strictly increasing with >= 2 points")
     rho0 = np.asarray(rho0, dtype=complex)
+    if rho0.ndim != 2 or rho0.shape[0] != rho0.shape[1]:
+        raise InvalidInput(f"density matrix must be square, got shape {rho0.shape}")
     spec = _spec_from_dim(rho0.shape[0])
     if params.pump is None:
         raise InvalidInput("params.pump must be a PumpSchedule for time evolution")
 
-    gen = _Generator(params, spec, frame, _broken_target_dissipator)
+    full = _Generator(params, spec, frame, _broken_target_dissipator)
+    # every term of L(t) and the instant pump maps keep to the pattern of
+    # l0 + l_pump (the diagonal d_fp adds no entries)
+    keep = _closure(abs(full.l0) + abs(full.l_pump), rho0.ravel())
+    # Entries outside the closure stay 0.  A few of them pad the block to a
+    # multiple of 4 entries, as every full space is: BLAS kernels round the
+    # last len % 4 entries of the RK stage sums differently, and where RK45's
+    # step is stability-limited that grows to ~5e-11 and other step counts.
+    pad = np.setdiff1d(np.arange(spec.dim**2), keep)[: -keep.size % 4]
+    keep = np.union1d(keep, pad)
+    gen = full.restricted(keep)
+    # RK45 measures errors and its first step by RMS norms over the components;
+    # the dropped ones are 0, so this keeps the norms, and the steps, of the full space
+    tol_scale = np.sqrt(spec.dim**2 / keep.size)
     pump = params.pump
 
     def rhs_on(a):
@@ -356,9 +395,10 @@ def evolve(
     event_times = {p.t0_ps: p for p in events}
     instant_maps = {}
 
-    recorded = np.empty((t_grid.size, spec.dim, spec.dim), dtype=complex)
+    recorded = np.zeros((t_grid.size, spec.dim, spec.dim), dtype=complex)
     recorded[0] = rho0
-    y = rho0.ravel()
+    flat = recorded.reshape(t_grid.size, -1)
+    y = rho0.ravel()[keep]
     for a, b in zip(bounds[:-1], bounds[1:]):
         rhs = rhs_on(a)
         inside = np.flatnonzero((t_grid > a) & (t_grid <= b))
@@ -372,8 +412,8 @@ def evolve(
                 y,
                 method="RK45",
                 t_eval=t_eval,
-                rtol=rtol,
-                atol=atol,
+                rtol=rtol * tol_scale,
+                atol=atol * tol_scale,
                 max_step=_max_step_for(a, b, caps),
             )
             if not sol.success:
@@ -381,15 +421,14 @@ def evolve(
                     f"integrator failed in segment [{a}, {b}] ps: {sol.message}"
                 )
             ys = sol.y.T
-        recorded[inside] = ys[: inside.size].reshape(-1, spec.dim, spec.dim)
+        flat[inside[:, None], keep] = ys[: inside.size]
         y = ys[-1]
         if b in event_times:
             area = event_times[b].area
             if area not in instant_maps:
-                instant_maps[area] = _instant_pump_map(gen, area)
+                instant_maps[area] = _instant_pump_map(full, area)[keep][:, keep]
             y = instant_maps[area] @ y
-
-    return make_trajectory(params, profile, t_grid, recorded)
+    return recorded
 
 
 def _rk4_segment(rhs, t, y, t_eval, h_target):
@@ -510,7 +549,7 @@ def steady_state(
     """The steady state reached from the vacuum under CW pumping, the FP mode at ``params.fp``.
 
     Solves ``L vec(rho) = 0``, ``tr rho = 1`` by sparse LU on the entries that
-    ``L`` populates from the vacuum (the k = 0 block; the others are 0), so an
+    ``L`` populates from the vacuum (:func:`_closure`; the others are 0), so an
     emitter with neither coupling nor decay stays in its ground state.  Raises
     :class:`ConvergenceFailure` when the solve is singular, when the residual
     ``||L rho|| / ||rho||`` (rad/ps) is not below ``residual_tol``, or when rho
@@ -526,7 +565,7 @@ def steady_state(
 
     d = spec.dim
     mat = _Generator(params, spec, frame).matrix(_fixed_delta(params, frame), cw * _PS)
-    keep = _reachable_from_vacuum(mat)
+    keep = _closure(mat, vacuum_state(spec).ravel())
     sub = mat[keep][:, keep]
     # the rho_00 row is redundant, since L preserves the trace: put tr rho = 1 there
     trace_row = sparse.csr_matrix((keep % (d + 1) == 0).astype(complex)[None, :])
@@ -545,11 +584,18 @@ def steady_state(
     return _sanitize_state(x.reshape(d, d))
 
 
-def _reachable_from_vacuum(mat: sparse.csr_matrix) -> np.ndarray:
-    """Sorted indices of vec(rho), from rho_00 at 0, that ``mat`` populates from the vacuum."""
+def _closure(mat: sparse.spmatrix, vec_rho0: np.ndarray) -> np.ndarray:
+    """Sorted indices of vec(rho) that ``mat`` populates from the nonzero entries of ``vec_rho0``.
+
+    The entries of the result are the support of ``vec_rho0`` grown under the
+    sparsity pattern of ``mat``, so ``mat`` maps vectors on them to vectors on
+    them, and the other entries stay 0.  Every channel of the model conserves
+    ``N_bra - N_ket``, so from a state of one such excitation block (the
+    vacuum, the excited emitter and the steady state are all in block 0) the
+    result lies in that block.
+    """
     flow = abs(mat)
-    seen = np.zeros(mat.shape[0], dtype=bool)
-    seen[0] = True
+    seen = vec_rho0 != 0.0
     while True:
         grown = seen | (flow @ seen.astype(float) > 0.0)
         if np.array_equal(grown, seen):

@@ -27,7 +27,7 @@ from .spectra import (
     irf_convolve,
     synthesize_map,
 )
-from .tuning import FreeCarrierPulse, HilbertSpec, TuningProfile, sample_profile
+from .tuning import FreeCarrierPulse, HilbertSpec, TuningProfile
 
 
 # every number in the CSV outputs; write_map_csv formats with it directly
@@ -112,47 +112,36 @@ def run_static_sweep(cfg: RunConfig, outdir: Path, render: bool = False):
     return outputs
 
 
-def initial_state_for(cfg: RunConfig, profile: Optional[TuningProfile] = None) -> np.ndarray:
+def initial_state_for(cfg: RunConfig) -> np.ndarray:
     # cavtune.lindblad, and with it scipy, loads only for dynamic runs
     from .lindblad import emitter_excited_state, steady_state, vacuum_state
 
-    profile = profile or cfg.profile
     if cfg.initial_state == "vacuum":
         return vacuum_state(cfg.hilbert)
     if cfg.initial_state == "excited":
         return emitter_excited_state(cfg.hilbert)
-    # steady state under the pre-pulse (baseline) profile
-    baseline = TuningProfile(
-        static_detuning_nm=profile.static_detuning_nm, thermo=profile.thermo, pulses=()
-    )
-    fp0 = sample_profile(baseline, [0.0], cfg.lambda_t_nm, cfg.params.fp.kappa)[0]
-    return steady_state(replace(cfg.params, fp=fp0), spec=cfg.hilbert, frame=cfg.frame)
+    # params.fp is the FP mode of the pre-pulse (baseline) profile
+    return steady_state(cfg.params, spec=cfg.hilbert, frame=cfg.frame)
+
+
+def _solver_options(cfg: RunConfig) -> dict:
+    return dict(rtol=cfg.rtol, atol=cfg.atol, frame=cfg.frame, fixed_step_ps=cfg.fixed_step_ps)
 
 
 def simulate_dynamic(
     cfg: RunConfig, profile: Optional[TuningProfile] = None, rho0: Optional[np.ndarray] = None
 ):
-    """Trajectory + map + filtered curves for one dynamic configuration."""
-    profile = profile or cfg.profile
-    if rho0 is None:
-        rho0 = initial_state_for(cfg, profile)
-    return _observe(cfg, _evolve(cfg, profile, rho0, cfg.time_grid_ps))
+    """Trajectory + map + filtered curves for one dynamic configuration.
 
-
-def _evolve(cfg: RunConfig, profile: TuningProfile, rho0, t_grid, breakpoints_ps=()):
+    ``rho0`` defaults to the initial state of ``cfg``.
+    """
     from .lindblad import evolve
 
-    return evolve(
-        cfg.params,
-        profile,
-        rho0,
-        t_grid,
-        rtol=cfg.rtol,
-        atol=cfg.atol,
-        frame=cfg.frame,
-        fixed_step_ps=cfg.fixed_step_ps,
-        breakpoints_ps=breakpoints_ps,
-    )
+    profile = profile or cfg.profile
+    if rho0 is None:
+        rho0 = initial_state_for(cfg)
+    traj = evolve(cfg.params, profile, rho0, cfg.time_grid_ps, **_solver_options(cfg))
+    return _observe(cfg, traj)
 
 
 def _observe(cfg: RunConfig, traj):
@@ -186,10 +175,11 @@ def delay_scan(cfg: RunConfig):
     time is a full run.  :func:`simulate_dynamic` with :func:`delay_profile`
     is the from-scratch run this reproduces.
     """
-    from .lindblad import make_trajectory
+    from .lindblad import _evolve_states, evolve, make_trajectory
 
     rho0 = initial_state_for(cfg)
     t_grid = cfg.time_grid_ps
+    options = _solver_options(cfg)
     pump = cfg.params.pump
     kicks = {p.t0_ps for p in pump.pulse_events} if pump.mode == "instant" else set()
     starts = []
@@ -198,18 +188,19 @@ def delay_scan(cfg: RunConfig):
         while k > 0 and t_grid[k] in kicks:
             k -= 1
         starts.append(max(k, 0))
-    reference = _evolve(
-        cfg, replace(cfg.profile, pulses=()), rho0, t_grid, breakpoints_ps=t_grid[starts]
+    reference = evolve(
+        cfg.params, replace(cfg.profile, pulses=()), rho0, t_grid,
+        breakpoints_ps=t_grid[starts], **options,
     )
     yield _observe(cfg, reference)
     for delay, k in zip(cfg.delays_ps, starts):
         profile = delay_profile(cfg, delay)
         if k == 0:
-            traj = _evolve(cfg, profile, rho0, t_grid)
+            traj = evolve(cfg.params, profile, rho0, t_grid, **options)
         else:
             states = reference.states
             if k < t_grid.size - 1:
-                tail = _evolve(cfg, profile, states[k], t_grid[k:]).states
+                tail = _evolve_states(cfg.params, profile, states[k], t_grid[k:], **options)
                 states = np.concatenate([states[:k], tail])
             traj = make_trajectory(cfg.params, profile, t_grid, states)
         yield _observe(cfg, traj)

@@ -28,7 +28,11 @@ from cavtune import (
     vacuum_state,
     wl_to_omega,
 )
-from cavtune.lindblad import _Generator, _delta_fp_fn, expectation
+from scipy.integrate import solve_ivp as scipy_solve_ivp
+from scipy.sparse.linalg import expm as sparse_expm
+
+from cavtune import lindblad
+from cavtune.lindblad import _Generator, _delta_fp_fn, _rk4_segment, expectation
 from cavtune.tuning import fp_shift_scalar
 from conftest import KAPPA_T, LAMBDA_T, make_params
 
@@ -389,6 +393,114 @@ class TestEvolve:
         p = make_params(pump=PumpSchedule())
         with pytest.raises(InvalidInput):
             evolve(p, TuningProfile(), vacuum_state(HilbertSpec(1)), [0.0, 10.0, 5.0])
+
+    @pytest.mark.parametrize("shape", [(18,), (18, 3)])
+    def test_non_square_state_rejected(self, shape):
+        rho0 = np.zeros(shape, dtype=complex)
+        rho0[0] = 1.0
+        with pytest.raises(InvalidInput, match="square"):
+            evolve(make_params(), TuningProfile(), rho0, [0.0, 1.0])
+
+
+class TestBlockEvolve:
+    """``evolve`` integrates only the entries of vec(rho) that rho0 reaches.
+
+    The oracle integrates the whole vec(rho) itself: ``solve_ivp`` (or RK4) on
+    the full ``_Generator.rhs`` at the unscaled tolerances, one segment per
+    pulse onset or instant pump event, as ``evolve`` splits the run.
+    """
+
+    BURST = TuningProfile(pulses=(FreeCarrierPulse(0.0, 0.6, 352.421875),))
+    T_GRID = np.linspace(-100.0, 600.0, 176)
+    FIXED_STEP_PS = 0.5
+
+    @classmethod
+    def _full_space(cls, p, profile, rho0, t, fixed_step_ps):
+        """``(states, rhs_calls)`` of the full-space solve; no count for a fixed step."""
+        spec = HilbertSpec(round(np.sqrt(rho0.shape[0] / 2.0)) - 1)
+        gen = _Generator(p, spec, "rotating")
+        pump = p.pump
+        kicks = {e.t0_ps: e.area for e in pump.pulse_events} if pump.mode == "instant" else {}
+        inner = {q.t0_ps for q in profile.pulses} | set(kicks)
+        bounds = [t[0]] + sorted(x for x in inner if t[0] < x < t[-1]) + [t[-1]]
+        states = np.zeros((t.size, spec.dim**2), dtype=complex)
+        states[0] = y = rho0.ravel()
+        nfev = 0
+        for a, b in zip(bounds[:-1], bounds[1:]):
+            started = replace(profile, pulses=tuple(q for q in profile.pulses if q.t0_ps <= a))
+            delta_fp = _delta_fp_fn(p, started, "rotating")
+
+            def rhs(tk, v):
+                return gen.rhs(v, delta_fp(tk), pump.rate_at_ps(tk))
+
+            inside = np.flatnonzero((t > a) & (t <= b))
+            t_eval = np.unique(np.append(t[inside], b))
+            if fixed_step_ps is not None:
+                ys = _rk4_segment(rhs, a, y, t_eval, fixed_step_ps)
+            else:
+                sol = scipy_solve_ivp(
+                    rhs, (a, b), y, method="RK45", t_eval=t_eval, rtol=1e-8, atol=1e-12,
+                    max_step=b - a,
+                )
+                assert sol.success
+                nfev += sol.nfev
+                ys = sol.y.T
+            states[inside] = ys[: inside.size]
+            y = ys[-1]
+            if b in kicks:
+                y = sparse_expm((kicks[b] * gen.l_pump).tocsc()) @ y
+        return states.reshape(t.size, spec.dim, spec.dim), nfev
+
+    @classmethod
+    def _check(cls, monkeypatch, p, profile, rho0, fixed_step_ps):
+        calls = []
+
+        def counted_solve_ivp(*args, **kwargs):
+            sol = scipy_solve_ivp(*args, **kwargs)
+            calls.append(sol.nfev)
+            return sol
+
+        monkeypatch.setattr(lindblad, "solve_ivp", counted_solve_ivp)
+        traj = evolve(p, profile, rho0, cls.T_GRID, fixed_step_ps=fixed_step_ps)
+        expected, nfev = cls._full_space(p, profile, rho0, cls.T_GRID, fixed_step_ps)
+        scale = np.max(np.abs(expected))
+        assert np.max(np.abs(traj.states - expected)) <= 1e-12 * scale
+        assert sum(calls) == nfev
+        return traj
+
+    @pytest.mark.parametrize("fixed_step", [False, True], ids=["adaptive", "fixed-step"])
+    @pytest.mark.parametrize("start", ["steady", "vacuum", "excited"])
+    @pytest.mark.parametrize("n_max", [2, 3])
+    def test_burst_matches_full_space(self, monkeypatch, n_max, start, fixed_step):
+        p = make_params(pump=PumpSchedule(cw_rate=1e8))
+        spec = HilbertSpec(n_max)
+        rho0 = {
+            "steady": lambda: steady_state(p, spec=spec),
+            "vacuum": lambda: vacuum_state(spec),
+            "excited": lambda: emitter_excited_state(spec),
+        }[start]()
+        step = self.FIXED_STEP_PS if fixed_step else None
+        self._check(monkeypatch, p, self.BURST, rho0, step)
+
+    def test_superposition_spans_three_blocks(self, monkeypatch):
+        # (|g00> + |e00>)/sqrt(2) has coherences of k = N_bra - N_ket = +-1
+        spec = HilbertSpec(2)
+        psi = np.zeros(spec.dim, dtype=complex)
+        psi[[spec.index(0, 0, 0), spec.index(1, 0, 0)]] = np.sqrt(0.5)
+        p = make_params(pump=PumpSchedule(cw_rate=1e8))
+        traj = self._check(monkeypatch, p, self.BURST, np.outer(psi, psi.conj()), None)
+        ops = build_space(spec)
+        n = np.diag(ops.n_e + ops.n_t + ops.n_fp).round().astype(int)
+        k = n[:, None] - n[None, :]
+        assert set(np.unique(k[np.any(traj.states != 0.0, axis=0)])) == {-1, 0, 1}
+
+    @pytest.mark.parametrize("fixed_step", [False, True], ids=["adaptive", "fixed-step"])
+    def test_instant_pump_matches_full_space(self, monkeypatch, fixed_step):
+        pump = PumpSchedule(pulse_events=(PumpPulse(100.0, 1.0, 6.0),), mode="instant")
+        p = make_params(pump=pump)
+        step = self.FIXED_STEP_PS if fixed_step else None
+        traj = self._check(monkeypatch, p, self.BURST, vacuum_state(HilbertSpec(2)), step)
+        assert traj.n_e.max() > 0.1
 
 
 class TestWeakCouplingRates:

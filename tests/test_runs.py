@@ -1,6 +1,7 @@
 """The delay scan and the map writer of cavtune.runs."""
 
 import filecmp
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from cavtune.runs import (
     write_map_csv,
 )
 from cavtune.spectra import PLMap
+from cavtune.tuning import sample_profile
 
 # on the 4 ps grid from -100 to 2000 ps: on the grid, 1502 off it, -300 before
 # the grid start and 2400 after its end
@@ -117,11 +119,14 @@ def _thermo_scaled_dip():
     ids=["fig3-burst", "fig3-dip", "thermo-kappa-scaled"],
 )
 def test_initial_state_is_the_steady_state_of_the_config(raw):
-    # initial_state_for resamples the baseline profile for its FP mode; the
-    # config's own params.fp must be that same mode, bit for bit
+    # initial_state_for takes the FP mode of the steady state from params.fp:
+    # that must be the pre-pulse (baseline) profile's mode at 0 ps, bit for bit
     cfg = load_config(raw)
     assert cfg.initial_state == "steady"
-    expected = steady_state(cfg.params, spec=cfg.hilbert, frame=cfg.frame)
+    baseline = replace(cfg.profile, pulses=())
+    fp0 = sample_profile(baseline, [0.0], cfg.lambda_t_nm, cfg.params.fp.kappa)[0]
+    assert fp0 == cfg.params.fp
+    expected = steady_state(replace(cfg.params, fp=fp0), spec=cfg.hilbert, frame=cfg.frame)
     assert np.array_equal(initial_state_for(cfg), expected)
 
 
