@@ -17,7 +17,7 @@ Integration is carried out in a frame rotating at the target-cavity frequency
 from __future__ import annotations
 
 from copy import copy
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 from typing import Optional, Sequence
 
@@ -207,11 +207,20 @@ class _Generator:
         return (self.l0 + shift + (pump - self.p_cw) * self.l_pump).tocsr()
 
     def restricted(self, keep: np.ndarray) -> "_Generator":
-        """This generator on the entries ``keep`` of vec(rho), a set it maps into itself."""
+        """This generator for vectors that are 0 off the entries ``keep`` of vec(rho).
+
+        ``keep`` must be closed under the pattern of ``l0`` and ``l_pump`` (see
+        :func:`_closure`).  The terms that act on the other entries are
+        dropped: they multiply zeros, so on such vectors every product is the
+        same, bit for bit, and the other entries stay exactly 0.
+        """
+        outside = np.ones(self.d_fp.size, dtype=bool)
+        outside[keep] = False
         block = copy(self)
-        block.l0 = self.l0[keep][:, keep]
-        block.l_pump = self.l_pump[keep][:, keep]
-        block.d_fp = self.d_fp[keep]
+        block.l0, block.l_pump = self.l0.copy(), self.l_pump.copy()
+        for mat in (block.l0, block.l_pump):
+            mat.data[outside[mat.indices]] = 0.0
+            mat.eliminate_zeros()
         return block
 
 
@@ -336,26 +345,14 @@ def evolve(
     restarts at every pulse onset and at each time of ``breakpoints_ps``, so
     the state recorded at such a time is the end of an integrator segment.  A free-carrier pulse
     that starts at a grid time acts only after the state there is recorded,
-    and so does an instant pump event.  Only the entries of vec(rho) that
-    ``rho0`` reaches are integrated (see :func:`_closure`); the others stay 0.
+    and so does an instant pump event.  The right-hand side computes only the
+    entries of vec(rho) that ``rho0`` reaches (see :func:`_closure`); the
+    others stay exactly 0, so the result is that of the whole generator.
     Raises :class:`InvalidInput` for a non-square ``rho0``, and
     :class:`NumericalFailure` with the failing time on integrator breakdown
     and when the recorded trace deviates from 1 by more than 1e-8.
     """
     t_grid = np.asarray(t_grid_ps, dtype=float)
-    states = _evolve_states(
-        params, profile, rho0, t_grid, rtol, atol, frame, fixed_step_ps, breakpoints_ps,
-        _broken_target_dissipator,
-    )
-    return make_trajectory(params, profile, t_grid, states)
-
-
-def _evolve_states(
-    params, profile, rho0, t_grid, rtol, atol, frame, fixed_step_ps, breakpoints_ps=(),
-    _broken_target_dissipator=False,
-) -> np.ndarray:
-    """The states of :func:`evolve`, ``(t, d, d)`` with one per time of ``t_grid``."""
-    t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.size < 2 or not np.all(np.diff(t_grid) > 0.0):
         raise InvalidInput("time grid must be strictly increasing with >= 2 points")
     rho0 = np.asarray(rho0, dtype=complex)
@@ -366,19 +363,10 @@ def _evolve_states(
         raise InvalidInput("params.pump must be a PumpSchedule for time evolution")
 
     full = _Generator(params, spec, frame, _broken_target_dissipator)
-    # every term of L(t) and the instant pump maps keep to the pattern of
-    # l0 + l_pump (the diagonal d_fp adds no entries)
+    # every term of L(t) keeps to the pattern of l0 + l_pump (the diagonal
+    # d_fp adds no entries); the instant pump maps act on the whole vector
     keep = _closure(abs(full.l0) + abs(full.l_pump), rho0.ravel())
-    # Entries outside the closure stay 0.  A few of them pad the block to a
-    # multiple of 4 entries, as every full space is: BLAS kernels round the
-    # last len % 4 entries of the RK stage sums differently, and where RK45's
-    # step is stability-limited that grows to ~5e-11 and other step counts.
-    pad = np.setdiff1d(np.arange(spec.dim**2), keep)[: -keep.size % 4]
-    keep = np.union1d(keep, pad)
     gen = full.restricted(keep)
-    # RK45 measures errors and its first step by RMS norms over the components;
-    # the dropped ones are 0, so this keeps the norms, and the steps, of the full space
-    tol_scale = np.sqrt(spec.dim**2 / keep.size)
     pump = params.pump
 
     def rhs_on(a):
@@ -395,10 +383,9 @@ def _evolve_states(
     event_times = {p.t0_ps: p for p in events}
     instant_maps = {}
 
-    recorded = np.zeros((t_grid.size, spec.dim, spec.dim), dtype=complex)
+    recorded = np.empty((t_grid.size, spec.dim, spec.dim), dtype=complex)
     recorded[0] = rho0
-    flat = recorded.reshape(t_grid.size, -1)
-    y = rho0.ravel()[keep]
+    y = rho0.ravel()
     for a, b in zip(bounds[:-1], bounds[1:]):
         rhs = rhs_on(a)
         inside = np.flatnonzero((t_grid > a) & (t_grid <= b))
@@ -412,8 +399,8 @@ def _evolve_states(
                 y,
                 method="RK45",
                 t_eval=t_eval,
-                rtol=rtol * tol_scale,
-                atol=atol * tol_scale,
+                rtol=rtol,
+                atol=atol,
                 max_step=_max_step_for(a, b, caps),
             )
             if not sol.success:
@@ -421,14 +408,15 @@ def _evolve_states(
                     f"integrator failed in segment [{a}, {b}] ps: {sol.message}"
                 )
             ys = sol.y.T
-        flat[inside[:, None], keep] = ys[: inside.size]
+        recorded[inside] = ys[: inside.size].reshape(-1, spec.dim, spec.dim)
         y = ys[-1]
         if b in event_times:
             area = event_times[b].area
             if area not in instant_maps:
-                instant_maps[area] = _instant_pump_map(full, area)[keep][:, keep]
+                instant_maps[area] = _instant_pump_map(full, area)
             y = instant_maps[area] @ y
-    return recorded
+
+    return make_trajectory(params, profile, t_grid, recorded)
 
 
 def _rk4_segment(rhs, t, y, t_eval, h_target):
@@ -462,14 +450,7 @@ def make_trajectory(params, profile, t_grid, states) -> Trajectory:
     coh_op = ops.a_t.T @ ops.a_fp
     coherence = np.einsum("ij,tji->t", coh_op.astype(complex), states)
 
-    traces = np.einsum("tii->t", states)
-    trace_dev = float(np.max(np.abs(traces - 1.0)))
-    # the adjoints, then in place (no further state-sized buffer) the Hermitian parts
-    hermitian_parts = np.conj(np.transpose(states, (0, 2, 1)))
-    herm_dev = float(np.max(np.abs(states - hermitian_parts)))
-    hermitian_parts += states
-    hermitian_parts *= 0.5
-    min_eig = float(np.linalg.eigvalsh(hermitian_parts).min())
+    trace_dev, herm_dev, min_eig = _state_checks(states)
 
     lambda_t = omega_to_wl(params.target.omega)
     shifts = np.atleast_1d(fp_shift_at(profile, t_grid))
@@ -503,6 +484,43 @@ def make_trajectory(params, profile, t_grid, states) -> Trajectory:
         trace_dev_max=trace_dev,
         hermiticity_dev_max=herm_dev,
         min_eigenvalue=min_eig,
+    )
+
+
+def _state_checks(states: np.ndarray) -> tuple[float, float, float]:
+    """Largest trace deviation from 1, largest deviation from Hermiticity and
+    smallest eigenvalue of the Hermitian parts, over ``states``."""
+    traces = np.einsum("tii->t", states)
+    trace_dev = float(np.max(np.abs(traces - 1.0)))
+    # the adjoints, then in place (no further state-sized buffer) the Hermitian parts
+    hermitian_parts = np.conj(np.transpose(states, (0, 2, 1)))
+    herm_dev = float(np.max(np.abs(states - hermitian_parts)))
+    hermitian_parts += states
+    hermitian_parts *= 0.5
+    min_eig = float(np.linalg.eigvalsh(hermitian_parts).min())
+    return trace_dev, herm_dev, min_eig
+
+
+def _splice(head: Trajectory, k: int, tail: Trajectory) -> Trajectory:
+    """The first ``k`` times of ``head`` followed by ``tail``, a run from the k-th.
+
+    Each observable is a function of one time, its state and the profile
+    there, so the joined record equals :func:`make_trajectory` on the joined
+    states wherever the two runs' profiles agree before the k-th time.  Only
+    the state checks of the first ``k`` states are computed again.
+    """
+    joined = {
+        f.name: np.concatenate([getattr(head, f.name)[:k], getattr(tail, f.name)])
+        for f in fields(Trajectory)
+        if isinstance(getattr(tail, f.name), np.ndarray)
+    }
+    trace_dev, herm_dev, min_eig = _state_checks(head.states[:k])
+    return replace(
+        tail,
+        **joined,
+        trace_dev_max=max(trace_dev, tail.trace_dev_max),
+        hermiticity_dev_max=max(herm_dev, tail.hermiticity_dev_max),
+        min_eigenvalue=min(min_eig, tail.min_eigenvalue),
     )
 
 

@@ -168,14 +168,14 @@ def delay_scan(cfg: RunConfig):
     delayed run is the reference: the pulse adds no shift before it starts,
     and every run starts from the same initial state.  So the reference is
     integrated once, with a segment end at the last grid time at or before
-    each delay, and each delayed run copies the reference's states up to that
-    time and integrates only from there.  The state recorded at an instant
+    each delay, and each delayed run copies the reference's record (states
+    and observables) up to that time and integrates only from there.  The state recorded at an instant
     pump event is the one before the event, so a run never starts at one: it
     starts at the grid time before.  A run that would start at the first grid
     time is a full run.  :func:`simulate_dynamic` with :func:`delay_profile`
     is the from-scratch run this reproduces.
     """
-    from .lindblad import _evolve_states, evolve, make_trajectory
+    from .lindblad import _splice, evolve, make_trajectory
 
     rho0 = initial_state_for(cfg)
     t_grid = cfg.time_grid_ps
@@ -197,12 +197,11 @@ def delay_scan(cfg: RunConfig):
         profile = delay_profile(cfg, delay)
         if k == 0:
             traj = evolve(cfg.params, profile, rho0, t_grid, **options)
+        elif k == t_grid.size - 1:
+            traj = make_trajectory(cfg.params, profile, t_grid, reference.states)
         else:
-            states = reference.states
-            if k < t_grid.size - 1:
-                tail = _evolve_states(cfg.params, profile, states[k], t_grid[k:], **options)
-                states = np.concatenate([states[:k], tail])
-            traj = make_trajectory(cfg.params, profile, t_grid, states)
+            tail = evolve(cfg.params, profile, reference.states[k], t_grid[k:], **options)
+            traj = _splice(reference, k, tail)
         yield _observe(cfg, traj)
 
 

@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -32,7 +32,16 @@ from scipy.integrate import solve_ivp as scipy_solve_ivp
 from scipy.sparse.linalg import expm as sparse_expm
 
 from cavtune import lindblad
-from cavtune.lindblad import _Generator, _delta_fp_fn, _rk4_segment, expectation
+from cavtune.lindblad import (
+    Trajectory,
+    _closure,
+    _delta_fp_fn,
+    _Generator,
+    _rk4_segment,
+    _splice,
+    expectation,
+    make_trajectory,
+)
 from cavtune.tuning import fp_shift_scalar
 from conftest import KAPPA_T, LAMBDA_T, make_params
 
@@ -401,13 +410,31 @@ class TestEvolve:
         with pytest.raises(InvalidInput, match="square"):
             evolve(make_params(), TuningProfile(), rho0, [0.0, 1.0])
 
+    def test_splice_equals_make_trajectory_on_the_joined_states(self):
+        # a pulse-free head, then a tail from its k-th state under a pulse that
+        # starts there, as the delay scan joins them
+        p = make_params(pump=PumpSchedule(cw_rate=1e8))
+        spec = HilbertSpec(1)
+        t = np.linspace(-100.0, 600.0, 71)
+        k = 30
+        head = evolve(p, TuningProfile(), steady_state(p, spec=spec), t)
+        pulsed = TuningProfile(pulses=(FreeCarrierPulse(t[k], 0.6, 352.421875),))
+        tail = evolve(p, pulsed, head.states[k], t[k:])
+        spliced = _splice(head, k, tail)
+        states = np.concatenate([head.states[:k], tail.states])
+        expected = make_trajectory(p, pulsed, t, states)
+        for f in fields(Trajectory):
+            assert np.array_equal(getattr(spliced, f.name), getattr(expected, f.name)), f.name
+
 
 class TestBlockEvolve:
-    """``evolve`` integrates only the entries of vec(rho) that rho0 reaches.
+    """``evolve``'s right-hand side computes only the entries that rho0 reaches.
 
     The oracle integrates the whole vec(rho) itself: ``solve_ivp`` (or RK4) on
-    the full ``_Generator.rhs`` at the unscaled tolerances, one segment per
-    pulse onset or instant pump event, as ``evolve`` splits the run.
+    the full ``_Generator.rhs``, one segment per pulse onset or instant pump
+    event, as ``evolve`` splits the run.  The terms ``evolve`` drops multiply
+    exact zeros, so its states and its step sequence are the oracle's, bit for
+    bit, on any platform.
     """
 
     BURST = TuningProfile(pulses=(FreeCarrierPulse(0.0, 0.6, 352.421875),))
@@ -463,10 +490,24 @@ class TestBlockEvolve:
         monkeypatch.setattr(lindblad, "solve_ivp", counted_solve_ivp)
         traj = evolve(p, profile, rho0, cls.T_GRID, fixed_step_ps=fixed_step_ps)
         expected, nfev = cls._full_space(p, profile, rho0, cls.T_GRID, fixed_step_ps)
-        scale = np.max(np.abs(expected))
-        assert np.max(np.abs(traj.states - expected)) <= 1e-12 * scale
+        assert np.array_equal(traj.states, expected)
         assert sum(calls) == nfev
         return traj
+
+    @pytest.mark.parametrize("n_max, size", [(2, 70), (3, 168)])
+    def test_shipped_starts_reach_the_k0_block(self, n_max, size):
+        # the closure evolve restricts its generator to, for each shipped start
+        p = make_params(pump=PumpSchedule(cw_rate=1e8))
+        spec = HilbertSpec(n_max)
+        gen = _Generator(p, spec, "rotating")
+        ops = build_space(spec)
+        n = np.diag(ops.n_e + ops.n_t + ops.n_fp).round().astype(int)
+        k = (n[:, None] - n[None, :]).ravel()
+        for rho0 in (steady_state(p, spec=spec), vacuum_state(spec), emitter_excited_state(spec)):
+            keep = _closure(abs(gen.l0) + abs(gen.l_pump), rho0.ravel())
+            assert keep.size == size and np.all(k[keep] == 0)
+            block = gen.restricted(keep)
+            assert block.l0.nnz == gen.l0[keep][:, keep].nnz < gen.l0.nnz
 
     @pytest.mark.parametrize("fixed_step", [False, True], ids=["adaptive", "fixed-step"])
     @pytest.mark.parametrize("start", ["steady", "vacuum", "excited"])
