@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import sys
 import time
+from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path
 
 import click
@@ -16,6 +18,7 @@ import numpy as np
 
 from . import __version__
 from .config import (
+    DEFAULT_SYSTEM,
     SCENARIO_NAMES,
     load_config,
     load_config_file,
@@ -37,13 +40,17 @@ def _resolve_config(config_path, scenario):
     raise SchemaError("one of --config or --scenario is required")
 
 
-def _fail(exc: Exception):
-    click.echo(f"error: {exc}", err=True)
-    if isinstance(exc, OSError):
+@contextmanager
+def _exit_on_error(out):
+    """Print a package or file-system error and exit with its code (2, or 4 if numerical)."""
+    try:
+        yield
+    except CavtuneError as exc:
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(4 if isinstance(exc, (NumericalFailure, ConvergenceFailure)) else 2)
+    except OSError as exc:
+        click.echo(f"error: cannot write outputs under {out}: {exc}", err=True)
         sys.exit(2)
-    if isinstance(exc, (NumericalFailure, ConvergenceFailure)):
-        sys.exit(4)
-    sys.exit(2)
 
 
 @click.group()
@@ -66,42 +73,26 @@ _common = [
 ]
 
 
-def _with_common(fn):
+def _run_command(kind, runner, doc):
+    """The subcommand ``kind``: resolve a config of that kind and write ``runner``'s outputs."""
+
+    def command(config_path, scenario, outdir, render):
+        with _exit_on_error(outdir):
+            cfg = _resolve_config(config_path, scenario)
+            if cfg.kind != kind:
+                raise SchemaError(f"config kind {cfg.kind!r} is not {kind!r}")
+            outputs = runner(cfg, Path(outdir), render=render)
+        click.echo(f"wrote {len(outputs) + 1} file(s) to {outdir}")
+
     for opt in reversed(_common):
-        fn = opt(fn)
-    return fn
+        command = opt(command)
+    return main.command(kind, help=doc)(command)
 
 
-@main.command("static-sweep")
-@_with_common
-def cmd_static_sweep(config_path, scenario, outdir, render):
-    """Anticrossing sweep over a detuning grid -> sweep.csv."""
-    try:
-        cfg = _resolve_config(config_path, scenario)
-        if cfg.kind != "static-sweep":
-            raise SchemaError(f"config kind {cfg.kind!r} is not 'static-sweep'")
-        outputs = run_static_sweep(cfg, Path(outdir), render=render)
-    except CavtuneError as exc:
-        _fail(exc)
-    except OSError as exc:
-        _fail(OSError(f"cannot write outputs under {outdir}: {exc}"))
-    click.echo(f"wrote {len(outputs) + 1} file(s) to {outdir}")
-
-
-@main.command("dynamic")
-@_with_common
-def cmd_dynamic(config_path, scenario, outdir, render):
-    """Dynamic burst/dip/delay scenario -> map CSV, curves, metrics.json."""
-    try:
-        cfg = _resolve_config(config_path, scenario)
-        if cfg.kind != "dynamic":
-            raise SchemaError(f"config kind {cfg.kind!r} is not 'dynamic'")
-        outputs = run_dynamic(cfg, Path(outdir), render=render)
-    except CavtuneError as exc:
-        _fail(exc)
-    except OSError as exc:
-        _fail(OSError(f"cannot write outputs under {outdir}: {exc}"))
-    click.echo(f"wrote {len(outputs) + 1} file(s) to {outdir}")
+_run_command("static-sweep", run_static_sweep,
+             "Anticrossing sweep over a detuning grid -> sweep.csv.")
+_run_command("dynamic", run_dynamic,
+             "Dynamic burst/dip/delay scenario -> map CSV, curves, metrics.json.")
 
 
 @main.command("fit")
@@ -110,22 +101,13 @@ def cmd_dynamic(config_path, scenario, outdir, render):
               default=None, help="Config with a 'fit' section (init/bounds/options).")
 @click.option("--out", "outdir", type=click.Path(file_okay=False), required=True)
 @click.option("--seed", type=int, default=None,
-              help="Seed for the multi-start initializations; overrides fit.seed "
-                   "(default 0).")
+              help="Seed for the multi-start initializations; overrides fit.seed.")
 def cmd_fit(data_csv, config_path, outdir, seed):
     """Fit the coupled-mode model to an anticrossing CSV."""
     started = time.monotonic()
-    try:
-        fit_node = {}
-        cfg = None
-        if config_path:
-            cfg = load_config_file(config_path)
-            fit_node = cfg.fit
-        control_kind = fit_node.get("control")
-        data = read_anticrossing_csv(data_csv, control_kind=control_kind)
-
-        from .config import DEFAULT_SYSTEM
-
+    with _exit_on_error(outdir):
+        settings = load_config_file(config_path).fit if config_path else {}
+        data = read_anticrossing_csv(data_csv, control_kind=settings.get("control"))
         init = {
             "eta": DEFAULT_SYSTEM["eta"],
             "kappa_t": DEFAULT_SYSTEM["kappa_t"],
@@ -135,14 +117,12 @@ def cmd_fit(data_csv, config_path, outdir, seed):
             "cal_offset": 0.0,
             "g": DEFAULT_SYSTEM["g"],
             "gamma_leaky": DEFAULT_SYSTEM["gamma_leaky"],
+            **settings.get("init", {}),
         }
-        init.update(fit_node.get("init", {}))
-        options = FitOptions(
-            max_evals=fit_node.get("max_evals", 40000),
-            multistart=fit_node.get("multistart", 0),
-            seed=seed if seed is not None else fit_node.get("seed", 0),
-        )
-        result = run_fit(data, init, bounds=fit_node.get("bounds"), options=options)
+        options = settings.get("options", FitOptions())
+        if seed is not None:
+            options = replace(options, seed=seed)
+        result = run_fit(data, init, bounds=settings.get("bounds"), options=options)
 
         out = Path(outdir)
         out.mkdir(parents=True, exist_ok=True)
@@ -151,8 +131,6 @@ def cmd_fit(data_csv, config_path, outdir, seed):
             fh.write("index,weighted_residual\n")
             for i, r in enumerate(result.weighted_residuals):
                 fh.write(f"{i},{format_number(r)}\n")
-    except CavtuneError as exc:
-        _fail(exc)
     click.echo(
         f"fit {'converged' if result.converged else 'DID NOT CONVERGE'} "
         f"in {result.n_evals} evaluations ({time.monotonic() - started:.1f} s); "
@@ -176,11 +154,9 @@ def cmd_fit(data_csv, config_path, outdir, seed):
               help="Log-scale heatmap normalization.")
 def cmd_render(csv_in, out_path, fmt, colormap, log_scale):
     """Render an emitted CSV to SVG (curves) or PPM (heatmaps)."""
-    try:
+    with _exit_on_error(out_path):
         written = render_csv_file(csv_in, out_path, fmt=fmt, colormap=colormap,
                                   log_scale=log_scale)
-    except CavtuneError as exc:
-        _fail(exc)
     click.echo(f"wrote {written}")
 
 

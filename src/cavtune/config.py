@@ -1,9 +1,15 @@
 """Run configuration: JSON schema, strict validation, and shipped scenarios.
 
-Configs are plain JSON documents with a ``schema`` version field.  Unknown
-keys anywhere are errors (a typo in a physics parameter must not pass
-silently); every physical invariant of the underlying domain types is
-re-checked on load with the offending key path in the message.
+Configs are plain JSON documents with a ``schema`` version field.  Every key
+is named once, at the typed getter of :class:`_Section` that reads it; the
+getter checks the value's type and range and puts the key's path in any
+error.  Once the whole document is read, every key that no getter read is an
+error (a typo in a physics parameter must not pass silently), so an unknown
+key is reported only after every bad value.  The domain types re-check their
+physical invariants on construction, and their errors are re-raised with the
+path of the section or list item they came from.  The ``fit`` section is
+resolved here too, into the control kind, initial values and bounds by fit
+parameter name, and :class:`cavtune.fitting.FitOptions`.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import CavtuneError, SchemaError
+from .fitting import PARAM_NAMES, FitOptions
 from .modespace import BareMode, EmitterParams, SystemParams, wl_to_omega
 from .tuning import (
     FreeCarrierPulse,
@@ -24,6 +31,7 @@ from .tuning import (
     PumpSchedule,
     ThermoOpticModel,
     TuningProfile,
+    thermo_shift,
 )
 
 SCHEMA_VERSION = 1
@@ -44,62 +52,141 @@ DEFAULT_SYSTEM = {
     "lambda0_nm": None,  # emitter wavelength; None -> resonant with the target mode
 }
 
-_NUMBER = (int, float)
+_REQUIRED = object()  # the default of a getter whose key must be present
 
 
 def _is_number(v) -> bool:
-    return isinstance(v, _NUMBER) and not isinstance(v, bool) and np.isfinite(v)
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and np.isfinite(v)
 
 
-def _err(path: str, message: str):
-    raise SchemaError(f"{path}: {message}")
+class _Section:
+    """One JSON object of a config document, read through typed getters.
 
+    Each getter names its key once: it records the key as read, returns its
+    ``default`` when the key is absent (``_REQUIRED`` makes absence an error;
+    null is allowed, and reads as absent, only under a ``None`` default) and
+    puts the key's path in every error.  :meth:`close` then rejects the keys
+    that no getter read.
+    """
 
-def _check_keys(node: dict, allowed, path: str):
-    if not isinstance(node, dict):
-        _err(path, f"expected an object, got {type(node).__name__}")
-    for key in node:
-        if key not in allowed:
-            _err(f"{path}.{key}" if path else key, "unknown key")
+    def __init__(self, node, path: str):
+        if not isinstance(node, dict):
+            raise SchemaError(f"{path or 'config'}: expected an object, got {type(node).__name__}")
+        self.node, self.path = node, path
+        self.read, self.children = set(), []
 
+    def key_path(self, key: str) -> str:
+        return f"{self.path}.{key}" if self.path else key
 
-def _get_number(
-    node, key, path, default=None, minimum=None, maximum=None, allow_none=False, required=False
-):
-    if key not in node:
-        if required:
-            _err(f"{path}.{key}", "required key missing")
-        return default
-    value = node[key]
-    if value is None:
-        if allow_none:
+    def fail(self, key: str, message: str):
+        raise SchemaError(f"{self.key_path(key)}: {message}")
+
+    def _get(self, key, default):
+        self.read.add(key)
+        value = self.node.get(key, default)
+        if value is _REQUIRED:
+            self.fail(key, "required key missing")
+        if value is None and default is not None:
+            self.fail(key, "must not be null")
+        return value
+
+    def _bounded(self, key, value, minimum, maximum):
+        if minimum is not None and value < minimum:
+            self.fail(key, f"must be >= {minimum}, got {value}")
+        if maximum is not None and value > maximum:
+            self.fail(key, f"must be <= {maximum}, got {value}")
+        return value
+
+    def number(self, key, default=_REQUIRED, minimum=None) -> Optional[float]:
+        value = self._get(key, default)
+        if value is None:
             return None
-        _err(f"{path}.{key}", "expected a number, got null")
-    if not _is_number(value):
-        _err(f"{path}.{key}", f"expected a finite number, got {value!r}")
-    if minimum is not None and value < minimum:
-        _err(f"{path}.{key}", f"must be >= {minimum}, got {value}")
-    if maximum is not None and value > maximum:
-        _err(f"{path}.{key}", f"must be <= {maximum}, got {value}")
-    return float(value)
+        if not _is_number(value):
+            self.fail(key, f"expected a finite number, got {value!r}")
+        return float(self._bounded(key, value, minimum, None))
 
+    def integer(self, key, default=_REQUIRED, minimum=None, maximum=None) -> int:
+        value = self._get(key, default)
+        if not isinstance(value, int) or isinstance(value, bool):
+            self.fail(key, f"expected an integer, got {value!r}")
+        return self._bounded(key, value, minimum, maximum)
 
-def _get_grid(node, key, path):
-    if key not in node:
-        return None
-    sub = node[key]
-    sub_path = f"{path}.{key}"
-    _check_keys(sub, {"start", "stop", "n"}, sub_path)
-    start = _get_number(sub, "start", sub_path)
-    stop = _get_number(sub, "stop", sub_path)
-    n = sub.get("n")
-    if start is None or stop is None or n is None:
-        _err(sub_path, "grid needs start, stop and n")
-    if not isinstance(n, int) or isinstance(n, bool) or n < 2:
-        _err(f"{sub_path}.n", f"expected an integer >= 2, got {n!r}")
-    if not stop > start:
-        _err(sub_path, f"stop ({stop}) must exceed start ({start})")
-    return np.linspace(start, stop, n)
+    def choice(self, key, options, default=_REQUIRED) -> Optional[str]:
+        """A string, one of ``options`` unless they are None."""
+        value = self._get(key, default)
+        if value is None:
+            return None
+        if not isinstance(value, str) or (options is not None and value not in options):
+            expected = "a string" if options is None else "one of " + ", ".join(map(repr, options))
+            self.fail(key, f"expected {expected}, got {value!r}")
+        return value
+
+    def flag(self, key) -> bool:
+        value = self._get(key, False)
+        if not isinstance(value, bool):
+            self.fail(key, f"expected true or false, got {value!r}")
+        return value
+
+    def numbers(self, key, default=_REQUIRED) -> Optional[list]:
+        """A non-empty list of finite numbers."""
+        value = self._get(key, default)
+        if value is None:
+            return None
+        if not isinstance(value, list) or not value or not all(map(_is_number, value)):
+            self.fail(key, f"expected a non-empty list of finite numbers, got {value!r}")
+        return [float(v) for v in value]
+
+    def interval(self, key, default=_REQUIRED, strict=False) -> Optional[tuple]:
+        """A pair ``[lo, hi]`` of finite numbers with ``lo <= hi`` (``lo < hi`` if strict)."""
+        pair = self.numbers(key, default)
+        if pair is None:
+            return None
+        if len(pair) != 2 or not (pair[0] < pair[1] if strict else pair[0] <= pair[1]):
+            self.fail(key, f"expected [lo, hi] with lo {'<' if strict else '<='} hi, got {pair}")
+        return tuple(pair)
+
+    def grid(self, key) -> Optional[np.ndarray]:
+        """``np.linspace`` over the object ``{start, stop, n}`` under ``key``; None if absent."""
+        grid = self.section(key, None)
+        if grid is None:
+            return None
+        start, stop, n = grid.number("start"), grid.number("stop"), grid.integer("n", minimum=2)
+        if not stop > start:
+            self.fail(key, f"stop ({stop}) must exceed start ({start})")
+        return np.linspace(start, stop, n)
+
+    def section(self, key, default=_REQUIRED) -> Optional["_Section"]:
+        """The object under ``key``, read through its own getters."""
+        value = self._get(key, default)
+        if value is None:
+            return None
+        self.children.append(_Section(value, self.key_path(key)))
+        return self.children[-1]
+
+    def sections(self, key) -> list:
+        """The objects of the list under ``key`` (absent: none)."""
+        items = self._get(key, [])
+        if not isinstance(items, list):
+            self.fail(key, f"expected a list of objects, got {items!r}")
+        path = self.key_path(key)
+        found = [_Section(item, f"{path}[{i}]") for i, item in enumerate(items)]
+        self.children += found
+        return found
+
+    def build(self, make, *args, **kwargs):
+        """``make(*args, **kwargs)``, with a domain error re-raised under this object's path."""
+        try:
+            return make(*args, **kwargs)
+        except CavtuneError as exc:
+            raise SchemaError(f"{self.path}: {exc}") from exc
+
+    def close(self):
+        """Reject every key that no getter read, here and in the objects read from here."""
+        for key in self.node:
+            if key not in self.read:
+                self.fail(key, "unknown key")
+        for child in self.children:
+            child.close()
 
 
 @dataclass
@@ -128,7 +215,7 @@ class RunConfig:
     delays_ps: Optional[list]
     colormap: str
     log_scale: bool
-    fit: dict
+    fit: dict  # "control" (or None), "init" and "bounds" by parameter name, "options": FitOptions
 
     @property
     def lambda_t_nm(self) -> float:
@@ -140,240 +227,117 @@ def config_hash(raw: dict) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-_TOP_KEYS = {
-    "schema",
-    "scenario",
-    "kind",
-    "system",
-    "pump",
-    "profile",
-    "grids",
-    "filters",
-    "spectra",
-    "solver",
-    "baseline_window_ps",
-    "delays_ps",
-    "render",
-    "fit",
-}
-
-
 def load_config(raw: dict) -> RunConfig:
     """Validate a config document and resolve it into domain objects."""
-    _check_keys(raw, _TOP_KEYS, "")
-    if raw.get("schema") != SCHEMA_VERSION:
-        _err("schema", f"expected schema version {SCHEMA_VERSION}, got {raw.get('schema')!r}")
-    kind = raw.get("kind")
-    if kind not in ("static-sweep", "dynamic"):
-        _err("kind", f"expected 'static-sweep' or 'dynamic', got {kind!r}")
-    scenario = raw.get("scenario", "custom")
-    if not isinstance(scenario, str):
-        _err("scenario", f"expected a string, got {scenario!r}")
+    root = _Section(raw, "")
+    if root.integer("schema") != SCHEMA_VERSION:
+        root.fail("schema", f"expected schema version {SCHEMA_VERSION}, got {raw['schema']!r}")
+    kind = root.choice("kind", ("static-sweep", "dynamic"))
 
-    # -- system ------------------------------------------------------------
-    system = raw.get("system")
-    if system is None:
-        _err("system", "required section missing")
-    _check_keys(system, set(DEFAULT_SYSTEM), "system")
-    lambda_t = _get_number(system, "lambda_t_nm", "system", minimum=1e-6, required=True)
-    kappa_t = _get_number(system, "kappa_t", "system", minimum=0.0, required=True)
-    kappa_fp = _get_number(system, "kappa_fp", "system", minimum=0.0, required=True)
-    eta = _get_number(system, "eta", "system", minimum=0.0, required=True)
-    g = _get_number(system, "g", "system", default=0.0, minimum=0.0)
-    gamma_leaky = _get_number(system, "gamma_leaky", "system", default=0.0, minimum=0.0)
-    lambda0 = _get_number(system, "lambda0_nm", "system", allow_none=True, minimum=1e-6)
+    system = root.section("system")
+    lambda_t = system.number("lambda_t_nm", minimum=1e-6)
+    kappa_t, kappa_fp, eta = (system.number(k, minimum=0.0) for k in ("kappa_t", "kappa_fp", "eta"))
+    g, gamma_leaky = (system.number(k, 0.0, minimum=0.0) for k in ("g", "gamma_leaky"))
+    lambda0 = system.number("lambda0_nm", None, minimum=1e-6)
 
-    # -- pump ----------------------------------------------------------------
-    pump_node = raw.get("pump", {})
-    _check_keys(pump_node, {"cw_rate", "mode", "cavity_cw_rate", "pulses"}, "pump")
-    cw_rate = _get_number(pump_node, "cw_rate", "pump", default=0.0, minimum=0.0)
-    cavity_cw = _get_number(pump_node, "cavity_cw_rate", "pump", default=0.0, minimum=0.0)
-    pump_mode = pump_node.get("mode", "gaussian")
-    pulses = []
-    for i, p in enumerate(pump_node.get("pulses", [])):
-        p_path = f"pump.pulses[{i}]"
-        _check_keys(p, {"t0_ps", "area", "width_ps"}, p_path)
-        pulses.append(
-            (
-                _get_number(p, "t0_ps", p_path, required=True),
-                _get_number(p, "area", p_path, minimum=0.0, required=True),
-                _get_number(p, "width_ps", p_path, default=6.0),
-            )
-        )
-
-    # -- profile ---------------------------------------------------------------
-    profile_node = raw.get("profile", {})
-    _check_keys(
-        profile_node, {"static_detuning_nm", "thermo", "pulses", "kappa_fp_scale"}, "profile"
+    pump = root.section("pump", {})
+    schedule = pump.build(
+        PumpSchedule,
+        cw_rate=pump.number("cw_rate", 0.0, minimum=0.0),
+        pulse_events=tuple(
+            p.build(PumpPulse, p.number("t0_ps"), p.number("area", minimum=0.0),
+                    p.number("width_ps", 6.0))
+            for p in pump.sections("pulses")
+        ),
+        mode=pump.choice("mode", ("gaussian", "instant"), "gaussian"),
+        cavity_cw_rate=pump.number("cavity_cw_rate", 0.0, minimum=0.0),
     )
-    static_det = _get_number(profile_node, "static_detuning_nm", "profile", default=0.0)
-    kappa_fp_scale = _get_number(
-        profile_node, "kappa_fp_scale", "profile", default=1.0, minimum=1e-6
-    )
-    thermo_node = profile_node.get("thermo")
-    thermo = None
-    if thermo_node is not None:
-        _check_keys(thermo_node, {"coeff_nm_per_mw", "power_mw"}, "profile.thermo")
-        thermo = (
-            _get_number(thermo_node, "coeff_nm_per_mw", "profile.thermo", default=0.0, minimum=0.0),
-            _get_number(thermo_node, "power_mw", "profile.thermo", default=0.0, minimum=0.0),
-        )
-    fc_pulses = []
-    for i, p in enumerate(profile_node.get("pulses", [])):
-        p_path = f"profile.pulses[{i}]"
-        _check_keys(p, {"t0_ps", "delta_lambda_max_nm", "tau_fc_ps", "tau_rise_ps"}, p_path)
-        fc_pulses.append(
-            (
-                _get_number(p, "t0_ps", p_path, required=True),
-                _get_number(p, "delta_lambda_max_nm", p_path, minimum=0.0, required=True),
-                _get_number(p, "tau_fc_ps", p_path, required=True),
-                _get_number(p, "tau_rise_ps", p_path, default=0.0, minimum=0.0),
-            )
-        )
 
-    # -- grids -----------------------------------------------------------------
-    grids = raw.get("grids", {})
-    _check_keys(grids, {"detuning_nm", "time_ps", "lambda_nm"}, "grids")
-    detuning_grid = _get_grid(grids, "detuning_nm", "grids")
-    time_grid = _get_grid(grids, "time_ps", "grids")
-    lambda_grid = _get_grid(grids, "lambda_nm", "grids")
+    profile_node = root.section("profile", {})
+    thermo = profile_node.section("thermo", None)
+    profile = profile_node.build(
+        TuningProfile,
+        static_detuning_nm=profile_node.number("static_detuning_nm", 0.0),
+        thermo=None if thermo is None else thermo.build(
+            ThermoOpticModel,
+            thermo.number("coeff_nm_per_mw", 0.0, minimum=0.0),
+            thermo.number("power_mw", 0.0, minimum=0.0),
+        ),
+        pulses=tuple(
+            p.build(FreeCarrierPulse, p.number("t0_ps"),
+                    p.number("delta_lambda_max_nm", minimum=0.0), p.number("tau_fc_ps"),
+                    p.number("tau_rise_ps", 0.0, minimum=0.0))
+            for p in profile_node.sections("pulses")
+        ),
+    )
+    fp_shift = profile.static_detuning_nm
+    if profile.thermo is not None:
+        fp_shift += thermo_shift(profile.thermo)
+    # free-carrier absorption hook: constant multiplier on the FP loss rate
+    kappa_fp_scale = profile_node.number("kappa_fp_scale", 1.0, minimum=1e-6)
+    omega_t = wl_to_omega(lambda_t)
+    params = system.build(lambda: SystemParams(
+        EmitterParams(omega_t if lambda0 is None else wl_to_omega(lambda0), g, gamma_leaky),
+        BareMode(omega_t, kappa_t),
+        BareMode(wl_to_omega(lambda_t + fp_shift), kappa_fp * kappa_fp_scale),
+        eta,
+        schedule,
+    ))
+
+    grids = root.section("grids", {})
+    detuning_grid, time_grid, lambda_grid = map(grids.grid, ("detuning_nm", "time_ps", "lambda_nm"))
     if kind == "static-sweep" and detuning_grid is None:
-        _err("grids.detuning_nm", "required for a static sweep")
+        grids.fail("detuning_nm", "required for a static sweep")
     if kind == "dynamic" and (time_grid is None or lambda_grid is None):
-        _err("grids", "dynamic runs need time_ps and lambda_nm grids")
+        root.fail("grids", "dynamic runs need time_ps and lambda_nm grids")
 
-    # -- filters ----------------------------------------------------------------
-    filters = []
-    for i, f in enumerate(raw.get("filters", [])):
-        f_path = f"filters[{i}]"
-        _check_keys(f, {"lambda_nm", "fwhm_nm"}, f_path)
-        filters.append(
-            (
-                _get_number(f, "lambda_nm", f_path, minimum=1e-6, required=True),
-                _get_number(f, "fwhm_nm", f_path, default=0.5),
-            )
-        )
+    window = root.interval("baseline_window_ps", None, strict=True)
+    if window is None and profile.pulses:
+        window = (profile.pulses[0].t0_ps - 500.0, profile.pulses[0].t0_ps)
+    delays = root.numbers("delays_ps", None)
+    if delays is not None and len(profile.pulses) != 1:
+        root.fail("delays_ps", "delay scans need exactly one template pulse in profile.pulses")
 
-    # -- spectra ------------------------------------------------------------------
-    spectra_node = raw.get("spectra", {})
-    _check_keys(spectra_node, {"collection_exponent", "irf_sigma_ps"}, "spectra")
-    collection_exponent = _get_number(
-        spectra_node, "collection_exponent", "spectra", default=1.0, minimum=0.0
-    )
-    irf_sigma = _get_number(spectra_node, "irf_sigma_ps", "spectra", default=0.0, minimum=0.0)
-
-    # -- solver ------------------------------------------------------------------
-    solver = raw.get("solver", {})
-    _check_keys(
-        solver,
-        {"n_max", "rtol", "atol", "frame", "fixed_step_ps", "initial_state", "check_truncation"},
-        "solver",
-    )
-    n_max = solver.get("n_max", 2)
-    if not isinstance(n_max, int) or isinstance(n_max, bool) or n_max < 1:
-        _err("solver.n_max", f"expected an integer >= 1, got {n_max!r}")
-    rtol = _get_number(solver, "rtol", "solver", default=1e-8, minimum=1e-13)
-    atol = _get_number(solver, "atol", "solver", default=1e-12, minimum=0.0)
-    frame = solver.get("frame", "rotating")
-    if frame not in ("rotating", "lab"):
-        _err("solver.frame", f"expected 'rotating' or 'lab', got {frame!r}")
-    fixed_step = _get_number(solver, "fixed_step_ps", "solver", allow_none=True, minimum=1e-6)
-    initial_state = solver.get("initial_state", "steady")
-    if initial_state not in ("steady", "vacuum", "excited"):
-        _err("solver.initial_state", f"unknown initial state {initial_state!r}")
-    check_truncation = solver.get("check_truncation", False)
-    if not isinstance(check_truncation, bool):
-        _err("solver.check_truncation", "expected a boolean")
-
-    # -- misc -----------------------------------------------------------------
-    window = raw.get("baseline_window_ps")
-    if window is not None:
-        if (
-            not isinstance(window, list)
-            or len(window) != 2
-            or not all(_is_number(v) for v in window)
-            or not window[0] < window[1]
-        ):
-            _err("baseline_window_ps", f"expected [t_a, t_b] with t_a < t_b, got {window!r}")
-        window = (float(window[0]), float(window[1]))
-
-    delays = raw.get("delays_ps")
-    if delays is not None:
-        if not isinstance(delays, list) or not delays or not all(_is_number(v) for v in delays):
-            _err("delays_ps", f"expected a non-empty list of numbers, got {delays!r}")
-        if len(fc_pulses) != 1:
-            _err("delays_ps", "delay scans need exactly one template pulse in profile.pulses")
-        delays = [float(d) for d in delays]
-
-    render_node = raw.get("render", {})
-    _check_keys(render_node, {"colormap", "log_scale"}, "render")
-    colormap = render_node.get("colormap", "heat")
-    if colormap not in ("heat", "gray"):
-        _err("render.colormap", f"expected 'heat' or 'gray', got {colormap!r}")
-    log_scale = render_node.get("log_scale", False)
-    if not isinstance(log_scale, bool):
-        _err("render.log_scale", "expected a boolean")
-
-    fit_node = raw.get("fit", {})
-    _check_keys(fit_node, {"control", "init", "bounds", "multistart", "max_evals", "seed"}, "fit")
-    fit_seed = fit_node.get("seed", 0)
-    if not isinstance(fit_seed, int) or isinstance(fit_seed, bool) or not 0 <= fit_seed < 2**32:
-        _err("fit.seed", f"expected an integer in [0, 2**32), got {fit_seed!r}")
-
-    # -- build domain objects, re-raising with key paths -------------------------
-    try:
-        omega_t = wl_to_omega(lambda_t)
-        target = BareMode(omega_t, kappa_t)
-        fp_baseline_shift = static_det + (thermo[0] * thermo[1] if thermo else 0.0)
-        # free-carrier absorption hook: constant multiplier on the FP loss rate
-        fp = BareMode(wl_to_omega(lambda_t + fp_baseline_shift), kappa_fp * kappa_fp_scale)
-        omega0 = omega_t if lambda0 is None else wl_to_omega(lambda0)
-        emitter = EmitterParams(omega0, g, gamma_leaky)
-        schedule = PumpSchedule(
-            cw_rate=cw_rate,
-            pulse_events=tuple(PumpPulse(*p) for p in pulses),
-            mode=pump_mode,
-            cavity_cw_rate=cavity_cw,
-        )
-        params = SystemParams(emitter, target, fp, eta, schedule)
-        profile = TuningProfile(
-            static_detuning_nm=static_det,
-            thermo=ThermoOpticModel(*thermo) if thermo else None,
-            pulses=tuple(FreeCarrierPulse(*p) for p in fc_pulses),
-        )
-        hilbert = HilbertSpec(n_max)
-    except CavtuneError as exc:
-        raise SchemaError(f"config invalid: {exc}") from exc
-
-    if window is None and fc_pulses:
-        t0 = min(p[0] for p in fc_pulses)
-        window = (t0 - 500.0, t0)
-
-    return RunConfig(
+    spectra, solver, render = (root.section(k, {}) for k in ("spectra", "solver", "render"))
+    fit = root.section("fit", {})
+    init, bounds, fit_defaults = fit.section("init", {}), fit.section("bounds", {}), FitOptions()
+    cfg = RunConfig(
         raw=raw,
-        scenario=scenario,
+        scenario=root.choice("scenario", None, "custom"),
         kind=kind,
         params=params,
         profile=profile,
         detuning_grid_nm=detuning_grid,
         time_grid_ps=time_grid,
         lambda_grid_nm=lambda_grid,
-        filters=filters,
-        collection_exponent=collection_exponent,
-        irf_sigma_ps=irf_sigma,
-        hilbert=hilbert,
-        rtol=rtol,
-        atol=atol,
-        frame=frame,
-        fixed_step_ps=fixed_step,
-        initial_state=initial_state,
-        check_truncation=check_truncation,
+        filters=[(f.number("lambda_nm", minimum=1e-6), f.number("fwhm_nm", 0.5))
+                 for f in root.sections("filters")],
+        collection_exponent=spectra.number("collection_exponent", 1.0, minimum=0.0),
+        irf_sigma_ps=spectra.number("irf_sigma_ps", 0.0, minimum=0.0),
+        hilbert=solver.build(HilbertSpec, solver.integer("n_max", 2, minimum=1)),
+        rtol=solver.number("rtol", 1e-8, minimum=1e-13),
+        atol=solver.number("atol", 1e-12, minimum=0.0),
+        frame=solver.choice("frame", ("rotating", "lab"), "rotating"),
+        fixed_step_ps=solver.number("fixed_step_ps", None, minimum=1e-6),
+        initial_state=solver.choice("initial_state", ("steady", "vacuum", "excited"), "steady"),
+        check_truncation=solver.flag("check_truncation"),
         baseline_window_ps=window,
         delays_ps=delays,
-        colormap=colormap,
-        log_scale=log_scale,
-        fit=fit_node,
+        colormap=render.choice("colormap", ("heat", "gray"), "heat"),
+        log_scale=render.flag("log_scale"),
+        fit={
+            "control": fit.choice("control", ("detuning_nm", "power_mw"), None),
+            "init": {n: init.number(n) for n in PARAM_NAMES if n in init.node},
+            "bounds": {n: bounds.interval(n) for n in PARAM_NAMES if n in bounds.node},
+            "options": FitOptions(
+                max_evals=fit.integer("max_evals", fit_defaults.max_evals, minimum=1),
+                multistart=fit.integer("multistart", fit_defaults.multistart, minimum=0),
+                seed=fit.integer("seed", fit_defaults.seed, minimum=0, maximum=2**32 - 1),
+            ),
+        },
     )
+    root.close()
+    return cfg
 
 
 def load_config_file(path) -> RunConfig:

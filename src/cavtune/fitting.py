@@ -207,7 +207,7 @@ def read_anticrossing_csv(source, control_kind: Optional[str] = None) -> Anticro
     )
 
 
-_PARAM_ORDER = ("eta", "kappa_t", "kappa_fp", "lambda_t", "cal_slope", "cal_offset", "g", "gamma_leaky")
+PARAM_NAMES = ("eta", "kappa_t", "kappa_fp", "lambda_t", "cal_slope", "cal_offset", "g", "gamma_leaky")
 
 DEFAULT_BOUNDS = {
     "eta": (1e9, 1e14),

@@ -622,13 +622,11 @@ def _closure(mat: sparse.spmatrix, vec_rho0: np.ndarray) -> np.ndarray:
 
 
 def _sanitize_state(rho: np.ndarray) -> np.ndarray:
-    herm = float(np.max(np.abs(rho - rho.conj().T)))
+    trace_dev, herm, min_eig = _state_checks(rho[None])
     if herm > 1e-10:
         raise ConvergenceFailure(f"steady state not Hermitian within 1e-10 (dev {herm:.3e})")
-    min_eig = float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min())
     if min_eig < -1e-8:
         raise ConvergenceFailure(f"steady state not positive (min eigenvalue {min_eig:.3e})")
-    tr = np.trace(rho).real
-    if abs(tr - 1.0) > 1e-8:
-        raise ConvergenceFailure(f"steady state trace {tr} deviates from 1")
+    if trace_dev > 1e-8:
+        raise ConvergenceFailure(f"steady state trace {np.trace(rho).real} deviates from 1")
     return rho

@@ -1,10 +1,11 @@
 import json
+import re
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from cavtune import SchemaError, synthetic_data
+from cavtune import FitOptions, SchemaError, synthetic_data
 from cavtune.cli import main
 from cavtune.config import (
     SCENARIO_NAMES,
@@ -105,6 +106,58 @@ class TestConfigValidation:
             load_config(raw)
 
 
+# One row per config value that was once accepted silently or crashed with a
+# traceback: (section or None for the top level, key, value, reported path).
+GAP_ROWS = [
+    ("fit", "init", {"etaa": 1}, "fit.init.etaa"),
+    ("fit", "bounds", {"etaa": [1, 2]}, "fit.bounds.etaa"),
+    ("fit", "multistart", "3", "fit.multistart"),
+    ("fit", "bounds", {"eta": 5}, "fit.bounds.eta"),
+    ("fit", "init", {"eta": "x"}, "fit.init.eta"),
+    ("pump", "pulses", 5, "pump.pulses"),
+    (None, "filters", 5, "filters"),
+    ("fit", "max_evals", -5, "fit.max_evals"),
+    ("pump", "pulses", [{"t0_ps": 0.0, "area": 1.0, "width_ps": 0.0}], "pump.pulses[0]"),
+    ("pump", "mode", "bogus", "pump.mode"),
+]
+
+
+def gap_config(section, key, value):
+    raw = scenario_config("fig2-sweep")
+    (raw.setdefault(section, {}) if section else raw)[key] = value
+    return raw
+
+
+class TestConfigGaps:
+    @pytest.mark.parametrize("section,key,value,path", GAP_ROWS, ids=[r[-1] for r in GAP_ROWS])
+    def test_load_config_names_the_key(self, section, key, value, path):
+        with pytest.raises(SchemaError, match=re.escape(path) + ":"):
+            load_config(gap_config(section, key, value))
+
+    @pytest.mark.parametrize("section,key,value,path", GAP_ROWS, ids=[r[-1] for r in GAP_ROWS])
+    def test_fit_command_exits_2(self, tmp_path, section, key, value, path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(gap_config(section, key, value)))
+        table = small_table(tmp_path)
+        res = CliRunner().invoke(
+            main, ["fit", str(table), "--config", str(cfg), "--out", str(tmp_path / "f")]
+        )
+        assert res.exit_code == 2, res.output
+        assert f"{path}:" in res.output
+
+    def test_fit_section_resolves_onto_fit_options(self):
+        raw = gap_config("fit", "bounds", {"g": [1e7, 1e12]})
+        raw["fit"].update(control="power_mw", init={"eta": 2}, multistart=3)
+        fit = load_config(raw).fit
+        assert fit["control"] == "power_mw"
+        assert fit["init"] == {"eta": 2.0} and fit["bounds"] == {"g": (1e7, 1e12)}
+        assert fit["options"] == FitOptions(multistart=3)
+
+    def test_bounds_must_be_ordered(self):
+        with pytest.raises(SchemaError, match=r"fit\.bounds\.g: expected \[lo, hi\]"):
+            load_config(gap_config("fit", "bounds", {"g": [2.0, 1.0]}))
+
+
 class TestCliStaticSweep:
     def test_sweep_and_fit_roundtrip(self, tmp_path):
         runner = CliRunner()
@@ -192,6 +245,11 @@ def fit_config(tmp_path, name, fit_node):
 
 
 TRUTH = {"eta": 1.564e11, "kappa_t": 1.564e11, "kappa_fp": 4.692e11, "lambda_t": 1552.0}
+
+
+def small_table(tmp_path):
+    return write_table(tmp_path / "table.csv",
+                       synthetic_data(**TRUTH, detunings_nm=np.linspace(-1.2, 1.2, 9)))
 
 
 class TestCliFit:
@@ -335,6 +393,15 @@ class TestUnwritablePath:
         )
         assert res.exit_code == 2
         assert "blocked" in res.output
+
+    @pytest.mark.parametrize("command,target", [("fit", "sub"), ("render", "x.svg")])
+    def test_fit_and_render_report_path_and_exit(self, tmp_path, command, target):
+        blocker = tmp_path / "blocked"
+        blocker.write_text("a file, not a directory")
+        table = small_table(tmp_path)
+        res = CliRunner().invoke(main, [command, str(table), "--out", str(blocker / target)])
+        assert res.exit_code == 2
+        assert f"error: cannot write outputs under {blocker / target}" in res.output
 
 
 class TestSelftestCommand:

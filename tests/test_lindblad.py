@@ -38,6 +38,7 @@ from cavtune.lindblad import (
     _delta_fp_fn,
     _Generator,
     _rk4_segment,
+    _sanitize_state,
     _splice,
     expectation,
     make_trajectory,
@@ -707,3 +708,21 @@ class TestSteadyState:
             assert np.max(np.abs(rho - evolved)) < 1e-8
             assert expectation(build_space(spec).n_e, rho).real == 0.0
             assert abs(np.trace(rho) - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("entry,limit,message", [
+        ((0, 1), 1e-10, "not Hermitian within 1e-10"),
+        ((3, 3), -1e-8, "not positive"),
+        ((0, 0), 1e-8, "trace .* deviates from 1"),
+    ])
+    def test_state_check_thresholds(self, entry, limit, message):
+        rho = np.diag([0.5, 0.3, 0.2, 0.0]).astype(complex)
+        for factor, passes in ((0.5, True), (2.0, False)):
+            state = rho.copy()
+            state[entry] += factor * limit
+            if entry == (3, 3):
+                state[0, 0] -= factor * limit  # the trace stays 1
+            if passes:
+                assert _sanitize_state(state) is state
+            else:
+                with pytest.raises(ConvergenceFailure, match=message):
+                    _sanitize_state(state)
