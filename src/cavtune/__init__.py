@@ -42,7 +42,6 @@ from .tuning import (
     ThermoOpticModel,
     TuningProfile,
     fp_shift_at,
-    sample_profile,
     thermo_shift,
 )
 from .spectra import (

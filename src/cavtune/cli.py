@@ -27,7 +27,7 @@ from .config import (
 from .errors import CavtuneError, ConvergenceFailure, NumericalFailure, SchemaError
 from .fitting import FitOptions, fit as run_fit, read_anticrossing_csv
 from .render import render_csv_file
-from .runs import format_number, run_dynamic, run_static_sweep, write_json
+from .runs import run_dynamic, run_static_sweep, write_csv, write_json
 
 
 def _resolve_config(config_path, scenario):
@@ -127,10 +127,8 @@ def cmd_fit(data_csv, config_path, outdir, seed):
         out = Path(outdir)
         out.mkdir(parents=True, exist_ok=True)
         write_json(out / "fit.json", result.to_dict())
-        with open(out / "residuals.csv", "w", encoding="utf-8", newline="") as fh:
-            fh.write("index,weighted_residual\n")
-            for i, r in enumerate(result.weighted_residuals):
-                fh.write(f"{i},{format_number(r)}\n")
+        write_csv(out / "residuals.csv", ["index", "weighted_residual"],
+                  enumerate(result.weighted_residuals))
     click.echo(
         f"fit {'converged' if result.converged else 'DID NOT CONVERGE'} "
         f"in {result.n_evals} evaluations ({time.monotonic() - started:.1f} s); "
@@ -146,17 +144,14 @@ def cmd_fit(data_csv, config_path, outdir, seed):
 @main.command("render")
 @click.argument("csv_in", type=click.Path(exists=True, dir_okay=False))
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), required=True)
-@click.option("--format", "fmt", type=click.Choice(["auto", "svg", "ppm"]), default="auto",
-              show_default=True)
 @click.option("--colormap", type=click.Choice(["heat", "gray"]), default="heat",
               show_default=True)
 @click.option("--log", "log_scale", is_flag=True, default=False,
               help="Log-scale heatmap normalization.")
-def cmd_render(csv_in, out_path, fmt, colormap, log_scale):
-    """Render an emitted CSV to SVG (curves) or PPM (heatmaps)."""
+def cmd_render(csv_in, out_path, colormap, log_scale):
+    """Render an emitted CSV: a map to a PPM heatmap, any other layout to an SVG plot."""
     with _exit_on_error(out_path):
-        written = render_csv_file(csv_in, out_path, fmt=fmt, colormap=colormap,
-                                  log_scale=log_scale)
+        written = render_csv_file(csv_in, out_path, colormap=colormap, log_scale=log_scale)
     click.echo(f"wrote {written}")
 
 

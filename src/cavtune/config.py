@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -31,7 +31,7 @@ from .tuning import (
     PumpSchedule,
     ThermoOpticModel,
     TuningProfile,
-    thermo_shift,
+    fp_shift_at,
 )
 
 SCHEMA_VERSION = 1
@@ -227,6 +227,22 @@ def config_hash(raw: dict) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
+def delay_prefix(delay_ps: float) -> str:
+    """Prefix of the output files of the run at ``delay_ps``: the delay rounded to whole ps."""
+    return f"delay{delay_ps:.0f}_"
+
+
+def _read_filter(f: _Section, lambda_grid: Optional[np.ndarray]) -> tuple:
+    """``(lambda_nm, fwhm_nm)`` of one filter, centred on the map's wavelength grid if any."""
+    lam, fwhm = f.number("lambda_nm", minimum=1e-6), f.number("fwhm_nm", 0.5)
+    if not fwhm > 0.0:
+        f.fail("fwhm_nm", f"must be positive, got {fwhm}")
+    if lambda_grid is not None and not lambda_grid[0] <= lam <= lambda_grid[-1]:
+        f.fail("lambda_nm", f"must lie in grids.lambda_nm [{lambda_grid[0]}, "
+                            f"{lambda_grid[-1]}], got {lam}")
+    return lam, fwhm
+
+
 def load_config(raw: dict) -> RunConfig:
     """Validate a config document and resolve it into domain objects."""
     root = _Section(raw, "")
@@ -270,16 +286,14 @@ def load_config(raw: dict) -> RunConfig:
             for p in profile_node.sections("pulses")
         ),
     )
-    fp_shift = profile.static_detuning_nm
-    if profile.thermo is not None:
-        fp_shift += thermo_shift(profile.thermo)
     # free-carrier absorption hook: constant multiplier on the FP loss rate
     kappa_fp_scale = profile_node.number("kappa_fp_scale", 1.0, minimum=1e-6)
     omega_t = wl_to_omega(lambda_t)
     params = system.build(lambda: SystemParams(
         EmitterParams(omega_t if lambda0 is None else wl_to_omega(lambda0), g, gamma_leaky),
         BareMode(omega_t, kappa_t),
-        BareMode(wl_to_omega(lambda_t + fp_shift), kappa_fp * kappa_fp_scale),
+        BareMode(wl_to_omega(lambda_t + fp_shift_at(replace(profile, pulses=()), 0.0)),
+                 kappa_fp * kappa_fp_scale),
         eta,
         schedule,
     ))
@@ -297,6 +311,9 @@ def load_config(raw: dict) -> RunConfig:
     delays = root.numbers("delays_ps", None)
     if delays is not None and len(profile.pulses) != 1:
         root.fail("delays_ps", "delay scans need exactly one template pulse in profile.pulses")
+    if delays is not None and len(set(map(delay_prefix, delays))) < len(delays):
+        root.fail("delays_ps", f"delays name their outputs rounded to whole ps, so they must "
+                               f"differ when rounded, got {delays}")
 
     spectra, solver, render = (root.section(k, {}) for k in ("spectra", "solver", "render"))
     fit = root.section("fit", {})
@@ -310,8 +327,7 @@ def load_config(raw: dict) -> RunConfig:
         detuning_grid_nm=detuning_grid,
         time_grid_ps=time_grid,
         lambda_grid_nm=lambda_grid,
-        filters=[(f.number("lambda_nm", minimum=1e-6), f.number("fwhm_nm", 0.5))
-                 for f in root.sections("filters")],
+        filters=[_read_filter(f, lambda_grid) for f in root.sections("filters")],
         collection_exponent=spectra.number("collection_exponent", 1.0, minimum=0.0),
         irf_sigma_ps=spectra.number("irf_sigma_ps", 0.0, minimum=0.0),
         hilbert=solver.build(HilbertSpec, solver.integer("n_max", 2, minimum=1)),

@@ -32,6 +32,9 @@ DEFAULT_SIGMA_TAU_FRAC = 0.10
 _PENALTY = 1e8
 
 _CSV_COLUMNS = ("control", "lambda1", "lambda2", "q1", "q2", "tau")
+# the only uncertainty columns the fit reads: lambda1_err weights both
+# wavelength branches and q1_err both Q branches
+_ERR_COLUMNS = ("lambda1_err", "q1_err", "tau_err")
 _UNIT_SUFFIXES = ("_nm", "_mw", "_ns")
 
 
@@ -108,12 +111,7 @@ class AnticrossingData:
         return s_lam, s_q, s_tau
 
 
-_HEADER_ALIASES = {
-    "detuning": "control",
-    "detuning_err": "control_err",
-    "power": "control",
-    "power_err": "control_err",
-}
+_HEADER_ALIASES = {"detuning": "control", "power": "control"}
 
 
 def _normalize_header(name: str) -> str:
@@ -126,7 +124,8 @@ def _normalize_header(name: str) -> str:
 
 
 def read_anticrossing_csv(source, control_kind: Optional[str] = None) -> AnticrossingData:
-    """Ingest the fixed CSV schema: control, lambda1, lambda2, q1, q2, tau (+ *_err).
+    """Ingest the fixed CSV schema: control, lambda1, lambda2, q1, q2, tau (+ lambda1_err,
+    q1_err, tau_err).
 
     Unit-suffixed header variants (``control_nm``, ``lambda1_nm``, ``tau_ns``, etc.)
     are accepted; a ``control_mw`` header implies a power control column.
@@ -153,10 +152,12 @@ def read_anticrossing_csv(source, control_kind: Optional[str] = None) -> Anticro
     for required in ("control", "lambda1", "lambda2"):
         if required not in columns:
             raise SchemaError(f"missing required column {required!r} in header")
-    known = set(_CSV_COLUMNS) | {c + "_err" for c in _CSV_COLUMNS}
-    unknown = [c for c in columns if c not in known]
+    unknown = [c for c in columns if c not in _CSV_COLUMNS + _ERR_COLUMNS]
     if unknown:
-        raise SchemaError(f"unknown column(s) {unknown} in header")
+        raise SchemaError(
+            f"unknown column(s) {unknown} in header "
+            f"(the uncertainty columns are {', '.join(_ERR_COLUMNS)})"
+        )
 
     rows = []
     for line_no, row in enumerate(reader, start=2):

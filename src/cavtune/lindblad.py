@@ -53,7 +53,6 @@ from .tuning import (
 class OperatorSet:
     """Dense operators over the (emitter, target, FP) product basis."""
 
-    n_max: int
     dim: int
     sigma_minus: np.ndarray
     sigma_plus: np.ndarray
@@ -79,7 +78,6 @@ def build_space(spec: HilbertSpec) -> OperatorSet:
     a_t = np.kron(i2, np.kron(a, im))
     a_fp = np.kron(i2, np.kron(im, a))
     return OperatorSet(
-        n_max=spec.n_max,
         dim=2 * m * m,
         sigma_minus=sigma_minus,
         sigma_plus=sigma_minus.T.copy(),
@@ -273,7 +271,6 @@ class Trajectory:
     n_fp: np.ndarray
     n1: np.ndarray
     n2: np.ndarray
-    coherence: np.ndarray  # <a_t^dag a_fp>
     lambda1_nm: np.ndarray
     lambda2_nm: np.ndarray
     kappa1: np.ndarray  # rad/s
@@ -472,7 +469,6 @@ def make_trajectory(params, profile, t_grid, states) -> Trajectory:
         n_fp=n_fp,
         n1=n1,
         n2=n2,
-        coherence=coherence,
         lambda1_nm=omega_to_wl(cm.omega1),
         lambda2_nm=omega_to_wl(cm.omega2),
         kappa1=cm.kappa1,

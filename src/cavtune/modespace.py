@@ -384,24 +384,24 @@ def _decay_time(params: SystemParams, coupled: CoupledModes):
 
 
 @dataclass(frozen=True)
-class SweepRow:
-    detuning: float  # rad/s, applied to the FP mode
-    lambda1_nm: float
-    lambda2_nm: float
-    q1: float
-    q2: float
-    decay_time_s: float
-    degenerate: bool
+class Sweep:
+    """The coupled pair over a detuning grid: one array per column, in grid order."""
+
+    lambda1_nm: np.ndarray
+    lambda2_nm: np.ndarray
+    q1: np.ndarray
+    q2: np.ndarray
+    decay_time_s: np.ndarray
+    degenerate: np.ndarray
 
 
-def anticrossing_sweep(params: SystemParams, detuning_grid: Sequence[float]) -> list[SweepRow]:
-    """Couple the cavity pair at each detuning; one row per grid point, input order."""
+def anticrossing_sweep(params: SystemParams, detuning_grid: Sequence[float]) -> Sweep:
+    """Couple the cavity pair with each detuning (rad/s) added to the FP frequency."""
     grid = np.asarray(detuning_grid, dtype=float)
     if grid.size == 0:
         raise InvalidInput("detuning grid must be non-empty")
     if not np.all(np.isfinite(grid)):
         raise InvalidInput("detuning grid must be finite")
     cm = couple(params.target, BareMode(params.fp.omega + grid, params.fp.kappa), params.eta)
-    columns = (grid, cm.wavelength_nm(1), cm.wavelength_nm(2), cm.q(1), cm.q(2),
-               _decay_time(params, cm), cm.degenerate)
-    return [SweepRow(*row) for row in zip(*(c.tolist() for c in columns))]
+    return Sweep(cm.wavelength_nm(1), cm.wavelength_nm(2), cm.q(1), cm.q(2),
+                 _decay_time(params, cm), cm.degenerate)

@@ -194,10 +194,11 @@ def sniff_csv(path) -> tuple[str, list, np.ndarray]:
     raise SchemaError(f"{path}: unrecognized CSV layout with header {header}")
 
 
-def render_csv_file(
-    path, out_path, fmt: str = "auto", colormap: str = "heat", log_scale: bool = False
-) -> Path:
-    """Render an emitted CSV to SVG (curves) or PPM (maps)."""
+def render_csv_file(path, out_path, colormap: str = "heat", log_scale: bool = False) -> Path:
+    """Render an emitted CSV: a map to a PPM heatmap, a curve or sweep to an SVG plot.
+
+    The CSV's layout alone decides the format, whatever ``out_path``'s suffix.
+    """
     kind, header, data = sniff_csv(path)
     out_path = Path(out_path)
     if kind == "map":
@@ -206,8 +207,6 @@ def render_csv_file(
         if t_vals.size * lam_vals.size != data.shape[0]:
             raise SchemaError(f"{path}: map grid is not complete")
         grid = data[:, 2].reshape(t_vals.size, lam_vals.size)
-        if fmt == "svg":
-            raise SchemaError("SVG heatmaps are not supported; use PPM (P6)")
         ppm = render_heatmap_ppm(grid, colormap=colormap, log_scale=log_scale)
         out_path.write_bytes(ppm)
         return out_path

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .config import RunConfig, config_hash
+from .config import RunConfig, config_hash, delay_prefix
 from .errors import CavtuneError, InvalidInput, NoFeature
 from .modespace import anticrossing_sweep, wl_to_omega
 from .spectra import (
@@ -27,7 +27,7 @@ from .spectra import (
     irf_convolve,
     synthesize_map,
 )
-from .tuning import FreeCarrierPulse, HilbertSpec, TuningProfile
+from .tuning import HilbertSpec, TuningProfile
 
 
 # every number in the CSV outputs; write_map_csv formats with it directly
@@ -71,24 +71,18 @@ def run_static_sweep(cfg: RunConfig, outdir: Path, render: bool = False):
     started = time.monotonic()
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    omega_t = cfg.params.target.omega
-    lambda_t = cfg.lambda_t_nm
     grid_nm = cfg.detuning_grid_nm
-    grid_rad = np.array([wl_to_omega(lambda_t + d) - omega_t for d in grid_nm])
-    # the sweep detunes relative to params.fp; rebase so detuning 0 sits at lambda_t
-    base_offset = cfg.params.fp.omega - omega_t
-    rows = anticrossing_sweep(cfg.params, grid_rad - base_offset)
+    # the sweep detunes params.fp: each grid point puts the FP mode at lambda_t + detuning
+    omega_fp = wl_to_omega(cfg.lambda_t_nm + grid_nm)
+    sweep = anticrossing_sweep(cfg.params, omega_fp - cfg.params.fp.omega)
 
-    csv_rows = [
-        (d_nm, r.lambda1_nm, r.lambda2_nm, r.q1, r.q2, r.decay_time_s * 1e9)
-        for d_nm, r in zip(grid_nm, rows)
-    ]
     outputs = []
     sweep_csv = outdir / "sweep.csv"
     write_csv(
         sweep_csv,
         ["detuning_nm", "lambda1_nm", "lambda2_nm", "q1", "q2", "tau_ns"],
-        csv_rows,
+        zip(grid_nm, sweep.lambda1_nm, sweep.lambda2_nm, sweep.q1, sweep.q2,
+            sweep.decay_time_s * 1e9),
     )
     outputs.append(sweep_csv.name)
     if render:
@@ -101,7 +95,7 @@ def run_static_sweep(cfg: RunConfig, outdir: Path, render: bool = False):
         for name, fields, y_label, what in plots:
             svg = render_curve_svg(
                 x=grid_nm,
-                series=[(f, [getattr(r, f) for r in rows]) for f in fields],
+                series=[(f, getattr(sweep, f)) for f in fields],
                 x_label="detuning_nm",
                 y_label=y_label,
                 title=f"{cfg.scenario}: coupled-mode {what}",
@@ -265,9 +259,7 @@ def _emit_dynamic_outputs(outdir: Path, prefix: str, pl_map: PLMap, curves, cfg:
 
 def _truncation_drift(cfg: RunConfig, profile, base_result) -> dict:
     """Re-run one Fock level higher and report the worst relative drift."""
-    import dataclasses
-
-    bigger = dataclasses.replace(cfg, hilbert=HilbertSpec(cfg.hilbert.n_max + 1))
+    bigger = replace(cfg, hilbert=HilbertSpec(cfg.hilbert.n_max + 1))
     traj_a, _, curves_a = base_result
     traj_b, _, curves_b = simulate_dynamic(bigger, profile)
     drift = 0.0
@@ -310,7 +302,7 @@ def run_dynamic(cfg: RunConfig, outdir: Path, render: bool = False):
         metrics = {"scenario": cfg.scenario, "delays": []}
         for i, (delay, result) in enumerate(zip(cfg.delays_ps, runs)):
             _, pl_map, curves = result
-            prefix = f"delay{delay:.0f}_"
+            prefix = delay_prefix(delay)
             outputs += _emit_dynamic_outputs(outdir, prefix, pl_map, curves, cfg, render)
             window = (delay - 500.0, delay)
             entries = []
@@ -363,18 +355,7 @@ def calibrate_burst_tau_fc(
     rho0 = initial_state_for(cfg)
 
     def fwhm_for(tau: float) -> float:
-        base = cfg.profile.pulses[0]
-        pulse = FreeCarrierPulse(
-            t0_ps=base.t0_ps,
-            delta_lambda_max_nm=base.delta_lambda_max_nm,
-            tau_fc_ps=tau,
-            tau_rise_ps=base.tau_rise_ps,
-        )
-        profile = TuningProfile(
-            static_detuning_nm=cfg.profile.static_detuning_nm,
-            thermo=cfg.profile.thermo,
-            pulses=(pulse,),
-        )
+        profile = replace(cfg.profile, pulses=(replace(cfg.profile.pulses[0], tau_fc_ps=tau),))
         _, _, curves = simulate_dynamic(cfg, profile, rho0=rho0.copy())
         return burst_metrics(curves[0], cfg.baseline_window_ps).fwhm_ps
 

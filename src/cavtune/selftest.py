@@ -226,7 +226,6 @@ def _check_map_area():
         n_fp=np.zeros(n),
         n1=np.ones(n),
         n2=np.zeros(n),
-        coherence=np.zeros(n, dtype=complex),
         lambda1_nm=np.full(n, lam_t),
         lambda2_nm=np.full(n, lam_t + 5.0),
         kappa1=np.full(n, kappa),

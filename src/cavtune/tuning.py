@@ -13,12 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .errors import InvalidInput
-from .modespace import BareMode, wl_to_omega
 
 SECONDS_PER_PS = 1e-12  # multiplies rad/s rates into rad/ps
 _FWHM_TO_SIGMA = 1.0 / (2.0 * np.sqrt(2.0 * np.log(2.0)))
@@ -87,30 +86,23 @@ def fp_shift_at(profile: TuningProfile, t_ps):
     """FP wavelength shift (nm, relative to lambda_t) at time(s) ``t_ps``.
 
     Pulses with arrival times in the future of ``t_ps`` contribute nothing.
+    An array of times is answered by :func:`fp_shift_scalar` at each time, so
+    the model is written once and every caller sees the same bits.
     """
     t = np.asarray(t_ps, dtype=float)
     if not np.all(np.isfinite(t)):
         raise InvalidInput("evaluation time must be finite")
     if t.ndim == 0:
         return fp_shift_scalar(profile, float(t))
-    shift = np.full(t.shape, profile.static_detuning_nm, dtype=float)
-    if profile.thermo is not None:
-        shift += thermo_shift(profile.thermo)
-    for pulse in profile.pulses:
-        dt = t - pulse.t0_ps
-        env = np.exp(-np.clip(dt, 0.0, None) / pulse.tau_fc_ps)
-        if pulse.tau_rise_ps > 0.0:
-            env = env * (1.0 - np.exp(-np.clip(dt, 0.0, None) / pulse.tau_rise_ps))
-        shift -= np.where(dt >= 0.0, pulse.delta_lambda_max_nm * env, 0.0)
-    return shift
+    shifts = [fp_shift_scalar(profile, tk) for tk in t.ravel().tolist()]
+    return np.array(shifts, dtype=float).reshape(t.shape)
 
 
 def fp_shift_scalar(profile: TuningProfile, t_ps: float) -> float:
-    """:func:`fp_shift_at` at one float time, in float arithmetic and unchecked.
+    """The shift model at one float time, in float arithmetic and unchecked.
 
     The master-equation integrator calls this on every right-hand-side
-    evaluation, where the array path would cost more than the step it feeds;
-    :func:`fp_shift_at` answers a scalar time through it.
+    evaluation, where array arithmetic would cost more than the step it feeds.
     """
     shift = float(profile.static_detuning_nm)
     if profile.thermo is not None:
@@ -123,26 +115,6 @@ def fp_shift_scalar(profile: TuningProfile, t_ps: float) -> float:
                 env *= 1.0 - math.exp(-dt / pulse.tau_rise_ps)
             shift -= pulse.delta_lambda_max_nm * env
     return shift
-
-
-def sample_profile(
-    profile: TuningProfile,
-    t_grid_ps: Sequence[float],
-    lambda_t_nm: float,
-    kappa_fp: float,
-) -> list[BareMode]:
-    """FP-mode snapshots over a strictly increasing time grid.
-
-    The FP frequency tracks ``lambda_t + shift(t)``; the loss rate is held
-    constant at ``kappa_fp``.
-    """
-    t = np.asarray(t_grid_ps, dtype=float)
-    if t.size == 0:
-        raise InvalidInput("time grid must be non-empty")
-    if t.size > 1 and not np.all(np.diff(t) > 0.0):
-        raise InvalidInput("time grid must be strictly increasing")
-    shifts = np.atleast_1d(fp_shift_at(profile, t))
-    return [BareMode(wl_to_omega(lambda_t_nm + s), kappa_fp) for s in shifts]
 
 
 @dataclass(frozen=True)

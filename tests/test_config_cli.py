@@ -119,11 +119,15 @@ GAP_ROWS = [
     ("fit", "max_evals", -5, "fit.max_evals"),
     ("pump", "pulses", [{"t0_ps": 0.0, "area": 1.0, "width_ps": 0.0}], "pump.pulses[0]"),
     ("pump", "mode", "bogus", "pump.mode"),
+    (None, "filters", [{"lambda_nm": 1552.2, "fwhm_nm": 0.0}], "filters[0].fwhm_nm"),
+    (None, "filters", [{"lambda_nm": 1549.0}], "filters[0].lambda_nm"),
+    (None, "delays_ps", [1500.4, 1499.6], "delays_ps"),
 ]
 
 
 def gap_config(section, key, value):
-    raw = scenario_config("fig2-sweep")
+    # a dynamic scenario, since filters and delays are read against its grids and pulse
+    raw = scenario_config("fig3-burst")
     (raw.setdefault(section, {}) if section else raw)[key] = value
     return raw
 

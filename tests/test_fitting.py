@@ -94,6 +94,24 @@ class TestDataIngest:
                 io.StringIO("control,lambda1,lambda2\n1,1551,1553\n2,1551,1553\n3,1551,1553\n")
             )
 
+    @pytest.mark.parametrize(
+        "column", ["control_err", "detuning_err", "lambda2_err", "lambda2_err_nm", "q2_err"]
+    )
+    def test_unread_error_columns_rejected(self, column):
+        # lambda1_err and q1_err weight both branches: an error column the fit
+        # would drop must not pass the header check
+        rows = "\n".join(f"{c},1551,1553,1e-4" for c in range(5))
+        header = f"control,lambda1,lambda2,{column}\n"
+        with pytest.raises(SchemaError, match=f"unknown column.*'{column.removesuffix('_nm')}'"):
+            read_anticrossing_csv(io.StringIO(header + rows))
+
+    def test_read_error_columns_accepted(self):
+        rows = "\n".join(f"{c},1551,1553,1000,2000,1,0.01,50,0.1" for c in range(5))
+        header = "control,lambda1,lambda2,q1,q2,tau,lambda1_err,q1_err,tau_err\n"
+        data = read_anticrossing_csv(io.StringIO(header + rows))
+        assert np.all(data.sigma_lambda == 0.01) and np.all(data.sigma_q == 50)
+        assert np.all(data.sigma_tau == 0.1)
+
 
 class TestModelAgainstEig:
     def test_predictions_match_numpy_eig(self):

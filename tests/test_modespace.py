@@ -192,10 +192,8 @@ class TestCouple:
         grid_nm = np.linspace(-1.5, 1.5, 2001)
         omega_t = p.target.omega
         grid_rad = wl_to_omega(LAMBDA_T + grid_nm) - omega_t
-        rows = anticrossing_sweep(p, grid_rad)
-        lam1 = np.array([r.lambda1_nm for r in rows])
-        q1 = np.array([r.q1 for r in rows])
-        flagged = np.array([r.degenerate for r in rows])
+        sweep = anticrossing_sweep(p, grid_rad)
+        lam1, q1, flagged = sweep.lambda1_nm, sweep.q1, sweep.degenerate
         # sqrt branch behavior near the exceptional point allows O(sqrt(step)) jumps
         assert np.max(np.abs(np.diff(lam1))) < 0.06
         away = np.abs(grid_nm[:-1]) > 0.05
@@ -413,21 +411,22 @@ class TestSweep:
         p = make_params()
         grid_nm = np.linspace(-1.5, 1.5, 121)
         grid_rad = wl_to_omega(LAMBDA_T + grid_nm) - p.target.omega
-        rows = anticrossing_sweep(p, grid_rad)
-        assert len(rows) == 121
-        assert [r.detuning for r in rows] == sorted(
-            (r.detuning for r in rows), reverse=True
-        )  # positive nm detuning = negative rad detuning: input order kept
-        splitting = np.array([abs(r.lambda1_nm - r.lambda2_nm) for r in rows])
+        sweep = anticrossing_sweep(p, grid_rad)
+        assert all(column.shape == (121,) for column in vars(sweep).values())
+        # positive nm detuning = negative rad detuning: input order kept
+        reversed_sweep = anticrossing_sweep(p, grid_rad[::-1])
+        for name, column in vars(sweep).items():
+            assert np.array_equal(getattr(reversed_sweep, name), column[::-1]), name
+        splitting = np.abs(sweep.lambda1_nm - sweep.lambda2_nm)
         assert np.argmin(splitting) == 60  # detuning 0 at the grid midpoint
 
     def test_far_rows_near_bare_modes(self):
         p = make_params()
         d = 10 * ETA
-        rows = anticrossing_sweep(p, [-d, d])
-        for row, sign in zip(rows, (-1, 1)):
+        sweep = anticrossing_sweep(p, [-d, d])
+        for k, sign in enumerate((-1, 1)):
             lam_fp = omega_to_wl(p.fp.omega + sign * d)
-            lams = sorted([row.lambda1_nm, row.lambda2_nm])
+            lams = sorted([sweep.lambda1_nm[k], sweep.lambda2_nm[k]])
             bare = sorted([LAMBDA_T, lam_fp])
             # residual level repulsion at 10 eta is eta/10 ~ 0.02 nm
             assert lams[0] == pytest.approx(bare[0], abs=0.05)
@@ -437,9 +436,9 @@ class TestSweep:
 
     def test_q_drop_factor_at_zero_detuning(self):
         p = make_params()
-        rows = anticrossing_sweep(p, [0.0])
+        sweep = anticrossing_sweep(p, [0.0])
         q_t = q_factor(p.target)
-        assert min(rows[0].q1, rows[0].q2) / q_t == pytest.approx(0.5, abs=1e-9)
+        assert min(sweep.q1[0], sweep.q2[0]) / q_t == pytest.approx(0.5, abs=1e-9)
 
     def test_empty_grid_rejected(self, default_params):
         with pytest.raises(InvalidInput):

@@ -16,8 +16,9 @@ from cavtune.runs import (
     simulate_dynamic,
     write_map_csv,
 )
+from cavtune.modespace import BareMode, wl_to_omega
 from cavtune.spectra import PLMap
-from cavtune.tuning import sample_profile
+from cavtune.tuning import fp_shift_at
 
 # on the 4 ps grid from -100 to 2000 ps: on the grid, 1502 off it, -300 before
 # the grid start and 2400 after its end
@@ -124,7 +125,7 @@ def test_initial_state_is_the_steady_state_of_the_config(raw):
     cfg = load_config(raw)
     assert cfg.initial_state == "steady"
     baseline = replace(cfg.profile, pulses=())
-    fp0 = sample_profile(baseline, [0.0], cfg.lambda_t_nm, cfg.params.fp.kappa)[0]
+    fp0 = BareMode(wl_to_omega(cfg.lambda_t_nm + fp_shift_at(baseline, 0.0)), cfg.params.fp.kappa)
     assert fp0 == cfg.params.fp
     expected = steady_state(replace(cfg.params, fp=fp0), spec=cfg.hilbert, frame=cfg.frame)
     assert np.array_equal(initial_state_for(cfg), expected)

@@ -38,7 +38,6 @@ def constant_trajectory(
         n_fp=np.full(n, n2),
         n1=np.full(n, float(n1)),
         n2=np.full(n, float(n2)),
-        coherence=np.zeros(n, dtype=complex),
         lambda1_nm=np.full(n, lam1),
         lambda2_nm=np.full(n, lam2),
         kappa1=np.full(n, kappa1),

@@ -7,12 +7,11 @@ from cavtune import (
     ThermoOpticModel,
     TuningProfile,
     fp_shift_at,
-    sample_profile,
     thermo_shift,
-    wl_to_omega,
 )
-
-KAPPA_FP = 4.692e11
+from cavtune.config import SCENARIO_NAMES, load_config, scenario_config
+from cavtune.runs import delay_profile
+from cavtune.tuning import fp_shift_scalar
 
 
 class TestThermoOptic:
@@ -89,30 +88,14 @@ class TestFpShift:
         prof = TuningProfile(pulses=(p1, p2))
         assert [p.t0_ps for p in prof.pulses] == [-10.0, 500.0]
 
-    def test_validation(self):
-        with pytest.raises(InvalidInput):
-            FreeCarrierPulse(0.0, -0.1, 100.0)
-        with pytest.raises(InvalidInput):
-            FreeCarrierPulse(0.0, 0.1, 0.0)
-        with pytest.raises(InvalidInput):
-            FreeCarrierPulse(0.0, 0.1, 100.0, tau_rise_ps=-1.0)
-
-
-class TestSampleProfile:
     def test_constant_profile(self):
         prof = TuningProfile(static_detuning_nm=0.3)
-        modes = sample_profile(prof, [0.0, 10.0, 20.0], 1552.0, KAPPA_FP)
-        assert len(modes) == 3
-        assert all(m.omega == modes[0].omega for m in modes)
-        assert modes[0].omega == pytest.approx(wl_to_omega(1552.3), rel=1e-14)
+        assert np.array_equal(fp_shift_at(prof, [0.0, 10.0, 20.0]), [0.3, 0.3, 0.3])
 
     def test_monotonic_recovery(self):
         prof = TuningProfile(pulses=(FreeCarrierPulse(0.0, 0.6, 150.0),))
         t = np.linspace(5.0, 1500.0, 200)
-        lam = 2 * np.pi * 2.99792458e17 / np.array(
-            [m.omega for m in sample_profile(prof, t, 1552.0, KAPPA_FP)]
-        )
-        assert np.all(np.diff(lam) > 0.0)  # recovering toward longer wavelength
+        assert np.all(np.diff(fp_shift_at(prof, t)) > 0.0)  # recovering toward longer wavelength
 
     def test_crossing_times_match_analytic_inversion(self):
         # pulse pushes the FP out of the eta-wide resonance window and back
@@ -127,12 +110,38 @@ class TestSampleProfile:
         assert abs(t_out - 0.0) <= dt
         assert abs((t_back + dt) - tau * np.log(amp / thresh)) <= dt
 
-    def test_non_monotonic_grid_rejected(self):
-        prof = TuningProfile()
+    def test_array_shape_kept(self):
+        prof = TuningProfile(static_detuning_nm=0.1, pulses=(FreeCarrierPulse(0.0, 0.6, 150.0),))
+        t = np.linspace(-10.0, 500.0, 12).reshape(3, 4)
+        assert np.array_equal(fp_shift_at(prof, t), fp_shift_at(prof, t.ravel()).reshape(3, 4))
+        assert fp_shift_at(prof, np.array([])).shape == (0,)
         with pytest.raises(InvalidInput):
-            sample_profile(prof, [0.0, 10.0, 5.0], 1552.0, KAPPA_FP)
+            fp_shift_at(prof, [0.0, np.nan])
 
-    def test_kappa_held_constant(self):
-        prof = TuningProfile(pulses=(FreeCarrierPulse(0.0, 0.6, 150.0),))
-        modes = sample_profile(prof, np.linspace(-10, 500, 20), 1552.0, KAPPA_FP)
-        assert all(m.kappa == KAPPA_FP for m in modes)
+    def test_validation(self):
+        with pytest.raises(InvalidInput):
+            FreeCarrierPulse(0.0, -0.1, 100.0)
+        with pytest.raises(InvalidInput):
+            FreeCarrierPulse(0.0, 0.1, 0.0)
+        with pytest.raises(InvalidInput):
+            FreeCarrierPulse(0.0, 0.1, 100.0, tau_rise_ps=-1.0)
+
+
+def _shipped_profiles():
+    """Each profile a shipped dynamic scenario integrates, with its time grid."""
+    for name in SCENARIO_NAMES:
+        cfg = load_config(scenario_config(name))
+        if cfg.time_grid_ps is None:
+            continue
+        yield name, cfg.profile, cfg.time_grid_ps
+        for delay in cfg.delays_ps or ():
+            yield f"{name}@{delay:g}", delay_profile(cfg, delay), cfg.time_grid_ps
+
+
+@pytest.mark.parametrize(
+    "profile,t", [p[1:] for p in _shipped_profiles()], ids=[p[0] for p in _shipped_profiles()]
+)
+def test_array_shift_is_the_scalar_model_bit_for_bit(profile, t):
+    # the trajectory's coupled modes and the integrator's RHS read the same model
+    scalar = np.array([fp_shift_scalar(profile, tk) for tk in t.tolist()])
+    assert np.array_equal(fp_shift_at(profile, t), scalar)
