@@ -31,7 +31,6 @@ from .modespace import (
     omega_to_wl,
     q_factor,
     se_rate_ratio,
-    total_decay_time,
     wl_to_omega,
 )
 from .tuning import (

@@ -287,7 +287,8 @@ class Trajectory:
 def _segment_breakpoints(
     profile: TuningProfile, pump: PumpSchedule, t0: float, t1: float, extra: Sequence[float]
 ):
-    """Times where the RHS is non-smooth, the ``extra`` times, and locally required step caps."""
+    """Times where the RHS is non-smooth, the ``extra`` times, locally required step caps, and
+    the instant pump area at each event time in ``[t0, t1)``, summed: the pump maps commute."""
     points = set(extra)
     caps = []  # (a, b, max_step)
     for p in profile.pulses:
@@ -301,13 +302,14 @@ def _segment_breakpoints(
             points.add(p.t0_ps - 5.0 * s)
             points.add(p.t0_ps + 5.0 * s)
             caps.append((p.t0_ps - 5.0 * s, p.t0_ps + 5.0 * s, max(s / 2.0, 1e-3)))
-    events = []
+    kicks = {}
     if pump.mode == "instant":
-        events = [p for p in pump.pulse_events if t0 < p.t0_ps <= t1]
-        for p in events:
-            points.add(p.t0_ps)
+        for p in pump.pulse_events:
+            if t0 <= p.t0_ps < t1:
+                kicks[p.t0_ps] = kicks.get(p.t0_ps, 0.0) + p.area
+                points.add(p.t0_ps)
     pts = sorted(t for t in points if t0 < t < t1)
-    return [t0] + pts + [t1], caps, events
+    return [t0] + pts + [t1], caps, kicks
 
 
 def _max_step_for(a: float, b: float, caps) -> float:
@@ -316,10 +318,6 @@ def _max_step_for(a: float, b: float, caps) -> float:
         if a < cb and b > ca:  # overlap
             step = min(step, cap)
     return max(step, 1e-6)
-
-
-def _instant_pump_map(gen: _Generator, area: float) -> sparse.csc_matrix:
-    return sparse_expm((area * gen.l_pump).tocsc())
 
 
 def evolve(
@@ -342,7 +340,8 @@ def evolve(
     restarts at every pulse onset and at each time of ``breakpoints_ps``, so
     the state recorded at such a time is the end of an integrator segment.  A free-carrier pulse
     that starts at a grid time acts only after the state there is recorded,
-    and so does an instant pump event.  The right-hand side computes only the
+    and so does an instant pump event, also at the first grid time; events at
+    one time add their areas.  The right-hand side computes only the
     entries of vec(rho) that ``rho0`` reaches (see :func:`_closure`); the
     others stay exactly 0, so the result is that of the whole generator.
     Raises :class:`InvalidInput` for a non-square ``rho0``, and
@@ -374,16 +373,16 @@ def evolve(
         delta_fp = _delta_fp_fn(params, started, frame)
         return lambda t, y: gen.rhs(y, delta_fp(t), pump.rate_at_ps(t))
 
-    bounds, caps, events = _segment_breakpoints(
+    bounds, caps, kicks = _segment_breakpoints(
         profile, pump, float(t_grid[0]), float(t_grid[-1]), breakpoints_ps
     )
-    event_times = {p.t0_ps: p for p in events}
-    instant_maps = {}
 
     recorded = np.empty((t_grid.size, spec.dim, spec.dim), dtype=complex)
     recorded[0] = rho0
     y = rho0.ravel()
     for a, b in zip(bounds[:-1], bounds[1:]):
+        if a in kicks:  # the state at a is recorded before the pump map acts
+            y = sparse_expm((kicks[a] * full.l_pump).tocsc()) @ y
         rhs = rhs_on(a)
         inside = np.flatnonzero((t_grid > a) & (t_grid <= b))
         t_eval = np.unique(np.append(t_grid[inside], b))
@@ -407,11 +406,6 @@ def evolve(
             ys = sol.y.T
         recorded[inside] = ys[: inside.size].reshape(-1, spec.dim, spec.dim)
         y = ys[-1]
-        if b in event_times:
-            area = event_times[b].area
-            if area not in instant_maps:
-                instant_maps[area] = _instant_pump_map(full, area)
-            y = instant_maps[area] @ y
 
     return make_trajectory(params, profile, t_grid, recorded)
 
@@ -567,16 +561,11 @@ def steady_state(
     emitter with neither coupling nor decay stays in its ground state.  Raises
     :class:`ConvergenceFailure` when the solve is singular, when the residual
     ``||L rho|| / ||rho||`` (rad/ps) is not below ``residual_tol``, or when rho
-    is not a valid state.  An unpumped system returns the vacuum analytically.
+    is not a valid state.  Unpumped, that closure is rho_00 alone: the vacuum.
     """
     if spec is None:
         spec = HilbertSpec(2)
-    pump = params.pump
-    cw = 0.0 if pump is None else pump.cw_rate
-    cavity_cw = 0.0 if pump is None else pump.cavity_cw_rate
-    if cw == 0.0 and cavity_cw == 0.0:
-        return vacuum_state(spec)
-
+    cw = 0.0 if params.pump is None else params.pump.cw_rate
     d = spec.dim
     mat = _Generator(params, spec, frame).matrix(_fixed_delta(params, frame), cw * _PS)
     keep = _closure(mat, vacuum_state(spec).ravel())

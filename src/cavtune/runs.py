@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .config import RunConfig, config_hash, delay_prefix
+from .config import RunConfig, config_hash, curve_stem, delay_prefix
 from .errors import CavtuneError, InvalidInput, NoFeature
 from .modespace import anticrossing_sweep, wl_to_omega
 from .spectra import (
@@ -163,25 +163,17 @@ def delay_scan(cfg: RunConfig):
     and every run starts from the same initial state.  So the reference is
     integrated once, with a segment end at the last grid time at or before
     each delay, and each delayed run copies the reference's record (states
-    and observables) up to that time and integrates only from there.  The state recorded at an instant
-    pump event is the one before the event, so a run never starts at one: it
-    starts at the grid time before.  A run that would start at the first grid
-    time is a full run.  :func:`simulate_dynamic` with :func:`delay_profile`
-    is the from-scratch run this reproduces.
+    and observables) up to that time and integrates only from there.  A run
+    that would start at the first grid time is a full run.
+    :func:`simulate_dynamic` with :func:`delay_profile` is the from-scratch
+    run this reproduces.
     """
     from .lindblad import _splice, evolve, make_trajectory
 
     rho0 = initial_state_for(cfg)
     t_grid = cfg.time_grid_ps
     options = _solver_options(cfg)
-    pump = cfg.params.pump
-    kicks = {p.t0_ps for p in pump.pulse_events} if pump.mode == "instant" else set()
-    starts = []
-    for delay in cfg.delays_ps:
-        k = int(np.searchsorted(t_grid, delay, side="right")) - 1
-        while k > 0 and t_grid[k] in kicks:
-            k -= 1
-        starts.append(max(k, 0))
+    starts = [max(int(np.searchsorted(t_grid, d, side="right")) - 1, 0) for d in cfg.delays_ps]
     reference = evolve(
         cfg.params, replace(cfg.profile, pulses=()), rho0, t_grid,
         breakpoints_ps=t_grid[starts], **options,
@@ -233,7 +225,7 @@ def _emit_dynamic_outputs(outdir: Path, prefix: str, pl_map: PLMap, curves, cfg:
     outputs.append(map_csv.name)
 
     for curve in curves:
-        name = f"{prefix}curve_{curve.center_nm:.2f}nm.csv"
+        name = f"{prefix}{curve_stem(curve.center_nm)}.csv"
         write_csv(outdir / name, ["t_ps", "intensity_au"], zip(curve.t_grid_ps, curve.intensity))
         outputs.append(name)
 
@@ -251,7 +243,7 @@ def _emit_dynamic_outputs(outdir: Path, prefix: str, pl_map: PLMap, curves, cfg:
                 y_label="intensity_au",
                 title=f"{cfg.scenario}: filtered trace at {curve.center_nm:.2f} nm",
             )
-            name = f"{prefix}curve_{curve.center_nm:.2f}nm.svg"
+            name = f"{prefix}{curve_stem(curve.center_nm)}.svg"
             (outdir / name).write_text(svg, encoding="utf-8")
             outputs.append(name)
     return outputs
@@ -291,7 +283,7 @@ def run_dynamic(cfg: RunConfig, outdir: Path, render: bool = False):
         # against a decaying baseline, raw-trace metrics are ill-posed
         _, _, ref_curves = next(runs)
         for ref_curve in ref_curves:
-            name = f"reference_curve_{ref_curve.center_nm:.2f}nm.csv"
+            name = f"reference_{curve_stem(ref_curve.center_nm)}.csv"
             write_csv(
                 outdir / name,
                 ["t_ps", "intensity_au"],

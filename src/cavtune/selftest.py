@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .config import DEFAULT_SYSTEM
 from .lindblad import (
     HilbertSpec,
     PumpSchedule,
@@ -31,21 +32,21 @@ from .modespace import (
     coupled_hamiltonian,
     hamiltonian_bare_basis,
     omega_to_wl,
-    q_factor,
     wl_to_omega,
 )
 from .spectra import DecayCurve, PLMap, apply_filter, burst_metrics, synthesize_map
 from .tuning import FreeCarrierPulse, TuningProfile, fp_shift_at
 
 
-def _default_params(g=1e10, gamma_leaky=5e8, eta=1.564e11, pump=None) -> SystemParams:
-    omega_t = wl_to_omega(1552.0)
-    kappa_t = 1.564e11
+def _default_params(pump=None, **rates) -> SystemParams:
+    """``DEFAULT_SYSTEM``, the FP mode on the target, with ``rates`` (g, gamma_leaky, eta) replaced."""
+    system = {**DEFAULT_SYSTEM, **rates}
+    omega_t = wl_to_omega(system["lambda_t_nm"])
     return SystemParams(
-        EmitterParams(omega_t, g, gamma_leaky),
-        BareMode(omega_t, kappa_t),
-        BareMode(omega_t, 3 * kappa_t),
-        eta,
+        EmitterParams(omega_t, system["g"], system["gamma_leaky"]),
+        BareMode(omega_t, system["kappa_t"]),
+        BareMode(omega_t, system["kappa_fp"]),
+        system["eta"],
         pump or PumpSchedule(),
     )
 
@@ -93,7 +94,7 @@ def _check_exceptional_point():
     target = BareMode(omega, kappa_t)
     fp = BareMode(omega, 3 * kappa_t)
     cm = couple(target, fp, kappa_t)
-    q_t = q_factor(target)
+    q_t = target.q
     r1, r2 = cm.q(1) / q_t, cm.q(2) / q_t
     ok = cm.degenerate and abs(r1 - 0.5) < 1e-6 and abs(r2 - 0.5) < 1e-6
     return ok, f"Q ratios ({r1:.6f}, {r2:.6f}), degenerate={cm.degenerate}"
@@ -110,9 +111,8 @@ def _check_basis_equivalence():
             1e11 * rng.uniform(0, 3),
             PumpSchedule(),
         )
-        cm = couple(p.target, p.fp, p.eta)
         e1 = np.sort_complex(np.linalg.eigvals(hamiltonian_bare_basis(p)))
-        e2 = np.sort_complex(np.linalg.eigvals(coupled_hamiltonian(p, cm)))
+        e2 = np.sort_complex(np.linalg.eigvals(coupled_hamiltonian(p)))
         scale = max(abs(e1).max(), 1.0)
         ok = ok and np.max(np.abs(e1 - e2)) <= 1e-10 * scale
     return ok, "bare/coupled basis eigenvalues agree over 200 draws"

@@ -29,7 +29,6 @@ from cavtune import (
     fock_state,
     hamiltonian_bare_basis,
     liouvillian_apply,
-    q_factor,
     se_rate_ratio,
     synthetic_data,
     wl_to_omega,
@@ -86,7 +85,7 @@ def test_acceptance_1_exceptional_point_q_halving():
         target = BareMode(omega, KAPPA_T)
         fp = BareMode(omega, 3.0 * KAPPA_T)
         cm = couple(target, fp, KAPPA_T)
-        q_t = q_factor(target)
+        q_t = target.q
         assert cm.degenerate
         assert abs(cm.q(1) / q_t - 0.5) < 1e-6
         assert abs(cm.q(2) / q_t - 0.5) < 1e-6
@@ -97,9 +96,8 @@ def test_acceptance_2_basis_equivalence_1000_draws():
         rng = np.random.RandomState(1234)
         for _ in range(1000):
             p = random_valid_system(rng)
-            cm = couple(p.target, p.fp, p.eta)
             e1 = polished_eigenvalues(hamiltonian_bare_basis(p))
-            e2 = polished_eigenvalues(coupled_hamiltonian(p, cm))
+            e2 = polished_eigenvalues(coupled_hamiltonian(p))
             scale = np.abs(e1).max()
             assert np.max(np.abs(e1 - e2)) <= 1e-10 * scale
 

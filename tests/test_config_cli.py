@@ -122,6 +122,7 @@ GAP_ROWS = [
     (None, "filters", [{"lambda_nm": 1552.2, "fwhm_nm": 0.0}], "filters[0].fwhm_nm"),
     (None, "filters", [{"lambda_nm": 1549.0}], "filters[0].lambda_nm"),
     (None, "delays_ps", [1500.4, 1499.6], "delays_ps"),
+    (None, "filters", [{"lambda_nm": 1552.2}, {"lambda_nm": 1552.204}], "filters[1].lambda_nm"),
 ]
 
 

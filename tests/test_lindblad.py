@@ -361,6 +361,31 @@ class TestEvolve:
             assert traj.n_e[i_event] == pytest.approx(before, rel=1e-8)
             assert traj.n_e[i_event + 1] == pytest.approx(after * decay, rel=1e-8)
 
+    @staticmethod
+    def _kicked(events, t):
+        """The run on ``t`` from the vacuum under instant pump events ``(t0_ps, area)``."""
+        pump = PumpSchedule(pulse_events=tuple(PumpPulse(t0, a, 6.0) for t0, a in events),
+                            mode="instant")
+        return evolve(make_params(pump=pump), TuningProfile(), vacuum_state(HilbertSpec(1)), t)
+
+    def test_instant_event_at_first_grid_time_acts_after_it(self):
+        # the state recorded at 0 ps is the vacuum; from there on the run is
+        # the one that reaches the event from -4 ps, bit for bit
+        t = np.linspace(0.0, 20.0, 6)
+        from_event = self._kicked([(0.0, 1.0)], t)
+        from_before = self._kicked([(0.0, 1.0)], np.concatenate([[-4.0], t]))
+        assert np.array_equal(from_event.states[0], vacuum_state(HilbertSpec(1)))
+        assert np.array_equal(from_event.states[1:], from_before.states[2:])
+        assert from_event.n_e[1] > 0.6
+
+    def test_coincident_instant_events_add(self):
+        # two area-0.5 events at one time are one area-1 event: the pump maps commute
+        t = np.linspace(-4.0, 20.0, 7)
+        two = self._kicked([(0.0, 0.5), (0.0, 0.5)], t)
+        one = self._kicked([(0.0, 1.0)], t)
+        assert np.array_equal(two.states, one.states)
+        assert two.n_e[-1] > self._kicked([(0.0, 0.5)], t).n_e[-1] + 0.1
+
     def test_pulse_at_grid_time_acts_after_it(self):
         # The pulse onset t0 ends a segment, whose last stages sit at t0: they
         # take the left limit of the FP shift, so up to t0 the pulsed run is
@@ -433,9 +458,10 @@ class TestBlockEvolve:
 
     The oracle integrates the whole vec(rho) itself: ``solve_ivp`` (or RK4) on
     the full ``_Generator.rhs``, one segment per pulse onset or instant pump
-    event, as ``evolve`` splits the run.  The terms ``evolve`` drops multiply
-    exact zeros, so its states and its step sequence are the oracle's, bit for
-    bit, on any platform.
+    event, as ``evolve`` splits the run.  An instant pump event acts at the
+    start of the segment that begins at it, the first grid time included.
+    The terms ``evolve`` drops multiply exact zeros, so its states and its
+    step sequence are the oracle's, bit for bit, on any platform.
     """
 
     BURST = TuningProfile(pulses=(FreeCarrierPulse(0.0, 0.6, 352.421875),))
@@ -448,13 +474,17 @@ class TestBlockEvolve:
         spec = HilbertSpec(round(np.sqrt(rho0.shape[0] / 2.0)) - 1)
         gen = _Generator(p, spec, "rotating")
         pump = p.pump
-        kicks = {e.t0_ps: e.area for e in pump.pulse_events} if pump.mode == "instant" else {}
+        kicks = {}
+        for e in pump.pulse_events if pump.mode == "instant" else ():
+            kicks[e.t0_ps] = kicks.get(e.t0_ps, 0.0) + e.area
         inner = {q.t0_ps for q in profile.pulses} | set(kicks)
         bounds = [t[0]] + sorted(x for x in inner if t[0] < x < t[-1]) + [t[-1]]
         states = np.zeros((t.size, spec.dim**2), dtype=complex)
         states[0] = y = rho0.ravel()
         nfev = 0
         for a, b in zip(bounds[:-1], bounds[1:]):
+            if a in kicks:
+                y = sparse_expm((kicks[a] * gen.l_pump).tocsc()) @ y
             started = replace(profile, pulses=tuple(q for q in profile.pulses if q.t0_ps <= a))
             delta_fp = _delta_fp_fn(p, started, "rotating")
 
@@ -475,8 +505,6 @@ class TestBlockEvolve:
                 ys = sol.y.T
             states[inside] = ys[: inside.size]
             y = ys[-1]
-            if b in kicks:
-                y = sparse_expm((kicks[b] * gen.l_pump).tocsc()) @ y
         return states.reshape(t.size, spec.dim, spec.dim), nfev
 
     @classmethod
@@ -536,9 +564,13 @@ class TestBlockEvolve:
         k = n[:, None] - n[None, :]
         assert set(np.unique(k[np.any(traj.states != 0.0, axis=0)])) == {-1, 0, 1}
 
-    @pytest.mark.parametrize("fixed_step", [False, True], ids=["adaptive", "fixed-step"])
-    def test_instant_pump_matches_full_space(self, monkeypatch, fixed_step):
-        pump = PumpSchedule(pulse_events=(PumpPulse(100.0, 1.0, 6.0),), mode="instant")
+    @pytest.mark.parametrize(
+        "fixed_step, event_ps",
+        [(False, 100.0), (True, 100.0), (False, T_GRID[0]), (True, T_GRID[0])],
+        ids=["adaptive", "fixed-step", "adaptive-first-grid-time", "fixed-step-first-grid-time"],
+    )
+    def test_instant_pump_matches_full_space(self, monkeypatch, fixed_step, event_ps):
+        pump = PumpSchedule(pulse_events=(PumpPulse(event_ps, 1.0, 6.0),), mode="instant")
         p = make_params(pump=pump)
         step = self.FIXED_STEP_PS if fixed_step else None
         traj = self._check(monkeypatch, p, self.BURST, vacuum_state(HilbertSpec(2)), step)
@@ -626,10 +658,13 @@ class TestModePopulations:
 
 
 class TestSteadyState:
-    def test_unpumped_vacuum(self, default_params):
-        rho = steady_state(default_params, spec=HilbertSpec(1))
-        assert rho[0, 0] == pytest.approx(1.0)
-        assert np.max(np.abs(rho - vacuum_state(HilbertSpec(1)))) < 1e-12
+    def test_unpumped_vacuum(self):
+        # the closure of rho_00 under an unpumped generator is rho_00 alone
+        for n_max in (1, 2, 3):
+            spec = HilbertSpec(n_max)
+            for pump in (None, PumpSchedule()):
+                rho = steady_state(replace(make_params(), pump=pump), spec=spec)
+                assert np.array_equal(rho, vacuum_state(spec))
 
     def test_weak_pump_two_level_estimate(self):
         # rate equations hold away from the anticrossing: far-detuned FP

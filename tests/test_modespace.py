@@ -14,7 +14,6 @@ from cavtune import (
     omega_to_wl,
     q_factor,
     se_rate_ratio,
-    total_decay_time,
     wl_to_omega,
 )
 from cavtune.modespace import decay_rate, pair_modes
@@ -83,10 +82,6 @@ class TestQFactor:
         q1 = q_factor(1e15, 1e11)
         q2 = q_factor(1e15, 2e11)
         assert q1 == 2.0 * q2
-
-    def test_accepts_bare_mode(self):
-        mode = BareMode(1e15, 1e11)
-        assert q_factor(mode) == q_factor(1e15, 1e11)
 
     def test_invalid_kappa(self):
         with pytest.raises(InvalidInput):
@@ -183,9 +178,10 @@ class TestCouple:
             swapped = couple(f, t, eta)
             assert swapped.eigenvalue(1) == pytest.approx(cm.eigenvalue(1), rel=1e-12)
             assert swapped.eigenvalue(2) == pytest.approx(cm.eigenvalue(2), rel=1e-12)
-            # target and FP roles exchange: |alpha| <-> |fp amplitude of mode 1|
-            assert abs(swapped.alpha) == pytest.approx(abs(cm.fp_amp(1)), abs=1e-10)
-            assert abs(swapped.beta) == pytest.approx(abs(cm.fp_amp(2)), abs=1e-10)
+            # target and FP roles exchange: the FP amplitudes of modes 1 and 2
+            # are -beta and alpha
+            assert abs(swapped.alpha) == pytest.approx(abs(cm.beta), abs=1e-10)
+            assert abs(swapped.beta) == pytest.approx(abs(cm.alpha), abs=1e-10)
 
     def test_continuity_over_dense_grid(self, default_params):
         p = make_params()
@@ -309,8 +305,7 @@ class TestPairKernel:
 class TestHamiltonians:
     def test_decoupled_emitter_block_diagonal(self):
         p = make_params(g=0.0, lambda_fp=1551.5)
-        cm = couple(p.target, p.fp, p.eta)
-        h = coupled_hamiltonian(p, cm)
+        h = coupled_hamiltonian(p)
         assert h[0, 1] == 0 and h[0, 2] == 0 and h[1, 0] == 0 and h[2, 0] == 0
         assert h[0, 0] == p.emitter.omega0
 
@@ -319,12 +314,11 @@ class TestHamiltonians:
         cm = couple(p.target, p.fp, p.eta)
         assert cm.degenerate
         with pytest.raises(InvalidInput):
-            coupled_hamiltonian(p, cm)
+            coupled_hamiltonian(p)
 
     def test_uncoupled_cavities_recover_bare_form(self):
         p = make_params(eta=0.0, lambda_fp=1551.0)
-        cm = couple(p.target, p.fp, 0.0)
-        h = coupled_hamiltonian(p, cm)
+        h = coupled_hamiltonian(p)
         bare = hamiltonian_bare_basis(p)
         # mode 1 is the target: emitter couples to it with g, not to mode 2
         assert h[0, 1] == pytest.approx(p.emitter.g)
@@ -334,27 +328,18 @@ class TestHamiltonians:
     def test_complex_symmetric(self, rng):
         for _ in range(20):
             p = random_valid_system(rng)
-            cm = couple(p.target, p.fp, p.eta)
             h1 = hamiltonian_bare_basis(p)
-            h2 = coupled_hamiltonian(p, cm)
+            h2 = coupled_hamiltonian(p)
             assert np.allclose(h1, h1.T)
             assert np.allclose(h2, h2.T)
 
     def test_eigenvalue_multiset_equivalence(self, rng):
         for _ in range(300):
             p = random_valid_system(rng)
-            cm = couple(p.target, p.fp, p.eta)
             e1 = polished_eigenvalues(hamiltonian_bare_basis(p))
-            e2 = polished_eigenvalues(coupled_hamiltonian(p, cm))
+            e2 = polished_eigenvalues(coupled_hamiltonian(p))
             scale = np.abs(e1).max()
             assert np.max(np.abs(e1 - e2)) <= 1e-10 * scale
-
-    def test_inconsistent_pair_rejected(self):
-        p = make_params()
-        other = make_params(eta=0.5 * ETA)
-        cm_other = couple(other.target, other.fp, other.eta)
-        with pytest.raises(InvalidInput):
-            coupled_hamiltonian(p, cm_other)
 
 
 class TestSERateAndDecay:
@@ -377,13 +362,13 @@ class TestSERateAndDecay:
         p = make_params(g=0.0, gamma_leaky=1e9)
         for d_nm in (-1.0, 0.0, 1.0):
             d = wl_to_omega(LAMBDA_T + d_nm) - p.target.omega
-            assert total_decay_time(p, d) == pytest.approx(1e-9, rel=1e-12)
+            assert anticrossing_sweep(p, [d]).decay_time_s[0] == pytest.approx(1e-9, rel=1e-12)
 
     def test_far_detuning_asymptote(self):
         p = make_params()
         gamma_t = p.purcell_rate
         expected = 1.0 / (p.emitter.gamma_leaky + gamma_t)
-        tau = total_decay_time(p, 10 * ETA)
+        tau = anticrossing_sweep(p, [10 * ETA]).decay_time_s[0]
         assert tau == pytest.approx(expected, rel=0.02)
 
     def test_in_mode_rate_change_brackets_reported_factor(self):
@@ -403,7 +388,7 @@ class TestSERateAndDecay:
     def test_zero_rates_invalid(self):
         p = make_params(g=0.0, gamma_leaky=0.0)
         with pytest.raises(InvalidConfiguration):
-            total_decay_time(p, 0.0)
+            anticrossing_sweep(p, [0.0])
 
 
 class TestSweep:
@@ -437,7 +422,7 @@ class TestSweep:
     def test_q_drop_factor_at_zero_detuning(self):
         p = make_params()
         sweep = anticrossing_sweep(p, [0.0])
-        q_t = q_factor(p.target)
+        q_t = p.target.q
         assert min(sweep.q1[0], sweep.q2[0]) / q_t == pytest.approx(0.5, abs=1e-9)
 
     def test_empty_grid_rejected(self, default_params):

@@ -27,9 +27,8 @@ DELAYS = [700.0, 1000.0, 1502.0, -300.0, 2400.0]
 # segment of the reference, and -300 ps is a full run from the initial state
 EXACT = (700.0, -300.0)
 # with an instant pump event at the grid time 0 ps: a delay there and one off
-# the grid just after it.  Their runs start at the grid time before the event,
-# which the from-scratch run does not restart at, yet it passes it in vacuum:
-# they too must be bit-identical.
+# the grid just after it.  Their tails start at the event and apply it first,
+# as the from-scratch run does there: they too must be bit-identical.
 INSTANT_DELAYS = [0.0, 2.0, 700.0, 1502.0, -300.0]
 INSTANT_EXACT = (0.0, 2.0, 700.0, -300.0)
 
