@@ -27,6 +27,7 @@ from scipy.integrate import solve_ivp  # a module-level name: bench/tracer.py wr
 from scipy.sparse.linalg import expm as sparse_expm
 from scipy.sparse.linalg import splu
 
+from .config import SOLVER_ATOL, SOLVER_RTOL
 from .errors import ConvergenceFailure, InvalidInput, NumericalFailure
 from .modespace import (
     BareMode,
@@ -201,6 +202,7 @@ class _Generator:
         return dy
 
     def matrix(self, delta_fp: float, pump: float) -> sparse.csr_matrix:
+        """``L`` at one ``(delta_fp, pump)``: evolve's BDF Jacobian, and what steady_state solves."""
         shift = sparse.diags(delta_fp * self.d_fp)
         return (self.l0 + shift + (pump - self.p_cw) * self.l_pump).tocsr()
 
@@ -325,8 +327,8 @@ def evolve(
     profile: TuningProfile,
     rho0: np.ndarray,
     t_grid_ps: Sequence[float],
-    rtol: float = 1e-8,
-    atol: float = 1e-12,
+    rtol: float = SOLVER_RTOL,
+    atol: float = SOLVER_ATOL,
     frame: str = "rotating",
     fixed_step_ps: Optional[float] = None,
     breakpoints_ps: Sequence[float] = (),
@@ -338,10 +340,13 @@ def evolve(
     ``lambda_t + fp_shift_at(profile, t)``, and only its loss rate comes from
     ``params.fp``; the pump rate follows ``params.pump``.  The integration
     restarts at every pulse onset and at each time of ``breakpoints_ps``, so
-    the state recorded at such a time is the end of an integrator segment.  A free-carrier pulse
-    that starts at a grid time acts only after the state there is recorded,
-    and so does an instant pump event, also at the first grid time; events at
-    one time add their areas.  The right-hand side computes only the
+    the state recorded at such a time is the end of an integrator segment.
+    Each segment is integrated by BDF, with the generator as its Jacobian, at
+    ``rtol``/``atol`` (defaults ``config.SOLVER_RTOL``/``SOLVER_ATOL``), or
+    by RK4 at steps of about ``fixed_step_ps``.  A free-carrier pulse that
+    starts at a grid time acts only after the state there is recorded, and so
+    does an instant pump event, also at the first grid time; events at one
+    time add their areas.  The right-hand side computes only the
     entries of vec(rho) that ``rho0`` reaches (see :func:`_closure`); the
     others stay exactly 0, so the result is that of the whole generator.
     Raises :class:`InvalidInput` for a non-square ``rho0``, and
@@ -365,13 +370,20 @@ def evolve(
     gen = full.restricted(keep)
     pump = params.pump
 
-    def rhs_on(a):
+    def segment_on(a):
         # Only the pulses started by a act on the segment [a, b].  At t = b
         # that is the left limit of delta_fp: a pulse that starts at b stays
-        # out of the stages Dormand-Prince and RK4 evaluate there.
+        # out of the BDF and RK4 evaluations there, and out of the Jacobian.
         started = replace(profile, pulses=tuple(p for p in profile.pulses if p.t0_ps <= a))
         delta_fp = _delta_fp_fn(params, started, frame)
-        return lambda t, y: gen.rhs(y, delta_fp(t), pump.rate_at_ps(t))
+
+        def rhs(t, y):
+            return gen.rhs(y, delta_fp(t), pump.rate_at_ps(t))
+
+        def jac(t, y):
+            return gen.matrix(delta_fp(t), pump.rate_at_ps(t))
+
+        return rhs, jac
 
     bounds, caps, kicks = _segment_breakpoints(
         profile, pump, float(t_grid[0]), float(t_grid[-1]), breakpoints_ps
@@ -383,31 +395,32 @@ def evolve(
     for a, b in zip(bounds[:-1], bounds[1:]):
         if a in kicks:  # the state at a is recorded before the pump map acts
             y = sparse_expm((kicks[a] * full.l_pump).tocsc()) @ y
-        rhs = rhs_on(a)
+        rhs, jac = segment_on(a)
         inside = np.flatnonzero((t_grid > a) & (t_grid <= b))
         t_eval = np.unique(np.append(t_grid[inside], b))
         if fixed_step_ps is not None:
             ys = _rk4_segment(rhs, a, y, t_eval, fixed_step_ps)
         else:
-            sol = solve_ivp(
-                rhs,
-                (a, b),
-                y,
-                method="RK45",
-                t_eval=t_eval,
-                rtol=rtol,
-                atol=atol,
-                max_step=_max_step_for(a, b, caps),
-            )
-            if not sol.success:
-                raise NumericalFailure(
-                    f"integrator failed in segment [{a}, {b}] ps: {sol.message}"
-                )
-            ys = sol.y.T
+            ys = _bdf_segment(rhs, jac, a, b, y, t_eval, rtol, atol, _max_step_for(a, b, caps))
         recorded[inside] = ys[: inside.size].reshape(-1, spec.dim, spec.dim)
-        y = ys[-1]
+        y = ys[-1].copy()
+        del ys  # the segment's output, freed before the next segment and post-processing
 
     return make_trajectory(params, profile, t_grid, recorded)
+
+
+def _bdf_segment(rhs, jac, a, b, y, t_eval, rtol, atol, max_step):
+    """Adaptive BDF from ``(a, y)`` to ``b`` with the Jacobian ``jac``; the states at ``t_eval``,
+    one per row."""
+    # (fun, t_span, y0) positionally, y0 the whole vec(rho): the benchmark's
+    # tracer reads n_max from len(y0)
+    sol = solve_ivp(
+        rhs, (a, b), y, method="BDF", t_eval=t_eval, jac=jac, rtol=rtol, atol=atol,
+        max_step=max_step,
+    )
+    if not sol.success:
+        raise NumericalFailure(f"integrator failed in segment [{a}, {b}] ps: {sol.message}")
+    return sol.y.T
 
 
 def _rk4_segment(rhs, t, y, t_eval, h_target):
@@ -482,12 +495,15 @@ def _state_checks(states: np.ndarray) -> tuple[float, float, float]:
     smallest eigenvalue of the Hermitian parts, over ``states``."""
     traces = np.einsum("tii->t", states)
     trace_dev = float(np.max(np.abs(traces - 1.0)))
-    # the adjoints, then in place (no further state-sized buffer) the Hermitian parts
-    hermitian_parts = np.conj(np.transpose(states, (0, 2, 1)))
-    herm_dev = float(np.max(np.abs(states - hermitian_parts)))
-    hermitian_parts += states
-    hermitian_parts *= 0.5
-    min_eig = float(np.linalg.eigvalsh(hermitian_parts).min())
+    herm_dev, min_eig = 0.0, np.inf
+    # 128 states at a time, so that the temporaries stay small beside the states
+    for chunk in np.split(states, range(128, len(states), 128)):
+        # the adjoints, then in place the Hermitian parts
+        hermitian_parts = np.conj(np.transpose(chunk, (0, 2, 1)))
+        herm_dev = max(herm_dev, float(np.max(np.abs(chunk - hermitian_parts))))
+        hermitian_parts += chunk
+        hermitian_parts *= 0.5
+        min_eig = min(min_eig, float(np.linalg.eigvalsh(hermitian_parts).min()))
     return trace_dev, herm_dev, min_eig
 
 

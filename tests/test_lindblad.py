@@ -32,6 +32,7 @@ from scipy.integrate import solve_ivp as scipy_solve_ivp
 from scipy.sparse.linalg import expm as sparse_expm
 
 from cavtune import lindblad
+from cavtune.config import SOLVER_ATOL, SOLVER_RTOL
 from cavtune.lindblad import (
     Trajectory,
     _closure,
@@ -456,12 +457,17 @@ class TestEvolve:
 class TestBlockEvolve:
     """``evolve``'s right-hand side computes only the entries that rho0 reaches.
 
-    The oracle integrates the whole vec(rho) itself: ``solve_ivp`` (or RK4) on
-    the full ``_Generator.rhs``, one segment per pulse onset or instant pump
-    event, as ``evolve`` splits the run.  An instant pump event acts at the
-    start of the segment that begins at it, the first grid time included.
-    The terms ``evolve`` drops multiply exact zeros, so its states and its
-    step sequence are the oracle's, bit for bit, on any platform.
+    The oracle integrates the whole vec(rho) itself: BDF (or RK4) on the full
+    ``_Generator.rhs``, with the full generator's own ``matrix`` as the
+    Jacobian, one segment per pulse onset or instant pump event, as
+    ``evolve`` splits the run.  An instant pump event acts at the start of
+    the segment that begins at it, the first grid time included.  The terms
+    ``evolve`` drops multiply exact zeros, and its Jacobian is the full one
+    on the kept entries, where the generator does not couple them to the
+    others.  So its states and its step sequence are the oracle's, bit for
+    bit.  For BDF that rests on SuperLU factoring the kept block of the
+    restricted and of the full Jacobian alike, which it does on every case
+    here, though the two patterns are ordered on their own.
     """
 
     BURST = TuningProfile(pulses=(FreeCarrierPulse(0.0, 0.6, 352.421875),))
@@ -491,14 +497,17 @@ class TestBlockEvolve:
             def rhs(tk, v):
                 return gen.rhs(v, delta_fp(tk), pump.rate_at_ps(tk))
 
+            def jac(tk, v):
+                return gen.matrix(delta_fp(tk), pump.rate_at_ps(tk))
+
             inside = np.flatnonzero((t > a) & (t <= b))
             t_eval = np.unique(np.append(t[inside], b))
             if fixed_step_ps is not None:
                 ys = _rk4_segment(rhs, a, y, t_eval, fixed_step_ps)
             else:
                 sol = scipy_solve_ivp(
-                    rhs, (a, b), y, method="RK45", t_eval=t_eval, rtol=1e-8, atol=1e-12,
-                    max_step=b - a,
+                    rhs, (a, b), y, method="BDF", t_eval=t_eval, jac=jac, rtol=SOLVER_RTOL,
+                    atol=SOLVER_ATOL, max_step=b - a,
                 )
                 assert sol.success
                 nfev += sol.nfev
@@ -575,6 +584,65 @@ class TestBlockEvolve:
         step = self.FIXED_STEP_PS if fixed_step else None
         traj = self._check(monkeypatch, p, self.BURST, vacuum_state(HilbertSpec(2)), step)
         assert traj.n_e.max() > 0.1
+
+
+class TestAgainstRK45Oracle:
+    """``evolve`` at the default tolerances against RK45 at rtol 1e-12.
+
+    RK45 is an explicit integrator, independent of the BDF path and its
+    Jacobian.  On a short window around the pulse of each shipped dynamic
+    scenario, the map and the filtered curve of the default run stay closer to
+    the oracle's, relative to their maxima, than those of RK45 at the former
+    defaults (rtol 1e-8, atol 1e-12) do, and its smallest state eigenvalue is
+    no lower than theirs.
+    """
+
+    ORACLE = dict(rtol=1e-12, atol=1e-16)
+    FORMER_DEFAULTS = dict(rtol=1e-8, atol=1e-12)
+
+    @staticmethod
+    def _rk45(fun, t_span, y0, jac, method, **options):
+        return scipy_solve_ivp(fun, t_span, y0, method="RK45", **options)
+
+    @pytest.mark.parametrize(
+        "scenario, n_max, delay_ps, window_ps",
+        [
+            ("fig3-burst", 2, None, (-30.0, 420.0)),
+            ("fig3-dip", 2, None, (-30.0, 420.0)),
+            ("fig3-burst", 3, None, (-30.0, 420.0)),
+            # from the vacuum through the pump pulse at 0 ps to the free-carrier pulse
+            ("fig4-delay", 2, 1500.0, (-20.0, 1800.0)),
+        ],
+    )
+    def test_closer_than_rk45_at_former_defaults(
+        self, monkeypatch, scenario, n_max, delay_ps, window_ps
+    ):
+        from cavtune import apply_filter, synthesize_map
+        from cavtune.config import load_config, scenario_config
+        from cavtune.runs import delay_profile, initial_state_for
+
+        cfg = load_config(scenario_config(scenario))
+        cfg = replace(cfg, hilbert=HilbertSpec(n_max))
+        profile = cfg.profile if delay_ps is None else delay_profile(cfg, delay_ps)
+        step = cfg.time_grid_ps[1] - cfg.time_grid_ps[0]
+        t = np.linspace(*window_ps, round((window_ps[1] - window_ps[0]) / step) + 1)
+        rho0 = initial_state_for(cfg)
+        (lam_c, fwhm), = cfg.filters
+
+        def observed(**tolerances):
+            traj = evolve(cfg.params, profile, rho0, t, **tolerances)
+            pl = synthesize_map(traj, cfg.lambda_grid_nm, cfg.collection_exponent)
+            return traj, pl.intensity, apply_filter(pl, lam_c, fwhm).intensity
+
+        default = observed()
+        monkeypatch.setattr(lindblad, "solve_ivp", self._rk45)
+        oracle, former = observed(**self.ORACLE), observed(**self.FORMER_DEFAULTS)
+        for k in (1, 2):  # the map, then the curve
+            scale = np.max(np.abs(oracle[k]))
+            dev_default = np.max(np.abs(default[k] - oracle[k])) / scale
+            dev_former = np.max(np.abs(former[k] - oracle[k])) / scale
+            assert dev_default <= dev_former, (k, dev_default, dev_former)
+        assert default[0].min_eigenvalue >= former[0].min_eigenvalue
 
 
 class TestWeakCouplingRates:
