@@ -214,8 +214,6 @@ class RunConfig:
     hilbert: HilbertSpec
     rtol: float
     atol: float
-    frame: str
-    fixed_step_ps: Optional[float]
     initial_state: str  # "steady" | "vacuum" | "excited"
     check_truncation: bool
     baseline_window_ps: Optional[tuple]
@@ -306,14 +304,11 @@ def load_config(raw: dict) -> RunConfig:
             for p in profile_node.sections("pulses")
         ),
     )
-    # free-carrier absorption hook: constant multiplier on the FP loss rate
-    kappa_fp_scale = profile_node.number("kappa_fp_scale", 1.0, minimum=1e-6)
     omega_t = wl_to_omega(lambda_t)
     params = system.build(lambda: SystemParams(
         EmitterParams(omega_t if lambda0 is None else wl_to_omega(lambda0), g, gamma_leaky),
         BareMode(omega_t, kappa_t),
-        BareMode(wl_to_omega(lambda_t + fp_shift_at(replace(profile, pulses=()), 0.0)),
-                 kappa_fp * kappa_fp_scale),
+        BareMode(wl_to_omega(lambda_t + fp_shift_at(replace(profile, pulses=()), 0.0)), kappa_fp),
         eta,
         schedule,
     ))
@@ -338,6 +333,9 @@ def load_config(raw: dict) -> RunConfig:
     spectra, solver, render = (root.section(k, {}) for k in ("spectra", "solver", "render"))
     fit = root.section("fit", {})
     init, bounds, fit_defaults = fit.section("init", {}), fit.section("bounds", {}), FitOptions()
+    atol = solver.number("atol", SOLVER_ATOL)
+    if not atol > 0.0:  # BDF's error scale atol + rtol*|y| would be 0 where y stays 0
+        solver.fail("atol", f"must be positive, got {atol}")
     cfg = RunConfig(
         raw=raw,
         scenario=root.choice("scenario", None, "custom"),
@@ -352,9 +350,7 @@ def load_config(raw: dict) -> RunConfig:
         irf_sigma_ps=spectra.number("irf_sigma_ps", 0.0, minimum=0.0),
         hilbert=solver.build(HilbertSpec, solver.integer("n_max", 2, minimum=1)),
         rtol=solver.number("rtol", SOLVER_RTOL, minimum=1e-13),
-        atol=solver.number("atol", SOLVER_ATOL, minimum=0.0),
-        frame=solver.choice("frame", ("rotating", "lab"), "rotating"),
-        fixed_step_ps=solver.number("fixed_step_ps", None, minimum=1e-6),
+        atol=atol,
         initial_state=solver.choice("initial_state", ("steady", "vacuum", "excited"), "steady"),
         check_truncation=solver.flag("check_truncation"),
         baseline_window_ps=window,
@@ -398,8 +394,7 @@ def _base_dynamic(scenario: str) -> dict:
             "lambda_nm": {"start": 1550.6, "stop": 1553.4, "n": 141},
         },
         "spectra": {"collection_exponent": 1.0, "irf_sigma_ps": 0.0},
-        "solver": {"n_max": 2, "rtol": SOLVER_RTOL, "atol": SOLVER_ATOL, "frame": "rotating",
-                   "initial_state": "steady"},
+        "solver": {"n_max": 2, "rtol": SOLVER_RTOL, "atol": SOLVER_ATOL, "initial_state": "steady"},
     }
 
 

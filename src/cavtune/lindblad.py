@@ -330,7 +330,6 @@ def evolve(
     rtol: float = SOLVER_RTOL,
     atol: float = SOLVER_ATOL,
     frame: str = "rotating",
-    fixed_step_ps: Optional[float] = None,
     breakpoints_ps: Sequence[float] = (),
     _broken_target_dissipator: bool = False,
 ) -> Trajectory:
@@ -342,16 +341,16 @@ def evolve(
     restarts at every pulse onset and at each time of ``breakpoints_ps``, so
     the state recorded at such a time is the end of an integrator segment.
     Each segment is integrated by BDF, with the generator as its Jacobian, at
-    ``rtol``/``atol`` (defaults ``config.SOLVER_RTOL``/``SOLVER_ATOL``), or
-    by RK4 at steps of about ``fixed_step_ps``.  A free-carrier pulse that
-    starts at a grid time acts only after the state there is recorded, and so
-    does an instant pump event, also at the first grid time; events at one
-    time add their areas.  The right-hand side computes only the
-    entries of vec(rho) that ``rho0`` reaches (see :func:`_closure`); the
-    others stay exactly 0, so the result is that of the whole generator.
-    Raises :class:`InvalidInput` for a non-square ``rho0``, and
-    :class:`NumericalFailure` with the failing time on integrator breakdown
-    and when the recorded trace deviates from 1 by more than 1e-8.
+    ``rtol``/``atol`` (defaults ``config.SOLVER_RTOL``/``SOLVER_ATOL``).  A
+    free-carrier pulse that starts at a grid time acts only after the state
+    there is recorded, and so does an instant pump event, also at the first
+    grid time; events at one time add their areas.  The right-hand side
+    computes only the entries of vec(rho) that ``rho0`` reaches (see
+    :func:`_closure`); the others stay exactly 0, so the result is that of
+    the whole generator.  Raises :class:`InvalidInput` for a non-square
+    ``rho0`` or ``atol <= 0``, and :class:`NumericalFailure` with the failing
+    time on integrator breakdown and when the recorded trace deviates from 1
+    by more than 1e-8.
     """
     t_grid = np.asarray(t_grid_ps, dtype=float)
     if t_grid.size < 2 or not np.all(np.diff(t_grid) > 0.0):
@@ -362,6 +361,8 @@ def evolve(
     spec = _spec_from_dim(rho0.shape[0])
     if params.pump is None:
         raise InvalidInput("params.pump must be a PumpSchedule for time evolution")
+    if not atol > 0.0:  # BDF's error scale atol + rtol*|y| would be 0 where y stays 0
+        raise InvalidInput(f"atol must be positive, got {atol}")
 
     full = _Generator(params, spec, frame, _broken_target_dissipator)
     # every term of L(t) keeps to the pattern of l0 + l_pump (the diagonal
@@ -373,7 +374,7 @@ def evolve(
     def segment_on(a):
         # Only the pulses started by a act on the segment [a, b].  At t = b
         # that is the left limit of delta_fp: a pulse that starts at b stays
-        # out of the BDF and RK4 evaluations there, and out of the Jacobian.
+        # out of the BDF evaluations there, and out of the Jacobian.
         started = replace(profile, pulses=tuple(p for p in profile.pulses if p.t0_ps <= a))
         delta_fp = _delta_fp_fn(params, started, frame)
 
@@ -398,10 +399,7 @@ def evolve(
         rhs, jac = segment_on(a)
         inside = np.flatnonzero((t_grid > a) & (t_grid <= b))
         t_eval = np.unique(np.append(t_grid[inside], b))
-        if fixed_step_ps is not None:
-            ys = _rk4_segment(rhs, a, y, t_eval, fixed_step_ps)
-        else:
-            ys = _bdf_segment(rhs, jac, a, b, y, t_eval, rtol, atol, _max_step_for(a, b, caps))
+        ys = _bdf_segment(rhs, jac, a, b, y, t_eval, rtol, atol, _max_step_for(a, b, caps))
         recorded[inside] = ys[: inside.size].reshape(-1, spec.dim, spec.dim)
         y = ys[-1].copy()
         del ys  # the segment's output, freed before the next segment and post-processing
@@ -421,24 +419,6 @@ def _bdf_segment(rhs, jac, a, b, y, t_eval, rtol, atol, max_step):
     if not sol.success:
         raise NumericalFailure(f"integrator failed in segment [{a}, {b}] ps: {sol.message}")
     return sol.y.T
-
-
-def _rk4_segment(rhs, t, y, t_eval, h_target):
-    """Fixed-step RK4 from ``(t, y)`` through ``t_eval``; the states there, one per row."""
-    out = np.empty((t_eval.size, y.size), dtype=complex)
-    for k, tk in enumerate(t_eval):
-        n = max(1, int(np.ceil((tk - t) / h_target)))
-        h = (tk - t) / n
-        for _ in range(n):
-            k1 = rhs(t, y)
-            k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
-            k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
-            k4 = rhs(t + h, y + h * k3)
-            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            t += h
-        t = tk
-        out[k] = y
-    return out
 
 
 def make_trajectory(params, profile, t_grid, states) -> Trajectory:
@@ -567,7 +547,6 @@ def dense_superoperator(
 def steady_state(
     params: SystemParams,
     spec: Optional[HilbertSpec] = None,
-    frame: str = "rotating",
     residual_tol: float = 1e-10,
 ) -> np.ndarray:
     """The steady state reached from the vacuum under CW pumping, the FP mode at ``params.fp``.
@@ -583,7 +562,7 @@ def steady_state(
         spec = HilbertSpec(2)
     cw = 0.0 if params.pump is None else params.pump.cw_rate
     d = spec.dim
-    mat = _Generator(params, spec, frame).matrix(_fixed_delta(params, frame), cw * _PS)
+    mat = _Generator(params, spec, "rotating").matrix(_fixed_delta(params, "rotating"), cw * _PS)
     keep = _closure(mat, vacuum_state(spec).ravel())
     sub = mat[keep][:, keep]
     # the rho_00 row is redundant, since L preserves the trace: put tr rho = 1 there

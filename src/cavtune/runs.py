@@ -115,11 +115,11 @@ def initial_state_for(cfg: RunConfig) -> np.ndarray:
     if cfg.initial_state == "excited":
         return emitter_excited_state(cfg.hilbert)
     # params.fp is the FP mode of the pre-pulse (baseline) profile
-    return steady_state(cfg.params, spec=cfg.hilbert, frame=cfg.frame)
+    return steady_state(cfg.params, spec=cfg.hilbert)
 
 
 def _solver_options(cfg: RunConfig) -> dict:
-    return dict(rtol=cfg.rtol, atol=cfg.atol, frame=cfg.frame, fixed_step_ps=cfg.fixed_step_ps)
+    return dict(rtol=cfg.rtol, atol=cfg.atol)
 
 
 def simulate_dynamic(

@@ -51,10 +51,15 @@ class TestConfigValidation:
             cfg = load_config(scenario_config(name))
             assert cfg.scenario == name
 
-    def test_unknown_key_reports_path(self):
+    # neither a typo nor a key the schema has dropped may pass
+    @pytest.mark.parametrize(
+        "path", ["system.kapa_t", "solver.frame", "solver.fixed_step_ps", "profile.kappa_fp_scale"]
+    )
+    def test_unknown_key_reports_path(self, path):
         raw = small_dynamic_config()
-        raw["system"]["kapa_t"] = 1.0  # typo must not pass
-        with pytest.raises(SchemaError, match="system.kapa_t"):
+        section, key = path.split(".")
+        raw[section][key] = 1.0
+        with pytest.raises(SchemaError, match=re.escape(f"{path}: unknown key")):
             load_config(raw)
 
     def test_unknown_top_level_key(self):
@@ -123,6 +128,7 @@ GAP_ROWS = [
     (None, "filters", [{"lambda_nm": 1549.0}], "filters[0].lambda_nm"),
     (None, "delays_ps", [1500.4, 1499.6], "delays_ps"),
     (None, "filters", [{"lambda_nm": 1552.2}, {"lambda_nm": 1552.204}], "filters[1].lambda_nm"),
+    ("solver", "atol", 0.0, "solver.atol"),
 ]
 
 
@@ -324,13 +330,13 @@ class TestCliDynamic:
 
     def test_schema_error_exit_code(self, tmp_path):
         bad = small_dynamic_config()
-        bad["solver"]["frame"] = "galilean"
+        bad["solver"]["initial_state"] = "thermal"
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text(json.dumps(bad))
         runner = CliRunner()
         res = runner.invoke(main, ["dynamic", "--config", str(cfg_path), "--out", str(tmp_path / "x")])
         assert res.exit_code == 2
-        assert "solver.frame" in res.output
+        assert "solver.initial_state" in res.output
 
     def test_short_fit_csv_schema_error(self, tmp_path):
         bad_csv = tmp_path / "bad.csv"
@@ -378,14 +384,6 @@ class TestTruncationCheck:
         assert check["n_max"] == 1 and check["n_max_check"] == 2
         assert check["within_1_percent"]
         assert check["max_relative_drift"] < 0.01
-
-
-class TestKappaScaleHook:
-    def test_fp_loss_multiplier(self):
-        raw = small_dynamic_config()
-        raw["profile"]["kappa_fp_scale"] = 2.0
-        cfg = load_config(raw)
-        assert cfg.params.fp.kappa == pytest.approx(2.0 * 4.692e11)
 
 
 class TestUnwritablePath:

@@ -38,7 +38,6 @@ from cavtune.lindblad import (
     _closure,
     _delta_fp_fn,
     _Generator,
-    _rk4_segment,
     _sanitize_state,
     _splice,
     expectation,
@@ -320,14 +319,6 @@ class TestEvolve:
             obs[frame] = np.stack([traj.n_e, traj.n_t, traj.n_fp, traj.n1, traj.n2])
         assert np.max(np.abs(obs["rotating"] - obs["lab"])) < 1e-9
 
-    def test_fixed_step_matches_adaptive(self):
-        p = make_params(g=0.0, gamma_leaky=1e9, eta=0.0)
-        spec = HilbertSpec(1)
-        t = np.linspace(0.0, 500.0, 51)
-        adaptive = evolve(p, TuningProfile(), emitter_excited_state(spec), t, rtol=1e-11, atol=1e-15)
-        fixed = evolve(p, TuningProfile(), emitter_excited_state(spec), t, fixed_step_ps=0.5)
-        assert np.max(np.abs(adaptive.n_e - fixed.n_e)) < 1e-6
-
     def test_instant_pump_mode(self):
         pump = PumpSchedule(pulse_events=(PumpPulse(100.0, 1.0, 6.0),), mode="instant")
         p = make_params(g=0.0, gamma_leaky=1e9, eta=0.0, pump=pump)
@@ -354,13 +345,9 @@ class TestEvolve:
         before = np.exp(-gamma * 1e-12 * 100.0)
         after = before + (1.0 - np.exp(-area)) * (1.0 - before)
         decay = np.exp(-gamma * 1e-12 * (t[i_event + 1] - 100.0))
-        for fixed_step in (None, 0.25):
-            traj = evolve(
-                p, TuningProfile(), emitter_excited_state(spec), t, rtol=1e-11, atol=1e-15,
-                fixed_step_ps=fixed_step,
-            )
-            assert traj.n_e[i_event] == pytest.approx(before, rel=1e-8)
-            assert traj.n_e[i_event + 1] == pytest.approx(after * decay, rel=1e-8)
+        traj = evolve(p, TuningProfile(), emitter_excited_state(spec), t, rtol=1e-11, atol=1e-15)
+        assert traj.n_e[i_event] == pytest.approx(before, rel=1e-8)
+        assert traj.n_e[i_event + 1] == pytest.approx(after * decay, rel=1e-8)
 
     @staticmethod
     def _kicked(events, t):
@@ -396,12 +383,9 @@ class TestEvolve:
         t = np.linspace(0.0, 200.0, 41)
         before = t <= 100.0
         pulsed = TuningProfile(pulses=(FreeCarrierPulse(100.0, 0.6, 150.0),))
-        for fixed_step in (None, 0.5):
-            with_pulse = evolve(p, pulsed, emitter_excited_state(spec), t, fixed_step_ps=fixed_step)
-            free = evolve(
-                p, TuningProfile(), emitter_excited_state(spec), t[before], fixed_step_ps=fixed_step
-            )
-            np.testing.assert_array_equal(with_pulse.states[before], free.states)
+        with_pulse = evolve(p, pulsed, emitter_excited_state(spec), t)
+        free = evolve(p, TuningProfile(), emitter_excited_state(spec), t[before])
+        np.testing.assert_array_equal(with_pulse.states[before], free.states)
 
     def test_scalar_delta_matches_array_path(self):
         pulses = (
@@ -437,6 +421,12 @@ class TestEvolve:
         with pytest.raises(InvalidInput, match="square"):
             evolve(make_params(), TuningProfile(), rho0, [0.0, 1.0])
 
+    def test_zero_atol_rejected(self):
+        # BDF's error scale atol + rtol*|y| is 0 on the entries that stay 0
+        rho0 = vacuum_state(HilbertSpec(1))
+        with pytest.raises(InvalidInput, match="atol"):
+            evolve(make_params(), TuningProfile(), rho0, [0.0, 1.0], atol=0.0)
+
     def test_splice_equals_make_trajectory_on_the_joined_states(self):
         # a pulse-free head, then a tail from its k-th state under a pulse that
         # starts there, as the delay scan joins them
@@ -457,7 +447,7 @@ class TestEvolve:
 class TestBlockEvolve:
     """``evolve``'s right-hand side computes only the entries that rho0 reaches.
 
-    The oracle integrates the whole vec(rho) itself: BDF (or RK4) on the full
+    The oracle integrates the whole vec(rho) itself: BDF on the full
     ``_Generator.rhs``, with the full generator's own ``matrix`` as the
     Jacobian, one segment per pulse onset or instant pump event, as
     ``evolve`` splits the run.  An instant pump event acts at the start of
@@ -472,11 +462,10 @@ class TestBlockEvolve:
 
     BURST = TuningProfile(pulses=(FreeCarrierPulse(0.0, 0.6, 352.421875),))
     T_GRID = np.linspace(-100.0, 600.0, 176)
-    FIXED_STEP_PS = 0.5
 
     @classmethod
-    def _full_space(cls, p, profile, rho0, t, fixed_step_ps):
-        """``(states, rhs_calls)`` of the full-space solve; no count for a fixed step."""
+    def _full_space(cls, p, profile, rho0, t):
+        """``(states, rhs_calls)`` of the full-space solve."""
         spec = HilbertSpec(round(np.sqrt(rho0.shape[0] / 2.0)) - 1)
         gen = _Generator(p, spec, "rotating")
         pump = p.pump
@@ -502,22 +491,19 @@ class TestBlockEvolve:
 
             inside = np.flatnonzero((t > a) & (t <= b))
             t_eval = np.unique(np.append(t[inside], b))
-            if fixed_step_ps is not None:
-                ys = _rk4_segment(rhs, a, y, t_eval, fixed_step_ps)
-            else:
-                sol = scipy_solve_ivp(
-                    rhs, (a, b), y, method="BDF", t_eval=t_eval, jac=jac, rtol=SOLVER_RTOL,
-                    atol=SOLVER_ATOL, max_step=b - a,
-                )
-                assert sol.success
-                nfev += sol.nfev
-                ys = sol.y.T
+            sol = scipy_solve_ivp(
+                rhs, (a, b), y, method="BDF", t_eval=t_eval, jac=jac, rtol=SOLVER_RTOL,
+                atol=SOLVER_ATOL, max_step=b - a,
+            )
+            assert sol.success
+            nfev += sol.nfev
+            ys = sol.y.T
             states[inside] = ys[: inside.size]
             y = ys[-1]
         return states.reshape(t.size, spec.dim, spec.dim), nfev
 
     @classmethod
-    def _check(cls, monkeypatch, p, profile, rho0, fixed_step_ps):
+    def _check(cls, monkeypatch, p, profile, rho0):
         calls = []
 
         def counted_solve_ivp(*args, **kwargs):
@@ -526,8 +512,8 @@ class TestBlockEvolve:
             return sol
 
         monkeypatch.setattr(lindblad, "solve_ivp", counted_solve_ivp)
-        traj = evolve(p, profile, rho0, cls.T_GRID, fixed_step_ps=fixed_step_ps)
-        expected, nfev = cls._full_space(p, profile, rho0, cls.T_GRID, fixed_step_ps)
+        traj = evolve(p, profile, rho0, cls.T_GRID)
+        expected, nfev = cls._full_space(p, profile, rho0, cls.T_GRID)
         assert np.array_equal(traj.states, expected)
         assert sum(calls) == nfev
         return traj
@@ -547,10 +533,9 @@ class TestBlockEvolve:
             block = gen.restricted(keep)
             assert block.l0.nnz == gen.l0[keep][:, keep].nnz < gen.l0.nnz
 
-    @pytest.mark.parametrize("fixed_step", [False, True], ids=["adaptive", "fixed-step"])
     @pytest.mark.parametrize("start", ["steady", "vacuum", "excited"])
     @pytest.mark.parametrize("n_max", [2, 3])
-    def test_burst_matches_full_space(self, monkeypatch, n_max, start, fixed_step):
+    def test_burst_matches_full_space(self, monkeypatch, n_max, start):
         p = make_params(pump=PumpSchedule(cw_rate=1e8))
         spec = HilbertSpec(n_max)
         rho0 = {
@@ -558,8 +543,7 @@ class TestBlockEvolve:
             "vacuum": lambda: vacuum_state(spec),
             "excited": lambda: emitter_excited_state(spec),
         }[start]()
-        step = self.FIXED_STEP_PS if fixed_step else None
-        self._check(monkeypatch, p, self.BURST, rho0, step)
+        self._check(monkeypatch, p, self.BURST, rho0)
 
     def test_superposition_spans_three_blocks(self, monkeypatch):
         # (|g00> + |e00>)/sqrt(2) has coherences of k = N_bra - N_ket = +-1
@@ -567,22 +551,17 @@ class TestBlockEvolve:
         psi = np.zeros(spec.dim, dtype=complex)
         psi[[spec.index(0, 0, 0), spec.index(1, 0, 0)]] = np.sqrt(0.5)
         p = make_params(pump=PumpSchedule(cw_rate=1e8))
-        traj = self._check(monkeypatch, p, self.BURST, np.outer(psi, psi.conj()), None)
+        traj = self._check(monkeypatch, p, self.BURST, np.outer(psi, psi.conj()))
         ops = build_space(spec)
         n = np.diag(ops.n_e + ops.n_t + ops.n_fp).round().astype(int)
         k = n[:, None] - n[None, :]
         assert set(np.unique(k[np.any(traj.states != 0.0, axis=0)])) == {-1, 0, 1}
 
-    @pytest.mark.parametrize(
-        "fixed_step, event_ps",
-        [(False, 100.0), (True, 100.0), (False, T_GRID[0]), (True, T_GRID[0])],
-        ids=["adaptive", "fixed-step", "adaptive-first-grid-time", "fixed-step-first-grid-time"],
-    )
-    def test_instant_pump_matches_full_space(self, monkeypatch, fixed_step, event_ps):
+    @pytest.mark.parametrize("event_ps", [100.0, T_GRID[0]], ids=["mid-grid", "first-grid-time"])
+    def test_instant_pump_matches_full_space(self, monkeypatch, event_ps):
         pump = PumpSchedule(pulse_events=(PumpPulse(event_ps, 1.0, 6.0),), mode="instant")
         p = make_params(pump=pump)
-        step = self.FIXED_STEP_PS if fixed_step else None
-        traj = self._check(monkeypatch, p, self.BURST, vacuum_state(HilbertSpec(2)), step)
+        traj = self._check(monkeypatch, p, self.BURST, vacuum_state(HilbertSpec(2)))
         assert traj.n_e.max() > 0.1
 
 

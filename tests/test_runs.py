@@ -33,7 +33,7 @@ INSTANT_DELAYS = [0.0, 2.0, 700.0, 1502.0, -300.0]
 INSTANT_EXACT = (0.0, 2.0, 700.0, -300.0)
 
 
-def delay_config(fixed_step_ps=None, pump_mode="gaussian", delays=DELAYS):
+def delay_config(pump_mode="gaussian", delays=DELAYS):
     return load_config(
         {
             "schema": 1,
@@ -61,26 +61,25 @@ def delay_config(fixed_step_ps=None, pump_mode="gaussian", delays=DELAYS):
                 "lambda_nm": {"start": 1550.8, "stop": 1553.2, "n": 31},
             },
             "filters": [{"lambda_nm": 1552.2, "fwhm_nm": 0.5}],
-            "solver": {"n_max": 1, "initial_state": "vacuum", "fixed_step_ps": fixed_step_ps},
+            "solver": {"n_max": 1, "initial_state": "vacuum"},
             "delays_ps": delays,
         }
     )
 
 
 @pytest.mark.parametrize(
-    "fixed_step_ps, pump_mode, delays, exact, tol",
+    "pump_mode, delays, exact, tol",
     [
-        (None, "gaussian", DELAYS, EXACT, 1e-9),
-        (2.0, "gaussian", DELAYS, EXACT, 1e-9),
-        # after the instant event the state decays freely, and where the
-        # adaptive solver restarts moves it at the level of its rtol of 1e-8: the
-        # 1502 ps run, restarted at 700 and 1500 ps, sits 1.5e-8 off
-        (None, "instant", INSTANT_DELAYS, INSTANT_EXACT, 5e-8),
-        (2.0, "instant", INSTANT_DELAYS, INSTANT_EXACT, 1e-9),
+        # a delayed run restarts where the reference does, at every delay,
+        # and that moves it at the level of BDF's tolerances: measured, the
+        # 1502 ps run is the farthest off, by 1.65e-10 (gaussian) and
+        # 9.02e-11 (instant) of the maxima
+        ("gaussian", DELAYS, EXACT, 5e-10),
+        ("instant", INSTANT_DELAYS, INSTANT_EXACT, 5e-10),
     ],
 )
-def test_delay_scan_matches_from_scratch_runs(fixed_step_ps, pump_mode, delays, exact, tol):
-    cfg = delay_config(fixed_step_ps, pump_mode, delays)
+def test_delay_scan_matches_from_scratch_runs(pump_mode, delays, exact, tol):
+    cfg = delay_config(pump_mode, delays)
     t = cfg.time_grid_ps
     assert 1502.0 not in t and 700.0 in t and 0.0 in t
     rho0 = initial_state_for(cfg)
@@ -109,7 +108,7 @@ def test_delay_scan_matches_from_scratch_runs(fixed_step_ps, pump_mode, delays, 
 def _thermo_scaled_dip():
     raw = scenario_config("fig3-dip")
     raw["profile"]["thermo"] = {"coeff_nm_per_mw": 0.03, "power_mw": 7.0}
-    raw["profile"]["kappa_fp_scale"] = 1.7
+    raw["system"]["kappa_fp"] *= 1.7
     return raw
 
 
@@ -126,7 +125,7 @@ def test_initial_state_is_the_steady_state_of_the_config(raw):
     baseline = replace(cfg.profile, pulses=())
     fp0 = BareMode(wl_to_omega(cfg.lambda_t_nm + fp_shift_at(baseline, 0.0)), cfg.params.fp.kappa)
     assert fp0 == cfg.params.fp
-    expected = steady_state(replace(cfg.params, fp=fp0), spec=cfg.hilbert, frame=cfg.frame)
+    expected = steady_state(replace(cfg.params, fp=fp0), spec=cfg.hilbert)
     assert np.array_equal(initial_state_for(cfg), expected)
 
 
