@@ -156,13 +156,11 @@ def cmd_render(csv_in, out_path, colormap, log_scale):
 
 
 @main.command("selftest")
-@click.option("--inject-kappa-sign", is_flag=True, default=False, hidden=True,
-              help="Debug hook: break a dissipator sign so the trace check fails.")
-def cmd_selftest(inject_kappa_sign):
+def cmd_selftest():
     """Run the embedded invariant suite and print a pass/fail table."""
     from .selftest import run_selftest
 
-    results = run_selftest(inject_kappa_sign_error=inject_kappa_sign)
+    results = run_selftest()
     width = max(len(name) for name, _, _ in results)
     failures = 0
     for name, passed, detail in results:

@@ -59,6 +59,10 @@ DEFAULT_SYSTEM = {
 SOLVER_RTOL = 1e-11
 SOLVER_ATOL = 1e-13
 
+# The baseline window of a control pulse is the BASELINE_SPAN_PS before it: the
+# default of baseline_window_ps, and the window of each delay of a delay scan.
+BASELINE_SPAN_PS = 500.0
+
 _REQUIRED = object()  # the default of a getter whose key must be present
 
 
@@ -321,9 +325,12 @@ def load_config(raw: dict) -> RunConfig:
         root.fail("grids", "dynamic runs need time_ps and lambda_nm grids")
 
     window = root.interval("baseline_window_ps", None, strict=True)
-    if window is None and profile.pulses:
-        window = (profile.pulses[0].t0_ps - 500.0, profile.pulses[0].t0_ps)
     delays = root.numbers("delays_ps", None)
+    if window is not None and delays is not None:
+        root.fail("baseline_window_ps", "a delay scan takes the baseline window before each "
+                                        "delay, so this key cannot be set with delays_ps")
+    if window is None and profile.pulses:
+        window = (profile.pulses[0].t0_ps - BASELINE_SPAN_PS, profile.pulses[0].t0_ps)
     if delays is not None and len(profile.pulses) != 1:
         root.fail("delays_ps", "delay scans need exactly one template pulse in profile.pulses")
     if delays is not None and len(set(map(delay_prefix, delays))) < len(delays):

@@ -231,7 +231,11 @@ _INIT_STEP_FRAC = 0.05
 class FitOptions:
     max_evals: int = 40000
     multistart: int = 0
-    seed: int = 0
+    seed: int = 0  # seeds numpy's RandomState, which takes [0, 2**32)
+
+    def __post_init__(self):
+        if not 0 <= self.seed < 2**32:
+            raise InvalidInput(f"seed must lie in [0, 2**32), got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -244,7 +248,6 @@ class FitResult:
     converged: bool
     n_evals: int
     near_degenerate: bool
-    param_names: tuple
     weighted_residuals: np.ndarray = field(repr=False, compare=False)
 
     def to_dict(self) -> dict:
@@ -524,7 +527,6 @@ def fit(
         converged=converged,
         n_evals=total_evals,
         near_degenerate=near_degenerate,
-        param_names=names,
         weighted_residuals=res_best,
     )
 

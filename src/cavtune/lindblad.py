@@ -49,6 +49,9 @@ from .tuning import (
     fp_shift_scalar,
 )
 
+# steady_state fails above this residual ||L rho|| / ||rho|| (rad/ps)
+STEADY_RESIDUAL_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class OperatorSet:
@@ -118,15 +121,13 @@ def _spec_from_dim(dim: int) -> HilbertSpec:
     return HilbertSpec(m - 1)
 
 
-def _model(params: SystemParams, spec: HilbertSpec, frame: str, broken_target_dissipator=False):
+def _model(params: SystemParams, spec: HilbertSpec, frame: str):
     """Operators, the Hamiltonian without its FP term, and the fixed channels, in rad/ps.
 
     Returns ``(ops, h0, channels)``.  Each channel ``(rate, L, sign)`` adds
     ``rate * (L rho L^T - sign/2 {L^T L, rho})``; every operator is real.  The
     FP term is ``delta_fp * n_fp``, with ``delta_fp`` the FP detuning (rotating
-    frame) or FP frequency (lab frame).  ``broken_target_dissipator`` flips the
-    sign of the target-cavity anticommutator term; it exists only as a
-    negative control for the self-test suite.
+    frame) or FP frequency (lab frame).
     """
     if frame not in ("rotating", "lab"):
         raise InvalidInput(f"frame must be 'rotating' or 'lab', got {frame!r}")
@@ -143,7 +144,7 @@ def _model(params: SystemParams, spec: HilbertSpec, frame: str, broken_target_di
         h0 = em.omega0 * _PS * ops.n_e + params.target.omega * _PS * ops.n_t + coupling
 
     channels = [
-        (2.0 * params.target.kappa * _PS, ops.a_t, -1.0 if broken_target_dissipator else 1.0),
+        (2.0 * params.target.kappa * _PS, ops.a_t, 1.0),
         (2.0 * params.fp.kappa * _PS, ops.a_fp, 1.0),
     ]
     if em.gamma_leaky > 0.0:
@@ -172,8 +173,8 @@ class _Generator:
     while a pulse adds to the CW rate.
     """
 
-    def __init__(self, params, spec, frame, broken_target_dissipator=False):
-        ops, h0, channels = _model(params, spec, frame, broken_target_dissipator)
+    def __init__(self, params, spec, frame):
+        ops, h0, channels = _model(params, spec, frame)
         eye = sparse.identity(ops.dim, format="csr")
 
         def kron(a, b):
@@ -331,7 +332,6 @@ def evolve(
     atol: float = SOLVER_ATOL,
     frame: str = "rotating",
     breakpoints_ps: Sequence[float] = (),
-    _broken_target_dissipator: bool = False,
 ) -> Trajectory:
     """Integrate the master equation over ``t_grid_ps`` with time-dependent tuning.
 
@@ -364,7 +364,7 @@ def evolve(
     if not atol > 0.0:  # BDF's error scale atol + rtol*|y| would be 0 where y stays 0
         raise InvalidInput(f"atol must be positive, got {atol}")
 
-    full = _Generator(params, spec, frame, _broken_target_dissipator)
+    full = _Generator(params, spec, frame)
     # every term of L(t) keeps to the pattern of l0 + l_pump (the diagonal
     # d_fp adds no entries); the instant pump maps act on the whole vector
     keep = _closure(abs(full.l0) + abs(full.l_pump), rho0.ravel())
@@ -399,26 +399,19 @@ def evolve(
         rhs, jac = segment_on(a)
         inside = np.flatnonzero((t_grid > a) & (t_grid <= b))
         t_eval = np.unique(np.append(t_grid[inside], b))
-        ys = _bdf_segment(rhs, jac, a, b, y, t_eval, rtol, atol, _max_step_for(a, b, caps))
-        recorded[inside] = ys[: inside.size].reshape(-1, spec.dim, spec.dim)
-        y = ys[-1].copy()
-        del ys  # the segment's output, freed before the next segment and post-processing
+        # (fun, t_span, y0) positionally, y0 the whole vec(rho): the benchmark's
+        # tracer reads n_max from len(y0)
+        sol = solve_ivp(
+            rhs, (a, b), y, method="BDF", t_eval=t_eval, jac=jac, rtol=rtol, atol=atol,
+            max_step=_max_step_for(a, b, caps),
+        )
+        if not sol.success:
+            raise NumericalFailure(f"integrator failed in segment [{a}, {b}] ps: {sol.message}")
+        recorded[inside] = sol.y.T[: inside.size].reshape(-1, spec.dim, spec.dim)
+        y = sol.y[:, -1].copy()
+        del sol  # the segment's output, freed before the next segment and post-processing
 
     return make_trajectory(params, profile, t_grid, recorded)
-
-
-def _bdf_segment(rhs, jac, a, b, y, t_eval, rtol, atol, max_step):
-    """Adaptive BDF from ``(a, y)`` to ``b`` with the Jacobian ``jac``; the states at ``t_eval``,
-    one per row."""
-    # (fun, t_span, y0) positionally, y0 the whole vec(rho): the benchmark's
-    # tracer reads n_max from len(y0)
-    sol = solve_ivp(
-        rhs, (a, b), y, method="BDF", t_eval=t_eval, jac=jac, rtol=rtol, atol=atol,
-        max_step=max_step,
-    )
-    if not sol.success:
-        raise NumericalFailure(f"integrator failed in segment [{a}, {b}] ps: {sol.message}")
-    return sol.y.T
 
 
 def make_trajectory(params, profile, t_grid, states) -> Trajectory:
@@ -529,8 +522,8 @@ def mode_populations(rho: np.ndarray, coupled: CoupledModes) -> tuple[float, flo
 
 def dense_superoperator(
     params: SystemParams,
+    spec: HilbertSpec,
     pump_rate: float = 0.0,
-    spec: Optional[HilbertSpec] = None,
     frame: str = "rotating",
 ) -> np.ndarray:
     """The compiled generator (1/s) on row-major vec(rho), as a dense matrix.
@@ -538,28 +531,21 @@ def dense_superoperator(
     Checks of the compiled operator compare it against the matrix-free
     :func:`liouvillian_apply`.
     """
-    if spec is None:
-        spec = HilbertSpec(2)
     gen = _Generator(params, spec, frame)
     return gen.matrix(_fixed_delta(params, frame), pump_rate * _PS).toarray() / _PS
 
 
-def steady_state(
-    params: SystemParams,
-    spec: Optional[HilbertSpec] = None,
-    residual_tol: float = 1e-10,
-) -> np.ndarray:
+def steady_state(params: SystemParams, spec: HilbertSpec) -> np.ndarray:
     """The steady state reached from the vacuum under CW pumping, the FP mode at ``params.fp``.
 
     Solves ``L vec(rho) = 0``, ``tr rho = 1`` by sparse LU on the entries that
     ``L`` populates from the vacuum (:func:`_closure`; the others are 0), so an
     emitter with neither coupling nor decay stays in its ground state.  Raises
     :class:`ConvergenceFailure` when the solve is singular, when the residual
-    ``||L rho|| / ||rho||`` (rad/ps) is not below ``residual_tol``, or when rho
-    is not a valid state.  Unpumped, that closure is rho_00 alone: the vacuum.
+    ``||L rho|| / ||rho||`` (rad/ps) is not below ``STEADY_RESIDUAL_TOL``, or
+    when rho is not a valid state.  Unpumped, that closure is rho_00 alone: the
+    vacuum.
     """
-    if spec is None:
-        spec = HilbertSpec(2)
     cw = 0.0 if params.pump is None else params.pump.cw_rate
     d = spec.dim
     mat = _Generator(params, spec, "rotating").matrix(_fixed_delta(params, "rotating"), cw * _PS)
@@ -575,9 +561,9 @@ def steady_state(
     except RuntimeError as exc:  # exactly singular
         raise ConvergenceFailure(f"steady state is not unique: {exc}") from exc
     residual = np.linalg.norm(mat @ x) / max(np.linalg.norm(x), 1e-300)
-    if not residual < residual_tol:
+    if not residual < STEADY_RESIDUAL_TOL:
         raise ConvergenceFailure(
-            f"steady-state residual {residual:.3e} not below {residual_tol:.3e}"
+            f"steady-state residual {residual:.3e} not below {STEADY_RESIDUAL_TOL:.3e}"
         )
     return _sanitize_state(x.reshape(d, d))
 

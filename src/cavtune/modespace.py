@@ -87,10 +87,6 @@ class BareMode:
     def q(self) -> float:
         return self.omega / (2.0 * self.kappa)
 
-    @property
-    def wavelength_nm(self) -> float:
-        return omega_to_wl(self.omega)
-
     def complex_freq(self) -> complex:
         return self.omega - 1j * self.kappa
 

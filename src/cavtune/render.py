@@ -189,7 +189,7 @@ def sniff_csv(path) -> tuple[str, list, np.ndarray]:
     header = [h.strip() for h in header]
     if header == ["t_ps", "lambda_nm", "intensity_au"]:
         return "map", header, data
-    if header[0] in ("t_ps", "detuning_nm", "control_nm", "control"):
+    if header[0] in ("t_ps", "detuning_nm", "control_nm", "control", "index"):
         return "curve", header, data
     raise SchemaError(f"{path}: unrecognized CSV layout with header {header}")
 

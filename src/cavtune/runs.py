@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .config import RunConfig, config_hash, curve_stem, delay_prefix
+from .config import BASELINE_SPAN_PS, RunConfig, config_hash, curve_stem, delay_prefix
 from .errors import CavtuneError, InvalidInput, NoFeature
 from .modespace import anticrossing_sweep, wl_to_omega
 from .spectra import (
@@ -118,10 +118,6 @@ def initial_state_for(cfg: RunConfig) -> np.ndarray:
     return steady_state(cfg.params, spec=cfg.hilbert)
 
 
-def _solver_options(cfg: RunConfig) -> dict:
-    return dict(rtol=cfg.rtol, atol=cfg.atol)
-
-
 def simulate_dynamic(
     cfg: RunConfig, profile: Optional[TuningProfile] = None, rho0: Optional[np.ndarray] = None
 ):
@@ -134,7 +130,7 @@ def simulate_dynamic(
     profile = profile or cfg.profile
     if rho0 is None:
         rho0 = initial_state_for(cfg)
-    traj = evolve(cfg.params, profile, rho0, cfg.time_grid_ps, **_solver_options(cfg))
+    traj = evolve(cfg.params, profile, rho0, cfg.time_grid_ps, rtol=cfg.rtol, atol=cfg.atol)
     return _observe(cfg, traj)
 
 
@@ -172,7 +168,7 @@ def delay_scan(cfg: RunConfig):
 
     rho0 = initial_state_for(cfg)
     t_grid = cfg.time_grid_ps
-    options = _solver_options(cfg)
+    options = dict(rtol=cfg.rtol, atol=cfg.atol)
     starts = [max(int(np.searchsorted(t_grid, d, side="right")) - 1, 0) for d in cfg.delays_ps]
     reference = evolve(
         cfg.params, replace(cfg.profile, pulses=()), rho0, t_grid,
@@ -296,7 +292,7 @@ def run_dynamic(cfg: RunConfig, outdir: Path, render: bool = False):
             _, pl_map, curves = result
             prefix = delay_prefix(delay)
             outputs += _emit_dynamic_outputs(outdir, prefix, pl_map, curves, cfg, render)
-            window = (delay - 500.0, delay)
+            window = (delay - BASELINE_SPAN_PS, delay)
             entries = []
             for curve, ref_curve in zip(curves, ref_curves):
                 floor = max(float(ref_curve.intensity.max()), 1e-300) * 1e-12
@@ -335,9 +331,8 @@ def calibrate_burst_tau_fc(
     target_fwhm_ps: float = 232.0,
     tol_ps: float = 1.0,
     bracket=(60.0, 700.0),
-    max_iter: int = 40,
 ) -> tuple[float, float]:
-    """Bisect the free-carrier lifetime so the burst FWHM hits the target.
+    """Bisect the free-carrier lifetime, in at most 40 steps, so the burst FWHM hits the target.
 
     Returns (tau_fc_ps, achieved_fwhm_ps).  The burst FWHM grows monotonically
     with the recovery time, so a bracketing bisection is reliable.
@@ -358,7 +353,7 @@ def calibrate_burst_tau_fc(
             f"calibration bracket does not contain the target FWHM: "
             f"f({lo})={f_lo:.1f}, f({hi})={f_hi:.1f}, target {target_fwhm_ps}"
         )
-    for _ in range(max_iter):
+    for _ in range(40):
         mid = 0.5 * (lo + hi)
         f_mid = fwhm_for(mid)
         if abs(f_mid - target_fwhm_ps) <= tol_ps:

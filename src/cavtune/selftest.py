@@ -1,10 +1,7 @@
 """Embedded invariant suite behind the ``selftest`` CLI command.
 
 Each check is small, named, and independent; the suite is the quick field
-diagnostic, not a replacement for the full pytest suite.  The
-``inject_kappa_sign_error`` flag builds a deliberately broken target-cavity
-dissipator (anticommutator sign flipped) so the trace check fails: a
-negative control proving the checks can fail.
+diagnostic, not a replacement for the full pytest suite.
 """
 
 from __future__ import annotations
@@ -120,18 +117,12 @@ def _check_basis_equivalence():
     return ok, "bare/coupled basis eigenvalues agree over 200 draws"
 
 
-def _check_master_equation_trace(inject_kappa_sign_error=False):
+def _check_master_equation_trace():
     p = _default_params(pump=PumpSchedule(cw_rate=1e8))
     profile = TuningProfile(pulses=(FreeCarrierPulse(50.0, 0.6, 150.0),))
     t = np.linspace(0.0, 400.0, 101)
     try:
-        traj = evolve(
-            p,
-            profile,
-            emitter_excited_state(HilbertSpec(1)),
-            t,
-            _broken_target_dissipator=inject_kappa_sign_error,
-        )
+        traj = evolve(p, profile, emitter_excited_state(HilbertSpec(1)), t)
     except Exception as exc:  # broken generator blows the trace check
         return False, f"{type(exc).__name__}: {exc}"
     return traj.trace_dev_max < 1e-8, f"max trace deviation {traj.trace_dev_max:.2e}"
@@ -299,13 +290,10 @@ CHECKS = [
 ]
 
 
-def run_selftest(inject_kappa_sign_error: bool = False):
+def run_selftest():
     """Run every check; returns a list of (name, passed, detail)."""
     results = []
     for name, fn in CHECKS:
-        if fn is _check_master_equation_trace:
-            passed, detail = fn(inject_kappa_sign_error)
-        else:
-            passed, detail = fn()
+        passed, detail = fn()
         results.append((name, bool(passed), detail))
     return results

@@ -227,5 +227,7 @@ def irf_convolve(curve: DecayCurve, sigma_ps: float) -> DecayCurve:
     k = np.arange(-half_n, half_n + 1) * step
     kernel = np.exp(-0.5 * (k / sigma_ps) ** 2)
     kernel /= kernel.sum()
-    smeared = np.convolve(curve.intensity, kernel, mode="same")
+    # the full convolution at the curve's times; mode "same" would return a
+    # kernel-length array when the kernel is the longer one
+    smeared = np.convolve(curve.intensity, kernel, mode="full")[half_n : half_n + t.size]
     return DecayCurve(t, np.clip(smeared, 0.0, None), curve.center_nm, curve.fwhm_nm)

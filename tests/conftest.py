@@ -27,6 +27,17 @@ def make_params(
     )
 
 
+def broken_target_model(model):
+    """``model`` (``lindblad._model``) with the sign of the target channel's
+    anticommutator flipped: a negative control whose generator breaks the trace."""
+
+    def broken(*args):
+        ops, h0, ((rate, a_t, sign), *others) = model(*args)
+        return ops, h0, [(rate, a_t, -sign), *others]
+
+    return broken
+
+
 @pytest.fixture
 def default_params():
     return make_params()

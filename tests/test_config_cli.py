@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from cavtune import FitOptions, SchemaError, synthetic_data
+from cavtune import FitOptions, SchemaError, lindblad, selftest, synthetic_data
 from cavtune.cli import main
 from cavtune.config import (
     SCENARIO_NAMES,
@@ -14,6 +14,7 @@ from cavtune.config import (
     load_config,
     scenario_config,
 )
+from conftest import broken_target_model
 
 
 def small_dynamic_config(**overrides):
@@ -101,6 +102,20 @@ class TestConfigValidation:
         raw2 = small_dynamic_config()
         raw2["pump"]["cw_rate"] = 2.0e8
         assert config_hash(raw) != config_hash(raw2)
+
+    def test_baseline_window_rejected_with_delays(self, tmp_path):
+        # a delay scan judges each delay against the window before it
+        raw = scenario_config("fig4-delay")
+        raw["baseline_window_ps"] = [-100.0, 0.0]
+        with pytest.raises(SchemaError, match="^baseline_window_ps: "):
+            load_config(raw)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        res = CliRunner().invoke(
+            main, ["dynamic", "--config", str(cfg), "--out", str(tmp_path / "out")]
+        )
+        assert res.exit_code == 2, res.output
+        assert "baseline_window_ps: " in res.output
 
     def test_delays_need_single_template_pulse(self):
         raw = small_dynamic_config(delays_ps=[100.0, 200.0])
@@ -306,6 +321,25 @@ class TestCliFit:
         # an explicit --seed overrides fit.seed
         assert run("d", seeded, "--seed", "0") == run("c", plain)
 
+    @pytest.mark.parametrize("seed", ["-1", "4294967296"])
+    def test_out_of_range_seed_exits_2(self, tmp_path, seed):
+        cfg = fit_config(tmp_path, "fit.json", {"multistart": 1})
+        res = CliRunner().invoke(main, [
+            "fit", str(small_table(tmp_path)), "--config", str(cfg),
+            "--out", str(tmp_path / "fit"), "--seed", seed,
+        ])
+        assert res.exit_code == 2, res.output
+        assert "error: seed must lie in [0, 2**32)" in res.output
+
+    def test_render_takes_the_residuals(self, tmp_path):
+        out = tmp_path / "fit"
+        res = CliRunner().invoke(main, ["fit", str(small_table(tmp_path)), "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        svg = tmp_path / "residuals.svg"
+        res = CliRunner().invoke(main, ["render", str(out / "residuals.csv"), "--out", str(svg)])
+        assert res.exit_code == 0, res.output
+        assert "weighted_residual" in svg.read_text()
+
     def test_bad_config_seed_rejected(self):
         raw = scenario_config("fig2-sweep")
         raw["fit"] = {"seed": -1}
@@ -416,9 +450,21 @@ class TestSelftestCommand:
         assert len(lines) >= 10
         assert all("PASS" in l for l in lines)
 
-    def test_negative_control_fails_trace_check(self):
+    def test_negative_control_fails_trace_check(self, monkeypatch):
+        # the trace check alone runs on a broken target dissipator: with it,
+        # the other evolve checks would fail uncaught
+        broken = broken_target_model(lindblad._model)
+
+        def broken_trace_check():
+            with monkeypatch.context() as patch:
+                patch.setattr(lindblad, "_model", broken)
+                return selftest._check_master_equation_trace()
+
+        checks = [(name, broken_trace_check if fn is selftest._check_master_equation_trace else fn)
+                  for name, fn in selftest.CHECKS]
+        monkeypatch.setattr(selftest, "CHECKS", checks)
         runner = CliRunner()
-        res = runner.invoke(main, ["selftest", "--inject-kappa-sign"])
+        res = runner.invoke(main, ["selftest"])
         assert res.exit_code == 1
         assert "FAIL" in res.output
         failed = [l for l in res.output.splitlines() if "FAIL" in l]

@@ -365,6 +365,12 @@ class TestFit:
         for name in ("eta", "kappa_t", "kappa_fp"):
             assert r2.estimates[name] == pytest.approx(r1.estimates[name], rel=1e-6)
 
+    @pytest.mark.parametrize("seed", [-1, 2**32])
+    def test_out_of_range_seed_rejected(self, seed):
+        # numpy's RandomState takes seeds in [0, 2**32)
+        with pytest.raises(InvalidInput, match="seed"):
+            FitOptions(multistart=1, seed=seed)
+
     def test_missing_init_rejected(self):
         data = noiseless_data()
         with pytest.raises(InvalidInput):
@@ -401,7 +407,7 @@ class TestSimplexProperties:
         data = noiseless_data(noise_sigma_nm=0.02, seed=9)
         init = {k: INIT[k] for k in ("eta", "kappa_t", "kappa_fp", "lambda_t")}
         result = fit(data, init)
-        init_vec = np.array([init[n] for n in result.param_names])
+        init_vec = np.array([init[n] for n in tuple(result.estimates)])
         init_ssr = float(residuals(init_vec, data) @ residuals(init_vec, data))
         assert result.residual_norm**2 <= init_ssr
 

@@ -212,6 +212,18 @@ class TestIrfConvolve:
             np.trapezoid(y, t), rel=5e-3
         )
 
+    def test_kernel_longer_than_curve(self):
+        # sigma 400 ps on 301 samples over 1200 ps: the kernel has 1001 samples
+        t = np.linspace(-600.0, 600.0, 301)
+        y = np.exp(-((t - 100.0) / 150.0) ** 2)
+        sigma = 400.0
+        out = irf_convolve(DecayCurve(t, y, 1552.0, 0.5), sigma)
+        half_n = int(np.ceil(5.0 * sigma / 4.0))
+        norm = np.exp(-0.5 * (np.arange(-half_n, half_n + 1) * 4.0 / sigma) ** 2).sum()
+        direct = np.exp(-0.5 * ((t[:, None] - t[None, :]) / sigma) ** 2) @ y / norm
+        assert out.intensity.shape == t.shape
+        np.testing.assert_allclose(out.intensity, direct, rtol=1e-12)
+
     def test_nonuniform_grid_rejected(self):
         t = np.array([0.0, 1.0, 3.0, 6.0])
         with pytest.raises(InvalidInput):
