@@ -11,8 +11,6 @@ __version__ = "0.1.0"
 
 from .errors import (
     CavtuneError,
-    ConvergenceFailure,
-    InvalidConfiguration,
     InvalidInput,
     NoFeature,
     NumericalFailure,
@@ -56,7 +54,6 @@ from .fitting import (
     AnticrossingData,
     FitOptions,
     FitResult,
-    calibrate_power,
     fit,
     read_anticrossing_csv,
     residuals,

@@ -24,7 +24,7 @@ from .config import (
     load_config_file,
     scenario_config,
 )
-from .errors import CavtuneError, ConvergenceFailure, NumericalFailure, SchemaError
+from .errors import CavtuneError, NumericalFailure, SchemaError
 from .fitting import FitOptions, fit as run_fit, read_anticrossing_csv
 from .render import render_csv_file
 from .runs import run_dynamic, run_static_sweep, write_csv, write_json
@@ -47,7 +47,7 @@ def _exit_on_error(out):
         yield
     except CavtuneError as exc:
         click.echo(f"error: {exc}", err=True)
-        sys.exit(4 if isinstance(exc, (NumericalFailure, ConvergenceFailure)) else 2)
+        sys.exit(4 if isinstance(exc, NumericalFailure) else 2)
     except OSError as exc:
         click.echo(f"error: cannot write outputs under {out}: {exc}", err=True)
         sys.exit(2)

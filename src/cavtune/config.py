@@ -292,11 +292,11 @@ def load_config(raw: dict) -> RunConfig:
     )
 
     profile_node = root.section("profile", {})
-    thermo = profile_node.section("thermo", None)
+    thermo = profile_node.section("thermo", {})
     profile = profile_node.build(
         TuningProfile,
         static_detuning_nm=profile_node.number("static_detuning_nm", 0.0),
-        thermo=None if thermo is None else thermo.build(
+        thermo=thermo.build(
             ThermoOpticModel,
             thermo.number("coeff_nm_per_mw", 0.0, minimum=0.0),
             thermo.number("power_mw", 0.0, minimum=0.0),

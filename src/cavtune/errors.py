@@ -6,19 +6,11 @@ class CavtuneError(Exception):
 
 
 class InvalidInput(CavtuneError, ValueError):
-    """An argument violates a documented precondition."""
-
-
-class InvalidConfiguration(CavtuneError, ValueError):
-    """A parameter set is internally inconsistent or unphysical."""
+    """An argument or parameter set violates a documented precondition or is unphysical."""
 
 
 class NumericalFailure(CavtuneError, RuntimeError):
     """An integrator or linear-algebra step failed; carries diagnostics in the message."""
-
-
-class ConvergenceFailure(CavtuneError, RuntimeError):
-    """An iterative method exhausted its budget without meeting its tolerance."""
 
 
 class NoFeature(CavtuneError, ValueError):

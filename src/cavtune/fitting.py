@@ -31,11 +31,15 @@ DEFAULT_SIGMA_TAU_FRAC = 0.10
 
 _PENALTY = 1e8
 
-_CSV_COLUMNS = ("control", "lambda1", "lambda2", "q1", "q2", "tau")
-# the only uncertainty columns the fit reads: lambda1_err weights both
-# wavelength branches and q1_err both Q branches
-_ERR_COLUMNS = ("lambda1_err", "q1_err", "tau_err")
-_UNIT_SUFFIXES = ("_nm", "_mw", "_ns")
+# each CSV column and the unit suffixes its header may carry ("" for none); the
+# detuning and power headers name the control column.  The only uncertainty
+# columns the fit reads: lambda1_err weights both wavelength branches and
+# q1_err both Q branches
+_COLUMN_UNITS = {
+    "control": ("", "_nm", "_mw"), "detuning": ("", "_nm"), "power": ("", "_mw"),
+    "lambda1": ("", "_nm"), "lambda2": ("", "_nm"), "q1": ("",), "q2": ("",), "tau": ("", "_ns"),
+    "lambda1_err": ("", "_nm"), "q1_err": ("",), "tau_err": ("", "_ns"),
+}
 
 
 @dataclass(frozen=True)
@@ -111,24 +115,28 @@ class AnticrossingData:
         return s_lam, s_q, s_tau
 
 
-_HEADER_ALIASES = {"detuning": "control", "power": "control"}
-
-
-def _normalize_header(name: str) -> str:
-    base = name.strip().lower()
-    for suffix in _UNIT_SUFFIXES:
-        if base.endswith(suffix):
-            base = base[: -len(suffix)]
-            break
-    return _HEADER_ALIASES.get(base, base)
+def _column_of(header: str) -> str:
+    """The column that ``header`` names; a unit suffix must be one that column takes."""
+    name = header.strip().lower()
+    stem = name[:-3] if name[-3:] in ("_nm", "_mw", "_ns") else name
+    units = _COLUMN_UNITS.get(stem)
+    if units is None:
+        raise SchemaError(f"unknown column {stem!r} in header {header!r} "
+                          f"(the uncertainty columns are lambda1_err, q1_err, tau_err)")
+    if name[len(stem):] not in units:
+        raise SchemaError(f"header {header!r}: the {stem} column takes "
+                          + " or ".join(repr(stem + unit) for unit in units))
+    return "control" if stem in ("detuning", "power") else stem
 
 
 def read_anticrossing_csv(source, control_kind: Optional[str] = None) -> AnticrossingData:
     """Ingest the fixed CSV schema: control, lambda1, lambda2, q1, q2, tau (+ lambda1_err,
     q1_err, tau_err).
 
-    Unit-suffixed header variants (``control_nm``, ``lambda1_nm``, ``tau_ns``, etc.)
-    are accepted; a ``control_mw`` header implies a power control column.
+    A header may carry its column's unit: ``_nm`` on the control (or
+    ``detuning``), ``lambda`` and ``lambda1_err`` columns, ``_ns`` on the
+    ``tau`` columns.  A ``control_mw``, ``power`` or ``power_mw`` header
+    implies a power control column.  Any other header is a :class:`SchemaError`.
     """
     if hasattr(source, "read"):
         text = source.read()
@@ -143,7 +151,7 @@ def read_anticrossing_csv(source, control_kind: Optional[str] = None) -> Anticro
 
     columns = {}
     for idx, raw in enumerate(header):
-        base = _normalize_header(raw)
+        base = _column_of(raw)
         if raw.strip().lower() in ("control_mw", "power", "power_mw"):
             control_kind = control_kind or "power_mw"
         if base in columns:
@@ -152,12 +160,6 @@ def read_anticrossing_csv(source, control_kind: Optional[str] = None) -> Anticro
     for required in ("control", "lambda1", "lambda2"):
         if required not in columns:
             raise SchemaError(f"missing required column {required!r} in header")
-    unknown = [c for c in columns if c not in _CSV_COLUMNS + _ERR_COLUMNS]
-    if unknown:
-        raise SchemaError(
-            f"unknown column(s) {unknown} in header "
-            f"(the uncertainty columns are {', '.join(_ERR_COLUMNS)})"
-        )
 
     rows = []
     for line_no, row in enumerate(reader, start=2):
@@ -234,6 +236,10 @@ class FitOptions:
     seed: int = 0  # seeds numpy's RandomState, which takes [0, 2**32)
 
     def __post_init__(self):
+        if self.max_evals < 1:
+            raise InvalidInput(f"max_evals must be >= 1, got {self.max_evals}")
+        if self.multistart < 0:
+            raise InvalidInput(f"multistart must be >= 0, got {self.multistart}")
         if not 0 <= self.seed < 2**32:
             raise InvalidInput(f"seed must lie in [0, 2**32), got {self.seed}")
 
@@ -451,7 +457,7 @@ def fit(
     ``init`` must provide every active parameter (which parameters are active
     follows from the data columns).  Multi-start, when enabled, draws extra
     seeded initializations within the bounds; the winner is the lowest
-    objective with ties broken by start index.
+    objective, the earlier start on a tie.
     """
     options = options or FitOptions()
     names = _active_params(data)
@@ -489,7 +495,7 @@ def fit(
 
     best = None
     total_evals = 0
-    for idx, start in enumerate(starts):
+    for start in starts:
         x, fval, ok = start, np.inf, False
         budget = options.max_evals
         # fresh-simplex restart rounds sidestep premature simplex collapse
@@ -506,9 +512,9 @@ def fit(
             if not ok or not improved:
                 break
         if best is None or fval < best[1]:
-            best = (x, fval, ok, idx)
+            best = (x, fval, ok)
 
-    x_best, f_best, converged, _ = best
+    x_best, f_best, converged = best
     estimates = dict(zip(names, (float(v) for v in x_best)))
 
     res_best = model.residuals(x_best)
@@ -556,15 +562,6 @@ def _finite_difference_errors(x, r0, model: _CompiledModel):
     except np.linalg.LinAlgError:
         errs = np.full(n, np.nan)
     return dict(zip(model.names, (float(e) for e in errs)))
-
-
-def calibrate_power(data: AnticrossingData, result: FitResult) -> tuple[float, float]:
-    """Linear power-to-detuning map (nm/mW slope, nm offset) from a fit result."""
-    if data.control_kind != "power_mw":
-        raise InvalidInput("calibration requires a power control column")
-    if "cal_slope" not in result.estimates:
-        raise InvalidInput("fit was run without calibration parameters")
-    return result.estimates["cal_slope"], result.estimates["cal_offset"]
 
 
 def synthetic_data(

@@ -28,7 +28,7 @@ from scipy.sparse.linalg import expm as sparse_expm
 from scipy.sparse.linalg import splu
 
 from .config import SOLVER_ATOL, SOLVER_RTOL
-from .errors import ConvergenceFailure, InvalidInput, NumericalFailure
+from .errors import InvalidInput, NumericalFailure
 from .modespace import (
     BareMode,
     CoupledModes,
@@ -37,12 +37,11 @@ from .modespace import (
     omega_to_wl,
     wl_to_omega,
 )
-# HilbertSpec and the pump dataclasses live in tuning, free of scipy; they are
+# HilbertSpec and PumpSchedule live in tuning, free of scipy; they are
 # re-exported here as part of this module's interface
 from .tuning import (
     SECONDS_PER_PS as _PS,
     HilbertSpec,
-    PumpPulse,  # noqa: F401
     PumpSchedule,
     TuningProfile,
     fp_shift_at,
@@ -121,16 +120,21 @@ def _spec_from_dim(dim: int) -> HilbertSpec:
     return HilbertSpec(m - 1)
 
 
+def _frame_omega(params: SystemParams, frame: str) -> float:
+    """The frequency (rad/s) that ``frame`` rotates at: the target's, or 0.0 in the lab frame."""
+    if frame not in ("rotating", "lab"):
+        raise InvalidInput(f"frame must be 'rotating' or 'lab', got {frame!r}")
+    return params.target.omega if frame == "rotating" else 0.0
+
+
 def _model(params: SystemParams, spec: HilbertSpec, frame: str):
     """Operators, the Hamiltonian without its FP term, and the fixed channels, in rad/ps.
 
-    Returns ``(ops, h0, channels)``.  Each channel ``(rate, L, sign)`` adds
-    ``rate * (L rho L^T - sign/2 {L^T L, rho})``; every operator is real.  The
-    FP term is ``delta_fp * n_fp``, with ``delta_fp`` the FP detuning (rotating
-    frame) or FP frequency (lab frame).
+    Returns ``(ops, h0, channels)``.  Each channel ``(rate, L)`` adds
+    ``rate * D[L] rho``; every operator is real.  The FP term is
+    ``delta_fp * n_fp``, with ``delta_fp`` the FP frequency in ``frame``.
     """
-    if frame not in ("rotating", "lab"):
-        raise InvalidInput(f"frame must be 'rotating' or 'lab', got {frame!r}")
+    ref = _frame_omega(params, frame)
     ops = build_space(spec)
     em = params.emitter
     g = em.g * _PS
@@ -138,27 +142,22 @@ def _model(params: SystemParams, spec: HilbertSpec, frame: str):
     coupling = g * (ops.a_t @ ops.sigma_plus + ops.a_t.T @ ops.sigma_minus) + eta * (
         ops.a_t.T @ ops.a_fp + ops.a_fp.T @ ops.a_t
     )
-    if frame == "rotating":
-        h0 = (em.omega0 - params.target.omega) * _PS * ops.n_e + coupling
-    else:
-        h0 = em.omega0 * _PS * ops.n_e + params.target.omega * _PS * ops.n_t + coupling
+    h0 = (em.omega0 - ref) * _PS * ops.n_e + (params.target.omega - ref) * _PS * ops.n_t + coupling
 
     channels = [
-        (2.0 * params.target.kappa * _PS, ops.a_t, 1.0),
-        (2.0 * params.fp.kappa * _PS, ops.a_fp, 1.0),
+        (2.0 * params.target.kappa * _PS, ops.a_t),
+        (2.0 * params.fp.kappa * _PS, ops.a_fp),
     ]
     if em.gamma_leaky > 0.0:
-        channels.append((em.gamma_leaky * _PS, ops.sigma_minus, 1.0))
-    pump = params.pump
-    if pump is not None and pump.cavity_cw_rate > 0.0:
-        channels.append((pump.cavity_cw_rate * _PS, ops.a_t.T, 1.0))
+        channels.append((em.gamma_leaky * _PS, ops.sigma_minus))
+    if params.pump.cavity_cw_rate > 0.0:
+        channels.append((params.pump.cavity_cw_rate * _PS, ops.a_t.T))
     return ops, h0, channels
 
 
 def _fixed_delta(params: SystemParams, frame: str) -> float:
     """The FP term ``delta_fp`` (rad/ps) of the FP mode ``params.fp``."""
-    fp = params.fp
-    return (fp.omega if frame == "lab" else fp.omega - params.target.omega) * _PS
+    return (params.fp.omega - _frame_omega(params, frame)) * _PS
 
 
 class _Generator:
@@ -180,13 +179,13 @@ class _Generator:
         def kron(a, b):
             return sparse.kron(a, b, format="csr")
 
-        def dissipator(rate, op, sign):
+        def dissipator(rate, op):
             op = sparse.csr_matrix(op)
             ldl = (op.T @ op).tocsr()
-            return rate * kron(op, op) - sign * 0.5 * rate * (kron(ldl, eye) + kron(eye, ldl.T))
+            return rate * kron(op, op) - 0.5 * rate * (kron(ldl, eye) + kron(eye, ldl.T))
 
-        self.p_cw = params.pump.cw_rate * _PS if params.pump is not None else 0.0
-        self.l_pump = dissipator(1.0, ops.sigma_plus, 1.0)
+        self.p_cw = params.pump.cw_rate * _PS
+        self.l_pump = dissipator(1.0, ops.sigma_plus)
         h0 = sparse.csr_matrix(h0)
         l0 = -1j * (kron(h0, eye) - kron(eye, h0.T)) + self.p_cw * self.l_pump
         for channel in channels:
@@ -228,11 +227,10 @@ class _Generator:
 def _delta_fp_fn(params: SystemParams, profile: TuningProfile, frame: str):
     """``delta_fp(t_ps)`` in rad/ps, in float arithmetic: it runs on every RHS call."""
     lambda_t = omega_to_wl(params.target.omega)
-    base = 0.0 if frame == "rotating" else params.target.omega
+    ref = _frame_omega(params, frame)
 
     def delta_fp(t_ps: float) -> float:
-        omega_fp = wl_to_omega(lambda_t + fp_shift_scalar(profile, t_ps))
-        return (omega_fp - params.target.omega + base) * _PS
+        return (wl_to_omega(lambda_t + fp_shift_scalar(profile, t_ps)) - ref) * _PS
 
     return delta_fp
 
@@ -255,12 +253,12 @@ def liouvillian_apply(
         raise InvalidInput(f"density matrix must be square, got shape {rho.shape}")
     ops, h0, channels = _model(params, _spec_from_dim(rho.shape[0]), frame)
     if pump_rate is None:
-        pump_rate = params.pump.cw_rate if params.pump is not None else 0.0
+        pump_rate = params.pump.cw_rate
     h = h0 + _fixed_delta(params, frame) * ops.n_fp
     out = -1j * (h @ rho - rho @ h)
-    for rate, op, sign in channels + [(pump_rate * _PS, ops.sigma_plus, 1.0)]:
+    for rate, op in channels + [(pump_rate * _PS, ops.sigma_plus)]:
         ldl = op.T @ op
-        out += rate * (op @ rho @ op.T) - sign * 0.5 * rate * (ldl @ rho + rho @ ldl)
+        out += rate * (op @ rho @ op.T) - 0.5 * rate * (ldl @ rho + rho @ ldl)
     return out / _PS
 
 
@@ -359,8 +357,6 @@ def evolve(
     if rho0.ndim != 2 or rho0.shape[0] != rho0.shape[1]:
         raise InvalidInput(f"density matrix must be square, got shape {rho0.shape}")
     spec = _spec_from_dim(rho0.shape[0])
-    if params.pump is None:
-        raise InvalidInput("params.pump must be a PumpSchedule for time evolution")
     if not atol > 0.0:  # BDF's error scale atol + rtol*|y| would be 0 where y stays 0
         raise InvalidInput(f"atol must be positive, got {atol}")
 
@@ -541,14 +537,14 @@ def steady_state(params: SystemParams, spec: HilbertSpec) -> np.ndarray:
     Solves ``L vec(rho) = 0``, ``tr rho = 1`` by sparse LU on the entries that
     ``L`` populates from the vacuum (:func:`_closure`; the others are 0), so an
     emitter with neither coupling nor decay stays in its ground state.  Raises
-    :class:`ConvergenceFailure` when the solve is singular, when the residual
+    :class:`NumericalFailure` when the solve is singular, when the residual
     ``||L rho|| / ||rho||`` (rad/ps) is not below ``STEADY_RESIDUAL_TOL``, or
     when rho is not a valid state.  Unpumped, that closure is rho_00 alone: the
     vacuum.
     """
-    cw = 0.0 if params.pump is None else params.pump.cw_rate
     d = spec.dim
-    mat = _Generator(params, spec, "rotating").matrix(_fixed_delta(params, "rotating"), cw * _PS)
+    gen = _Generator(params, spec, "rotating")
+    mat = gen.matrix(_fixed_delta(params, "rotating"), gen.p_cw)
     keep = _closure(mat, vacuum_state(spec).ravel())
     sub = mat[keep][:, keep]
     # the rho_00 row is redundant, since L preserves the trace: put tr rho = 1 there
@@ -559,10 +555,10 @@ def steady_state(params: SystemParams, spec: HilbertSpec) -> np.ndarray:
     try:
         x[keep] = splu(sparse.vstack([trace_row, sub[1:]], format="csc")).solve(rhs)
     except RuntimeError as exc:  # exactly singular
-        raise ConvergenceFailure(f"steady state is not unique: {exc}") from exc
+        raise NumericalFailure(f"steady state is not unique: {exc}") from exc
     residual = np.linalg.norm(mat @ x) / max(np.linalg.norm(x), 1e-300)
     if not residual < STEADY_RESIDUAL_TOL:
-        raise ConvergenceFailure(
+        raise NumericalFailure(
             f"steady-state residual {residual:.3e} not below {STEADY_RESIDUAL_TOL:.3e}"
         )
     return _sanitize_state(x.reshape(d, d))
@@ -590,9 +586,9 @@ def _closure(mat: sparse.spmatrix, vec_rho0: np.ndarray) -> np.ndarray:
 def _sanitize_state(rho: np.ndarray) -> np.ndarray:
     trace_dev, herm, min_eig = _state_checks(rho[None])
     if herm > 1e-10:
-        raise ConvergenceFailure(f"steady state not Hermitian within 1e-10 (dev {herm:.3e})")
+        raise NumericalFailure(f"steady state not Hermitian within 1e-10 (dev {herm:.3e})")
     if min_eig < -1e-8:
-        raise ConvergenceFailure(f"steady state not positive (min eigenvalue {min_eig:.3e})")
+        raise NumericalFailure(f"steady state not positive (min eigenvalue {min_eig:.3e})")
     if trace_dev > 1e-8:
-        raise ConvergenceFailure(f"steady state trace {np.trace(rho).real} deviates from 1")
+        raise NumericalFailure(f"steady state trace {np.trace(rho).real} deviates from 1")
     return rho

@@ -17,11 +17,12 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidConfiguration, InvalidInput
+from .errors import InvalidInput
+from .tuning import PumpSchedule
 
 C_M_PER_S = 2.99792458e8  # vacuum speed of light
 
@@ -114,24 +115,22 @@ class EmitterParams:
 
 @dataclass(frozen=True)
 class SystemParams:
-    """Full parameter set of the three-oscillator model.
-
-    ``pump`` is a :class:`cavtune.lindblad.PumpSchedule`; it may be ``None``
-    for purely spectral (non-dynamical) work.
-    """
+    """Full parameter set of the three-oscillator model; ``PumpSchedule()`` pumps nothing."""
 
     emitter: EmitterParams
     target: BareMode
     fp: BareMode
     eta: float
-    pump: Optional[object] = None
+    pump: PumpSchedule = PumpSchedule()
 
     def __post_init__(self):
         if self.eta < 0.0:
             raise InvalidInput(f"cavity-cavity coupling must be >= 0, got {self.eta}")
+        if not isinstance(self.pump, PumpSchedule):
+            raise InvalidInput(f"pump must be a PumpSchedule, got {self.pump!r}")
         kmin = min(self.target.kappa, self.fp.kappa)
         if not self.emitter.g < kmin:
-            raise InvalidConfiguration(
+            raise InvalidInput(
                 f"weak-coupling guard violated: g={self.emitter.g} must be below "
                 f"min(kappa_t, kappa_fp)={kmin}"
             )
@@ -345,7 +344,7 @@ def _decay_time(params: SystemParams, coupled: CoupledModes):
     e = params.emitter
     gamma = decay_rate(e.g, e.gamma_leaky, abs(coupled.alpha) ** 2, coupled.kappa1, coupled.kappa2)
     if np.any(gamma <= 0.0):
-        raise InvalidConfiguration("total decay rate is zero: no leaky or cavity channel")
+        raise InvalidInput("total decay rate is zero: no leaky or cavity channel")
     return 1.0 / gamma
 
 

@@ -187,7 +187,7 @@ def delay_scan(cfg: RunConfig):
         yield _observe(cfg, traj)
 
 
-def _metrics_entry(cfg: RunConfig, curve: DecayCurve, window) -> dict:
+def _metrics_entry(curve: DecayCurve, window) -> dict:
     entry = {"lambda_nm": curve.center_nm, "fwhm_nm": curve.fwhm_nm}
     if window is None:
         entry["error"] = "no control pulse: no baseline window"
@@ -302,7 +302,7 @@ def run_dynamic(cfg: RunConfig, outdir: Path, render: bool = False):
                     curve.center_nm,
                     curve.fwhm_nm,
                 )
-                entry = _metrics_entry(cfg, ratio, window)
+                entry = _metrics_entry(ratio, window)
                 entry["normalization"] = "ratio to the pulse-free reference decay"
                 entries.append(entry)
             metrics["delays"].append({"delay_ps": delay, "filters": entries})
@@ -314,7 +314,7 @@ def run_dynamic(cfg: RunConfig, outdir: Path, render: bool = False):
         outputs += _emit_dynamic_outputs(outdir, "", pl_map, curves, cfg, render)
         metrics = {
             "scenario": cfg.scenario,
-            "filters": [_metrics_entry(cfg, c, cfg.baseline_window_ps) for c in curves],
+            "filters": [_metrics_entry(c, cfg.baseline_window_ps) for c in curves],
         }
         if cfg.check_truncation:
             metrics["truncation_check"] = _truncation_drift(cfg, cfg.profile, (traj, pl_map, curves))

@@ -37,7 +37,7 @@ from .spectra import DecayCurve, PLMap, apply_filter, burst_metrics, synthesize_
 from .tuning import FreeCarrierPulse, TuningProfile, fp_shift_at
 
 
-def _default_params(pump=None, **rates) -> SystemParams:
+def _default_params(pump=PumpSchedule(), **rates) -> SystemParams:
     """``DEFAULT_SYSTEM``, the FP mode on the target, with ``rates`` (g, gamma_leaky, eta) replaced."""
     system = {**DEFAULT_SYSTEM, **rates}
     omega_t = wl_to_omega(system["lambda_t_nm"])
@@ -46,7 +46,7 @@ def _default_params(pump=None, **rates) -> SystemParams:
         BareMode(omega_t, system["kappa_t"]),
         BareMode(omega_t, system["kappa_fp"]),
         system["eta"],
-        pump or PumpSchedule(),
+        pump,
     )
 
 
@@ -154,11 +154,9 @@ def _check_emitter_leaky_decay():
 def _check_purcell_rate():
     # no cavity-pair coupling and the FP mode 8 nm off: the emitter decays
     # through the target at the adiabatic (weak-coupling) rate
-    kappa_t = DEFAULT_SYSTEM["kappa_t"]
-    g = kappa_t / 20.0
-    p = _default_params(g=g, eta=0.0)
+    p = _default_params(g=DEFAULT_SYSTEM["kappa_t"] / 20.0, eta=0.0)
     p = replace(p, fp=BareMode(wl_to_omega(DEFAULT_SYSTEM["lambda_t_nm"] + 8.0), p.fp.kappa))
-    expected = p.emitter.gamma_leaky + 2.0 * g**2 / kappa_t
+    expected = p.emitter.gamma_leaky + p.purcell_rate
     t = np.linspace(0.0, 2.0 / (expected * 1e-12), 201)
     traj = evolve(p, TuningProfile(static_detuning_nm=8.0), emitter_excited_state(HilbertSpec(1)), t)
     mask = (t > 50.0) & (traj.n_e > 1e-12)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -69,12 +68,13 @@ class FreeCarrierPulse:
 class TuningProfile:
     """Static offset plus thermo-optic and free-carrier contributions.
 
-    ``static_detuning_nm`` is lambda_FP - lambda_t at baseline.  Pulses are
-    kept sorted by arrival time; overlapping pulses add.
+    ``static_detuning_nm`` is lambda_FP - lambda_t at baseline; the default
+    ``thermo`` heats nothing.  Pulses are kept sorted by arrival time;
+    overlapping pulses add.
     """
 
     static_detuning_nm: float = 0.0
-    thermo: Optional[ThermoOpticModel] = None
+    thermo: ThermoOpticModel = ThermoOpticModel(0.0, 0.0)
     pulses: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
@@ -104,9 +104,7 @@ def fp_shift_scalar(profile: TuningProfile, t_ps: float) -> float:
     The master-equation integrator calls this on every right-hand-side
     evaluation, where array arithmetic would cost more than the step it feeds.
     """
-    shift = float(profile.static_detuning_nm)
-    if profile.thermo is not None:
-        shift += thermo_shift(profile.thermo)
+    shift = float(profile.static_detuning_nm) + thermo_shift(profile.thermo)
     for pulse in profile.pulses:
         dt = t_ps - pulse.t0_ps
         if dt >= 0.0:

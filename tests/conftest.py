@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from scipy import sparse
 
-from cavtune import BareMode, EmitterParams, PumpSchedule, SystemParams, wl_to_omega
+from cavtune import BareMode, EmitterParams, PumpSchedule, SystemParams, build_space, wl_to_omega
+from cavtune.lindblad import _Generator
 
 KAPPA_T = 1.564e11
 ETA = 1.564e11
@@ -27,15 +29,20 @@ def make_params(
     )
 
 
-def broken_target_model(model):
-    """``model`` (``lindblad._model``) with the sign of the target channel's
-    anticommutator flipped: a negative control whose generator breaks the trace."""
+class broken_target_generator(_Generator):
+    """The compiled generator with the sign of the target channel's anticommutator
+    flipped: a negative control whose generator breaks the trace.
 
-    def broken(*args):
-        ops, h0, ((rate, a_t, sign), *others) = model(*args)
-        return ops, h0, [(rate, a_t, -sign), *others]
+    The flip adds ``rate * (n_t kron 1 + 1 kron n_t)`` to ``l0``, with ``rate``
+    the target channel's ``2 kappa_t`` in rad/ps.
+    """
 
-    return broken
+    def __init__(self, params, spec, frame):
+        super().__init__(params, spec, frame)
+        n_t = sparse.csr_matrix(build_space(spec).n_t)
+        eye = sparse.identity(spec.dim, format="csr")
+        rate = 2.0 * params.target.kappa * 1e-12
+        self.l0 = (self.l0 + rate * (sparse.kron(n_t, eye) + sparse.kron(eye, n_t))).tocsr()
 
 
 @pytest.fixture

@@ -14,7 +14,7 @@ from cavtune.config import (
     load_config,
     scenario_config,
 )
-from conftest import broken_target_model
+from conftest import broken_target_generator
 
 
 def small_dynamic_config(**overrides):
@@ -453,11 +453,9 @@ class TestSelftestCommand:
     def test_negative_control_fails_trace_check(self, monkeypatch):
         # the trace check alone runs on a broken target dissipator: with it,
         # the other evolve checks would fail uncaught
-        broken = broken_target_model(lindblad._model)
-
         def broken_trace_check():
             with monkeypatch.context() as patch:
-                patch.setattr(lindblad, "_model", broken)
+                patch.setattr(lindblad, "_Generator", broken_target_generator)
                 return selftest._check_master_equation_trace()
 
         checks = [(name, broken_trace_check if fn is selftest._check_master_equation_trace else fn)

@@ -8,7 +8,6 @@ from cavtune import (
     FitOptions,
     InvalidInput,
     SchemaError,
-    calibrate_power,
     fit,
     read_anticrossing_csv,
     residuals,
@@ -104,6 +103,18 @@ class TestDataIngest:
         header = f"control,lambda1,lambda2,{column}\n"
         with pytest.raises(SchemaError, match=f"unknown column.*'{column.removesuffix('_nm')}'"):
             read_anticrossing_csv(io.StringIO(header + rows))
+
+    @pytest.mark.parametrize("header", [
+        "lambda1,lambda2,power_nm", "lambda1,lambda2,control_ns", "lambda1,lambda2,detuning_mw",
+        "control,lambda2,lambda1_ns", "control,lambda1,lambda2_mw", "control,lambda1,lambda2,q2,q1_nm",
+        "control,lambda1,lambda2,tau_nm", "control,lambda1,lambda2,lambda1_err_ns",
+        "control,lambda1,lambda2,tau,tau_err_mw",
+    ])
+    def test_wrong_unit_headers_rejected(self, header):
+        # a unit suffix must be its column's unit: a tau_nm column holds no decay times in ns
+        rows = "\n".join(",".join(["1551"] * (header.count(",") + 1)) for _ in range(5))
+        with pytest.raises(SchemaError, match=f"header '{header.rsplit(',', 1)[1]}'"):
+            read_anticrossing_csv(io.StringIO(header + "\n" + rows))
 
     def test_read_error_columns_accepted(self):
         rows = "\n".join(f"{c},1551,1553,1000,2000,1,0.01,50,0.1" for c in range(5))
@@ -371,6 +382,12 @@ class TestFit:
         with pytest.raises(InvalidInput, match="seed"):
             FitOptions(multistart=1, seed=seed)
 
+    @pytest.mark.parametrize("options", [{"multistart": -3}, {"max_evals": 0}])
+    def test_out_of_range_budget_rejected(self, options):
+        # these ran before as 0 extra starts and as a fit of 0 evaluations
+        with pytest.raises(InvalidInput, match=next(iter(options))):
+            FitOptions(**options)
+
     def test_missing_init_rejected(self):
         data = noiseless_data()
         with pytest.raises(InvalidInput):
@@ -427,7 +444,7 @@ class TestPowerCalibration:
         init = {k: INIT[k] for k in ("eta", "kappa_t", "kappa_fp", "lambda_t")}
         init.update(cal_slope=0.09, cal_offset=-1.0)
         result = fit(data, init)
-        slope, offset = calibrate_power(data, result)
+        slope, offset = result.estimates["cal_slope"], result.estimates["cal_offset"]
         assert slope == pytest.approx(0.1, rel=0.02)
         assert offset == pytest.approx(-1.2, abs=0.02)
 
@@ -458,16 +475,9 @@ class TestPowerCalibration:
         init = {k: INIT[k] for k in ("eta", "kappa_t", "kappa_fp", "lambda_t")}
         init.update(cal_slope=0.11, cal_offset=0.2)
         result = fit(data, init)
-        slope, offset = calibrate_power(data, result)
+        offset = result.estimates["cal_offset"]
         fp_at_zero = result.estimates["lambda_t"] + offset
         assert fp_at_zero == pytest.approx(LAM_TRUE + 0.25, abs=0.01)
-
-    def test_requires_power_column(self):
-        data = noiseless_data()
-        init = {k: INIT[k] for k in ("eta", "kappa_t", "kappa_fp", "lambda_t")}
-        result = fit(data, init)
-        with pytest.raises(InvalidInput):
-            calibrate_power(data, result)
 
 
 class TestDecayTimeColumn:

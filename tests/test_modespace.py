@@ -1,11 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 from cavtune import (
     BareMode,
-    InvalidConfiguration,
     InvalidInput,
+    PumpSchedule,
+    SystemParams,
     anticrossing_sweep,
     couple,
     coupled_hamiltonian,
@@ -387,7 +390,7 @@ class TestSERateAndDecay:
 
     def test_zero_rates_invalid(self):
         p = make_params(g=0.0, gamma_leaky=0.0)
-        with pytest.raises(InvalidConfiguration):
+        with pytest.raises(InvalidInput):
             anticrossing_sweep(p, [0.0])
 
 
@@ -442,5 +445,12 @@ class TestDomainInvariants:
             BareMode(1e11, 1e11)  # Q would be 0.5
 
     def test_weak_coupling_guard(self):
-        with pytest.raises(InvalidConfiguration):
+        with pytest.raises(InvalidInput):
             make_params(g=2e11)  # exceeds kappa_t
+
+    def test_no_pump_is_the_empty_schedule(self):
+        # PumpSchedule() is the one "no pump"; None is not a second one
+        p = make_params()
+        assert SystemParams(p.emitter, p.target, p.fp, p.eta).pump == PumpSchedule()
+        with pytest.raises(InvalidInput, match="PumpSchedule"):
+            replace(p, pump=None)

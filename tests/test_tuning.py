@@ -28,6 +28,10 @@ class TestThermoOptic:
         with pytest.raises(InvalidInput):
             ThermoOpticModel(-0.1, 1.0)
 
+    def test_no_heating_is_the_zero_model(self):
+        # ThermoOpticModel(0.0, 0.0) is the one "no heating"
+        assert TuningProfile().thermo == ThermoOpticModel(0.0, 0.0)
+
 
 class TestFpShift:
     def test_pre_pulse_baseline(self):
