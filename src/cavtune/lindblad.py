@@ -264,7 +264,12 @@ def liouvillian_apply(
 
 @dataclass
 class Trajectory:
-    """Recorded observables of one master-equation integration (times in ps)."""
+    """Recorded observables of one master-equation integration (times in ps).
+
+    ``states[i]`` holds the entries ``keep`` (sorted indices) of the row-major
+    vec(rho) at the i-th time, rho being ``dim`` x ``dim``; its other entries
+    are exactly 0.  :meth:`density` gives the whole matrix.
+    """
 
     t_ps: np.ndarray
     n_e: np.ndarray
@@ -278,11 +283,19 @@ class Trajectory:
     kappa2: np.ndarray
     w1: np.ndarray  # |target amplitude|^2 of mode 1
     w2: np.ndarray
-    states: np.ndarray
+    states: np.ndarray  # (t, keep.size)
+    keep: np.ndarray
+    dim: int
     kappa_t: float  # bare target loss rate (rad/s), constant over the run
     trace_dev_max: float
     hermiticity_dev_max: float
     min_eigenvalue: float
+
+    def density(self, i: int) -> np.ndarray:
+        """The density matrix at the ``i``-th time."""
+        rho = np.zeros(self.dim * self.dim, dtype=complex)
+        rho[self.keep] = self.states[i]
+        return rho.reshape(self.dim, self.dim)
 
 
 def _segment_breakpoints(
@@ -345,7 +358,8 @@ def evolve(
     grid time; events at one time add their areas.  The right-hand side
     computes only the entries of vec(rho) that ``rho0`` reaches (see
     :func:`_closure`); the others stay exactly 0, so the result is that of
-    the whole generator.  Raises :class:`InvalidInput` for a non-square
+    the whole generator, and the trajectory records only the reached entries
+    (``Trajectory.keep``).  Raises :class:`InvalidInput` for a non-square
     ``rho0`` or ``atol <= 0``, and :class:`NumericalFailure` with the failing
     time on integrator breakdown and when the recorded trace deviates from 1
     by more than 1e-8.
@@ -386,9 +400,9 @@ def evolve(
         profile, pump, float(t_grid[0]), float(t_grid[-1]), breakpoints_ps
     )
 
-    recorded = np.empty((t_grid.size, spec.dim, spec.dim), dtype=complex)
-    recorded[0] = rho0
+    states = np.empty((t_grid.size, keep.size), dtype=complex)
     y = rho0.ravel()
+    states[0] = y[keep]
     for a, b in zip(bounds[:-1], bounds[1:]):
         if a in kicks:  # the state at a is recorded before the pump map acts
             y = sparse_expm((kicks[a] * full.l_pump).tocsc()) @ y
@@ -403,27 +417,31 @@ def evolve(
         )
         if not sol.success:
             raise NumericalFailure(f"integrator failed in segment [{a}, {b}] ps: {sol.message}")
-        recorded[inside] = sol.y.T[: inside.size].reshape(-1, spec.dim, spec.dim)
+        states[inside] = sol.y[keep, : inside.size].T
         y = sol.y[:, -1].copy()
         del sol  # the segment's output, freed before the next segment and post-processing
 
-    return make_trajectory(params, profile, t_grid, recorded)
+    return make_trajectory(params, profile, t_grid, states, keep, spec.dim)
 
 
-def make_trajectory(params, profile, t_grid, states) -> Trajectory:
-    """The observables of ``states`` (``(t, d, d)``, one per time of ``t_grid``) under ``profile``.
+def make_trajectory(params, profile, t_grid, states, keep, dim) -> Trajectory:
+    """The observables of ``states`` under ``profile``, one state per time of ``t_grid``.
 
-    Raises :class:`NumericalFailure` if a trace deviates from 1 by more than 1e-8.
+    ``states`` is ``(t, keep.size)``: the entries ``keep`` of each vec(rho),
+    rho ``dim`` x ``dim`` and 0 elsewhere.  Raises :class:`NumericalFailure`
+    if a trace deviates from 1 by more than 1e-8.
     """
-    spec = _spec_from_dim(states.shape[1])
-    ops = build_space(spec)
-    n_e = np.einsum("ij,tji->t", ops.n_e, states).real
-    n_t = np.einsum("ij,tji->t", ops.n_t, states).real
-    n_fp = np.einsum("ij,tji->t", ops.n_fp, states).real
-    coh_op = ops.a_t.T @ ops.a_fp
-    coherence = np.einsum("ij,tji->t", coh_op.astype(complex), states)
+    ops = build_space(_spec_from_dim(dim))
 
-    trace_dev, herm_dev, min_eig = _state_checks(states)
+    def mean(op):  # tr(op rho) = vec(op^T) . vec(rho), at each time
+        return np.einsum("tk,k->t", states, op.T.ravel()[keep])
+
+    n_e = mean(ops.n_e).real
+    n_t = mean(ops.n_t).real
+    n_fp = mean(ops.n_fp).real
+    coherence = mean(ops.a_t.T @ ops.a_fp)
+
+    trace_dev, herm_dev, min_eig = _block_checks(states, keep, dim)
 
     lambda_t = omega_to_wl(params.target.omega)
     shifts = np.atleast_1d(fp_shift_at(profile, t_grid))
@@ -452,6 +470,8 @@ def make_trajectory(params, profile, t_grid, states) -> Trajectory:
         w1=w1,
         w2=w2,
         states=states,
+        keep=keep,
+        dim=dim,
         kappa_t=params.target.kappa,
         trace_dev_max=trace_dev,
         hermiticity_dev_max=herm_dev,
@@ -459,20 +479,56 @@ def make_trajectory(params, profile, t_grid, states) -> Trajectory:
     )
 
 
-def _state_checks(states: np.ndarray) -> tuple[float, float, float]:
+def _components(keep: np.ndarray, dim: int) -> np.ndarray:
+    """A label per basis index, shared by i and j when a chain of kept entries joins them.
+
+    Each kept entry ``k`` of vec(rho) is an edge between its row ``k // dim``
+    and its column ``k % dim``; an index in no kept entry keeps a label of its own.
+    """
+    rows, cols = np.divmod(keep, dim)
+    labels = np.arange(dim)
+    while True:  # each component's smallest index spreads along the edges
+        grown = labels.copy()
+        low = np.minimum(labels[rows], labels[cols])
+        np.minimum.at(grown, rows, low)
+        np.minimum.at(grown, cols, low)
+        if np.array_equal(grown, labels):
+            return labels
+        labels = grown
+
+
+def _block_checks(states: np.ndarray, keep: np.ndarray, dim: int) -> tuple[float, float, float]:
     """Largest trace deviation from 1, largest deviation from Hermiticity and
-    smallest eigenvalue of the Hermitian parts, over ``states``."""
-    traces = np.einsum("tii->t", states)
-    trace_dev = float(np.max(np.abs(traces - 1.0)))
+    smallest eigenvalue of the Hermitian parts, over ``states``.
+
+    Each row of ``states`` holds the entries ``keep`` of the row-major vec(rho)
+    of a ``dim`` x ``dim`` matrix that is 0 elsewhere.  A nonzero rho_ij has i
+    and j in one component of :func:`_components`, so rho is block-diagonal
+    over the components (an index in no kept entry is a zero 1 x 1 block), and
+    the three values of the whole matrices come from the components' submatrices.
+    """
+    rows, cols = np.divmod(keep, dim)
+    trace_dev = float(np.max(np.abs(states[:, rows == cols].sum(axis=1) - 1.0)))
+    labels = _components(keep, dim)
+    members = [np.flatnonzero(labels == label) for label in np.unique(labels)]
+    column = np.full(dim * dim, keep.size)  # the column of states of each entry of vec(rho)
+    column[keep] = np.arange(keep.size)
     herm_dev, min_eig = 0.0, np.inf
-    # 128 states at a time, so that the temporaries stay small beside the states
-    for chunk in np.split(states, range(128, len(states), 128)):
-        # the adjoints, then in place the Hermitian parts
-        hermitian_parts = np.conj(np.transpose(chunk, (0, 2, 1)))
-        herm_dev = max(herm_dev, float(np.max(np.abs(chunk - hermitian_parts))))
-        hermitian_parts += chunk
-        hermitian_parts *= 0.5
-        min_eig = min(min_eig, float(np.linalg.eigvalsh(hermitian_parts).min()))
+    for size in sorted({m.size for m in members}):
+        # the submatrices of the components of this size, at every time
+        basis = np.array([m for m in members if m.size == size])
+        where = column[basis[:, :, None] * dim + basis[:, None, :]]
+        kept = where < keep.size
+        # 128 states at a time, so that the temporaries stay small beside the states
+        for chunk in np.split(states, range(128, len(states), 128)):
+            blocks = np.zeros((len(chunk),) + where.shape, dtype=complex)
+            blocks[:, kept] = chunk[:, where[kept]]
+            # the adjoints, then in place the Hermitian parts
+            hermitian_parts = np.conj(np.swapaxes(blocks, -1, -2))
+            herm_dev = max(herm_dev, float(np.max(np.abs(blocks - hermitian_parts))))
+            hermitian_parts += blocks
+            hermitian_parts *= 0.5
+            min_eig = min(min_eig, float(np.linalg.eigvalsh(hermitian_parts).min()))
     return trace_dev, herm_dev, min_eig
 
 
@@ -481,18 +537,25 @@ def _splice(head: Trajectory, k: int, tail: Trajectory) -> Trajectory:
 
     Each observable is a function of one time, its state and the profile
     there, so the joined record equals :func:`make_trajectory` on the joined
-    states wherever the two runs' profiles agree before the k-th time.  Only
-    the state checks of the first ``k`` states are computed again.
+    states wherever the two runs' profiles agree before the k-th time.  The
+    states are joined on the union of the two ``keep`` sets, and only the
+    state checks of the first ``k`` states are computed again.
     """
     joined = {
         f.name: np.concatenate([getattr(head, f.name)[:k], getattr(tail, f.name)])
         for f in fields(Trajectory)
-        if isinstance(getattr(tail, f.name), np.ndarray)
+        if f.name not in ("states", "keep") and isinstance(getattr(tail, f.name), np.ndarray)
     }
-    trace_dev, herm_dev, min_eig = _state_checks(head.states[:k])
+    keep = np.union1d(head.keep, tail.keep)
+    states = np.zeros((k + len(tail.states), keep.size), dtype=complex)
+    states[:k, np.searchsorted(keep, head.keep)] = head.states[:k]
+    states[k:, np.searchsorted(keep, tail.keep)] = tail.states
+    trace_dev, herm_dev, min_eig = _block_checks(head.states[:k], head.keep, head.dim)
     return replace(
         tail,
         **joined,
+        states=states,
+        keep=keep,
         trace_dev_max=max(trace_dev, tail.trace_dev_max),
         hermiticity_dev_max=max(herm_dev, tail.hermiticity_dev_max),
         min_eigenvalue=min(min_eig, tail.min_eigenvalue),
@@ -519,15 +582,17 @@ def mode_populations(rho: np.ndarray, coupled: CoupledModes) -> tuple[float, flo
 def dense_superoperator(
     params: SystemParams,
     spec: HilbertSpec,
-    pump_rate: float = 0.0,
+    pump_rate: Optional[float] = None,
     frame: str = "rotating",
 ) -> np.ndarray:
     """The compiled generator (1/s) on row-major vec(rho), as a dense matrix.
 
-    Checks of the compiled operator compare it against the matrix-free
-    :func:`liouvillian_apply`.
+    ``pump_rate`` (1/s) defaults to the CW rate of ``params.pump``, as in
+    :func:`liouvillian_apply`: checks of the compiled operator compare the two.
     """
     gen = _Generator(params, spec, frame)
+    if pump_rate is None:
+        pump_rate = params.pump.cw_rate
     return gen.matrix(_fixed_delta(params, frame), pump_rate * _PS).toarray() / _PS
 
 
@@ -584,7 +649,9 @@ def _closure(mat: sparse.spmatrix, vec_rho0: np.ndarray) -> np.ndarray:
 
 
 def _sanitize_state(rho: np.ndarray) -> np.ndarray:
-    trace_dev, herm, min_eig = _state_checks(rho[None])
+    """``rho``, checked on its nonzero entries; raises :class:`NumericalFailure` if invalid."""
+    keep = np.flatnonzero(rho)
+    trace_dev, herm, min_eig = _block_checks(rho.ravel()[keep][None], keep, rho.shape[0])
     if herm > 1e-10:
         raise NumericalFailure(f"steady state not Hermitian within 1e-10 (dev {herm:.3e})")
     if min_eig < -1e-8:

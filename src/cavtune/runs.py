@@ -180,9 +180,11 @@ def delay_scan(cfg: RunConfig):
         if k == 0:
             traj = evolve(cfg.params, profile, rho0, t_grid, **options)
         elif k == t_grid.size - 1:
-            traj = make_trajectory(cfg.params, profile, t_grid, reference.states)
+            traj = make_trajectory(
+                cfg.params, profile, t_grid, reference.states, reference.keep, reference.dim
+            )
         else:
-            tail = evolve(cfg.params, profile, reference.states[k], t_grid[k:], **options)
+            tail = evolve(cfg.params, profile, reference.density(k), t_grid[k:], **options)
             traj = _splice(reference, k, tail)
         yield _observe(cfg, traj)
 
@@ -202,16 +204,17 @@ def _metrics_entry(curve: DecayCurve, window) -> dict:
 def write_map_csv(path: Path, pl_map: PLMap) -> None:
     """``pl_map`` in long format, ``t_ps,lambda_nm,intensity_au``, one row per cell.
 
-    Each wavelength is formatted once per map, each time once per row, and
-    the intensities one map row at a time.
+    The wavelengths are formatted once per map, into a template of the lines
+    of one map row; each map row fills it with its time and, in one ``%``
+    operation, its intensities.
     """
-    lams = [format_number(lam) for lam in pl_map.lambda_grid_nm.tolist()]
+    template = "".join(
+        f"{{t}},{format_number(lam)},%{NUMBER_FORMAT}\n" for lam in pl_map.lambda_grid_nm.tolist()
+    )
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("t_ps,lambda_nm,intensity_au\n")
         for t, row in zip(pl_map.t_grid_ps.tolist(), pl_map.intensity):
-            t_s = format_number(t)
-            cells = zip(lams, row.tolist())
-            fh.write("".join([f"{t_s},{lam},{v:{NUMBER_FORMAT}}\n" for lam, v in cells]))
+            fh.write(template.replace("{t}", format_number(t)) % tuple(row.tolist()))
 
 
 def _emit_dynamic_outputs(outdir: Path, prefix: str, pl_map: PLMap, curves, cfg: RunConfig, render):

@@ -218,7 +218,9 @@ def _check_map_area():
         kappa2=np.full(n, kappa),
         w1=np.ones(n),
         w2=np.zeros(n),
-        states=np.zeros((n, 8, 8), dtype=complex),
+        states=np.zeros((n, 1), dtype=complex),
+        keep=np.array([0]),
+        dim=8,
         kappa_t=kappa,
         trace_dev_max=0.0,
         hermiticity_dev_max=0.0,

@@ -45,6 +45,11 @@ class broken_target_generator(_Generator):
         self.l0 = (self.l0 + rate * (sparse.kron(n_t, eye) + sparse.kron(eye, n_t))).tocsr()
 
 
+def densities(traj) -> np.ndarray:
+    """The ``(t, d, d)`` density matrices of a trajectory, through ``Trajectory.density``."""
+    return np.array([traj.density(i) for i in range(traj.t_ps.size)])
+
+
 @pytest.fixture
 def default_params():
     return make_params()

@@ -32,9 +32,10 @@ from scipy.integrate import solve_ivp as scipy_solve_ivp
 from scipy.sparse.linalg import expm as sparse_expm
 
 from cavtune import lindblad
-from cavtune.config import SOLVER_ATOL, SOLVER_RTOL
+from cavtune.config import SOLVER_ATOL, SOLVER_RTOL, load_config, scenario_config
 from cavtune.lindblad import (
     Trajectory,
+    _block_checks,
     _closure,
     _delta_fp_fn,
     _Generator,
@@ -43,8 +44,9 @@ from cavtune.lindblad import (
     expectation,
     make_trajectory,
 )
+from cavtune.runs import simulate_dynamic
 from cavtune.tuning import fp_shift_scalar
-from conftest import KAPPA_T, LAMBDA_T, broken_target_generator, make_params
+from conftest import KAPPA_T, LAMBDA_T, broken_target_generator, densities, make_params
 
 
 def random_density_matrix(rng, dim):
@@ -131,6 +133,15 @@ class TestLiouvillian:
             sup = dense_superoperator(p, pump_rate=2e8, spec=spec)
             via = (sup @ rho.reshape(-1)).reshape(spec.dim, spec.dim)
             assert np.max(np.abs(direct - via)) <= 1e-10 * np.max(np.abs(direct))
+
+    def test_oracles_share_the_pump_default(self, rng):
+        # without pump_rate, both oracles apply the CW rate of params.pump
+        p = make_params(pump=PumpSchedule(cw_rate=1e8))
+        spec = HilbertSpec(1)
+        rho = random_density_matrix(rng, spec.dim)
+        direct = liouvillian_apply(p, rho)
+        via = (dense_superoperator(p, spec=spec) @ rho.ravel()).reshape(spec.dim, spec.dim)
+        assert np.max(np.abs(direct - via)) <= 1e-12 * np.max(np.abs(direct))
 
     def test_compiled_operator_matches_matrix_free(self, rng):
         # the compiled sparse operator (as dense matrix and as the evolve RHS)
@@ -274,7 +285,7 @@ class TestEvolve:
         t = np.linspace(0.0, 400.0, 81)
         traj = evolve(p, profile, emitter_excited_state(HilbertSpec(2)), t)
         lam_fp = LAMBDA_T + fp_shift_at(profile, t)
-        for i, rho in enumerate(traj.states):
+        for i, rho in enumerate(densities(traj)):
             cm = couple(p.target, BareMode(wl_to_omega(float(lam_fp[i])), p.fp.kappa), p.eta)
             n1, n2 = mode_populations(rho, cm)
             assert traj.n1[i] == pytest.approx(n1, abs=1e-13)
@@ -282,8 +293,20 @@ class TestEvolve:
             assert traj.lambda1_nm[i] == pytest.approx(cm.wavelength_nm(1), rel=1e-15)
             assert traj.kappa2[i] == pytest.approx(cm.kappa2, rel=1e-13)
             assert traj.w1[i] == pytest.approx(abs(cm.alpha) ** 2, abs=1e-13)
-        min_eig = min(np.linalg.eigvalsh(0.5 * (s + s.conj().T)).min() for s in traj.states)
-        assert traj.min_eigenvalue == min_eig
+        hermitian_parts = [0.5 * (s + s.conj().T) for s in densities(traj)]
+        min_eig = min(np.linalg.eigvalsh(h).min() for h in hermitian_parts)
+        # the states are block-diagonal over the excitation manifolds, which
+        # are the components evolve checks: the same eigenvalues, bit for bit,
+        # as those of the manifolds' submatrices, and the whole matrices' up
+        # to LAPACK's rounding on the larger matrix
+        ops = build_space(HilbertSpec(2))
+        n = np.diag(ops.n_e + ops.n_t + ops.n_fp).round().astype(int)
+        manifolds = [np.flatnonzero(n == level) for level in np.unique(n)]
+        manifold_min = min(
+            np.linalg.eigvalsh(h[np.ix_(m, m)]).min() for h in hermitian_parts for m in manifolds
+        )
+        assert traj.min_eigenvalue == manifold_min
+        assert traj.min_eigenvalue == pytest.approx(min_eig, abs=1e-14)
 
     def test_truncation_convergence(self):
         p = make_params(pump=PumpSchedule(cw_rate=1e8))
@@ -362,8 +385,8 @@ class TestEvolve:
         t = np.linspace(0.0, 20.0, 6)
         from_event = self._kicked([(0.0, 1.0)], t)
         from_before = self._kicked([(0.0, 1.0)], np.concatenate([[-4.0], t]))
-        assert np.array_equal(from_event.states[0], vacuum_state(HilbertSpec(1)))
-        assert np.array_equal(from_event.states[1:], from_before.states[2:])
+        assert np.array_equal(from_event.density(0), vacuum_state(HilbertSpec(1)))
+        assert np.array_equal(densities(from_event)[1:], densities(from_before)[2:])
         assert from_event.n_e[1] > 0.6
 
     def test_coincident_instant_events_add(self):
@@ -371,7 +394,7 @@ class TestEvolve:
         t = np.linspace(-4.0, 20.0, 7)
         two = self._kicked([(0.0, 0.5), (0.0, 0.5)], t)
         one = self._kicked([(0.0, 1.0)], t)
-        assert np.array_equal(two.states, one.states)
+        assert np.array_equal(densities(two), densities(one))
         assert two.n_e[-1] > self._kicked([(0.0, 0.5)], t).n_e[-1] + 0.1
 
     def test_pulse_at_grid_time_acts_after_it(self):
@@ -385,7 +408,7 @@ class TestEvolve:
         pulsed = TuningProfile(pulses=(FreeCarrierPulse(100.0, 0.6, 150.0),))
         with_pulse = evolve(p, pulsed, emitter_excited_state(spec), t)
         free = evolve(p, TuningProfile(), emitter_excited_state(spec), t[before])
-        np.testing.assert_array_equal(with_pulse.states[before], free.states)
+        np.testing.assert_array_equal(densities(with_pulse)[before], densities(free))
 
     def test_scalar_delta_matches_array_path(self):
         pulses = (
@@ -436,12 +459,38 @@ class TestEvolve:
         k = 30
         head = evolve(p, TuningProfile(), steady_state(p, spec=spec), t)
         pulsed = TuningProfile(pulses=(FreeCarrierPulse(t[k], 0.6, 352.421875),))
-        tail = evolve(p, pulsed, head.states[k], t[k:])
+        tail = evolve(p, pulsed, head.density(k), t[k:])
         spliced = _splice(head, k, tail)
         states = np.concatenate([head.states[:k], tail.states])
-        expected = make_trajectory(p, pulsed, t, states)
+        expected = make_trajectory(p, pulsed, t, states, head.keep, head.dim)
         for f in fields(Trajectory):
             assert np.array_equal(getattr(spliced, f.name), getattr(expected, f.name)), f.name
+
+    def test_splice_joins_differing_keep_sets_on_their_union(self):
+        # rho0 = |g00><g00| + |g00><e00|/2 reaches k = 0 and k = -1 alone; the
+        # tail starts from the adjoint of a head state, which reaches k = 0 and +1
+        p = make_params(pump=PumpSchedule(cw_rate=1e8))
+        spec = HilbertSpec(1)
+        g, e = spec.index(0, 0, 0), spec.index(1, 0, 0)
+        rho0 = vacuum_state(spec)
+        rho0[g, e] = 0.5
+        t = np.linspace(0.0, 100.0, 21)
+        k = 8
+        head = evolve(p, TuningProfile(), rho0, t)
+        tail = evolve(p, TuningProfile(), head.density(k).conj().T, t[k:])
+        assert not np.array_equal(head.keep, tail.keep)
+        spliced = _splice(head, k, tail)
+        assert np.array_equal(spliced.keep, np.union1d(head.keep, tail.keep))
+        assert spliced.keep.size > max(head.keep.size, tail.keep.size)
+        expected = np.concatenate([densities(head)[:k], densities(tail)])
+        assert np.array_equal(densities(spliced), expected)
+        for name in ("n_e", "n_t", "n_fp", "n1", "n2", "lambda1_nm", "w2"):
+            joined = np.concatenate([getattr(head, name)[:k], getattr(tail, name)])
+            assert np.array_equal(getattr(spliced, name), joined), name
+        checks = _block_checks(spliced.states, spliced.keep, spliced.dim)
+        got = (spliced.trace_dev_max, spliced.hermiticity_dev_max, spliced.min_eigenvalue)
+        np.testing.assert_allclose(got, checks, rtol=0.0, atol=1e-14)
+        assert spliced.hermiticity_dev_max > 0.1  # the coherence has no adjoint entry
 
 
 class TestBlockEvolve:
@@ -514,7 +563,7 @@ class TestBlockEvolve:
         monkeypatch.setattr(lindblad, "solve_ivp", counted_solve_ivp)
         traj = evolve(p, profile, rho0, cls.T_GRID)
         expected, nfev = cls._full_space(p, profile, rho0, cls.T_GRID)
-        assert np.array_equal(traj.states, expected)
+        assert np.array_equal(densities(traj), expected)
         assert sum(calls) == nfev
         return traj
 
@@ -555,7 +604,7 @@ class TestBlockEvolve:
         ops = build_space(spec)
         n = np.diag(ops.n_e + ops.n_t + ops.n_fp).round().astype(int)
         k = n[:, None] - n[None, :]
-        assert set(np.unique(k[np.any(traj.states != 0.0, axis=0)])) == {-1, 0, 1}
+        assert set(np.unique(k[np.any(densities(traj) != 0.0, axis=0)])) == {-1, 0, 1}
 
     @pytest.mark.parametrize("event_ps", [100.0, T_GRID[0]], ids=["mid-grid", "first-grid-time"])
     def test_instant_pump_matches_full_space(self, monkeypatch, event_ps):
@@ -563,6 +612,108 @@ class TestBlockEvolve:
         p = make_params(pump=pump)
         traj = self._check(monkeypatch, p, self.BURST, vacuum_state(HilbertSpec(2)))
         assert traj.n_e.max() > 0.1
+
+
+class TestBlockChecks:
+    """``_block_checks`` on the kept entries against dense ``eigvalsh`` on the whole matrices."""
+
+    @staticmethod
+    def _dense(rhos):
+        adjoints = np.conj(np.swapaxes(rhos, 1, 2))
+        return (
+            np.max(np.abs(np.einsum("tii->t", rhos) - 1.0)),
+            np.max(np.abs(rhos - adjoints)),
+            np.linalg.eigvalsh(0.5 * (rhos + adjoints)).min(),
+        )
+
+    @classmethod
+    def _compare(cls, rhos, keep):
+        got = _block_checks(rhos.reshape(len(rhos), -1)[:, keep], keep, rhos.shape[1])
+        np.testing.assert_allclose(got, cls._dense(rhos), rtol=0.0, atol=1e-12)
+        return got
+
+    @staticmethod
+    def _keep(spec, rho0):
+        gen = _Generator(make_params(pump=PumpSchedule(cw_rate=1e8)), spec, "rotating")
+        return _closure(abs(gen.l0) + abs(gen.l_pump), rho0.ravel())
+
+    @staticmethod
+    def _superposition(spec):
+        psi = np.zeros(spec.dim, dtype=complex)
+        psi[[spec.index(0, 0, 0), spec.index(1, 0, 0)]] = np.sqrt(0.5)
+        return np.outer(psi, psi.conj())
+
+    @pytest.mark.parametrize("n_max, start, size", [
+        (2, "vacuum", 70), (3, "vacuum", 168), (2, "superposition", None),
+    ])
+    def test_random_states_match_dense(self, rng, n_max, start, size):
+        # 300 Hermitian states, 0 off the closure, of traces 0.9 to 1.1: more
+        # than two of the 128-state chunks
+        spec = HilbertSpec(n_max)
+        rho0 = vacuum_state(spec) if start == "vacuum" else self._superposition(spec)
+        keep = self._keep(spec, rho0)
+        assert size is None or keep.size == size
+        off = np.ones(spec.dim**2, dtype=bool)
+        off[keep] = False
+        x = rng.randn(300, spec.dim, spec.dim) + 1j * rng.randn(300, spec.dim, spec.dim)
+        rhos = x @ np.conj(np.swapaxes(x, 1, 2))
+        rhos.reshape(300, -1)[:, off] = 0.0
+        rhos *= (rng.uniform(0.9, 1.1, 300) / np.einsum("tii->t", rhos).real)[:, None, None]
+        trace_dev, _, min_eig = self._compare(rhos, keep)
+        assert trace_dev > 0.05
+        if start == "vacuum":  # a pinched positive matrix stays positive
+            assert min_eig > 0.0
+        else:  # the superposition's closure joins the manifolds into one component
+            assert min_eig < 0.0
+
+    def _manifold_state(self, spec):
+        """A k = 0 state with populations on every level, and the indices of its first manifold."""
+        keep = self._keep(spec, vacuum_state(spec))
+        rho = np.diag(np.linspace(1.0, 2.0, spec.dim)).astype(complex)
+        rho /= np.trace(rho).real
+        return rho, keep, [spec.index(1, 0, 0), spec.index(0, 1, 0)]
+
+    def test_negative_eigenvalue_inside_a_manifold_is_reported(self):
+        spec = HilbertSpec(2)
+        rho, keep, (a, b) = self._manifold_state(spec)
+        assert self._compare(rho[None], keep)[2] > 0.0
+        coherence = 2.0 * np.sqrt(rho[a, a].real * rho[b, b].real)
+        rho[a, b] = rho[b, a] = coherence  # |rho_ab|^2 > rho_aa rho_bb
+        _, herm_dev, min_eig = self._compare(rho[None], keep)
+        assert herm_dev == 0.0 and min_eig < -0.01
+
+    def test_non_hermitian_entry_is_reported(self):
+        spec = HilbertSpec(2)
+        rho, keep, (a, b) = self._manifold_state(spec)
+        rho[a, b] = 1e-3
+        _, herm_dev, _ = self._compare(rho[None], keep)
+        assert herm_dev == 1e-3
+
+
+class TestSolveIvpContract:
+    """``evolve`` hands ``solve_ivp`` the whole vec(rho), positionally, and records the block.
+
+    The benchmark's tracer reads n_max from ``len(y0)`` of each ``solve_ivp``
+    call.  Integrating the reached block alone changes this test and the
+    tracer together.
+    """
+
+    @pytest.mark.parametrize("n_max, size", [(1, 20), (2, 70), (3, 168)])
+    def test_fig3_burst_passes_the_whole_vector(self, monkeypatch, n_max, size):
+        lengths = []
+
+        def recording_solve_ivp(*args, **kwargs):
+            lengths.append(len(args[2]))
+            return scipy_solve_ivp(*args, **kwargs)
+
+        monkeypatch.setattr(lindblad, "solve_ivp", recording_solve_ivp)
+        cfg = load_config(scenario_config("fig3-burst"))
+        for start in ("steady", "vacuum", "excited"):
+            run = replace(cfg, hilbert=HilbertSpec(n_max), initial_state=start)
+            traj, _, _ = simulate_dynamic(run)
+            assert traj.states.shape == (cfg.time_grid_ps.size, size)
+        dim = HilbertSpec(n_max).dim
+        assert lengths and set(lengths) == {dim * dim}
 
 
 class TestAgainstRK45Oracle:
@@ -745,7 +896,7 @@ class TestSteadyState:
         traj_ss = evolve(p, TuningProfile(), rho_ss, np.array([0.0, 1.0]))
         curve_ss = apply_filter(synthesize_map(traj_ss, lam_grid), 1552.2, 0.5)
         assert curve.intensity[-1] == pytest.approx(curve_ss.intensity[0], rel=0.01)
-        return traj.states[-1], rho_ss
+        return traj.density(-1), rho_ss
 
     def test_matches_long_time_evolution(self):
         self._long_time_check(HilbertSpec(2))
@@ -786,7 +937,7 @@ class TestSteadyState:
         for n_max in (1, 3):
             spec = HilbertSpec(n_max)
             rho = steady_state(p, spec=spec)
-            evolved = evolve(p, TuningProfile(), vacuum_state(spec), [0.0, 3000.0]).states[-1]
+            evolved = evolve(p, TuningProfile(), vacuum_state(spec), [0.0, 3000.0]).density(-1)
             assert np.max(np.abs(rho - evolved)) < 1e-8
             assert expectation(build_space(spec).n_e, rho).real == 0.0
             assert abs(np.trace(rho) - 1.0) < 1e-12

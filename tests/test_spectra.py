@@ -44,7 +44,9 @@ def constant_trajectory(
         kappa2=np.full(n, kappa2),
         w1=np.full(n, w1),
         w2=np.full(n, w2),
-        states=np.zeros((n, 8, 8), dtype=complex),
+        states=np.zeros((n, 1), dtype=complex),
+        keep=np.array([0]),
+        dim=8,
         kappa_t=kappa_t,
         trace_dev_max=0.0,
         hermiticity_dev_max=0.0,
