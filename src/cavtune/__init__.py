@@ -56,8 +56,6 @@ from .fitting import (
     FitResult,
     fit,
     read_anticrossing_csv,
-    residuals,
-    synthetic_data,
 )
 
 # The master-equation solver imports scipy, which costs more start-up time than

@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -46,7 +47,8 @@ _COLUMN_UNITS = {
 class AnticrossingData:
     """Measured coupled-mode table.
 
-    ``control_kind`` is "detuning_nm" or "power_mw".  Rows are normalized on
+    ``control_kind`` is "detuning_nm" or "power_mw".  Every value must be
+    finite and every uncertainty (``sigma_*``) positive.  Rows are normalized on
     construction so that ``lambda1 <= lambda2`` (Q columns swapped alongside).
     """
 
@@ -64,6 +66,15 @@ class AnticrossingData:
     def __post_init__(self):
         if self.control_kind not in ("detuning_nm", "power_mw"):
             raise InvalidInput(f"unknown control kind {self.control_kind!r}")
+        for name, values in vars(self).items():
+            if name == "control_kind" or values is None:
+                continue
+            values = np.asarray(values, dtype=float)
+            finite = np.isfinite(values)
+            if not finite.all():
+                raise InvalidInput(f"{name}: non-finite value at index {np.argmin(finite)}")
+            if name.startswith("sigma") and not (values > 0.0).all():
+                raise InvalidInput(f"{name}: an uncertainty must be positive, got {values.min()}")
         ctl = np.asarray(self.control, dtype=float)
         l1 = np.asarray(self.lambda1, dtype=float).copy()
         l2 = np.asarray(self.lambda2, dtype=float).copy()
@@ -136,7 +147,8 @@ def read_anticrossing_csv(source, control_kind: Optional[str] = None) -> Anticro
     A header may carry its column's unit: ``_nm`` on the control (or
     ``detuning``), ``lambda`` and ``lambda1_err`` columns, ``_ns`` on the
     ``tau`` columns.  A ``control_mw``, ``power`` or ``power_mw`` header
-    implies a power control column.  Any other header is a :class:`SchemaError`.
+    implies a power control column.  Any other header is a :class:`SchemaError`,
+    and so is a value that is not finite or an uncertainty that is not positive.
     """
     if hasattr(source, "read"):
         text = source.read()
@@ -174,11 +186,16 @@ def read_anticrossing_csv(source, control_kind: Optional[str] = None) -> Anticro
                 parsed[base] = None
                 continue
             try:
-                parsed[base] = float(cell)
+                value = float(cell)
             except ValueError:
-                raise SchemaError(
-                    f"row {line_no}, column {header[idx]!r}: not a number: {cell!r}"
-                ) from None
+                value = math.nan
+            if not math.isfinite(value):
+                raise SchemaError(f"row {line_no}, column {header[idx]!r}: "
+                                  f"not a finite number: {cell!r}")
+            if base.endswith("_err") and not value > 0.0:
+                raise SchemaError(f"row {line_no}, column {header[idx]!r}: "
+                                  f"an uncertainty must be positive, got {cell!r}")
+            parsed[base] = value
         rows.append((line_no, parsed))
 
     if len(rows) < 4:
@@ -297,10 +314,9 @@ class _CompiledModel:
     the simplex path.
     """
 
-    def __init__(self, data: AnticrossingData, names, bounds=None):
+    def __init__(self, data: AnticrossingData, names, bounds):
         at = {name: i for i, name in enumerate(names)}
         self.names = tuple(names)
-        bounds = bounds or _bounds_for(self.names, data)
         self.lo = np.array([bounds[n][0] for n in self.names], dtype=float)
         self.hi = np.array([bounds[n][1] for n in self.names], dtype=float)
         self.i_core = [at[n] for n in ("eta", "kappa_t", "kappa_fp", "lambda_t")]
@@ -377,18 +393,6 @@ class _CompiledModel:
         if not np.isfinite(res).all():
             return np.full(self.n_res, _PENALTY)
         return res
-
-
-def model_predictions(theta: dict, data: AnticrossingData):
-    """Branch wavelengths (ascending), Q's and decay times (None without a tau column)."""
-    names = _active_params(data)
-    pred = _CompiledModel(data, names).predict(np.array([theta[n] for n in names], dtype=float))
-    return pred[0], pred[1], pred[2], pred[3], pred[4] if data.tau_ns is not None else None
-
-
-def residuals(theta_vec: np.ndarray, data: AnticrossingData, names=None, bounds=None) -> np.ndarray:
-    """Weighted residual vector; out-of-bounds parameters give large finite penalties."""
-    return _CompiledModel(data, names or _active_params(data), bounds).residuals(theta_vec)
 
 
 def _nelder_mead(func, x0, steps, spread_tol, max_evals):
@@ -562,53 +566,3 @@ def _finite_difference_errors(x, r0, model: _CompiledModel):
     except np.linalg.LinAlgError:
         errs = np.full(n, np.nan)
     return dict(zip(model.names, (float(e) for e in errs)))
-
-
-def synthetic_data(
-    eta: float,
-    kappa_t: float,
-    kappa_fp: float,
-    lambda_t: float,
-    detunings_nm: Sequence[float],
-    g: Optional[float] = None,
-    gamma_leaky: Optional[float] = None,
-    control_kind: str = "detuning_nm",
-    cal_slope: float = 0.1,
-    cal_offset: float = 0.0,
-    noise_sigma_nm: float = 0.0,
-    seed: int = 0,
-    with_q: bool = True,
-) -> AnticrossingData:
-    """Generate a model-exact table (optionally with Gaussian wavelength noise)."""
-    theta = {"eta": eta, "kappa_t": kappa_t, "kappa_fp": kappa_fp, "lambda_t": lambda_t}
-    detunings_nm = np.asarray(detunings_nm, dtype=float)
-    if control_kind == "power_mw":
-        control = (detunings_nm - cal_offset) / cal_slope
-        theta["cal_slope"], theta["cal_offset"] = cal_slope, cal_offset
-    else:
-        control = detunings_nm
-    include_tau = g is not None and gamma_leaky is not None
-    if include_tau:
-        theta["g"], theta["gamma_leaky"] = g, gamma_leaky
-
-    probe = AnticrossingData(
-        control=control,
-        lambda1=np.full(control.size, lambda_t),
-        lambda2=np.full(control.size, lambda_t + 1.0),
-        control_kind=control_kind,
-        tau_ns=np.ones(control.size) if include_tau else None,
-    )
-    lam1, lam2, q1, q2, tau = model_predictions(theta, probe)
-    if noise_sigma_nm > 0.0:
-        rng = np.random.RandomState(seed)
-        lam1 = lam1 + rng.normal(0.0, noise_sigma_nm, lam1.size)
-        lam2 = lam2 + rng.normal(0.0, noise_sigma_nm, lam2.size)
-    return AnticrossingData(
-        control=control,
-        lambda1=lam1,
-        lambda2=lam2,
-        control_kind=control_kind,
-        q1=q1 if with_q else None,
-        q2=q2 if with_q else None,
-        tau_ns=tau if include_tau else None,
-    )

@@ -120,21 +120,19 @@ def _spec_from_dim(dim: int) -> HilbertSpec:
     return HilbertSpec(m - 1)
 
 
-def _frame_omega(params: SystemParams, frame: str) -> float:
-    """The frequency (rad/s) that ``frame`` rotates at: the target's, or 0.0 in the lab frame."""
-    if frame not in ("rotating", "lab"):
-        raise InvalidInput(f"frame must be 'rotating' or 'lab', got {frame!r}")
-    return params.target.omega if frame == "rotating" else 0.0
+def _frame_omega(params: SystemParams) -> float:
+    """The frequency (rad/s) of the frame that the model is written in: the target's."""
+    return params.target.omega
 
 
-def _model(params: SystemParams, spec: HilbertSpec, frame: str):
+def _model(params: SystemParams, spec: HilbertSpec):
     """Operators, the Hamiltonian without its FP term, and the fixed channels, in rad/ps.
 
     Returns ``(ops, h0, channels)``.  Each channel ``(rate, L)`` adds
     ``rate * D[L] rho``; every operator is real.  The FP term is
-    ``delta_fp * n_fp``, with ``delta_fp`` the FP frequency in ``frame``.
+    ``delta_fp * n_fp``, with ``delta_fp`` the FP frequency in the frame.
     """
-    ref = _frame_omega(params, frame)
+    ref = _frame_omega(params)
     ops = build_space(spec)
     em = params.emitter
     g = em.g * _PS
@@ -155,9 +153,9 @@ def _model(params: SystemParams, spec: HilbertSpec, frame: str):
     return ops, h0, channels
 
 
-def _fixed_delta(params: SystemParams, frame: str) -> float:
+def _fixed_delta(params: SystemParams) -> float:
     """The FP term ``delta_fp`` (rad/ps) of the FP mode ``params.fp``."""
-    return (params.fp.omega - _frame_omega(params, frame)) * _PS
+    return (params.fp.omega - _frame_omega(params)) * _PS
 
 
 class _Generator:
@@ -172,8 +170,8 @@ class _Generator:
     while a pulse adds to the CW rate.
     """
 
-    def __init__(self, params, spec, frame):
-        ops, h0, channels = _model(params, spec, frame)
+    def __init__(self, params, spec):
+        ops, h0, channels = _model(params, spec)
         eye = sparse.identity(ops.dim, format="csr")
 
         def kron(a, b):
@@ -224,10 +222,10 @@ class _Generator:
         return block
 
 
-def _delta_fp_fn(params: SystemParams, profile: TuningProfile, frame: str):
+def _delta_fp_fn(params: SystemParams, profile: TuningProfile):
     """``delta_fp(t_ps)`` in rad/ps, in float arithmetic: it runs on every RHS call."""
     lambda_t = omega_to_wl(params.target.omega)
-    ref = _frame_omega(params, frame)
+    ref = _frame_omega(params)
 
     def delta_fp(t_ps: float) -> float:
         return (wl_to_omega(lambda_t + fp_shift_scalar(profile, t_ps)) - ref) * _PS
@@ -239,7 +237,6 @@ def liouvillian_apply(
     params: SystemParams,
     rho: np.ndarray,
     pump_rate: Optional[float] = None,
-    frame: str = "rotating",
 ) -> np.ndarray:
     """drho/dt (1/s) with the FP mode at ``params.fp``, frequency and loss rate.
 
@@ -251,10 +248,10 @@ def liouvillian_apply(
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise InvalidInput(f"density matrix must be square, got shape {rho.shape}")
-    ops, h0, channels = _model(params, _spec_from_dim(rho.shape[0]), frame)
+    ops, h0, channels = _model(params, _spec_from_dim(rho.shape[0]))
     if pump_rate is None:
         pump_rate = params.pump.cw_rate
-    h = h0 + _fixed_delta(params, frame) * ops.n_fp
+    h = h0 + _fixed_delta(params) * ops.n_fp
     out = -1j * (h @ rho - rho @ h)
     for rate, op in channels + [(pump_rate * _PS, ops.sigma_plus)]:
         ldl = op.T @ op
@@ -341,7 +338,6 @@ def evolve(
     t_grid_ps: Sequence[float],
     rtol: float = SOLVER_RTOL,
     atol: float = SOLVER_ATOL,
-    frame: str = "rotating",
     breakpoints_ps: Sequence[float] = (),
 ) -> Trajectory:
     """Integrate the master equation over ``t_grid_ps`` with time-dependent tuning.
@@ -374,7 +370,7 @@ def evolve(
     if not atol > 0.0:  # BDF's error scale atol + rtol*|y| would be 0 where y stays 0
         raise InvalidInput(f"atol must be positive, got {atol}")
 
-    full = _Generator(params, spec, frame)
+    full = _Generator(params, spec)
     # every term of L(t) keeps to the pattern of l0 + l_pump (the diagonal
     # d_fp adds no entries); the instant pump maps act on the whole vector
     keep = _closure(abs(full.l0) + abs(full.l_pump), rho0.ravel())
@@ -386,7 +382,7 @@ def evolve(
         # that is the left limit of delta_fp: a pulse that starts at b stays
         # out of the BDF evaluations there, and out of the Jacobian.
         started = replace(profile, pulses=tuple(p for p in profile.pulses if p.t0_ps <= a))
-        delta_fp = _delta_fp_fn(params, started, frame)
+        delta_fp = _delta_fp_fn(params, started)
 
         def rhs(t, y):
             return gen.rhs(y, delta_fp(t), pump.rate_at_ps(t))
@@ -583,17 +579,16 @@ def dense_superoperator(
     params: SystemParams,
     spec: HilbertSpec,
     pump_rate: Optional[float] = None,
-    frame: str = "rotating",
 ) -> np.ndarray:
     """The compiled generator (1/s) on row-major vec(rho), as a dense matrix.
 
     ``pump_rate`` (1/s) defaults to the CW rate of ``params.pump``, as in
     :func:`liouvillian_apply`: checks of the compiled operator compare the two.
     """
-    gen = _Generator(params, spec, frame)
+    gen = _Generator(params, spec)
     if pump_rate is None:
         pump_rate = params.pump.cw_rate
-    return gen.matrix(_fixed_delta(params, frame), pump_rate * _PS).toarray() / _PS
+    return gen.matrix(_fixed_delta(params), pump_rate * _PS).toarray() / _PS
 
 
 def steady_state(params: SystemParams, spec: HilbertSpec) -> np.ndarray:
@@ -608,8 +603,8 @@ def steady_state(params: SystemParams, spec: HilbertSpec) -> np.ndarray:
     vacuum.
     """
     d = spec.dim
-    gen = _Generator(params, spec, "rotating")
-    mat = gen.matrix(_fixed_delta(params, "rotating"), gen.p_cw)
+    gen = _Generator(params, spec)
+    mat = gen.matrix(_fixed_delta(params), gen.p_cw)
     keep = _closure(mat, vacuum_state(spec).ravel())
     sub = mat[keep][:, keep]
     # the rho_00 row is redundant, since L preserves the trace: put tr rho = 1 there

@@ -198,14 +198,19 @@ def render_csv_file(path, out_path, colormap: str = "heat", log_scale: bool = Fa
     """Render an emitted CSV: a map to a PPM heatmap, a curve or sweep to an SVG plot.
 
     The CSV's layout alone decides the format, whatever ``out_path``'s suffix.
+    A map must hold its full grid t-major, as ``runs.write_map_csv`` writes it:
+    every wavelength in ascending order at each time, the times ascending.
     """
     kind, header, data = sniff_csv(path)
     out_path = Path(out_path)
     if kind == "map":
         t_vals = np.unique(data[:, 0])
         lam_vals = np.unique(data[:, 1])
-        if t_vals.size * lam_vals.size != data.shape[0]:
-            raise SchemaError(f"{path}: map grid is not complete")
+        if not (
+            np.array_equal(data[:, 0], np.repeat(t_vals, lam_vals.size))
+            and np.array_equal(data[:, 1], np.tile(lam_vals, t_vals.size))
+        ):
+            raise SchemaError(f"{path}: map is not the full (t, lambda) grid in t-major order")
         grid = data[:, 2].reshape(t_vals.size, lam_vals.size)
         ppm = render_heatmap_ppm(grid, colormap=colormap, log_scale=log_scale)
         out_path.write_bytes(ppm)

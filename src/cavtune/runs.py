@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from .config import BASELINE_SPAN_PS, RunConfig, config_hash, curve_stem, delay_prefix
-from .errors import CavtuneError, InvalidInput, NoFeature
+from .errors import InvalidInput, NoFeature
 from .modespace import anticrossing_sweep, wl_to_omega
 from .spectra import (
     DecayCurve,
@@ -328,42 +328,3 @@ def run_dynamic(cfg: RunConfig, outdir: Path, render: bool = False):
     write_manifest(outdir, cfg, outputs, started)
     return outputs
 
-
-def calibrate_burst_tau_fc(
-    cfg: RunConfig,
-    target_fwhm_ps: float = 232.0,
-    tol_ps: float = 1.0,
-    bracket=(60.0, 700.0),
-) -> tuple[float, float]:
-    """Bisect the free-carrier lifetime, in at most 40 steps, so the burst FWHM hits the target.
-
-    Returns (tau_fc_ps, achieved_fwhm_ps).  The burst FWHM grows monotonically
-    with the recovery time, so a bracketing bisection is reliable.
-    """
-    if not cfg.filters:
-        raise InvalidInput("calibration needs at least one filter")
-    rho0 = initial_state_for(cfg)
-
-    def fwhm_for(tau: float) -> float:
-        profile = replace(cfg.profile, pulses=(replace(cfg.profile.pulses[0], tau_fc_ps=tau),))
-        _, _, curves = simulate_dynamic(cfg, profile, rho0=rho0.copy())
-        return burst_metrics(curves[0], cfg.baseline_window_ps).fwhm_ps
-
-    lo, hi = bracket
-    f_lo, f_hi = fwhm_for(lo), fwhm_for(hi)
-    if not (f_lo < target_fwhm_ps < f_hi):
-        raise CavtuneError(
-            f"calibration bracket does not contain the target FWHM: "
-            f"f({lo})={f_lo:.1f}, f({hi})={f_hi:.1f}, target {target_fwhm_ps}"
-        )
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        f_mid = fwhm_for(mid)
-        if abs(f_mid - target_fwhm_ps) <= tol_ps:
-            return mid, f_mid
-        if f_mid < target_fwhm_ps:
-            lo = mid
-        else:
-            hi = mid
-    mid = 0.5 * (lo + hi)
-    return mid, fwhm_for(mid)

@@ -146,7 +146,7 @@ def burst_metrics(curve: DecayCurve, baseline_window_ps: tuple) -> BurstMetrics:
 
     The baseline is the mean over ``[t_a, t_b)``; the extremum search covers
     ``t >= t_b``.  Raises :class:`NoFeature` when the curve is flat against
-    the baseline scatter.
+    the baseline scatter, and when the baseline is 0, where the depth is undefined.
     """
     t = curve.t_grid_ps
     y = curve.intensity
@@ -179,6 +179,8 @@ def burst_metrics(curve: DecayCurve, baseline_window_ps: tuple) -> BurstMetrics:
             f"(threshold {threshold:.3e})"
         )
 
+    if i0 == 0.0:
+        raise NoFeature("depth undefined on a zero baseline")
     if kind == "dip" and ext <= 0.0:
         depth = float("inf")
     else:

@@ -1,8 +1,20 @@
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 from scipy import sparse
 
-from cavtune import BareMode, EmitterParams, PumpSchedule, SystemParams, build_space, wl_to_omega
+from cavtune import (
+    AnticrossingData,
+    BareMode,
+    EmitterParams,
+    PumpSchedule,
+    SystemParams,
+    build_space,
+    lindblad,
+    wl_to_omega,
+)
+from cavtune.fitting import _active_params, _bounds_for, _CompiledModel
 from cavtune.lindblad import _Generator
 
 KAPPA_T = 1.564e11
@@ -37,12 +49,30 @@ class broken_target_generator(_Generator):
     the target channel's ``2 kappa_t`` in rad/ps.
     """
 
-    def __init__(self, params, spec, frame):
-        super().__init__(params, spec, frame)
+    def __init__(self, params, spec):
+        super().__init__(params, spec)
         n_t = sparse.csr_matrix(build_space(spec).n_t)
         eye = sparse.identity(spec.dim, format="csr")
         rate = 2.0 * params.target.kappa * 1e-12
         self.l0 = (self.l0 + rate * (sparse.kron(n_t, eye) + sparse.kron(eye, n_t))).tocsr()
+
+
+@pytest.fixture
+def in_frame(monkeypatch):
+    """``in_frame(frame)``: a context in which the lindblad module works in ``frame``.
+
+    "rotating" is the package's own frame.  "lab" patches the one seam,
+    ``lindblad._frame_omega``, to 0.0: the frame-invariance reference.
+    """
+
+    @contextmanager
+    def context(frame):
+        with monkeypatch.context() as patch:
+            if frame == "lab":
+                patch.setattr(lindblad, "_frame_omega", lambda params: 0.0)
+            yield
+
+    return context
 
 
 def densities(traj) -> np.ndarray:
@@ -103,3 +133,67 @@ def polished_eigenvalues(matrix: np.ndarray) -> np.ndarray:
         safe = np.abs(dp) > 0
         roots = np.where(safe, roots - p / np.where(safe, dp, 1.0), roots)
     return np.sort_complex(roots + shift)
+
+
+def model_predictions(theta: dict, data: AnticrossingData):
+    """Branch wavelengths (ascending), Q's and decay times (None without a tau column)."""
+    names = _active_params(data)
+    model = _CompiledModel(data, names, _bounds_for(names, data))
+    pred = model.predict(np.array([theta[n] for n in names], dtype=float))
+    return pred[0], pred[1], pred[2], pred[3], pred[4] if data.tau_ns is not None else None
+
+
+def residuals(theta_vec, data: AnticrossingData, bounds=None) -> np.ndarray:
+    """The fit's weighted residual vector; ``bounds`` overrides some, as in ``fit``."""
+    names = _active_params(data)
+    return _CompiledModel(data, names, _bounds_for(names, data, bounds)).residuals(theta_vec)
+
+
+def synthetic_data(
+    eta,
+    kappa_t,
+    kappa_fp,
+    lambda_t,
+    detunings_nm,
+    g=None,
+    gamma_leaky=None,
+    control_kind="detuning_nm",
+    cal_slope=0.1,
+    cal_offset=0.0,
+    noise_sigma_nm=0.0,
+    seed=0,
+    with_q=True,
+) -> AnticrossingData:
+    """A model-exact table, with optional seeded Gaussian noise on the wavelengths."""
+    theta = {"eta": eta, "kappa_t": kappa_t, "kappa_fp": kappa_fp, "lambda_t": lambda_t}
+    detunings_nm = np.asarray(detunings_nm, dtype=float)
+    if control_kind == "power_mw":
+        control = (detunings_nm - cal_offset) / cal_slope
+        theta["cal_slope"], theta["cal_offset"] = cal_slope, cal_offset
+    else:
+        control = detunings_nm
+    include_tau = g is not None
+    if include_tau:
+        theta["g"], theta["gamma_leaky"] = g, gamma_leaky
+
+    probe = AnticrossingData(
+        control=control,
+        lambda1=np.full(control.size, lambda_t),
+        lambda2=np.full(control.size, lambda_t + 1.0),
+        control_kind=control_kind,
+        tau_ns=np.ones(control.size) if include_tau else None,
+    )
+    lam1, lam2, q1, q2, tau = model_predictions(theta, probe)
+    if noise_sigma_nm > 0.0:
+        rng = np.random.RandomState(seed)
+        lam1 = lam1 + rng.normal(0.0, noise_sigma_nm, lam1.size)
+        lam2 = lam2 + rng.normal(0.0, noise_sigma_nm, lam2.size)
+    return AnticrossingData(
+        control=control,
+        lambda1=lam1,
+        lambda2=lam2,
+        control_kind=control_kind,
+        q1=q1 if with_q else None,
+        q2=q2 if with_q else None,
+        tau_ns=tau,
+    )

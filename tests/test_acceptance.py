@@ -30,14 +30,21 @@ from cavtune import (
     hamiltonian_bare_basis,
     liouvillian_apply,
     se_rate_ratio,
-    synthetic_data,
     wl_to_omega,
 )
 from cavtune.cli import main as cli_main
 from cavtune.config import TAU_FC_CALIBRATED_PS, load_config, scenario_config
-from cavtune.runs import calibrate_burst_tau_fc, initial_state_for, simulate_dynamic
+from cavtune.runs import initial_state_for, simulate_dynamic
 from cavtune.spectra import burst_metrics
-from conftest import ETA, KAPPA_T, LAMBDA_T, make_params, polished_eigenvalues, random_valid_system
+from conftest import (
+    ETA,
+    KAPPA_T,
+    LAMBDA_T,
+    make_params,
+    polished_eigenvalues,
+    random_valid_system,
+    synthetic_data,
+)
 
 
 @contextmanager
@@ -221,13 +228,42 @@ def test_acceptance_4_cmt_master_equation_consistency():
         )
 
 
+def calibrate_burst_tau_fc(cfg):
+    """Bisect the free-carrier lifetime in [120, 620] ps, in at most 40 steps, until the
+    burst FWHM is within 2 ps of 232 ps.
+
+    Returns (tau_fc_ps, achieved_fwhm_ps).  The burst FWHM grows monotonically
+    with the recovery time, so a bracketing bisection is reliable.
+    """
+    target_fwhm_ps, tol_ps = 232.0, 2.0
+    rho0 = initial_state_for(cfg)
+
+    def fwhm_for(tau):
+        profile = replace(cfg.profile, pulses=(replace(cfg.profile.pulses[0], tau_fc_ps=tau),))
+        _, _, curves = simulate_dynamic(cfg, profile, rho0=rho0.copy())
+        return burst_metrics(curves[0], cfg.baseline_window_ps).fwhm_ps
+
+    lo, hi = 120.0, 620.0
+    f_lo, f_hi = fwhm_for(lo), fwhm_for(hi)
+    assert f_lo < target_fwhm_ps < f_hi, f"bracket misses the target: f({lo})={f_lo}, f({hi})={f_hi}"
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        f_mid = fwhm_for(mid)
+        if abs(f_mid - target_fwhm_ps) <= tol_ps:
+            return mid, f_mid
+        if f_mid < target_fwhm_ps:
+            lo = mid
+        else:
+            hi = mid
+    mid = 0.5 * (lo + hi)
+    return mid, fwhm_for(mid)
+
+
 def test_acceptance_5_calibrated_burst_and_dip(burst_run, dip_run):
     with criterion(5, "calibrated burst/dip reproduction"):
         # one-dimensional scan pins the burst FWHM at 232 ps
         cfg_burst, (traj_b, _, curves_b) = burst_run
-        tau_scan, fwhm_scan = calibrate_burst_tau_fc(
-            cfg_burst, target_fwhm_ps=232.0, tol_ps=2.0, bracket=(120.0, 620.0)
-        )
+        tau_scan, fwhm_scan = calibrate_burst_tau_fc(cfg_burst)
         assert abs(fwhm_scan - 232.0) <= 5.0
         assert abs(tau_scan - TAU_FC_CALIBRATED_PS) <= 10.0  # frozen value re-derived
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from cavtune import FitOptions, SchemaError, lindblad, selftest, synthetic_data
+from cavtune import FitOptions, SchemaError, lindblad, selftest
 from cavtune.cli import main
 from cavtune.config import (
     SCENARIO_NAMES,
@@ -14,7 +14,7 @@ from cavtune.config import (
     load_config,
     scenario_config,
 )
-from conftest import broken_target_generator
+from conftest import broken_target_generator, synthetic_data
 
 
 def small_dynamic_config(**overrides):
@@ -361,6 +361,22 @@ class TestCliDynamic:
         metrics = json.loads((out / "metrics.json").read_text())
         assert metrics["filters"][0]["metrics"]["kind"] == "burst"
         assert metrics["filters"][0]["metrics"]["modulation_depth"] > 1.5
+
+    def test_zero_baseline_recorded_as_error(self, tmp_path):
+        # from the vacuum nothing is emitted before the pump at 2100 ps, so the
+        # baseline before the control pulse at 2000 ps is exactly 0
+        cfg = scenario_config("fig4-delay")
+        del cfg["delays_ps"]
+        cfg["pump"]["pulses"][0]["t0_ps"] = 2100.0
+        cfg["grids"]["time_ps"] = {"start": 1000.0, "stop": 3000.0, "n": 201}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "dyn"
+        res = CliRunner().invoke(main, ["dynamic", "--config", str(cfg_path), "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        entry = json.loads((out / "metrics.json").read_text())["filters"][0]
+        assert entry["error"] == "depth undefined on a zero baseline"
+        assert "metrics" not in entry
 
     def test_schema_error_exit_code(self, tmp_path):
         bad = small_dynamic_config()

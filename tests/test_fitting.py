@@ -10,10 +10,9 @@ from cavtune import (
     SchemaError,
     fit,
     read_anticrossing_csv,
-    residuals,
-    synthetic_data,
 )
-from cavtune.fitting import _active_params, _bounds_for, model_predictions
+from cavtune.fitting import _active_params
+from conftest import model_predictions, residuals, synthetic_data
 
 ETA_TRUE = 1.564e11
 KT_TRUE = 1.564e11
@@ -123,6 +122,48 @@ class TestDataIngest:
         assert np.all(data.sigma_lambda == 0.01) and np.all(data.sigma_q == 50)
         assert np.all(data.sigma_tau == 0.1)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("column", [1, 4, 6])
+    def test_non_finite_cells_rejected(self, cell, column):
+        # a nan or inf cell would reach the fit as a penalty on every residual
+        header = "control,lambda1,lambda2,q1,q2,tau,lambda1_err\n"
+        rows = [["0", "1551", "1553", "1000", "2000", "1", "0.01"] for _ in range(5)]
+        rows[2][column] = cell
+        text = header + "\n".join(",".join(row) for row in rows)
+        name = header.split(",")[column].strip()
+        with pytest.raises(SchemaError, match=f"row 4, column '{name}': not a finite number"):
+            read_anticrossing_csv(io.StringIO(text))
+
+    @pytest.mark.parametrize("column", ["lambda1_err_nm", "q1_err", "tau_err"])
+    @pytest.mark.parametrize("cell", ["0", "-0.01"])
+    def test_non_positive_uncertainties_rejected(self, column, cell):
+        # a zero sigma divides every residual of its column by zero
+        rows = "\n".join(f"{c},1551,1553,1000,2000,1,{cell if c == 1 else '0.5'}" for c in range(5))
+        header = f"control,lambda1,lambda2,q1,q2,tau,{column}\n"
+        with pytest.raises(SchemaError, match=f"row 3, column '{column}': an uncertainty must be "
+                                              f"positive, got '{cell}'"):
+            read_anticrossing_csv(io.StringIO(header + rows))
+
+    @pytest.mark.parametrize("field", ["control", "lambda1", "q2", "tau_ns", "sigma_lambda"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_api_non_finite_values_rejected(self, field, value):
+        columns = dict(
+            control=np.arange(4.0), lambda1=np.full(4, 1551.0), lambda2=np.full(4, 1553.0),
+            q1=np.full(4, 1e3), q2=np.full(4, 2e3), tau_ns=np.ones(4), sigma_lambda=np.full(4, 0.01),
+        )
+        columns[field][2] = value
+        with pytest.raises(InvalidInput, match=f"{field}: non-finite value at index 2"):
+            AnticrossingData(**columns)
+
+    @pytest.mark.parametrize("field", ["sigma_lambda", "sigma_q", "sigma_tau"])
+    @pytest.mark.parametrize("value", [0.0, -1.0])
+    def test_api_non_positive_uncertainties_rejected(self, field, value):
+        with pytest.raises(InvalidInput, match=f"{field}: an uncertainty must be positive"):
+            AnticrossingData(
+                control=np.arange(4.0), lambda1=np.full(4, 1551.0), lambda2=np.full(4, 1553.0),
+                q1=np.full(4, 1e3), q2=np.full(4, 2e3), tau_ns=np.ones(4), **{field: value},
+            )
+
 
 class TestModelAgainstEig:
     def test_predictions_match_numpy_eig(self):
@@ -221,9 +262,7 @@ class TestCompiledObjective:
         return np.array([values[n] for n in _active_params(data)])
 
     def penalty_of(self, data, bounds=None, **changes):
-        names = _active_params(data)
-        theta = self.theta(data, **changes)
-        return residuals(theta, data, names, _bounds_for(names, data, bounds))
+        return residuals(self.theta(data, **changes), data, bounds)
 
     def test_penalty_out_of_bounds_grows_with_violation(self):
         data = self.noisy("detuning_nm")

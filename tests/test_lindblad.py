@@ -23,6 +23,7 @@ from cavtune import (
     fp_shift_at,
     liouvillian_apply,
     mode_populations,
+    omega_to_wl,
     se_rate_ratio,
     steady_state,
     vacuum_state,
@@ -143,7 +144,7 @@ class TestLiouvillian:
         via = (dense_superoperator(p, spec=spec) @ rho.ravel()).reshape(spec.dim, spec.dim)
         assert np.max(np.abs(direct - via)) <= 1e-12 * np.max(np.abs(direct))
 
-    def test_compiled_operator_matches_matrix_free(self, rng):
+    def test_compiled_operator_matches_matrix_free(self, rng, in_frame):
         # the compiled sparse operator (as dense matrix and as the evolve RHS)
         # against the matrix-free commutator form, over channel variants
         variants = {
@@ -160,10 +161,11 @@ class TestLiouvillian:
                     fp_now = BareMode(wl_to_omega(lambda_fp), p.fp.kappa)
                     moved = replace(p, fp=fp_now)
                     pump = rng.uniform(0.0, 5e8)
-                    direct = liouvillian_apply(moved, rho, pump_rate=pump, frame=frame)
-                    sup = dense_superoperator(moved, pump_rate=pump, spec=spec, frame=frame)
+                    with in_frame(frame):
+                        direct = liouvillian_apply(moved, rho, pump_rate=pump)
+                        sup = dense_superoperator(moved, pump_rate=pump, spec=spec)
+                        gen = _Generator(p, spec)
                     delta = fp_now.omega if frame == "lab" else fp_now.omega - p.target.omega
-                    gen = _Generator(p, spec, frame)
                     via_rhs = gen.rhs(rho.ravel(), delta * 1e-12, pump * 1e-12) / 1e-12
                     scale = np.max(np.abs(direct))
                     for via in (sup @ rho.ravel(), via_rhs):
@@ -175,9 +177,9 @@ class TestLiouvillian:
         p = make_params(pump=PumpSchedule(cw_rate=1e8))
         spec = HilbertSpec(1)
         y = random_density_matrix(rng, spec.dim).ravel()
-        intact = _Generator(p, spec, "rotating")
+        intact = _Generator(p, spec)
         monkeypatch.setattr(lindblad, "_Generator", broken_target_generator)
-        broken = lindblad._Generator(p, spec, "rotating")
+        broken = lindblad._Generator(p, spec)
         trace = [abs(gen.rhs(y, 0.0, 0.0)[:: spec.dim + 1].sum()) for gen in (intact, broken)]
         assert trace[0] < 1e-15 and trace[1] > 1e-3
 
@@ -322,7 +324,9 @@ class TestEvolve:
             scale = np.max(np.abs(b))
             assert np.max(np.abs(a - b)) < 0.01 * scale
 
-    def test_frame_invariance(self):
+    @staticmethod
+    def frame_deviation(in_frame):
+        """The largest difference of the observables between the rotating and the lab frame."""
         # artificial low-frequency system keeps the lab frame integrable
         omega_t = 50.0e12  # rad/s -> 50 rad/ps
         p = SystemParams(
@@ -338,9 +342,28 @@ class TestEvolve:
         t = np.linspace(0.0, 60.0, 61)
         obs = {}
         for frame in ("rotating", "lab"):
-            traj = evolve(p, profile, rho0, t, rtol=1e-12, atol=1e-16, frame=frame)
+            with in_frame(frame):
+                traj = evolve(p, profile, rho0, t, rtol=1e-12, atol=1e-16)
             obs[frame] = np.stack([traj.n_e, traj.n_t, traj.n_fp, traj.n1, traj.n2])
-        assert np.max(np.abs(obs["rotating"] - obs["lab"])) < 1e-9
+        return np.max(np.abs(obs["rotating"] - obs["lab"]))
+
+    def test_frame_invariance(self, in_frame):
+        assert self.frame_deviation(in_frame) < 1e-9
+
+    def test_frame_invariance_detects_a_term_that_bypasses_the_seam(self, in_frame, monkeypatch):
+        # a negative control: an FP detuning that subtracts the target frequency
+        # itself stays in the rotating frame when the lab frame is patched in
+        def bypassing_delta_fp_fn(params, profile):
+            lambda_t = omega_to_wl(params.target.omega)
+
+            def delta_fp(t_ps):
+                omega_fp = wl_to_omega(lambda_t + fp_shift_scalar(profile, t_ps))
+                return (omega_fp - params.target.omega) * 1e-12
+
+            return delta_fp
+
+        monkeypatch.setattr(lindblad, "_delta_fp_fn", bypassing_delta_fp_fn)
+        assert self.frame_deviation(in_frame) > 1e-3
 
     def test_instant_pump_mode(self):
         pump = PumpSchedule(pulse_events=(PumpPulse(100.0, 1.0, 6.0),), mode="instant")
@@ -410,7 +433,7 @@ class TestEvolve:
         free = evolve(p, TuningProfile(), emitter_excited_state(spec), t[before])
         np.testing.assert_array_equal(densities(with_pulse)[before], densities(free))
 
-    def test_scalar_delta_matches_array_path(self):
+    def test_scalar_delta_matches_array_path(self, in_frame):
         pulses = (
             FreeCarrierPulse(0.0, 0.6, 352.0),
             FreeCarrierPulse(150.0, 0.3, 120.0, tau_rise_ps=15.0),
@@ -426,7 +449,8 @@ class TestEvolve:
                 base = 0.0 if frame == "rotating" else p.target.omega
                 omega_fp = wl_to_omega(LAMBDA_T + fp_shift_at(profile, t))
                 expected = (omega_fp - p.target.omega + base) * 1e-12
-                fast = _delta_fp_fn(p, profile, frame)
+                with in_frame(frame):
+                    fast = _delta_fp_fn(p, profile)
                 got = np.array([fast(float(tk)) for tk in t])
                 assert np.all(np.abs(got - expected) <= 1e-15 * np.abs(expected))
                 shifts = np.array([fp_shift_scalar(profile, float(tk)) for tk in t])
@@ -516,7 +540,7 @@ class TestBlockEvolve:
     def _full_space(cls, p, profile, rho0, t):
         """``(states, rhs_calls)`` of the full-space solve."""
         spec = HilbertSpec(round(np.sqrt(rho0.shape[0] / 2.0)) - 1)
-        gen = _Generator(p, spec, "rotating")
+        gen = _Generator(p, spec)
         pump = p.pump
         kicks = {}
         for e in pump.pulse_events if pump.mode == "instant" else ():
@@ -530,7 +554,7 @@ class TestBlockEvolve:
             if a in kicks:
                 y = sparse_expm((kicks[a] * gen.l_pump).tocsc()) @ y
             started = replace(profile, pulses=tuple(q for q in profile.pulses if q.t0_ps <= a))
-            delta_fp = _delta_fp_fn(p, started, "rotating")
+            delta_fp = _delta_fp_fn(p, started)
 
             def rhs(tk, v):
                 return gen.rhs(v, delta_fp(tk), pump.rate_at_ps(tk))
@@ -572,7 +596,7 @@ class TestBlockEvolve:
         # the closure evolve restricts its generator to, for each shipped start
         p = make_params(pump=PumpSchedule(cw_rate=1e8))
         spec = HilbertSpec(n_max)
-        gen = _Generator(p, spec, "rotating")
+        gen = _Generator(p, spec)
         ops = build_space(spec)
         n = np.diag(ops.n_e + ops.n_t + ops.n_fp).round().astype(int)
         k = (n[:, None] - n[None, :]).ravel()
@@ -634,7 +658,7 @@ class TestBlockChecks:
 
     @staticmethod
     def _keep(spec, rho0):
-        gen = _Generator(make_params(pump=PumpSchedule(cw_rate=1e8)), spec, "rotating")
+        gen = _Generator(make_params(pump=PumpSchedule(cw_rate=1e8)), spec)
         return _closure(abs(gen.l0) + abs(gen.l_pump), rho0.ravel())
 
     @staticmethod

@@ -66,6 +66,21 @@ class TestRenderCsv:
         out = render_csv_file(csv_path, tmp_path / "m.ppm")
         assert out.read_bytes().startswith(b"P6\n3 3\n255\n")
 
+    @pytest.mark.parametrize("layout", ["duplicate and missing cell", "wavelength-major"])
+    def test_scrambled_map_rejected(self, tmp_path, layout):
+        # both hold 3 x 3 rows over 3 times and 3 wavelengths, as a full grid does
+        cells = [(t, lam) for t in (0.0, 1.0, 2.0) for lam in (1551.0, 1552.0, 1553.0)]
+        if layout == "wavelength-major":
+            cells = [(t, lam) for lam in (1551.0, 1552.0, 1553.0) for t in (0.0, 1.0, 2.0)]
+        else:
+            cells[4] = cells[3]  # (1, 1551) twice, (1, 1552) missing
+        csv_path = tmp_path / "map.csv"
+        csv_path.write_text("t_ps,lambda_nm,intensity_au\n"
+                            + "".join(f"{t},{lam},{t + lam - 1550.0}\n" for t, lam in cells))
+        with pytest.raises(SchemaError, match="not the full .* grid in t-major order"):
+            render_csv_file(csv_path, tmp_path / "m.ppm")
+        assert not (tmp_path / "m.ppm").exists()
+
     def test_header_only_csv_is_error(self, tmp_path):
         csv_path = tmp_path / "empty.csv"
         csv_path.write_text("t_ps,intensity_au\n")

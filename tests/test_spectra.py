@@ -151,6 +151,14 @@ class TestBurstMetrics:
         with pytest.raises(NoFeature):
             burst_metrics(curve, (-500.0, 0.0))
 
+    def test_zero_baseline_no_feature(self):
+        # from the vacuum nothing is emitted before the pump: a burst on a
+        # baseline of exactly 0 has no depth
+        t = np.linspace(-500.0, 1000.0, 601)
+        y = np.where(t < 100.0, 0.0, np.exp(-0.5 * ((t - 300.0) / 80.0) ** 2))
+        with pytest.raises(NoFeature, match="depth undefined on a zero baseline"):
+            burst_metrics(DecayCurve(t, y, 1552.0, 0.5), (-500.0, 0.0))
+
     def test_synthetic_gaussian_bump(self):
         # height 2*I0, sigma = 100 ps: depth 3, FWHM = 2.355 sigma
         t = np.linspace(-600.0, 1200.0, 3601)
