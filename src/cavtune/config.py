@@ -287,7 +287,6 @@ def load_config(raw: dict) -> RunConfig:
                     p.number("width_ps", 6.0))
             for p in pump.sections("pulses")
         ),
-        mode=pump.choice("mode", ("gaussian", "instant"), "gaussian"),
         cavity_cw_rate=pump.number("cavity_cw_rate", 0.0, minimum=0.0),
     )
 
@@ -303,8 +302,7 @@ def load_config(raw: dict) -> RunConfig:
         ),
         pulses=tuple(
             p.build(FreeCarrierPulse, p.number("t0_ps"),
-                    p.number("delta_lambda_max_nm", minimum=0.0), p.number("tau_fc_ps"),
-                    p.number("tau_rise_ps", 0.0, minimum=0.0))
+                    p.number("delta_lambda_max_nm", minimum=0.0), p.number("tau_fc_ps"))
             for p in profile_node.sections("pulses")
         ),
     )

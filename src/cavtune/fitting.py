@@ -48,7 +48,10 @@ class AnticrossingData:
     """Measured coupled-mode table.
 
     ``control_kind`` is "detuning_nm" or "power_mw".  Every value must be
-    finite and every uncertainty (``sigma_*``) positive.  Rows are normalized on
+    finite and every uncertainty (``sigma_*``) positive.  ``q1``, ``q2`` and
+    ``tau_ns`` have one entry per row; each ``sigma_*`` is a scalar, which
+    applies to every row, or has one entry per row, and ``sigma_q`` and
+    ``sigma_tau`` need the quantity they weight.  Rows are normalized on
     construction so that ``lambda1 <= lambda2`` (Q columns swapped alongside).
     """
 
@@ -66,37 +69,31 @@ class AnticrossingData:
     def __post_init__(self):
         if self.control_kind not in ("detuning_nm", "power_mw"):
             raise InvalidInput(f"unknown control kind {self.control_kind!r}")
-        for name, values in vars(self).items():
-            if name == "control_kind" or values is None:
-                continue
-            values = np.asarray(values, dtype=float)
+        columns = {name: np.array(values, dtype=float) for name, values in vars(self).items()
+                   if name != "control_kind" and values is not None}
+        n = columns["control"].size
+        if n < 4:
+            raise InvalidInput(f"need at least 4 rows, got {n}")
+        for name, values in columns.items():
             finite = np.isfinite(values)
             if not finite.all():
                 raise InvalidInput(f"{name}: non-finite value at index {np.argmin(finite)}")
             if name.startswith("sigma") and not (values > 0.0).all():
                 raise InvalidInput(f"{name}: an uncertainty must be positive, got {values.min()}")
-        ctl = np.asarray(self.control, dtype=float)
-        l1 = np.asarray(self.lambda1, dtype=float).copy()
-        l2 = np.asarray(self.lambda2, dtype=float).copy()
-        if ctl.size < 4:
-            raise InvalidInput(f"need at least 4 rows, got {ctl.size}")
-        if not (ctl.size == l1.size == l2.size):
-            raise InvalidInput("column lengths differ")
-        q1 = None if self.q1 is None else np.asarray(self.q1, dtype=float).copy()
-        q2 = None if self.q2 is None else np.asarray(self.q2, dtype=float).copy()
-        if (q1 is None) != (q2 is None):
+            if values.shape != (n,) and not (name.startswith("sigma") and values.ndim == 0):
+                raise InvalidInput(f"{name}: expected one entry per row ({n}), "
+                                   f"got shape {values.shape}")
+        if ("q1" in columns) != ("q2" in columns):
             raise InvalidInput("q1 and q2 must both be present or both absent")
-        swap = l1 > l2
-        l1[swap], l2[swap] = l2[swap], l1[swap].copy()
-        if q1 is not None:
-            q1[swap], q2[swap] = q2[swap], q1[swap].copy()
-        tau = None if self.tau_ns is None else np.asarray(self.tau_ns, dtype=float)
-        object.__setattr__(self, "control", ctl)
-        object.__setattr__(self, "lambda1", l1)
-        object.__setattr__(self, "lambda2", l2)
-        object.__setattr__(self, "q1", q1)
-        object.__setattr__(self, "q2", q2)
-        object.__setattr__(self, "tau_ns", tau)
+        for name, weighted in (("sigma_q", "q1"), ("sigma_tau", "tau_ns")):
+            if name in columns and weighted not in columns:
+                raise InvalidInput(f"{name}: the table has no {weighted} for it to weight")
+        swap = columns["lambda1"] > columns["lambda2"]
+        for a, b in (("lambda1", "lambda2"), ("q1", "q2")):
+            if a in columns:
+                columns[a][swap], columns[b][swap] = columns[b][swap], columns[a][swap].copy()
+        for name, values in columns.items():
+            object.__setattr__(self, name, values)
 
     @property
     def n_rows(self) -> int:
@@ -172,6 +169,9 @@ def read_anticrossing_csv(source, control_kind: Optional[str] = None) -> Anticro
     for required in ("control", "lambda1", "lambda2"):
         if required not in columns:
             raise SchemaError(f"missing required column {required!r} in header")
+    for err, weighted in (("q1_err", ("q1", "q2")), ("tau_err", ("tau",))):
+        if err in columns and not all(q in columns for q in weighted):
+            raise SchemaError(f"column {err!r} needs the column(s) it weights: {weighted}")
 
     rows = []
     for line_no, row in enumerate(reader, start=2):

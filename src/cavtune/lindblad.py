@@ -24,7 +24,6 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy import sparse
 from scipy.integrate import solve_ivp  # a module-level name: bench/tracer.py wraps it
-from scipy.sparse.linalg import expm as sparse_expm
 from scipy.sparse.linalg import splu
 
 from .config import SOLVER_ATOL, SOLVER_RTOL
@@ -298,29 +297,17 @@ class Trajectory:
 def _segment_breakpoints(
     profile: TuningProfile, pump: PumpSchedule, t0: float, t1: float, extra: Sequence[float]
 ):
-    """Times where the RHS is non-smooth, the ``extra`` times, locally required step caps, and
-    the instant pump area at each event time in ``[t0, t1)``, summed: the pump maps commute."""
+    """Times where the RHS is non-smooth, the ``extra`` times, and locally required step caps."""
     points = set(extra)
+    points.update(p.t0_ps for p in profile.pulses)
     caps = []  # (a, b, max_step)
-    for p in profile.pulses:
-        points.add(p.t0_ps)
-        if p.tau_rise_ps > 0.0:
-            points.add(p.t0_ps + 8.0 * p.tau_rise_ps)
-            caps.append((p.t0_ps, p.t0_ps + 8.0 * p.tau_rise_ps, p.tau_rise_ps / 2.0))
-    if pump.mode == "gaussian":
-        for p in pump.pulse_events:
-            s = p.sigma_ps
-            points.add(p.t0_ps - 5.0 * s)
-            points.add(p.t0_ps + 5.0 * s)
-            caps.append((p.t0_ps - 5.0 * s, p.t0_ps + 5.0 * s, max(s / 2.0, 1e-3)))
-    kicks = {}
-    if pump.mode == "instant":
-        for p in pump.pulse_events:
-            if t0 <= p.t0_ps < t1:
-                kicks[p.t0_ps] = kicks.get(p.t0_ps, 0.0) + p.area
-                points.add(p.t0_ps)
+    for p in pump.pulse_events:
+        s = p.sigma_ps
+        points.add(p.t0_ps - 5.0 * s)
+        points.add(p.t0_ps + 5.0 * s)
+        caps.append((p.t0_ps - 5.0 * s, p.t0_ps + 5.0 * s, max(s / 2.0, 1e-3)))
     pts = sorted(t for t in points if t0 < t < t1)
-    return [t0] + pts + [t1], caps, kicks
+    return [t0] + pts + [t1], caps
 
 
 def _max_step_for(a: float, b: float, caps) -> float:
@@ -350,8 +337,7 @@ def evolve(
     Each segment is integrated by BDF, with the generator as its Jacobian, at
     ``rtol``/``atol`` (defaults ``config.SOLVER_RTOL``/``SOLVER_ATOL``).  A
     free-carrier pulse that starts at a grid time acts only after the state
-    there is recorded, and so does an instant pump event, also at the first
-    grid time; events at one time add their areas.  The right-hand side
+    there is recorded.  The right-hand side
     computes only the entries of vec(rho) that ``rho0`` reaches (see
     :func:`_closure`); the others stay exactly 0, so the result is that of
     the whole generator, and the trajectory records only the reached entries
@@ -372,7 +358,7 @@ def evolve(
 
     full = _Generator(params, spec)
     # every term of L(t) keeps to the pattern of l0 + l_pump (the diagonal
-    # d_fp adds no entries); the instant pump maps act on the whole vector
+    # d_fp adds no entries)
     keep = _closure(abs(full.l0) + abs(full.l_pump), rho0.ravel())
     gen = full.restricted(keep)
     pump = params.pump
@@ -392,7 +378,7 @@ def evolve(
 
         return rhs, jac
 
-    bounds, caps, kicks = _segment_breakpoints(
+    bounds, caps = _segment_breakpoints(
         profile, pump, float(t_grid[0]), float(t_grid[-1]), breakpoints_ps
     )
 
@@ -400,8 +386,6 @@ def evolve(
     y = rho0.ravel()
     states[0] = y[keep]
     for a, b in zip(bounds[:-1], bounds[1:]):
-        if a in kicks:  # the state at a is recorded before the pump map acts
-            y = sparse_expm((kicks[a] * full.l_pump).tocsc()) @ y
         rhs, jac = segment_on(a)
         inside = np.flatnonzero((t_grid > a) & (t_grid <= b))
         t_eval = np.unique(np.append(t_grid[inside], b))

@@ -45,23 +45,19 @@ def thermo_shift(model: ThermoOpticModel) -> float:
 class FreeCarrierPulse:
     """A single free-carrier injection event.
 
-    Blue-shifts the FP mode by ``delta_lambda_max_nm`` at ``t0_ps`` (after an
-    optional rise of time constant ``tau_rise_ps``) and recovers exponentially
-    with time constant ``tau_fc_ps``.
+    Blue-shifts the FP mode by ``delta_lambda_max_nm`` at ``t0_ps`` and
+    recovers exponentially with time constant ``tau_fc_ps``.
     """
 
     t0_ps: float
     delta_lambda_max_nm: float
     tau_fc_ps: float
-    tau_rise_ps: float = 0.0
 
     def __post_init__(self):
         if self.delta_lambda_max_nm < 0.0:
             raise InvalidInput(f"peak blue shift must be >= 0, got {self.delta_lambda_max_nm}")
         if self.tau_fc_ps <= 0.0:
             raise InvalidInput(f"free-carrier lifetime must be positive, got {self.tau_fc_ps}")
-        if self.tau_rise_ps < 0.0:
-            raise InvalidInput(f"rise time must be >= 0, got {self.tau_rise_ps}")
 
 
 @dataclass(frozen=True)
@@ -108,10 +104,7 @@ def fp_shift_scalar(profile: TuningProfile, t_ps: float) -> float:
     for pulse in profile.pulses:
         dt = t_ps - pulse.t0_ps
         if dt >= 0.0:
-            env = math.exp(-dt / pulse.tau_fc_ps)
-            if pulse.tau_rise_ps > 0.0:
-                env *= 1.0 - math.exp(-dt / pulse.tau_rise_ps)
-            shift -= pulse.delta_lambda_max_nm * env
+            shift -= pulse.delta_lambda_max_nm * math.exp(-dt / pulse.tau_fc_ps)
     return shift
 
 
@@ -159,15 +152,13 @@ class PumpPulse:
 class PumpSchedule:
     """CW plus pulsed incoherent pumping of the emitter.
 
-    ``mode`` selects how pulses act: "gaussian" integrates the rate envelope,
-    "instant" applies the equivalent pump map at the pulse time.
+    Each pulse adds its Gaussian rate envelope to the CW rate.
     ``cavity_cw_rate`` is an optional incoherent pump of the target mode
     (D[a_t^dag]); it defaults to off.
     """
 
     cw_rate: float = 0.0
     pulse_events: tuple = field(default_factory=tuple)
-    mode: str = "gaussian"
     cavity_cw_rate: float = 0.0
 
     def __post_init__(self):
@@ -175,19 +166,16 @@ class PumpSchedule:
             raise InvalidInput(f"CW pump rate must be >= 0, got {self.cw_rate}")
         if self.cavity_cw_rate < 0.0:
             raise InvalidInput(f"cavity pump rate must be >= 0, got {self.cavity_cw_rate}")
-        if self.mode not in ("gaussian", "instant"):
-            raise InvalidInput(f"pump mode must be 'gaussian' or 'instant', got {self.mode!r}")
         object.__setattr__(
             self, "pulse_events", tuple(sorted(self.pulse_events, key=lambda p: p.t0_ps))
         )
 
     def rate_at_ps(self, t_ps: float) -> float:
-        """Instantaneous pump rate in 1/ps (Gaussian mode only)."""
+        """Instantaneous pump rate in 1/ps."""
         rate = self.cw_rate * SECONDS_PER_PS
-        if self.mode == "gaussian":
-            for p in self.pulse_events:
-                sig = p.sigma_ps
-                rate += p.area * math.exp(-0.5 * ((t_ps - p.t0_ps) / sig) ** 2) / (
-                    sig * math.sqrt(2.0 * math.pi)
-                )
+        for p in self.pulse_events:
+            sig = p.sigma_ps
+            rate += p.area * math.exp(-0.5 * ((t_ps - p.t0_ps) / sig) ** 2) / (
+                sig * math.sqrt(2.0 * math.pi)
+            )
         return rate

@@ -46,6 +46,20 @@ def small_dynamic_config(**overrides):
     return cfg
 
 
+# the keys of the instant pump map and of the free-carrier rise time
+DROPPED_DRIVE_KEYS = ["pump.mode", "profile.pulses[0].tau_rise_ps"]
+
+
+def with_key(raw, path, value=1.0):
+    """``raw`` with ``value`` set at ``path``, such as ``profile.pulses[0].tau_rise_ps``."""
+    *parents, key = [int(k) if k.isdigit() else k for k in re.findall(r"[^.\[\]]+", path)]
+    node = raw
+    for k in parents:
+        node = node[k]
+    node[key] = value
+    return raw
+
+
 class TestConfigValidation:
     def test_scenarios_all_load(self):
         for name in SCENARIO_NAMES:
@@ -53,15 +67,13 @@ class TestConfigValidation:
             assert cfg.scenario == name
 
     # neither a typo nor a key the schema has dropped may pass
-    @pytest.mark.parametrize(
-        "path", ["system.kapa_t", "solver.frame", "solver.fixed_step_ps", "profile.kappa_fp_scale"]
-    )
+    @pytest.mark.parametrize("path", [
+        "system.kapa_t", "solver.frame", "solver.fixed_step_ps", "profile.kappa_fp_scale",
+        *DROPPED_DRIVE_KEYS,
+    ])
     def test_unknown_key_reports_path(self, path):
-        raw = small_dynamic_config()
-        section, key = path.split(".")
-        raw[section][key] = 1.0
         with pytest.raises(SchemaError, match=re.escape(f"{path}: unknown key")):
-            load_config(raw)
+            load_config(with_key(small_dynamic_config(), path))
 
     def test_unknown_top_level_key(self):
         raw = small_dynamic_config(extra_section={})
@@ -387,6 +399,21 @@ class TestCliDynamic:
         res = runner.invoke(main, ["dynamic", "--config", str(cfg_path), "--out", str(tmp_path / "x")])
         assert res.exit_code == 2
         assert "solver.initial_state" in res.output
+
+    @pytest.mark.parametrize("path", DROPPED_DRIVE_KEYS)
+    def test_dropped_drive_key_exits_2_before_integration(self, tmp_path, monkeypatch, path):
+        def integrate(*args, **kwargs):
+            raise AssertionError("integrated a config with an unknown key")
+
+        monkeypatch.setattr(lindblad, "steady_state", integrate)
+        monkeypatch.setattr(lindblad, "evolve", integrate)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(with_key(scenario_config("fig3-burst"), path, 0.0)))
+        res = CliRunner().invoke(
+            main, ["dynamic", "--config", str(cfg_path), "--out", str(tmp_path / "x")]
+        )
+        assert res.exit_code == 2, res.output
+        assert f"{path}: unknown key" in res.output
 
     def test_short_fit_csv_schema_error(self, tmp_path):
         bad_csv = tmp_path / "bad.csv"

@@ -1,4 +1,5 @@
 import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -163,6 +164,52 @@ class TestDataIngest:
                 control=np.arange(4.0), lambda1=np.full(4, 1551.0), lambda2=np.full(4, 1553.0),
                 q1=np.full(4, 1e3), q2=np.full(4, 2e3), tau_ns=np.ones(4), **{field: value},
             )
+
+    @pytest.mark.parametrize("fields", [
+        ("q1", "q2"), ("tau_ns",), ("sigma_lambda",), ("sigma_q",), ("sigma_tau",),
+    ], ids=lambda fields: fields[0])
+    def test_api_column_of_another_length_rejected(self, fields):
+        # 3 entries in a 5-row table: the row swap would raise numpy's
+        # IndexError, or the table would construct and the fit fail on it
+        columns = dict(
+            control=np.arange(5.0), lambda1=np.full(5, 1551.0), lambda2=np.full(5, 1553.0),
+            q1=np.full(5, 1e3), q2=np.full(5, 2e3), tau_ns=np.ones(5),
+        )
+        columns.update({field: np.full(3, 0.5) for field in fields})
+        with pytest.raises(InvalidInput, match=rf"{fields[0]}: expected one entry per row \(5\)"):
+            AnticrossingData(**columns)
+
+    def test_api_scalar_uncertainty_applies_to_every_row(self):
+        data = noiseless_data(g=1e10, gamma_leaky=5e8)
+        theta = np.array([1.1 * ETA_TRUE, KT_TRUE, KFP_TRUE, LAM_TRUE, 1e10, 5e8])
+        full = replace(data, sigma_lambda=np.full(data.n_rows, 0.02),
+                       sigma_q=np.full(data.n_rows, 30.0), sigma_tau=np.full(data.n_rows, 0.05))
+        scalar = replace(data, sigma_lambda=0.02, sigma_q=30.0, sigma_tau=0.05)
+        assert np.array_equal(residuals(theta, scalar), residuals(theta, full))
+
+    @pytest.mark.parametrize(
+        "field, absent", [("sigma_q", ("q1", "q2")), ("sigma_tau", ("tau_ns",))], ids=["q", "tau"]
+    )
+    def test_api_uncertainty_without_its_quantity_rejected(self, field, absent):
+        columns = dict(
+            control=np.arange(5.0), lambda1=np.full(5, 1551.0), lambda2=np.full(5, 1553.0),
+            q1=np.full(5, 1e3), q2=np.full(5, 2e3), tau_ns=np.ones(5), **{field: np.full(5, 0.5)},
+        )
+        for name in absent:
+            del columns[name]
+        with pytest.raises(InvalidInput, match=f"{field}: the table has no {absent[0]}"):
+            AnticrossingData(**columns)
+
+    @pytest.mark.parametrize("header, column", [
+        ("control,lambda1,lambda2,q1_err,tau_err", "q1_err"),
+        ("control,lambda1,lambda2,q2,q1_err", "q1_err"),
+        ("control,lambda1,lambda2,q1,q2,tau_err", "tau_err"),
+    ])
+    def test_error_column_without_its_quantity_rejected(self, header, column):
+        # sigmas() would drop the column without a word
+        rows = "\n".join(",".join(["1551"] * (header.count(",") + 1)) for _ in range(5))
+        with pytest.raises(SchemaError, match=f"column '{column}' needs the column"):
+            read_anticrossing_csv(io.StringIO(header + "\n" + rows))
 
 
 class TestModelAgainstEig:

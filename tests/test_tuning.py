@@ -56,7 +56,7 @@ class TestFpShift:
 
     def test_superposition_exact(self):
         p1 = FreeCarrierPulse(0.0, 0.4, 100.0)
-        p2 = FreeCarrierPulse(150.0, 0.7, 300.0, tau_rise_ps=5.0)
+        p2 = FreeCarrierPulse(150.0, 0.7, 300.0)
         t = np.linspace(-50.0, 2000.0, 500)
         both = fp_shift_at(TuningProfile(static_detuning_nm=0.2, pulses=(p1, p2)), t)
         split = (
@@ -80,11 +80,6 @@ class TestFpShift:
         assert thermo_part >= 0.0  # red
         fc_part = fp_shift_at(prof, t) - thermo_part
         assert np.all(fc_part <= 1e-15)  # blue
-
-    def test_rise_time_envelope(self):
-        prof = TuningProfile(pulses=(FreeCarrierPulse(0.0, 0.6, 1e6, tau_rise_ps=10.0),))
-        # with negligible recovery, shift approaches -0.6 as 1 - exp(-t/tau_rise)
-        assert fp_shift_at(prof, 10.0) == pytest.approx(-0.6 * (1 - np.exp(-1.0)), rel=1e-4)
 
     def test_pulses_sorted_on_construction(self):
         p1 = FreeCarrierPulse(500.0, 0.1, 100.0)
@@ -127,8 +122,6 @@ class TestFpShift:
             FreeCarrierPulse(0.0, -0.1, 100.0)
         with pytest.raises(InvalidInput):
             FreeCarrierPulse(0.0, 0.1, 0.0)
-        with pytest.raises(InvalidInput):
-            FreeCarrierPulse(0.0, 0.1, 100.0, tau_rise_ps=-1.0)
 
 
 def _shipped_profiles():
