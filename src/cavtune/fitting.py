@@ -6,11 +6,14 @@ nm, or a power in mW mapped through a linear calibration) positions the FP
 mode, and the predicted branch wavelengths / Q factors / decay times are
 compared against the measured columns.
 
-The minimizer is a deterministic Nelder-Mead simplex with the standard
-coefficients (reflection 1, expansion 2, contraction 0.5, shrink 0.5),
-stopping when the relative simplex spread falls below 1e-10.  Derivative-free
-search avoids the branch behavior of the complex square root near the
-exceptional point.
+The minimizer is a deterministic Levenberg-Marquardt with a central-difference
+Jacobian, run from each start in coordinates scaled to the start.  The
+objective has a crease on the exceptional-point surface
+``eta = |kappa_fp - kappa_t|/2``, where the complex square root of the pair
+branches at the zero-detuning row; the shipped parameters lie on it.  A
+descent that meets the crease stalls there, so one more run on the surface,
+and a descent from just off it, supply the estimate when they lower the
+objective.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -240,10 +243,18 @@ DEFAULT_BOUNDS = {
 }
 
 
-# the simplex stops below this relative spread; its first round steps each
-# parameter by this fraction of its value, later rounds by a tenth of it
-_SPREAD_TOL = 1e-10
-_INIT_STEP_FRAC = 0.05
+# Levenberg-Marquardt (More, LNM 630, 1978) in the coordinates x / scale.  The
+# Jacobian takes central differences of this step in those coordinates; a run
+# stops on an accepted step that lowers the objective by less than _LM_FTOL of
+# it, or on a scaled step below _LM_XTOL.
+# The exceptional-point estimate replaces the free one only if it lowers the
+# objective, a sum of squares in units of the uncertainties, by more than
+# _EP_MIN_GAIN of it or of one unit: less is within those tolerances.
+_LM_DIFF_STEP = 1e-6
+_LM_FTOL = 1e-8
+_LM_XTOL = 1e-10
+_LM_DAMPING0 = 1e-3
+_EP_MIN_GAIN = 1e-6
 
 
 @dataclass(frozen=True)
@@ -271,6 +282,7 @@ class FitResult:
     converged: bool
     n_evals: int
     near_degenerate: bool
+    on_exceptional_point: bool
     weighted_residuals: np.ndarray = field(repr=False, compare=False)
 
     def to_dict(self) -> dict:
@@ -281,6 +293,7 @@ class FitResult:
             "converged": self.converged,
             "n_evals": self.n_evals,
             "near_degenerate": self.near_degenerate,
+            "on_exceptional_point": self.on_exceptional_point,
         }
 
 
@@ -306,12 +319,11 @@ class _CompiledModel:
     """The fit model of one table, compiled once per :func:`fit`.
 
     The coupled-mode kernel :func:`cavtune.modespace.pair_modes` over all
-    rows at once, as a residual evaluation inside the simplex loop needs it:
-    no per-row objects, no per-call dicts, and the measured values and their
-    sigmas stacked once into matrices.  ``theta`` vectors are ordered as
-    ``names``.  The evaluation counts and estimates of two seeded fits are
-    pinned bit for bit: reordering the floating-point operations here moves
-    the simplex path.
+    rows at once, as each residual evaluation of the fit needs it: no per-row
+    objects, no per-call dicts, and the measured values and their sigmas
+    stacked once into matrices.  ``theta`` vectors are ordered as ``names``.
+    The evaluation counts and estimates of two seeded fits are pinned bit for
+    bit: reordering the floating-point operations here moves the fit's path.
     """
 
     def __init__(self, data: AnticrossingData, names, bounds):
@@ -395,59 +407,109 @@ class _CompiledModel:
         return res
 
 
-def _nelder_mead(func, x0, steps, spread_tol, max_evals):
-    """Simplex minimizer; coefficients (1, 2, 0.5, 0.5); relative-spread stop."""
+@dataclass(frozen=True)
+class _Descent:
+    """Where one Levenberg-Marquardt run stopped: its point, residuals and objective."""
+
+    x: np.ndarray
+    r: np.ndarray
+    f: float
+    n_evals: int
+    converged: bool
+
+
+def _jacobian(residuals, x, scale):
+    """Central-difference Jacobian in the coordinates ``x / scale``: column ``j``
+    is ``dr/dx_j * scale_j``."""
+    h = _LM_DIFF_STEP * scale
+    columns = []
+    for j in range(x.size):
+        xp, xm = x.copy(), x.copy()
+        xp[j] += h[j]
+        xm[j] -= h[j]
+        columns.append((residuals(xp) - residuals(xm)) / (2.0 * _LM_DIFF_STEP))
+    return np.column_stack(columns)
+
+
+def _levenberg_marquardt(residuals, x0, scale, max_evals) -> _Descent:
+    """Minimize ``|residuals(x)|**2`` from ``x0`` in at most ``max_evals`` evaluations.
+
+    Each step solves ``(J^T J + damping * D) dz = -J^T r`` in the scaled
+    coordinates ``z = x / scale``, as a least-squares problem, with ``D`` the
+    running maximum of ``diag(J^T J)``.  A step is accepted only if it lowers
+    the objective; the damping then follows the gain ratio (Nielsen's
+    update), and grows on each rejected step.  The Jacobian is taken at the
+    start and after each accepted step but the last.  Every stop but the
+    budget counts as converged.
+    """
     n = x0.size
-    simplex = [x0.copy()]
-    for j in range(n):
-        v = x0.copy()
-        v[j] += steps[j]
-        simplex.append(v)
-    simplex = np.array(simplex)
-    values = np.array([func(v) for v in simplex])
-    n_evals = n + 1
-
-    while n_evals < max_evals:
-        order = np.argsort(values, kind="stable")
-        simplex, values = simplex[order], values[order]
-
-        scale = np.maximum(np.abs(simplex[0]), 1e-300)
-        spread_x = np.max(np.abs(simplex[1:] - simplex[0]) / scale)
-        if spread_x < spread_tol:
-            return simplex[0], values[0], n_evals, True
-
-        centroid = simplex[:-1].mean(axis=0)
-        worst = simplex[-1]
-        reflected = centroid + 1.0 * (centroid - worst)
-        f_ref = func(reflected)
-        n_evals += 1
-        if f_ref < values[0]:
-            expanded = centroid + 2.0 * (centroid - worst)
-            f_exp = func(expanded)
+    x, r = x0.copy(), residuals(x0)
+    f, n_evals = float(r @ r), 1
+    damping, growth, diag = _LM_DAMPING0, 2.0, np.zeros(n)
+    while n_evals + 2 * n <= max_evals:
+        jac = _jacobian(residuals, x, scale)
+        n_evals += 2 * n
+        diag = np.maximum(diag, np.einsum("ij,ij->j", jac, jac))
+        while True:
+            if n_evals >= max_evals:
+                return _Descent(x, r, f, n_evals, False)
+            damped = np.vstack([jac, np.diag(np.sqrt(damping * diag))])
+            dz = np.linalg.lstsq(damped, np.concatenate([-r, np.zeros(n)]), rcond=None)[0]
+            x_new = x + dz * scale
+            r_new = residuals(x_new)
+            f_new = float(r_new @ r_new)
             n_evals += 1
-            if f_exp < f_ref:
-                simplex[-1], values[-1] = expanded, f_exp
-            else:
-                simplex[-1], values[-1] = reflected, f_ref
-        elif f_ref < values[-2]:
-            simplex[-1], values[-1] = reflected, f_ref
-        else:
-            if f_ref < values[-1]:
-                contracted = centroid + 0.5 * (reflected - centroid)
-            else:
-                contracted = centroid + 0.5 * (worst - centroid)
-            f_con = func(contracted)
-            n_evals += 1
-            if f_con < min(f_ref, values[-1]):
-                simplex[-1], values[-1] = contracted, f_con
-            else:
-                best = simplex[0]
-                for j in range(1, n + 1):
-                    simplex[j] = best + 0.5 * (simplex[j] - best)
-                    values[j] = func(simplex[j])
-                n_evals += n
+            small_step = np.linalg.norm(dz) <= _LM_XTOL * (np.linalg.norm(x / scale) + _LM_XTOL)
+            if f_new < f:
+                predicted = f - float(np.sum((r + jac @ dz) ** 2))
+                gain = (f - f_new) / predicted if predicted > 0.0 else 0.0
+                damping *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
+                growth = 2.0
+                done = small_step or f - f_new <= _LM_FTOL * f
+                x, r, f = x_new, r_new, f_new
+                if done:
+                    return _Descent(x, r, f, n_evals, True)
+                break
+            if small_step:
+                return _Descent(x, r, f, n_evals, True)
+            damping *= growth
+            growth *= 2.0
+    return _Descent(x, r, f, n_evals, False)
 
-    return simplex[np.argmin(values)], values.min(), n_evals, False
+
+def _starts(names, x0, bounds, options: FitOptions) -> list:
+    """``x0`` and the seeded extra starts: log-uniform within half a decade for a
+    rate bounded over more than two decades, uniform within a quarter of the
+    bounds otherwise, clipped to the bounds."""
+    starts = [x0]
+    rng = np.random.RandomState(options.seed)
+    for _ in range(options.multistart):
+        draw = []
+        for n, v in zip(names, x0):
+            lo, hi = bounds[n]
+            if lo > 0 and hi / max(lo, 1e-300) > 100.0:
+                span = np.log10(max(v, lo * 10, 1e-300))
+                val = 10.0 ** rng.uniform(span - 0.5, span + 0.5)
+            else:
+                width = 0.25 * (hi - lo) if hi > lo else 1.0
+                val = v + rng.uniform(-width, width)
+            draw.append(np.clip(val, lo, hi))
+        starts.append(np.array(draw))
+    return starts
+
+
+def _std_errors(jac, r, scale, names) -> dict:
+    """Gauss-Newton standard errors from the Jacobian ``jac`` in the coordinates
+    ``x / scale``, where the parameters' many decades (rates near 1e11 rad/s
+    next to wavelengths near 1e3 nm) no longer make the normal matrix singular
+    to working precision."""
+    dof = max(jac.shape[0] - jac.shape[1], 1)
+    try:
+        cov = np.linalg.pinv(jac.T @ jac) * (float(r @ r) / dof)
+        errs = scale * np.sqrt(np.clip(np.diag(cov), 0.0, None))
+    except np.linalg.LinAlgError:
+        errs = np.full(len(names), np.nan)
+    return dict(zip(names, (float(e) for e in errs)))
 
 
 def fit(
@@ -460,8 +522,15 @@ def fit(
 
     ``init`` must provide every active parameter (which parameters are active
     follows from the data columns).  Multi-start, when enabled, draws extra
-    seeded initializations within the bounds; the winner is the lowest
-    objective, the earlier start on a tie.
+    seeded initializations within the bounds; a Levenberg-Marquardt run
+    descends from each, and the winner is the lowest objective, the earlier
+    start on a tie.  A run on the exceptional-point surface, with ``eta``
+    tied to ``|kappa_fp - kappa_t|/2``, starts from the winner, and a free
+    run from just above that surface follows; the lower of the two supplies
+    the estimate (``on_exceptional_point``) if it lowers the winner's
+    objective by more than ``_EP_MIN_GAIN``.  ``max_evals`` bounds each run.
+    The standard errors come from the Jacobian at the estimate, scaled as a
+    run from there would scale it.
     """
     options = options or FitOptions()
     names = _active_params(data)
@@ -476,54 +545,37 @@ def fit(
             raise InvalidInput(f"init[{n!r}]={v} outside bounds [{lo}, {hi}]")
 
     model = _CompiledModel(data, names, all_bounds)
+    floor = 1e-3 * (model.hi - model.lo)
 
-    def func(vec):
-        r = model.residuals(vec)
-        return float(r @ r)
+    def descend(x, residuals=model.residuals, lower=floor):
+        scale = np.maximum(np.abs(x), lower)
+        return _levenberg_marquardt(residuals, x, scale, options.max_evals)
 
-    starts = [x0]
-    if options.multistart > 0:
-        rng = np.random.RandomState(options.seed)
-        for _ in range(options.multistart):
-            draw = []
-            for n, v in zip(names, x0):
-                lo, hi = all_bounds[n]
-                if lo > 0 and hi / max(lo, 1e-300) > 100.0:
-                    span = np.log10(max(v, lo * 10, 1e-300))
-                    val = 10.0 ** rng.uniform(span - 0.5, span + 0.5)
-                else:
-                    width = 0.25 * (hi - lo) if hi > lo else 1.0
-                    val = v + rng.uniform(-width, width)
-                draw.append(np.clip(val, lo, hi))
-            starts.append(np.array(draw))
+    runs = [descend(start) for start in _starts(names, x0, all_bounds, options)]
+    best = min(runs, key=lambda run: run.f)
 
-    best = None
-    total_evals = 0
-    for start in starts:
-        x, fval, ok = start, np.inf, False
-        budget = options.max_evals
-        # fresh-simplex restart rounds sidestep premature simplex collapse
-        for round_no in range(6):
-            if budget <= 0:
-                break
-            frac = _INIT_STEP_FRAC if round_no == 0 else _INIT_STEP_FRAC / 10.0
-            steps = np.array([frac * abs(s) if s != 0.0 else frac for s in x])
-            x_new, f_new, n_evals, ok = _nelder_mead(func, x, steps, _SPREAD_TOL, budget)
-            total_evals += n_evals
-            budget -= n_evals
-            improved = f_new < fval * (1.0 - 1e-9) if np.isfinite(fval) else True
-            x, fval = x_new, f_new
-            if not ok or not improved:
-                break
-        if best is None or fval < best[1]:
-            best = (x, fval, ok)
+    # eta is names[0]; on the surface it is half the loss-rate difference
+    i_t, i_fp = names.index("kappa_t") - 1, names.index("kappa_fp") - 1
 
-    x_best, f_best, converged = best
-    estimates = dict(zip(names, (float(v) for v in x_best)))
+    def on_surface(y):
+        return np.concatenate([[0.5 * abs(y[i_fp] - y[i_t])], y])
 
-    res_best = model.residuals(x_best)
-    std_errors = _finite_difference_errors(x_best, res_best, model)
-    res_norm = float(np.sqrt(f_best))
+    on_ep = descend(best.x[1:], lambda y: model.residuals(on_surface(y)), floor[1:])
+    on_ep = replace(on_ep, x=on_surface(on_ep.x))
+    # the zero-detuning row's measured wavelengths are sorted, so their
+    # splitting can only grow off the surface into eta > |kappa_fp - kappa_t|/2:
+    # descend from just there, with the difference stencil clear of the crease
+    x_off = on_ep.x.copy()
+    x_off[0] *= 1.0 + _LM_DIFF_STEP
+    off_ep = descend(x_off)
+    ep = min(on_ep, off_ep, key=lambda run: run.f)
+    on_exceptional_point = ep.f < best.f - _EP_MIN_GAIN * max(best.f, 1.0)
+    final = ep if on_exceptional_point else best
+
+    scale = np.maximum(np.abs(final.x), floor)
+    jac = _jacobian(model.residuals, final.x, scale)
+    n_evals = sum(run.n_evals for run in runs) + on_ep.n_evals + off_ep.n_evals + 2 * len(names)
+    estimates = dict(zip(names, (float(v) for v in final.x)))
 
     eta_resolution = abs(
         float(detuning_wl_to_omega(float(np.mean(data.sigmas()[0])), estimates["lambda_t"]))
@@ -532,37 +584,11 @@ def fit(
 
     return FitResult(
         estimates=estimates,
-        std_errors=std_errors,
-        residual_norm=res_norm,
-        converged=converged,
-        n_evals=total_evals,
+        std_errors=_std_errors(jac, final.r, scale, names),
+        residual_norm=float(np.sqrt(final.f)),
+        converged=final.converged,
+        n_evals=n_evals,
         near_degenerate=near_degenerate,
-        weighted_residuals=res_best,
+        on_exceptional_point=on_exceptional_point,
+        weighted_residuals=final.r,
     )
-
-
-def _finite_difference_errors(x, r0, model: _CompiledModel):
-    """Gauss-Newton standard errors from a central-difference Jacobian at ``x``.
-
-    Column ``j`` of the Jacobian is scaled by ``|x_j|`` and the errors are
-    unscaled after the inversion: the parameters span many decades (rates
-    near 1e11 rad/s next to wavelengths near 1e3 nm), and the unscaled normal
-    matrix is singular to working precision.
-    """
-    m, n = r0.size, x.size
-    col_scale = np.maximum(np.abs(x), 1e-12)
-    jac = np.empty((m, n))
-    for j in range(n):
-        h = 1e-6 * col_scale[j]
-        xp, xm = x.copy(), x.copy()
-        xp[j] += h
-        xm[j] -= h
-        jac[:, j] = (model.residuals(xp) - model.residuals(xm)) / (2.0 * h) * col_scale[j]
-    dof = max(m - n, 1)
-    scale = float(r0 @ r0) / dof
-    try:
-        cov = np.linalg.pinv(jac.T @ jac) * scale
-        errs = col_scale * np.sqrt(np.clip(np.diag(cov), 0.0, None))
-    except np.linalg.LinAlgError:
-        errs = np.full(n, np.nan)
-    return dict(zip(model.names, (float(e) for e in errs)))

@@ -205,12 +205,14 @@ def pair_modes(wt, wf, eta: float):
 
     ``w_a = eta**2/(eta**2 + |mu_a - wt|**2)`` is the squared target-cavity
     component of the Euclidean-normalized ``mu_a`` eigenvector; that of
-    ``mu_b`` is ``1 - w_a``.
+    ``mu_b`` is ``1 - w_a``.  It takes ``mu_a - wt`` as ``split - half``:
+    forming ``mean + split - wt`` at the 1e15 rad/s scale of the optical
+    frequencies would cancel most of its digits near the exceptional point.
 
-    The fit evaluates this inside its simplex loop, and its seeded fits are
-    pinned bit for bit: reordering these floating-point operations moves the
-    simplex path.  The degeneracy flag, which the fit never reads, is left to
-    :func:`couple`.
+    The fit evaluates this on every residual evaluation, and its seeded fits
+    are pinned bit for bit: reordering these floating-point operations moves
+    the fit's path.  The degeneracy flag, which the fit never reads, is left
+    to :func:`couple`.
     """
     if eta == 0.0:
         # the principal root's order: higher real part first, ties to the lower loss
@@ -223,7 +225,7 @@ def pair_modes(wt, wf, eta: float):
         split = np.sqrt(half * half + eta * eta + 0j)
         mu_a = mean + split
         mu_b = mean - split
-        w_a = eta**2 / (eta**2 + np.abs(mu_a - wt) ** 2)
+        w_a = eta**2 / (eta**2 + np.abs(split - half) ** 2)
     return mu_a, mu_b, w_a
 
 

@@ -14,7 +14,7 @@ from cavtune import (
     lindblad,
     wl_to_omega,
 )
-from cavtune.fitting import _active_params, _bounds_for, _CompiledModel
+from cavtune.fitting import FitOptions, _active_params, _bounds_for, _CompiledModel, _starts
 from cavtune.lindblad import _Generator
 
 KAPPA_T = 1.564e11
@@ -197,3 +197,99 @@ def synthetic_data(
         q2=q2 if with_q else None,
         tau_ns=tau,
     )
+
+
+def nelder_mead(func, x0, steps, spread_tol, max_evals):
+    """Simplex minimizer; coefficients (1, 2, 0.5, 0.5); relative-spread stop.
+
+    Returns ``(x, f, n_evals, converged)``.
+    """
+    n = x0.size
+    simplex = [x0.copy()]
+    for j in range(n):
+        v = x0.copy()
+        v[j] += steps[j]
+        simplex.append(v)
+    simplex = np.array(simplex)
+    values = np.array([func(v) for v in simplex])
+    n_evals = n + 1
+
+    while n_evals < max_evals:
+        order = np.argsort(values, kind="stable")
+        simplex, values = simplex[order], values[order]
+
+        scale = np.maximum(np.abs(simplex[0]), 1e-300)
+        spread_x = np.max(np.abs(simplex[1:] - simplex[0]) / scale)
+        if spread_x < spread_tol:
+            return simplex[0], values[0], n_evals, True
+
+        centroid = simplex[:-1].mean(axis=0)
+        worst = simplex[-1]
+        reflected = centroid + 1.0 * (centroid - worst)
+        f_ref = func(reflected)
+        n_evals += 1
+        if f_ref < values[0]:
+            expanded = centroid + 2.0 * (centroid - worst)
+            f_exp = func(expanded)
+            n_evals += 1
+            if f_exp < f_ref:
+                simplex[-1], values[-1] = expanded, f_exp
+            else:
+                simplex[-1], values[-1] = reflected, f_ref
+        elif f_ref < values[-2]:
+            simplex[-1], values[-1] = reflected, f_ref
+        else:
+            if f_ref < values[-1]:
+                contracted = centroid + 0.5 * (reflected - centroid)
+            else:
+                contracted = centroid + 0.5 * (worst - centroid)
+            f_con = func(contracted)
+            n_evals += 1
+            if f_con < min(f_ref, values[-1]):
+                simplex[-1], values[-1] = contracted, f_con
+            else:
+                best = simplex[0]
+                for j in range(1, n + 1):
+                    simplex[j] = best + 0.5 * (simplex[j] - best)
+                    values[j] = func(simplex[j])
+                n_evals += n
+
+    return simplex[np.argmin(values)], values.min(), n_evals, False
+
+
+def simplex_fit(data: AnticrossingData, init: dict, options=None):
+    """The derivative-free oracle for ``fit``: from each of its starts, rounds of a
+    fresh Nelder-Mead simplex (steps of 5% of each parameter, then 0.5%) until a
+    round stops improving, to a relative spread of 1e-10.
+
+    Returns ``(estimates, objective, n_evals)`` of the lowest objective.
+    """
+    options = options or FitOptions()
+    names = _active_params(data)
+    bounds = _bounds_for(names, data)
+    model = _CompiledModel(data, names, bounds)
+
+    def func(vec):
+        r = model.residuals(vec)
+        return float(r @ r)
+
+    best, total_evals = None, 0
+    x0 = np.array([float(init[n]) for n in names])
+    for start in _starts(names, x0, bounds, options):
+        x, fval = start, np.inf
+        budget = options.max_evals
+        for round_no in range(6):
+            if budget <= 0:
+                break
+            frac = 0.05 if round_no == 0 else 0.005
+            steps = np.array([frac * abs(s) if s != 0.0 else frac for s in x])
+            x_new, f_new, n_evals, ok = nelder_mead(func, x, steps, 1e-10, budget)
+            total_evals += n_evals
+            budget -= n_evals
+            improved = f_new < fval * (1.0 - 1e-9) if np.isfinite(fval) else True
+            x, fval = x_new, f_new
+            if not ok or not improved:
+                break
+        if best is None or fval < best[1]:
+            best = (x, fval)
+    return dict(zip(names, (float(v) for v in best[0]))), best[1], total_evals

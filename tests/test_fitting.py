@@ -12,8 +12,9 @@ from cavtune import (
     fit,
     read_anticrossing_csv,
 )
+from cavtune import fitting
 from cavtune.fitting import _active_params
-from conftest import model_predictions, residuals, synthetic_data
+from conftest import model_predictions, residuals, simplex_fit, synthetic_data
 
 ETA_TRUE = 1.564e11
 KT_TRUE = 1.564e11
@@ -245,35 +246,35 @@ class TestModelAgainstEig:
 
 
 class TestCompiledObjective:
-    """The fit objective is compiled once per fit; its values pin the simplex path."""
+    """The fit objective is compiled once per fit; its values pin the fit's path."""
 
-    # fits of the noisy table below, recorded before the objective was compiled:
-    # n_evals, residual norm and estimates must stay bit-identical
+    # Levenberg-Marquardt fits of the noisy table below: n_evals, residual norm
+    # and estimates must stay bit-identical
     GOLDEN = {
         "detuning_nm": (
-            3718,
-            2.1103143301572387,
+            2185,
+            2.1103143301672724,
             {
-                "eta": 155983292576.17096,
-                "kappa_t": 156756600621.1009,
-                "kappa_fp": 468636227914.28076,
-                "lambda_t": 1551.9990661143843,
-                "g": 10300896367.367588,
-                "gamma_leaky": 437724110.12776446,
+                "eta": 155983312026.57608,
+                "kappa_t": 156756592796.8972,
+                "kappa_fp": 468636259459.299,
+                "lambda_t": 1551.9990661141187,
+                "g": 10300895805.055157,
+                "gamma_leaky": 437724193.1086049,
             },
         ),
         "power_mw": (
-            16495,
-            2.109779677404298,
+            1706,
+            2.10977967740832,
             {
-                "eta": 156118418873.74164,
-                "kappa_t": 156695830827.74927,
-                "kappa_fp": 468841503141.2296,
-                "lambda_t": 1551.9990474307453,
-                "cal_slope": 0.09994180944336563,
-                "cal_offset": -0.2997880971913739,
-                "g": 10297179104.253761,
-                "gamma_leaky": 438561174.9649159,
+                "eta": 156118433990.17294,
+                "kappa_t": 156695831661.6628,
+                "kappa_fp": 468841532352.38116,
+                "lambda_t": 1551.9990474326025,
+                "cal_slope": 0.09994181031137135,
+                "cal_offset": -0.2997881007258304,
+                "g": 10297179892.87007,
+                "gamma_leaky": 438561092.5543675,
             },
         ),
     }
@@ -486,25 +487,31 @@ class TestFit:
         assert not result.converged
 
 
-class TestSimplexProperties:
-    def test_best_value_never_increases(self):
-        from cavtune.fitting import _nelder_mead
-
-        history = []
-
+class TestMinimizerProperties:
+    def test_best_value_never_increases(self, monkeypatch):
+        # the Jacobian is taken at the start and after each accepted step but
+        # the last, and only there: the objective at those points is the
+        # accepted sequence
         def rosenbrock(x):
-            val = float((1 - x[0]) ** 2 + 100.0 * (x[1] - x[0] ** 2) ** 2)
-            history.append(val)
-            return val
+            return np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]])
 
-        x, fval, n_evals, ok = _nelder_mead(
-            rosenbrock, np.array([-1.2, 1.0]), np.array([0.05, 0.05]), 1e-10, 20000
+        accepted = []
+        jacobian = fitting._jacobian
+
+        def recording(residuals, x, scale):
+            r = rosenbrock(x)
+            accepted.append(float(r @ r))
+            return jacobian(residuals, x, scale)
+
+        monkeypatch.setattr(fitting, "_jacobian", recording)
+        run = fitting._levenberg_marquardt(
+            rosenbrock, np.array([-1.2, 1.0]), np.array([1.2, 1.0]), 20000
         )
-        assert ok
-        assert fval == pytest.approx(0.0, abs=1e-12)
-        running_best = np.minimum.accumulate(history)
-        assert np.all(np.diff(running_best) <= 0.0)
-        assert fval <= running_best[-1] + 1e-15
+        assert run.converged
+        assert run.f == pytest.approx(0.0, abs=1e-12)
+        assert len(accepted) > 5
+        assert np.all(np.diff(accepted) <= 0.0)
+        assert run.f <= accepted[-1]
 
     def test_fit_never_worse_than_init(self):
         data = noiseless_data(noise_sigma_nm=0.02, seed=9)
@@ -513,6 +520,61 @@ class TestSimplexProperties:
         init_vec = np.array([init[n] for n in tuple(result.estimates)])
         init_ssr = float(residuals(init_vec, data) @ residuals(init_vec, data))
         assert result.residual_norm**2 <= init_ssr
+
+
+class TestAgainstSimplexOracle:
+    """``fit`` against the derivative-free simplex of ``conftest.simplex_fit``, from
+    the same starts: its objective at most 1e-4 above the oracle's, and eta,
+    kappa_t, kappa_fp and lambda_t within 1e-3 of the oracle's."""
+
+    def check(self, data, init, options):
+        result = fit(data, init, options=options)
+        estimates, objective, _ = simplex_fit(data, init, options)
+        assert result.converged
+        assert result.residual_norm**2 <= objective * (1.0 + 1e-4)
+        for name in ("eta", "kappa_t", "kappa_fp", "lambda_t"):
+            assert result.estimates[name] == pytest.approx(estimates[name], rel=1e-3)
+
+    @pytest.mark.parametrize("control_kind", ["detuning_nm", "power_mw"])
+    def test_golden_tables(self, control_kind):
+        self.check(TestCompiledObjective.noisy(control_kind), INIT,
+                   FitOptions(multistart=1, seed=4))
+
+    @pytest.mark.parametrize("seed", [8, 48, 96])
+    def test_acceptance_7_draws(self, seed):
+        # the noisy tables of acceptance criterion 7 whose first descent stops
+        # on the exceptional-point crease
+        init = {k: INIT[k] for k in ("eta", "kappa_t", "kappa_fp", "lambda_t")}
+        self.check(noiseless_data(noise_sigma_nm=0.01, seed=seed), init,
+                   FitOptions(max_evals=20000))
+
+
+class TestExceptionalPointPass:
+    INIT = {k: INIT[k] for k in ("eta", "kappa_t", "kappa_fp", "lambda_t")}
+
+    def test_flagged_on_acceptance_7_draw_8(self):
+        result = fit(noiseless_data(noise_sigma_nm=0.01, seed=8), self.INIT,
+                     options=FitOptions(max_evals=20000))
+        assert result.to_dict()["on_exceptional_point"] is True
+        eta_ep = 0.5 * (result.estimates["kappa_fp"] - result.estimates["kappa_t"])
+        assert result.estimates["eta"] == pytest.approx(eta_ep, rel=1e-5)
+
+    @pytest.mark.parametrize("eta_factor", [0.6, 1.5, 2.0])
+    def test_not_flagged_off_the_surface(self, eta_factor):
+        # noiseless tables whose truth lies off eta = (kappa_fp - kappa_t)/2:
+        # the first descent reaches it, and the pass cannot lower the objective
+        data = synthetic_data(eta_factor * ETA_TRUE, KT_TRUE, KFP_TRUE, LAM_TRUE, GRID)
+        result = fit(data, self.INIT)
+        assert result.to_dict()["on_exceptional_point"] is False
+        assert result.estimates["eta"] == pytest.approx(eta_factor * ETA_TRUE, rel=1e-9)
+
+    def test_noiseless_table_on_the_surface(self):
+        # the shipped truth lies on the crease itself, where the first descent
+        # stalls: the pass supplies the estimate
+        result = fit(noiseless_data(), self.INIT)
+        assert result.on_exceptional_point
+        assert result.residual_norm < 1e-9
+        assert result.estimates["eta"] == pytest.approx(ETA_TRUE, rel=1e-9)
 
 
 class TestPowerCalibration:

@@ -292,6 +292,20 @@ class TestPairKernel:
         np.testing.assert_allclose(weights, 0.5, atol=1e-5)
         np.testing.assert_allclose(rate, ref_rate, rtol=1e-6)
 
+    def test_weight_near_exceptional_point_against_long_double(self):
+        # the mu_a eigenvector (eta, mu_a - wt) in extended precision, from the
+        # same double inputs: forming mu_a - wt in double at the 1e15 rad/s
+        # scale leaves about 3e-13 of the weight, split - half about 1e-15
+        omega = wl_to_omega(LAMBDA_T)
+        wt = omega - 1j * KAPPA_T
+        wf = wl_to_omega(LAMBDA_T + np.linspace(-0.05, 0.05, 201)) - 3j * KAPPA_T
+        w_a = pair_modes(wt, wf, ETA)[2]
+        wt_l, wf_l, eta_l = np.clongdouble(wt), wf.astype(np.clongdouble), np.longdouble(ETA)
+        split_l = np.sqrt(((wt_l - wf_l) / 2) ** 2 + eta_l**2)
+        d_l = (wt_l + wf_l) / 2 + split_l - wt_l
+        reference = eta_l**2 / (eta_l**2 + np.abs(d_l) ** 2)
+        np.testing.assert_allclose(w_a, reference.astype(float), rtol=0, atol=1e-14)
+
     def test_array_couple_matches_scalar_calls(self, default_params):
         p = default_params
         grid = np.linspace(-8e11, 8e11, 41)
