@@ -7,11 +7,15 @@ Exit codes: 0 success, 1 selftest failure, 2 config/schema error,
 
 from __future__ import annotations
 
+import os
 import sys
 import time
 from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
+
+# before numpy starts its pool: no matrix here is large enough for a second BLAS thread to pay
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import click
 import numpy as np

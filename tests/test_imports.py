@@ -1,7 +1,10 @@
-"""Import graph: only the master-equation commands load scipy.
+"""Import graph and thread policy.
 
-Each check runs in a fresh interpreter, since the pytest process has long
-imported scipy through other tests.
+``import cavtune`` loads neither numpy nor scipy, only the master-equation
+commands load scipy, and a CLI process runs one BLAS thread unless
+``OPENBLAS_NUM_THREADS`` says otherwise.  Each check runs in a fresh
+interpreter, since the pytest process has long imported numpy and scipy
+through other tests.
 """
 
 import os
@@ -10,13 +13,18 @@ import sys
 import textwrap
 from pathlib import Path
 
+import pytest
+
 import cavtune
 
 SRC = str(Path(cavtune.__file__).resolve().parents[1])
 
 
-def run_python(code: str, cwd) -> str:
-    env = dict(os.environ)
+def run_python(code: str, cwd, **env_vars) -> str:
+    """Run ``code`` in a fresh interpreter with ``OPENBLAS_NUM_THREADS`` unset
+    unless ``env_vars`` sets it; return its standard output."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env.update(env_vars)
     env["PYTHONPATH"] = SRC + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
     proc = subprocess.run(
         [sys.executable, "-c", textwrap.dedent(code)],
@@ -63,15 +71,30 @@ def test_scipy_free_commands_do_not_load_scipy(tmp_path):
 def test_lindblad_names_resolve_lazily(tmp_path):
     out = run_python(
         """
-        from cavtune import HilbertSpec, PumpSchedule, evolve
+        import importlib
+        import sys
+
+        import cavtune
+        loaded = sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy"))
+        assert not loaded, loaded
+
+        # each public name is its defining module's object, and every one is listed
+        for name, module in cavtune._EXPORTS.items():
+            value = getattr(cavtune, name)
+            assert value is getattr(importlib.import_module(f"cavtune.{module}"), name), name
+            assert value.__module__ == f"cavtune.{module}", (name, value.__module__)
+        assert sorted(cavtune.__all__) == sorted(cavtune._EXPORTS)
+        assert set(cavtune.__all__) <= set(dir(cavtune))
+        star = {}
+        exec("from cavtune import *", star)
+        assert sorted(star.keys() - {"__builtins__"}) == sorted(cavtune.__all__)
+
         import cavtune.lindblad
         import cavtune.tuning
         import scipy.integrate
 
-        assert evolve is cavtune.lindblad.evolve
         assert cavtune.lindblad.PumpSchedule is cavtune.tuning.PumpSchedule
-        assert cavtune.lindblad.HilbertSpec is HilbertSpec is cavtune.tuning.HilbertSpec
-        assert PumpSchedule is cavtune.tuning.PumpSchedule
+        assert cavtune.lindblad.HilbertSpec is cavtune.tuning.HilbertSpec
         # the benchmark tracer finds this name by identity and wraps it
         assert cavtune.lindblad.solve_ivp is scipy.integrate.solve_ivp
         try:
@@ -82,3 +105,29 @@ def test_lindblad_names_resolve_lazily(tmp_path):
         tmp_path,
     )
     assert out.strip() == "ok"
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts threads in /proc/self/task")
+def test_cli_process_runs_one_thread(tmp_path):
+    out = run_python(
+        """
+        import os
+        import cavtune.cli, cavtune.lindblad
+        print(len(os.listdir("/proc/self/task")), os.environ["OPENBLAS_NUM_THREADS"])
+        """,
+        tmp_path,
+    )
+    assert out.split() == ["1", "1"]
+
+
+def test_given_blas_thread_count_is_kept(tmp_path):
+    out = run_python(
+        """
+        import os
+        import cavtune.cli
+        print(os.environ["OPENBLAS_NUM_THREADS"])
+        """,
+        tmp_path,
+        OPENBLAS_NUM_THREADS="2",
+    )
+    assert out.strip() == "2"
