@@ -23,7 +23,7 @@ _EXPORTS = {
         "errors": "CavtuneError InvalidInput NoFeature NumericalFailure SchemaError",
         "modespace": "BareMode CoupledModes EmitterParams SystemParams anticrossing_sweep couple"
         " coupled_hamiltonian detuning_wl_to_omega hamiltonian_bare_basis omega_to_wl q_factor"
-        " se_rate_ratio wl_to_omega",
+        " wl_to_omega",
         "tuning": "FreeCarrierPulse HilbertSpec PumpPulse PumpSchedule ThermoOpticModel"
         " TuningProfile fp_shift_at thermo_shift",
         "spectra": "BurstMetrics DecayCurve PLMap apply_filter burst_metrics irf_convolve"

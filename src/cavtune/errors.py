@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the finiteness check of its domain types."""
+
+import math
 
 
 class CavtuneError(Exception):
@@ -19,3 +21,11 @@ class NoFeature(CavtuneError, ValueError):
 
 class SchemaError(CavtuneError, ValueError):
     """A config document or CSV violates its schema; message carries the location."""
+
+
+def require_finite(record, *fields: str) -> None:
+    """Raise :class:`InvalidInput` unless each named field is finite (NaN passes ``x < 0``)."""
+    for name in fields:
+        value = getattr(record, name)
+        if not math.isfinite(value):
+            raise InvalidInput(f"{type(record).__name__}.{name} must be finite, got {value}")

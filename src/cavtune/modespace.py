@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidInput
+from .errors import InvalidInput, require_finite
 from .tuning import PumpSchedule
 
 C_M_PER_S = 2.99792458e8  # vacuum speed of light
@@ -107,6 +107,7 @@ class EmitterParams:
     def __post_init__(self):
         if not (self.omega0 > 0.0 and np.isfinite(self.omega0)):
             raise InvalidInput(f"emitter frequency must be positive, got {self.omega0}")
+        require_finite(self, "g", "gamma_leaky")
         if self.g < 0.0:
             raise InvalidInput(f"coupling rate must be >= 0, got {self.g}")
         if self.gamma_leaky < 0.0:
@@ -124,6 +125,7 @@ class SystemParams:
     pump: PumpSchedule = PumpSchedule()
 
     def __post_init__(self):
+        require_finite(self, "eta")
         if self.eta < 0.0:
             raise InvalidInput(f"cavity-cavity coupling must be >= 0, got {self.eta}")
         if not isinstance(self.pump, PumpSchedule):
@@ -327,20 +329,6 @@ def coupled_hamiltonian(params: SystemParams) -> np.ndarray:
     )
 
 
-def se_rate_ratio(coupled: CoupledModes, mode_index: int, kappa_t: float) -> float:
-    """SE rate into one coupled mode over the rate in the bare target cavity.
-
-    ``|c|**2 * kappa_t / kappa_l`` with ``c`` the target-cavity amplitude of
-    the selected mode.
-    """
-    if kappa_t <= 0.0:
-        raise InvalidInput(f"target loss rate must be positive, got {kappa_t}")
-    coupled._check_mode(mode_index)
-    c = coupled.alpha if mode_index == 1 else coupled.beta
-    kappa_l = coupled.kappa1 if mode_index == 1 else coupled.kappa2
-    return float(abs(c) ** 2 * kappa_t / kappa_l)
-
-
 def _decay_time(params: SystemParams, coupled: CoupledModes):
     """Emitter decay time 1/(gamma_leaky + 2*g**2*sum_l |c_l|**2/kappa_l) in seconds."""
     e = params.emitter
@@ -359,16 +347,13 @@ class Sweep:
     q1: np.ndarray
     q2: np.ndarray
     decay_time_s: np.ndarray
-    degenerate: np.ndarray
 
 
-def anticrossing_sweep(params: SystemParams, detuning_grid: Sequence[float]) -> Sweep:
-    """Couple the cavity pair with each detuning (rad/s) added to the FP frequency."""
-    grid = np.asarray(detuning_grid, dtype=float)
-    if grid.size == 0:
-        raise InvalidInput("detuning grid must be non-empty")
-    if not np.all(np.isfinite(grid)):
-        raise InvalidInput("detuning grid must be finite")
-    cm = couple(params.target, BareMode(params.fp.omega + grid, params.fp.kappa), params.eta)
+def anticrossing_sweep(params: SystemParams, omega_fp: Sequence[float]) -> Sweep:
+    """Couple the target to the FP mode of ``params`` moved to each ``omega_fp`` (rad/s)."""
+    omega = np.asarray(omega_fp, dtype=float)
+    if omega.size == 0:
+        raise InvalidInput("FP frequency grid must be non-empty")
+    cm = couple(params.target, BareMode(omega, params.fp.kappa), params.eta)
     return Sweep(cm.wavelength_nm(1), cm.wavelength_nm(2), cm.q(1), cm.q(2),
-                 _decay_time(params, cm), cm.degenerate)
+                 _decay_time(params, cm))

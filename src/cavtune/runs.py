@@ -67,14 +67,12 @@ def write_manifest(outdir: Path, cfg: RunConfig, outputs: list, started: float) 
 
 
 def run_static_sweep(cfg: RunConfig, outdir: Path, render: bool = False):
-    """Anticrossing sweep over the detuning grid -> sweep.csv (+ optional SVG)."""
+    """Anticrossing sweep with the FP mode at lambda_t + each detuning -> sweep.csv (+ SVGs)."""
     started = time.monotonic()
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     grid_nm = cfg.detuning_grid_nm
-    # the sweep detunes params.fp: each grid point puts the FP mode at lambda_t + detuning
-    omega_fp = wl_to_omega(cfg.lambda_t_nm + grid_nm)
-    sweep = anticrossing_sweep(cfg.params, omega_fp - cfg.params.fp.omega)
+    sweep = anticrossing_sweep(cfg.params, wl_to_omega(cfg.lambda_t_nm + grid_nm))
 
     outputs = []
     sweep_csv = outdir / "sweep.csv"
@@ -118,18 +116,12 @@ def initial_state_for(cfg: RunConfig) -> np.ndarray:
     return steady_state(cfg.params, spec=cfg.hilbert)
 
 
-def simulate_dynamic(
-    cfg: RunConfig, profile: Optional[TuningProfile] = None, rho0: Optional[np.ndarray] = None
-):
-    """Trajectory + map + filtered curves for one dynamic configuration.
-
-    ``rho0`` defaults to the initial state of ``cfg``.
-    """
+def simulate_dynamic(cfg: RunConfig, profile: Optional[TuningProfile] = None):
+    """Trajectory, map and filtered curves of ``cfg`` from its initial state, under ``profile``."""
     from .lindblad import evolve
 
     profile = profile or cfg.profile
-    if rho0 is None:
-        rho0 = initial_state_for(cfg)
+    rho0 = initial_state_for(cfg)
     traj = evolve(cfg.params, profile, rho0, cfg.time_grid_ps, rtol=cfg.rtol, atol=cfg.atol)
     return _observe(cfg, traj)
 
@@ -137,13 +129,8 @@ def simulate_dynamic(
 def _observe(cfg: RunConfig, traj):
     """``(traj, map, curves)``: the emission map of ``traj`` and its filtered traces."""
     pl_map = synthesize_map(traj, cfg.lambda_grid_nm, cfg.collection_exponent)
-    curves = []
-    for lam_c, fwhm in cfg.filters:
-        curve = apply_filter(pl_map, lam_c, fwhm)
-        if cfg.irf_sigma_ps > 0.0:
-            curve = irf_convolve(curve, cfg.irf_sigma_ps)
-        curves.append(curve)
-    return traj, pl_map, curves
+    curves = [apply_filter(pl_map, lam_c, fwhm) for lam_c, fwhm in cfg.filters]
+    return traj, pl_map, [irf_convolve(curve, cfg.irf_sigma_ps) for curve in curves]
 
 
 def delay_profile(cfg: RunConfig, delay_ps: float) -> TuningProfile:

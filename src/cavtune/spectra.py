@@ -123,7 +123,7 @@ def synthesize_map(
         lorentz = (gamma_nm / (2.0 * np.pi)) / ((lam[None, :] - lam_l) ** 2 + (gamma_nm / 2.0) ** 2)
         flux = weights[mode] * 2.0 * traj.kappa_t * SECONDS_PER_PS * pops[mode]
         out += flux[:, None] * lorentz
-    return PLMap(lam, traj.t_ps, np.clip(out, 0.0, None))
+    return PLMap(lam, traj.t_ps, out)
 
 
 def apply_filter(pl_map: PLMap, lambda_c_nm: float, fwhm_nm: float) -> DecayCurve:
@@ -138,7 +138,7 @@ def apply_filter(pl_map: PLMap, lambda_c_nm: float, fwhm_nm: float) -> DecayCurv
     half = fwhm_nm / 2.0
     profile = half**2 / ((lam - lambda_c_nm) ** 2 + half**2)
     intensity = np.trapezoid(pl_map.intensity * profile[None, :], lam, axis=1)
-    return DecayCurve(pl_map.t_grid_ps, np.clip(intensity, 0.0, None), lambda_c_nm, fwhm_nm)
+    return DecayCurve(pl_map.t_grid_ps, intensity, lambda_c_nm, fwhm_nm)
 
 
 def burst_metrics(curve: DecayCurve, baseline_window_ps: tuple) -> BurstMetrics:
@@ -232,4 +232,4 @@ def irf_convolve(curve: DecayCurve, sigma_ps: float) -> DecayCurve:
     # the full convolution at the curve's times; mode "same" would return a
     # kernel-length array when the kernel is the longer one
     smeared = np.convolve(curve.intensity, kernel, mode="full")[half_n : half_n + t.size]
-    return DecayCurve(t, np.clip(smeared, 0.0, None), curve.center_nm, curve.fwhm_nm)
+    return DecayCurve(t, smeared, curve.center_nm, curve.fwhm_nm)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInput
+from .errors import InvalidInput, require_finite
 
 SECONDS_PER_PS = 1e-12  # multiplies rad/s rates into rad/ps
 _FWHM_TO_SIGMA = 1.0 / (2.0 * np.sqrt(2.0 * np.log(2.0)))
@@ -30,6 +30,7 @@ class ThermoOpticModel:
     power_mw: float
 
     def __post_init__(self):
+        require_finite(self, "coeff_nm_per_mw", "power_mw")
         if self.coeff_nm_per_mw < 0.0:
             raise InvalidInput(f"thermo-optic coefficient must be >= 0, got {self.coeff_nm_per_mw}")
         if self.power_mw < 0.0:
@@ -54,6 +55,7 @@ class FreeCarrierPulse:
     tau_fc_ps: float
 
     def __post_init__(self):
+        require_finite(self, "t0_ps", "delta_lambda_max_nm", "tau_fc_ps")
         if self.delta_lambda_max_nm < 0.0:
             raise InvalidInput(f"peak blue shift must be >= 0, got {self.delta_lambda_max_nm}")
         if self.tau_fc_ps <= 0.0:
@@ -74,6 +76,7 @@ class TuningProfile:
     pulses: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
+        require_finite(self, "static_detuning_nm")
         ordered = tuple(sorted(self.pulses, key=lambda p: p.t0_ps))
         object.__setattr__(self, "pulses", ordered)
 
@@ -138,6 +141,7 @@ class PumpPulse:
     width_ps: float
 
     def __post_init__(self):
+        require_finite(self, "t0_ps", "area", "width_ps")
         if self.area < 0.0:
             raise InvalidInput(f"pump area must be >= 0, got {self.area}")
         if self.width_ps <= 0.0:
@@ -162,6 +166,7 @@ class PumpSchedule:
     cavity_cw_rate: float = 0.0
 
     def __post_init__(self):
+        require_finite(self, "cw_rate", "cavity_cw_rate")
         if self.cw_rate < 0.0:
             raise InvalidInput(f"CW pump rate must be >= 0, got {self.cw_rate}")
         if self.cavity_cw_rate < 0.0:

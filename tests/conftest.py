@@ -7,15 +7,19 @@ from scipy import sparse
 from cavtune import (
     AnticrossingData,
     BareMode,
+    CoupledModes,
     EmitterParams,
+    InvalidInput,
     PumpSchedule,
     SystemParams,
     build_space,
+    evolve,
     lindblad,
     wl_to_omega,
 )
 from cavtune.fitting import FitOptions, _active_params, _bounds_for, _CompiledModel, _starts
 from cavtune.lindblad import _Generator
+from cavtune.runs import _observe
 
 KAPPA_T = 1.564e11
 ETA = 1.564e11
@@ -39,6 +43,26 @@ def make_params(
         eta,
         pump if pump is not None else PumpSchedule(),
     )
+
+
+def se_rate_ratio(coupled: CoupledModes, mode_index: int, kappa_t: float) -> float:
+    """SE rate into one coupled mode over the rate in the bare target cavity.
+
+    ``|c|**2 * kappa_t / kappa_l`` with ``c`` the target-cavity amplitude of
+    the selected mode.
+    """
+    if kappa_t <= 0.0:
+        raise InvalidInput(f"target loss rate must be positive, got {kappa_t}")
+    coupled._check_mode(mode_index)
+    c = coupled.alpha if mode_index == 1 else coupled.beta
+    kappa_l = coupled.kappa1 if mode_index == 1 else coupled.kappa2
+    return float(abs(c) ** 2 * kappa_t / kappa_l)
+
+
+def run_from(cfg, profile, rho0):
+    """``runs.simulate_dynamic(cfg, profile)`` started from ``rho0`` instead of ``cfg``'s state."""
+    traj = evolve(cfg.params, profile, rho0, cfg.time_grid_ps, rtol=cfg.rtol, atol=cfg.atol)
+    return _observe(cfg, traj)
 
 
 class broken_target_generator(_Generator):

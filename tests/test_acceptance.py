@@ -29,7 +29,6 @@ from cavtune import (
     fock_state,
     hamiltonian_bare_basis,
     liouvillian_apply,
-    se_rate_ratio,
     wl_to_omega,
 )
 from cavtune.cli import main as cli_main
@@ -43,6 +42,8 @@ from conftest import (
     make_params,
     polished_eigenvalues,
     random_valid_system,
+    run_from,
+    se_rate_ratio,
     synthetic_data,
 )
 
@@ -76,7 +77,7 @@ def delay_runs():
     template = cfg.profile.pulses[0]
 
     def run(profile):
-        return simulate_dynamic(cfg, profile, rho0=rho0.copy())
+        return run_from(cfg, profile, rho0.copy())
 
     reference = run(TuningProfile(static_detuning_nm=0.0))
     delays = {}
@@ -240,7 +241,7 @@ def calibrate_burst_tau_fc(cfg):
 
     def fwhm_for(tau):
         profile = replace(cfg.profile, pulses=(replace(cfg.profile.pulses[0], tau_fc_ps=tau),))
-        _, _, curves = simulate_dynamic(cfg, profile, rho0=rho0.copy())
+        _, _, curves = run_from(cfg, profile, rho0.copy())
         return burst_metrics(curves[0], cfg.baseline_window_ps).fwhm_ps
 
     lo, hi = 120.0, 620.0

@@ -1,11 +1,20 @@
 import json
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from cavtune import FitOptions, SchemaError, lindblad, selftest
+from cavtune import (
+    FitOptions,
+    SchemaError,
+    apply_filter,
+    irf_convolve,
+    lindblad,
+    selftest,
+    wl_to_omega,
+)
 from cavtune.cli import main
 from cavtune.config import (
     SCENARIO_NAMES,
@@ -14,6 +23,7 @@ from cavtune.config import (
     load_config,
     scenario_config,
 )
+from cavtune.runs import simulate_dynamic
 from conftest import broken_target_generator, synthetic_data
 
 
@@ -157,6 +167,26 @@ GAP_ROWS = [
     (None, "filters", [{"lambda_nm": 1552.2}, {"lambda_nm": 1552.204}], "filters[1].lambda_nm"),
     ("solver", "atol", 0.0, "solver.atol"),
 ]
+
+
+class TestOptionalKeys:
+    def test_emitter_wavelength(self):
+        raw = small_dynamic_config()
+        raw["system"]["lambda0_nm"] = 1551.5
+        params = load_config(raw).params
+        assert params.emitter.omega0 == wl_to_omega(1551.5)
+        assert params.target.omega == wl_to_omega(1552.0)
+
+    def test_irf_sigma_smears_each_filtered_curve(self):
+        cfg = load_config(small_dynamic_config(spectra={"irf_sigma_ps": 40.0}))
+        _, pl_map, curves = simulate_dynamic(cfg)
+        _, plain_map, plain_curves = simulate_dynamic(replace(cfg, irf_sigma_ps=0.0))
+        assert np.array_equal(pl_map.intensity, plain_map.intensity)
+        for (lam_c, fwhm), curve, plain in zip(cfg.filters, curves, plain_curves, strict=True):
+            filtered = apply_filter(pl_map, lam_c, fwhm)
+            assert np.array_equal(plain.intensity, filtered.intensity)
+            assert np.array_equal(curve.intensity, irf_convolve(filtered, 40.0).intensity)
+            assert not np.allclose(curve.intensity, plain.intensity)
 
 
 def gap_config(section, key, value):

@@ -24,7 +24,6 @@ from cavtune import (
     liouvillian_apply,
     mode_populations,
     omega_to_wl,
-    se_rate_ratio,
     steady_state,
     vacuum_state,
     wl_to_omega,
@@ -46,7 +45,14 @@ from cavtune.lindblad import (
 )
 from cavtune.runs import simulate_dynamic
 from cavtune.tuning import fp_shift_scalar
-from conftest import KAPPA_T, LAMBDA_T, broken_target_generator, densities, make_params
+from conftest import (
+    KAPPA_T,
+    LAMBDA_T,
+    broken_target_generator,
+    densities,
+    make_params,
+    se_rate_ratio,
+)
 
 
 def random_density_matrix(rng, dim):

@@ -6,9 +6,13 @@ import scipy.linalg
 
 from cavtune import (
     BareMode,
+    FreeCarrierPulse,
     InvalidInput,
+    PumpPulse,
     PumpSchedule,
     SystemParams,
+    ThermoOpticModel,
+    TuningProfile,
     anticrossing_sweep,
     couple,
     coupled_hamiltonian,
@@ -16,7 +20,6 @@ from cavtune import (
     hamiltonian_bare_basis,
     omega_to_wl,
     q_factor,
-    se_rate_ratio,
     wl_to_omega,
 )
 from cavtune.modespace import decay_rate, pair_modes
@@ -27,6 +30,7 @@ from conftest import (
     make_params,
     polished_eigenvalues,
     random_valid_system,
+    se_rate_ratio,
 )
 
 C = 2.99792458e8
@@ -189,10 +193,10 @@ class TestCouple:
     def test_continuity_over_dense_grid(self, default_params):
         p = make_params()
         grid_nm = np.linspace(-1.5, 1.5, 2001)
-        omega_t = p.target.omega
-        grid_rad = wl_to_omega(LAMBDA_T + grid_nm) - omega_t
-        sweep = anticrossing_sweep(p, grid_rad)
-        lam1, q1, flagged = sweep.lambda1_nm, sweep.q1, sweep.degenerate
+        omega_fp = wl_to_omega(LAMBDA_T + grid_nm)
+        sweep = anticrossing_sweep(p, omega_fp)
+        lam1, q1 = sweep.lambda1_nm, sweep.q1
+        flagged = couple(p.target, BareMode(omega_fp, p.fp.kappa), p.eta).degenerate
         # sqrt branch behavior near the exceptional point allows O(sqrt(step)) jumps
         assert np.max(np.abs(np.diff(lam1))) < 0.06
         away = np.abs(grid_nm[:-1]) > 0.05
@@ -378,14 +382,14 @@ class TestSERateAndDecay:
     def test_leaky_only_decay_time(self):
         p = make_params(g=0.0, gamma_leaky=1e9)
         for d_nm in (-1.0, 0.0, 1.0):
-            d = wl_to_omega(LAMBDA_T + d_nm) - p.target.omega
-            assert anticrossing_sweep(p, [d]).decay_time_s[0] == pytest.approx(1e-9, rel=1e-12)
+            tau = anticrossing_sweep(p, [wl_to_omega(LAMBDA_T + d_nm)]).decay_time_s[0]
+            assert tau == pytest.approx(1e-9, rel=1e-12)
 
     def test_far_detuning_asymptote(self):
         p = make_params()
         gamma_t = p.purcell_rate
         expected = 1.0 / (p.emitter.gamma_leaky + gamma_t)
-        tau = anticrossing_sweep(p, [10 * ETA]).decay_time_s[0]
+        tau = anticrossing_sweep(p, [p.fp.omega + 10 * ETA]).decay_time_s[0]
         assert tau == pytest.approx(expected, rel=0.02)
 
     def test_in_mode_rate_change_brackets_reported_factor(self):
@@ -405,18 +409,18 @@ class TestSERateAndDecay:
     def test_zero_rates_invalid(self):
         p = make_params(g=0.0, gamma_leaky=0.0)
         with pytest.raises(InvalidInput):
-            anticrossing_sweep(p, [0.0])
+            anticrossing_sweep(p, [p.fp.omega])
 
 
 class TestSweep:
     def test_row_order_and_minimum_splitting(self):
         p = make_params()
         grid_nm = np.linspace(-1.5, 1.5, 121)
-        grid_rad = wl_to_omega(LAMBDA_T + grid_nm) - p.target.omega
-        sweep = anticrossing_sweep(p, grid_rad)
+        omega_fp = wl_to_omega(LAMBDA_T + grid_nm)
+        sweep = anticrossing_sweep(p, omega_fp)
         assert all(column.shape == (121,) for column in vars(sweep).values())
-        # positive nm detuning = negative rad detuning: input order kept
-        reversed_sweep = anticrossing_sweep(p, grid_rad[::-1])
+        # frequencies fall as the nm detuning grows: input order kept
+        reversed_sweep = anticrossing_sweep(p, omega_fp[::-1])
         for name, column in vars(sweep).items():
             assert np.array_equal(getattr(reversed_sweep, name), column[::-1]), name
         splitting = np.abs(sweep.lambda1_nm - sweep.lambda2_nm)
@@ -425,7 +429,7 @@ class TestSweep:
     def test_far_rows_near_bare_modes(self):
         p = make_params()
         d = 10 * ETA
-        sweep = anticrossing_sweep(p, [-d, d])
+        sweep = anticrossing_sweep(p, p.fp.omega + np.array([-d, d]))
         for k, sign in enumerate((-1, 1)):
             lam_fp = omega_to_wl(p.fp.omega + sign * d)
             lams = sorted([sweep.lambda1_nm[k], sweep.lambda2_nm[k]])
@@ -438,7 +442,7 @@ class TestSweep:
 
     def test_q_drop_factor_at_zero_detuning(self):
         p = make_params()
-        sweep = anticrossing_sweep(p, [0.0])
+        sweep = anticrossing_sweep(p, [p.fp.omega])
         q_t = p.target.q
         assert min(sweep.q1[0], sweep.q2[0]) / q_t == pytest.approx(0.5, abs=1e-9)
 
@@ -468,3 +472,28 @@ class TestDomainInvariants:
         assert SystemParams(p.emitter, p.target, p.fp, p.eta).pump == PumpSchedule()
         with pytest.raises(InvalidInput, match="PumpSchedule"):
             replace(p, pump=None)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize(
+        "record, field",
+        [
+            (PumpSchedule(), "cw_rate"),
+            (PumpSchedule(), "cavity_cw_rate"),
+            (PumpPulse(0.0, 1.0, 10.0), "t0_ps"),
+            (PumpPulse(0.0, 1.0, 10.0), "area"),
+            (PumpPulse(0.0, 1.0, 10.0), "width_ps"),
+            (FreeCarrierPulse(0.0, 0.6, 300.0), "t0_ps"),
+            (FreeCarrierPulse(0.0, 0.6, 300.0), "delta_lambda_max_nm"),
+            (FreeCarrierPulse(0.0, 0.6, 300.0), "tau_fc_ps"),
+            (ThermoOpticModel(0.01, 1.0), "coeff_nm_per_mw"),
+            (ThermoOpticModel(0.01, 1.0), "power_mw"),
+            (TuningProfile(), "static_detuning_nm"),
+            (make_params().emitter, "g"),
+            (make_params().emitter, "gamma_leaky"),
+            (make_params(), "eta"),
+        ],
+    )
+    def test_non_finite_field_rejected(self, record, field, value):
+        # NaN passes every sign guard; a NaN pulse time would silently never fire
+        with pytest.raises(InvalidInput, match=f"{type(record).__name__}.{field} must be finite"):
+            replace(record, **{field: value})

@@ -13,13 +13,12 @@ from cavtune.runs import (
     delay_scan,
     format_number,
     initial_state_for,
-    simulate_dynamic,
     write_map_csv,
 )
 from cavtune.modespace import BareMode, wl_to_omega
 from cavtune.spectra import PLMap
 from cavtune.tuning import fp_shift_at
-from conftest import densities
+from conftest import densities, run_from
 
 # on the 4 ps grid from -100 to 2000 ps: on the grid, 1502 off it, -300 before
 # the grid start and 2400 after its end
@@ -88,9 +87,7 @@ def test_delay_scan_matches_from_scratch_runs(delays, exact, tol):
     assert len(delayed) == len(delays)
     for delay, (traj, pl_map, curves) in zip(delays, delayed):
         # the independent oracle: one from-scratch run with the pulse at the delay
-        oracle_traj, oracle_map, oracle_curves = simulate_dynamic(
-            cfg, delay_profile(cfg, delay), rho0=rho0
-        )
+        oracle_traj, oracle_map, oracle_curves = run_from(cfg, delay_profile(cfg, delay), rho0)
         if delay in exact:
             np.testing.assert_array_equal(densities(traj), densities(oracle_traj))
             np.testing.assert_array_equal(pl_map.intensity, oracle_map.intensity)

@@ -106,6 +106,33 @@ class TestSynthesizeMap:
             PLMap(np.array([1551.0, 1552.0]), np.array([0.0]), np.zeros((2, 2)))
 
 
+class TestNonNegativity:
+    """The map and curve types reject a negative value; only populations are clipped."""
+
+    def test_curve_rejects_negative_intensity(self):
+        with pytest.raises(InvalidInput, match="curve intensities"):
+            DecayCurve(np.array([0.0, 1.0]), np.array([1.0, -1e-300]), 1552.0, 0.5)
+
+    def test_negative_population_gives_no_flux(self):
+        grid = np.linspace(LAMBDA_T - 2.0, LAMBDA_T + 7.0, 181)
+        dipped = synthesize_map(constant_trajectory(n1=-1e-12, n2=1.0, w2=1.0), grid)
+        empty = synthesize_map(constant_trajectory(n1=0.0, n2=1.0, w2=1.0), grid)
+        assert np.array_equal(dipped.intensity, empty.intensity)
+
+    def test_filter_and_irf_keep_random_maps_non_negative(self, rng):
+        lam = np.linspace(1550.0, 1554.0, 81)
+        t = np.arange(0.0, 400.0, 4.0)
+        for _ in range(20):
+            # values over 300 decades, a third of them exactly zero
+            values = 10.0 ** rng.uniform(-300.0, 0.0, (t.size, lam.size))
+            values[rng.uniform(size=values.shape) < 1 / 3] = 0.0
+            curve = apply_filter(PLMap(lam, t, values), rng.uniform(1550.0, 1554.0),
+                                 rng.uniform(0.05, 2.0))
+            assert curve.intensity.min() >= 0.0
+            smeared = irf_convolve(curve, rng.uniform(1.0, 80.0))
+            assert smeared.intensity.min() >= 0.0
+
+
 class TestApplyFilter:
     def test_wide_filter_recovers_integral(self):
         traj = constant_trajectory()
