@@ -17,7 +17,7 @@ Integration is carried out in a frame rotating at the target-cavity frequency
 from __future__ import annotations
 
 from copy import copy
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Optional, Sequence
 
@@ -341,10 +341,11 @@ def evolve(
     computes only the entries of vec(rho) that ``rho0`` reaches (see
     :func:`_closure`); the others stay exactly 0, so the result is that of
     the whole generator, and the trajectory records only the reached entries
-    (``Trajectory.keep``).  Raises :class:`InvalidInput` for a non-square
-    ``rho0`` or ``atol <= 0``, and :class:`NumericalFailure` with the failing
-    time on integrator breakdown and when the recorded trace deviates from 1
-    by more than 1e-8.
+    (``Trajectory.keep``).  The closure of any recorded state lies inside
+    ``keep``, so a run started from one records a subset of these entries.
+    Raises :class:`InvalidInput` for a non-square ``rho0`` or ``atol <= 0``,
+    and :class:`NumericalFailure` with the failing time on integrator
+    breakdown and when a recorded state is not valid (:func:`make_trajectory`).
     """
     t_grid = np.asarray(t_grid_ps, dtype=float)
     if t_grid.size < 2 or not np.all(np.diff(t_grid) > 0.0):
@@ -408,8 +409,8 @@ def make_trajectory(params, profile, t_grid, states, keep, dim) -> Trajectory:
     """The observables of ``states`` under ``profile``, one state per time of ``t_grid``.
 
     ``states`` is ``(t, keep.size)``: the entries ``keep`` of each vec(rho),
-    rho ``dim`` x ``dim`` and 0 elsewhere.  Raises :class:`NumericalFailure`
-    if a trace deviates from 1 by more than 1e-8.
+    rho ``dim`` x ``dim`` and 0 elsewhere.  Raises :class:`NumericalFailure`,
+    naming the first failing time, if a state is not valid (:func:`_state_fault`).
     """
     ops = build_space(_spec_from_dim(dim))
 
@@ -421,7 +422,7 @@ def make_trajectory(params, profile, t_grid, states, keep, dim) -> Trajectory:
     n_fp = mean(ops.n_fp).real
     coherence = mean(ops.a_t.T @ ops.a_fp)
 
-    trace_dev, herm_dev, min_eig = _block_checks(states, keep, dim)
+    trace_dev, herm_dev, min_eig = _require_valid(states, keep, dim, t_grid)
 
     lambda_t = omega_to_wl(params.target.omega)
     shifts = np.atleast_1d(fp_shift_at(profile, t_grid))
@@ -432,9 +433,6 @@ def make_trajectory(params, profile, t_grid, states, keep, dim) -> Trajectory:
     cross = 2.0 * a_re * (cm.beta * coherence).real
     n1 = a_re**2 * n_t + w2 * n_fp - cross
     n2 = w2 * n_t + a_re**2 * n_fp + cross
-
-    if trace_dev > 1e-8:
-        raise NumericalFailure(f"trace deviation {trace_dev:.3e} exceeds 1e-8")
 
     return Trajectory(
         t_ps=t_grid.copy(),
@@ -512,34 +510,40 @@ def _block_checks(states: np.ndarray, keep: np.ndarray, dim: int) -> tuple[float
     return trace_dev, herm_dev, min_eig
 
 
-def _splice(head: Trajectory, k: int, tail: Trajectory) -> Trajectory:
-    """The first ``k`` times of ``head`` followed by ``tail``, a run from the k-th.
+def _state_fault(trace_dev: float, herm_dev: float, min_eig: float) -> Optional[str]:
+    """Why states with these :func:`_block_checks` values are not valid, or None if they are.
 
-    Each observable is a function of one time, its state and the profile
-    there, so the joined record equals :func:`make_trajectory` on the joined
-    states wherever the two runs' profiles agree before the k-th time.  The
-    states are joined on the union of the two ``keep`` sets, and only the
-    state checks of the first ``k`` states are computed again.
+    The limits of every checked state: Hermitian within 1e-10, no eigenvalue
+    of the Hermitian part below -1e-8 and the trace within 1e-8 of 1.  A NaN
+    fails each of them.
     """
-    joined = {
-        f.name: np.concatenate([getattr(head, f.name)[:k], getattr(tail, f.name)])
-        for f in fields(Trajectory)
-        if f.name not in ("states", "keep") and isinstance(getattr(tail, f.name), np.ndarray)
-    }
-    keep = np.union1d(head.keep, tail.keep)
-    states = np.zeros((k + len(tail.states), keep.size), dtype=complex)
-    states[:k, np.searchsorted(keep, head.keep)] = head.states[:k]
-    states[k:, np.searchsorted(keep, tail.keep)] = tail.states
-    trace_dev, herm_dev, min_eig = _block_checks(head.states[:k], head.keep, head.dim)
-    return replace(
-        tail,
-        **joined,
-        states=states,
-        keep=keep,
-        trace_dev_max=max(trace_dev, tail.trace_dev_max),
-        hermiticity_dev_max=max(herm_dev, tail.hermiticity_dev_max),
-        min_eigenvalue=min(min_eig, tail.min_eigenvalue),
-    )
+    if not herm_dev <= 1e-10:
+        return f"not Hermitian within 1e-10 (deviation {herm_dev:.3e})"
+    if not min_eig >= -1e-8:
+        return f"not positive within 1e-8 (min eigenvalue {min_eig:.3e})"
+    if not trace_dev <= 1e-8:
+        return f"trace of rho deviates from 1 by {trace_dev:.3e}, more than 1e-8"
+    return None
+
+
+def _require_valid(states, keep, dim, times=None) -> tuple[float, float, float]:
+    """:func:`_block_checks` of ``states``; raises :class:`NumericalFailure` if one is not valid.
+
+    Only after a violation are the states checked one at a time, so that the
+    message names the first failing time of ``times``; without ``times`` the
+    one state is a steady state.
+    """
+    checks = _block_checks(states, keep, dim)
+    fault = _state_fault(*checks)
+    if fault is None:
+        return checks
+    if times is None:
+        raise NumericalFailure(f"steady state {fault}")
+    for t, row in zip(times, states):
+        row_fault = _state_fault(*_block_checks(row[None], keep, dim))
+        if row_fault is not None:
+            raise NumericalFailure(f"state at t = {t} ps {row_fault}")
+    raise NumericalFailure(f"states {fault}")
 
 
 def mode_populations(rho: np.ndarray, coupled: CoupledModes) -> tuple[float, float]:
@@ -630,11 +634,5 @@ def _closure(mat: sparse.spmatrix, vec_rho0: np.ndarray) -> np.ndarray:
 def _sanitize_state(rho: np.ndarray) -> np.ndarray:
     """``rho``, checked on its nonzero entries; raises :class:`NumericalFailure` if invalid."""
     keep = np.flatnonzero(rho)
-    trace_dev, herm, min_eig = _block_checks(rho.ravel()[keep][None], keep, rho.shape[0])
-    if herm > 1e-10:
-        raise NumericalFailure(f"steady state not Hermitian within 1e-10 (dev {herm:.3e})")
-    if min_eig < -1e-8:
-        raise NumericalFailure(f"steady state not positive (min eigenvalue {min_eig:.3e})")
-    if trace_dev > 1e-8:
-        raise NumericalFailure(f"steady state trace {np.trace(rho).real} deviates from 1")
+    _require_valid(rho.ravel()[keep][None], keep, rho.shape[0])
     return rho

@@ -36,12 +36,12 @@ def wl_to_omega(lambda_nm):
     converts one wavelength on every right-hand-side evaluation.
     """
     if isinstance(lambda_nm, float):
-        if lambda_nm <= 0.0:
-            raise InvalidInput(f"wavelength must be positive, got {lambda_nm}")
+        if not 0.0 < lambda_nm < np.inf:  # false for NaN too
+            raise InvalidInput(f"wavelength must be positive and finite, got {lambda_nm}")
         return float(TWO_PI_C_NM / lambda_nm)
     lam = np.asarray(lambda_nm, dtype=float)
-    if np.any(lam <= 0.0):
-        raise InvalidInput(f"wavelength must be positive, got {lambda_nm}")
+    if not np.all((0.0 < lam) & (lam < np.inf)):
+        raise InvalidInput(f"wavelength must be positive and finite, got {lambda_nm}")
     out = TWO_PI_C_NM / lam
     return float(out) if np.isscalar(lambda_nm) or out.ndim == 0 else out
 
@@ -49,8 +49,8 @@ def wl_to_omega(lambda_nm):
 def omega_to_wl(omega):
     """Convert an angular frequency in rad/s to a vacuum wavelength in nm."""
     om = np.asarray(omega, dtype=float)
-    if np.any(om <= 0.0):
-        raise InvalidInput(f"angular frequency must be positive, got {omega}")
+    if not np.all((0.0 < om) & (om < np.inf)):
+        raise InvalidInput(f"angular frequency must be positive and finite, got {omega}")
     out = TWO_PI_C_NM / om
     return float(out) if np.isscalar(omega) or om.ndim == 0 else out
 
@@ -61,9 +61,12 @@ def detuning_wl_to_omega(delta_lambda_nm, lambda_ref_nm):
     A shift to longer wavelength is a shift to lower frequency:
     ``d_omega = -2*pi*c*d_lambda/lambda**2``.
     """
-    if lambda_ref_nm <= 0.0:
-        raise InvalidInput(f"reference wavelength must be positive, got {lambda_ref_nm}")
-    return -TWO_PI_C_NM * np.asarray(delta_lambda_nm, dtype=float) / lambda_ref_nm**2
+    if not 0.0 < lambda_ref_nm < np.inf:
+        raise InvalidInput(f"reference wavelength must be positive and finite, got {lambda_ref_nm}")
+    delta = np.asarray(delta_lambda_nm, dtype=float)
+    if not np.all(np.isfinite(delta)):
+        raise InvalidInput(f"wavelength detuning must be finite, got {delta_lambda_nm}")
+    return -TWO_PI_C_NM * delta / lambda_ref_nm**2
 
 
 @dataclass(frozen=True)

@@ -145,34 +145,31 @@ def delay_scan(cfg: RunConfig):
     delayed run is the reference: the pulse adds no shift before it starts,
     and every run starts from the same initial state.  So the reference is
     integrated once, with a segment end at the last grid time at or before
-    each delay, and each delayed run copies the reference's record (states
-    and observables) up to that time and integrates only from there.  A run
-    that would start at the first grid time is a full run.
-    :func:`simulate_dynamic` with :func:`delay_profile` is the from-scratch
-    run this reproduces.
+    each delay.  Each delayed run is a copy of the reference's states with
+    the rows from that time on written over by a run from the reference's
+    state there, and its observables are formed once from those states.  A
+    run's entries of vec(rho) lie inside the reference's ``keep``
+    (:func:`cavtune.lindblad.evolve`).  :func:`simulate_dynamic` with
+    :func:`delay_profile` is the from-scratch run this reproduces.
     """
-    from .lindblad import _splice, evolve, make_trajectory
+    from .lindblad import evolve, make_trajectory
 
-    rho0 = initial_state_for(cfg)
     t_grid = cfg.time_grid_ps
     options = dict(rtol=cfg.rtol, atol=cfg.atol)
     starts = [max(int(np.searchsorted(t_grid, d, side="right")) - 1, 0) for d in cfg.delays_ps]
     reference = evolve(
-        cfg.params, replace(cfg.profile, pulses=()), rho0, t_grid,
+        cfg.params, replace(cfg.profile, pulses=()), initial_state_for(cfg), t_grid,
         breakpoints_ps=t_grid[starts], **options,
     )
     yield _observe(cfg, reference)
     for delay, k in zip(cfg.delays_ps, starts):
         profile = delay_profile(cfg, delay)
-        if k == 0:
-            traj = evolve(cfg.params, profile, rho0, t_grid, **options)
-        elif k == t_grid.size - 1:
-            traj = make_trajectory(
-                cfg.params, profile, t_grid, reference.states, reference.keep, reference.dim
-            )
-        else:
+        states = reference.states.copy()
+        if k < t_grid.size - 1:
             tail = evolve(cfg.params, profile, reference.density(k), t_grid[k:], **options)
-            traj = _splice(reference, k, tail)
+            states[k:] = 0.0
+            states[k:, np.searchsorted(reference.keep, tail.keep)] = tail.states
+        traj = make_trajectory(cfg.params, profile, t_grid, states, reference.keep, reference.dim)
         yield _observe(cfg, traj)
 
 

@@ -33,7 +33,7 @@ from cavtune import (
 )
 from cavtune.cli import main as cli_main
 from cavtune.config import TAU_FC_CALIBRATED_PS, load_config, scenario_config
-from cavtune.runs import initial_state_for, simulate_dynamic
+from cavtune.runs import delay_scan, initial_state_for, simulate_dynamic
 from cavtune.spectra import burst_metrics
 from conftest import (
     ETA,
@@ -85,6 +85,30 @@ def delay_runs():
         pulse = FreeCarrierPulse(delay, template.delta_lambda_max_nm, template.tau_fc_ps)
         delays[delay] = run(TuningProfile(static_detuning_nm=0.0, pulses=(pulse,)))
     return cfg, reference, delays, run
+
+
+def test_delay_scan_matches_fig4_delay_runs(delay_runs):
+    # the production scan at shipped scale against the from-scratch runs, within
+    # the bound of tests/test_runs.py; the run at 1500 ps restarts only where
+    # its from-scratch run does, at the reference's first segment end
+    cfg, _, delays, _ = delay_runs
+    t = cfg.time_grid_ps
+    (_, ref_map, ref_curves), *scanned = delay_scan(cfg)
+    assert list(cfg.delays_ps) == list(delays)
+    for (delay, (_, oracle_map, oracle_curves)), (_, pl_map, curves) in zip(delays.items(), scanned):
+        if delay == 1500.0:
+            np.testing.assert_array_equal(pl_map.intensity, oracle_map.intensity)
+        col_max = oracle_map.intensity.max(axis=0)
+        assert np.all(np.abs(pl_map.intensity - oracle_map.intensity) <= 5e-10 * col_max)
+        for curve, oracle in zip(curves, oracle_curves):
+            diff = np.abs(curve.intensity - oracle.intensity)
+            assert diff.max() <= 5e-10 * oracle.intensity.max()
+        # before its pulse a delayed run is the scan's reference, to the last bit
+        before = t < delay
+        assert before.sum() == {1500.0: 425, 2000.0: 550, 2500.0: 675}[delay]
+        np.testing.assert_array_equal(pl_map.intensity[before], ref_map.intensity[before])
+        for curve, ref_curve in zip(curves, ref_curves):
+            np.testing.assert_array_equal(curve.intensity[before], ref_curve.intensity[before])
 
 
 def test_acceptance_1_exceptional_point_q_halving():

@@ -1,4 +1,4 @@
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -33,13 +33,11 @@ from scipy.integrate import solve_ivp as scipy_solve_ivp
 from cavtune import lindblad
 from cavtune.config import SOLVER_ATOL, SOLVER_RTOL, load_config, scenario_config
 from cavtune.lindblad import (
-    Trajectory,
     _block_checks,
     _closure,
     _delta_fp_fn,
     _Generator,
     _sanitize_state,
-    _splice,
     expectation,
     make_trajectory,
 )
@@ -425,48 +423,6 @@ class TestEvolve:
         with pytest.raises(InvalidInput, match="atol"):
             evolve(make_params(), TuningProfile(), rho0, [0.0, 1.0], atol=0.0)
 
-    def test_splice_equals_make_trajectory_on_the_joined_states(self):
-        # a pulse-free head, then a tail from its k-th state under a pulse that
-        # starts there, as the delay scan joins them
-        p = make_params(pump=PumpSchedule(cw_rate=1e8))
-        spec = HilbertSpec(1)
-        t = np.linspace(-100.0, 600.0, 71)
-        k = 30
-        head = evolve(p, TuningProfile(), steady_state(p, spec=spec), t)
-        pulsed = TuningProfile(pulses=(FreeCarrierPulse(t[k], 0.6, 352.421875),))
-        tail = evolve(p, pulsed, head.density(k), t[k:])
-        spliced = _splice(head, k, tail)
-        states = np.concatenate([head.states[:k], tail.states])
-        expected = make_trajectory(p, pulsed, t, states, head.keep, head.dim)
-        for f in fields(Trajectory):
-            assert np.array_equal(getattr(spliced, f.name), getattr(expected, f.name)), f.name
-
-    def test_splice_joins_differing_keep_sets_on_their_union(self):
-        # rho0 = |g00><g00| + |g00><e00|/2 reaches k = 0 and k = -1 alone; the
-        # tail starts from the adjoint of a head state, which reaches k = 0 and +1
-        p = make_params(pump=PumpSchedule(cw_rate=1e8))
-        spec = HilbertSpec(1)
-        g, e = spec.index(0, 0, 0), spec.index(1, 0, 0)
-        rho0 = vacuum_state(spec)
-        rho0[g, e] = 0.5
-        t = np.linspace(0.0, 100.0, 21)
-        k = 8
-        head = evolve(p, TuningProfile(), rho0, t)
-        tail = evolve(p, TuningProfile(), head.density(k).conj().T, t[k:])
-        assert not np.array_equal(head.keep, tail.keep)
-        spliced = _splice(head, k, tail)
-        assert np.array_equal(spliced.keep, np.union1d(head.keep, tail.keep))
-        assert spliced.keep.size > max(head.keep.size, tail.keep.size)
-        expected = np.concatenate([densities(head)[:k], densities(tail)])
-        assert np.array_equal(densities(spliced), expected)
-        for name in ("n_e", "n_t", "n_fp", "n1", "n2", "lambda1_nm", "w2"):
-            joined = np.concatenate([getattr(head, name)[:k], getattr(tail, name)])
-            assert np.array_equal(getattr(spliced, name), joined), name
-        checks = _block_checks(spliced.states, spliced.keep, spliced.dim)
-        got = (spliced.trace_dev_max, spliced.hermiticity_dev_max, spliced.min_eigenvalue)
-        np.testing.assert_allclose(got, checks, rtol=0.0, atol=1e-14)
-        assert spliced.hermiticity_dev_max > 0.1  # the coherence has no adjoint entry
-
 
 class TestBlockEvolve:
     """``evolve``'s right-hand side computes only the entries that rho0 reaches.
@@ -550,6 +506,12 @@ class TestBlockEvolve:
             assert keep.size == size and np.all(k[keep] == 0)
             block = gen.restricted(keep)
             assert block.l0.nnz == gen.l0[keep][:, keep].nnz < gen.l0.nnz
+            # keep is closed: a state that is 0 off keep, such as any recorded
+            # state of a run from rho0, reaches no entry outside it.  The delay
+            # scan writes its tails into the reference's columns on this
+            indicator = np.zeros(spec.dim**2)
+            indicator[keep] = 1.0
+            assert np.array_equal(_closure(abs(gen.l0) + abs(gen.l_pump), indicator), keep)
 
     @pytest.mark.parametrize("start", ["steady", "vacuum", "excited"])
     @pytest.mark.parametrize("n_max", [2, 3])
@@ -574,6 +536,46 @@ class TestBlockEvolve:
         n = np.diag(ops.n_e + ops.n_t + ops.n_fp).round().astype(int)
         k = n[:, None] - n[None, :]
         assert set(np.unique(k[np.any(densities(traj) != 0.0, axis=0)])) == {-1, 0, 1}
+
+
+class TestStateValidity:
+    """``make_trajectory`` holds each recorded state to the limits of ``steady_state``."""
+
+    T = np.linspace(0.0, 100.0, 11)
+
+    @staticmethod
+    def _states(spec, size):
+        # each row the entries on the vacuum's closure of the diagonal rho
+        # with populations 0.5, 0.3 and 0.2 on |g00>, |g01> and |g10>
+        p = make_params(pump=PumpSchedule(cw_rate=1e8))
+        gen = _Generator(p, spec)
+        keep = _closure(abs(gen.l0) + abs(gen.l_pump), vacuum_state(spec).ravel())
+        rho = np.zeros((spec.dim, spec.dim), dtype=complex)
+        rho[[0, 1, 2], [0, 1, 2]] = (0.5, 0.3, 0.2)
+        return p, keep, np.tile(rho.ravel()[keep], (size, 1))
+
+    @pytest.mark.parametrize("entry,limit,message", [
+        ((1, 2), 1e-10, "not Hermitian within 1e-10"),
+        ((3, 3), -1e-8, "not positive"),
+        ((0, 0), 1e-8, "trace .* deviates from 1"),
+    ])
+    def test_invalid_state_names_its_time(self, entry, limit, message):
+        spec = HilbertSpec(1)
+        p, keep, valid = self._states(spec, self.T.size)
+        column = {index: c for c, index in enumerate(keep)}
+        for factor, passes in ((0.5, True), (2.0, False)):
+            states = valid.copy()
+            for i in (7, 9):  # the first failing time is that of row 7
+                states[i, column[entry[0] * spec.dim + entry[1]]] += factor * limit
+                if entry == (3, 3):
+                    states[i, column[0]] -= factor * limit  # the trace stays 1
+            if passes:
+                traj = make_trajectory(p, TuningProfile(), self.T, states, keep, spec.dim)
+                assert traj.states is states
+            else:
+                with pytest.raises(NumericalFailure, match=message) as failure:
+                    make_trajectory(p, TuningProfile(), self.T, states, keep, spec.dim)
+                assert str(failure.value).startswith(f"state at t = {self.T[7]} ps ")
 
 
 class TestBlockChecks:

@@ -79,6 +79,24 @@ class TestUnitConversions:
         with pytest.raises(InvalidInput):
             detuning_wl_to_omega(0.4, 0.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("convert", [
+        lambda x: wl_to_omega(x),
+        lambda x: wl_to_omega(np.array([1552.0, x])),
+        lambda x: omega_to_wl(x),
+        lambda x: omega_to_wl(np.array([1.2e15, x])),
+        lambda x: detuning_wl_to_omega(0.1, x),
+        lambda x: detuning_wl_to_omega(x, 1552.0),
+        lambda x: detuning_wl_to_omega(np.array([0.1, x]), 1552.0),
+    ], ids=[
+        "wl_to_omega", "wl_to_omega-array", "omega_to_wl", "omega_to_wl-array",
+        "detuning-reference", "detuning", "detuning-array",
+    ])
+    def test_non_finite_input_rejected(self, convert, bad):
+        # NaN passed the guards of x <= 0, and a wavelength of inf converted to 0.0
+        with pytest.raises(InvalidInput, match="finite"):
+            convert(bad)
+
 
 class TestQFactor:
     def test_splitting_derived_kappa(self):
