@@ -1,4 +1,5 @@
 from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,11 +10,16 @@ from cavtune import (
     BareMode,
     CoupledModes,
     EmitterParams,
+    HilbertSpec,
     InvalidInput,
     PumpSchedule,
     SystemParams,
+    TuningProfile,
     build_space,
+    couple,
+    emitter_excited_state,
     evolve,
+    hamiltonian_bare_basis,
     lindblad,
     wl_to_omega,
 )
@@ -57,6 +63,36 @@ def se_rate_ratio(coupled: CoupledModes, mode_index: int, kappa_t: float) -> flo
     c = coupled.alpha if mode_index == 1 else coupled.beta
     kappa_l = coupled.kappa1 if mode_index == 1 else coupled.kappa2
     return float(abs(c) ** 2 * kappa_t / kappa_l)
+
+
+def se_rates(det_nm: float, g: float = KAPPA_T / 10.0, gamma_leaky: float = 5e8) -> tuple:
+    """Acceptance 4's emitter decay rates (1/s) with the FP mode ``det_nm`` off the target.
+
+    ``(simulated, exact, mode_sum)``: the log-slope of the master-equation
+    ``n_e`` of the excited emitter; the exact coupled-mode rate
+    ``-2 max Im(lambda)`` of the 3x3 bare-basis matrix with ``-i gamma_leaky/2``
+    on the emitter diagonal; and the Euclidean mode sum
+    ``gamma_leaky + gamma_t * sum_l |c_l|^2 kappa_t/kappa_l``.
+    """
+    p = make_params(g=g, gamma_leaky=gamma_leaky)
+    fp = BareMode(wl_to_omega(LAMBDA_T + det_nm), p.fp.kappa)
+    cm = couple(p.target, fp, p.eta)
+    predicted = gamma_leaky + p.purcell_rate * (
+        se_rate_ratio(cm, 1, KAPPA_T) + se_rate_ratio(cm, 2, KAPPA_T)
+    )
+    matrix = hamiltonian_bare_basis(replace(p, fp=fp))
+    matrix[0, 0] -= 0.5j * gamma_leaky
+    exact = -2.0 * polished_eigenvalues(matrix).imag.max()
+    t_grid = np.linspace(0.0, 2.5e12 / predicted, 301)
+    traj = evolve(
+        p,
+        TuningProfile(static_detuning_nm=det_nm),
+        emitter_excited_state(HilbertSpec(1)),
+        t_grid,
+    )
+    mask = (t_grid > 60.0) & (traj.n_e > 1e-12)
+    rate = -np.polyfit(t_grid[mask] * 1e-12, np.log(traj.n_e[mask]), 1)[0]
+    return float(rate), float(exact), float(predicted)
 
 
 def run_from(cfg, profile, rho0):

@@ -11,7 +11,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
 from cavtune import (
     BareMode,
@@ -31,10 +30,17 @@ from cavtune import (
     liouvillian_apply,
     wl_to_omega,
 )
-from cavtune.cli import main as cli_main
 from cavtune.config import TAU_FC_CALIBRATED_PS, load_config, scenario_config
 from cavtune.runs import delay_scan, initial_state_for, simulate_dynamic
 from cavtune.spectra import burst_metrics
+from snapshot import (
+    SE_RATE_DETUNINGS_NM,
+    SHIPPED_RUNS,
+    SNAPSHOT_PATH,
+    distances,
+    measure,
+    run_shipped,
+)
 from conftest import (
     ETA,
     KAPPA_T,
@@ -43,7 +49,7 @@ from conftest import (
     polished_eigenvalues,
     random_valid_system,
     run_from,
-    se_rate_ratio,
+    se_rates,
     synthetic_data,
 )
 
@@ -181,7 +187,13 @@ def test_acceptance_3_master_equation_oracles(burst_run, dip_run, delay_runs):
             assert np.max(np.abs(direct - via)) <= 1e-10 * np.max(np.abs(direct))
 
 
-def test_acceptance_4_cmt_master_equation_consistency():
+@pytest.fixture(scope="module")
+def acceptance_4_rates():
+    """``{detuning_nm: (simulated, exact, mode_sum)}`` at g = kappa_t/10 (:func:`conftest.se_rates`)."""
+    return {det_nm: se_rates(det_nm) for det_nm in SE_RATE_DETUNINGS_NM}
+
+
+def test_acceptance_4_cmt_master_equation_consistency(acceptance_4_rates):
     # The master-equation decay rate of the excited emitter is checked three
     # ways at detunings -1, 0 and +1 nm:
     # (a) everywhere, against the exact coupled-mode rate -2 max Im(lambda) of
@@ -199,27 +211,10 @@ def test_acceptance_4_cmt_master_equation_consistency():
     with criterion(4, "coupled-mode vs master-equation SE rates"):
         g = KAPPA_T / 10.0
         gamma_leaky = 5e8
+        p = make_params(g=g, gamma_leaky=gamma_leaky)
+        gamma_t = p.purcell_rate
         failures = []
-        for det_nm in (-1.0, 0.0, 1.0):
-            p = make_params(g=g, gamma_leaky=gamma_leaky)
-            fp = BareMode(wl_to_omega(LAMBDA_T + det_nm), p.fp.kappa)
-            cm = couple(p.target, fp, p.eta)
-            gamma_t = p.purcell_rate
-            predicted = gamma_leaky + gamma_t * (
-                se_rate_ratio(cm, 1, KAPPA_T) + se_rate_ratio(cm, 2, KAPPA_T)
-            )
-            matrix = hamiltonian_bare_basis(replace(p, fp=fp))
-            matrix[0, 0] -= 0.5j * gamma_leaky
-            exact = -2.0 * polished_eigenvalues(matrix).imag.max()
-            t_grid = np.linspace(0.0, 2.5e12 / predicted, 301)
-            traj = evolve(
-                p,
-                TuningProfile(static_detuning_nm=det_nm),
-                emitter_excited_state(HilbertSpec(1)),
-                t_grid,
-            )
-            mask = (t_grid > 60.0) & (traj.n_e > 1e-12)
-            rate = -np.polyfit(t_grid[mask] * 1e-12, np.log(traj.n_e[mask]), 1)[0]
+        for det_nm, (rate, exact, predicted) in acceptance_4_rates.items():
             rel_exact = abs(rate - exact) / exact
             rel_sum = abs(rate - predicted) / predicted
             print(
@@ -357,10 +352,10 @@ def test_acceptance_7_fit_recovery():
         assert median_err < 0.05, f"median eta error {median_err:.4f}"
 
 
-def _run_cli(args):
-    result = CliRunner().invoke(cli_main, args, catch_exceptions=False)
-    assert result.exit_code == 0, result.output
-    return result
+@pytest.fixture(scope="module")
+def shipped_outputs(tmp_path_factory):
+    """The README's CLI block with the shipped scenarios: ``snapshot.run_shipped``."""
+    return run_shipped(tmp_path_factory.mktemp("shipped"))
 
 
 def _snapshot(outdir):
@@ -371,31 +366,40 @@ def _snapshot(outdir):
     return files
 
 
-def test_acceptance_8_determinism(tmp_path):
+def test_acceptance_8_determinism(tmp_path, shipped_outputs):
     with criterion(8, "byte-identical repeated runs"):
-        plans = [
-            ("fig2-sweep", "static-sweep"),
-            ("fig3-burst", "dynamic"),
-            ("fig3-dip", "dynamic"),
-            ("fig4-delay", "dynamic"),
-        ]
-        for scenario, command in plans:
-            runs = []
-            for tag, threads in (("a", 1), ("b", 2)):
-                out = tmp_path / f"{scenario}-{tag}"
-                _run_cli(
-                    [command, "--scenario", scenario, "--out", str(out),
-                     "--threads", str(threads), "--render"]
-                )
-                runs.append(_snapshot(out))
-            first, second = runs
-            assert first.keys() == second.keys()
-            for name in first:
-                if name == "manifest.json":
-                    m1 = json.loads(first[name])
-                    m2 = json.loads(second[name])
-                    m1.pop("duration_s")
-                    m2.pop("duration_s")
-                    assert m1 == m2, f"{scenario}: manifest mismatch"
-                else:
-                    assert first[name] == second[name], f"{scenario}: {name} differs"
+        # the shipped outputs ran with --threads 1; this run takes 2
+        first = _snapshot(shipped_outputs)
+        second = _snapshot(run_shipped(tmp_path, threads=2))
+        assert first.keys() == second.keys()
+        assert {name.split("/")[0] for name in first} == {s for s, _ in SHIPPED_RUNS} | {"fit"}
+        for name in first:
+            if name.endswith("manifest.json"):
+                m1 = json.loads(first[name])
+                m2 = json.loads(second[name])
+                m1.pop("duration_s")
+                m2.pop("duration_s")
+                assert m1 == m2, f"{name}: manifest mismatch"
+            else:
+                assert first[name] == second[name], f"{name} differs"
+
+
+def test_shipped_outputs_match_snapshot(shipped_outputs, acceptance_4_rates):
+    # -rP prints the largest distance of each group and quantity beside its
+    # tolerance, so each platform's distances are on record
+    snapshot = json.loads(SNAPSHOT_PATH.read_text(encoding="utf-8"))
+    found = distances(snapshot, measure(shipped_outputs, acceptance_4_rates))
+    failed = []
+    for group, dist in found.items():
+        rel = snapshot["groups"][group]["rel"]
+        worst = {}
+        for key, d in dist.items():
+            quantity = key.rsplit(" ", 1)[-1].rsplit(".", 1)[-1].split("[")[0]
+            if d > worst.get(quantity, (-1.0, ""))[0]:
+                worst[quantity] = (d, key)
+            if d > rel:
+                failed.append(f"{key}: distance {d:.3g} > {rel:.3g} ({group})")
+        for quantity, (d, key) in sorted(worst.items()):
+            print(f"  snapshot {group} {quantity}: largest distance {d:.3g} "
+                  f"(tolerance {rel:.3g}) at {key}")
+    assert not failed, f"{len(failed)} entries moved:\n" + "\n".join(failed[:20])
