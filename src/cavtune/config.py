@@ -246,16 +246,13 @@ def curve_stem(lambda_nm: float) -> str:
     return f"curve_{lambda_nm:.2f}nm"
 
 
-def _read_filters(root: _Section, lambda_grid: Optional[np.ndarray]) -> list:
-    """``(lambda_nm, fwhm_nm)`` of each filter: on the map's wavelength grid if any, named apart."""
+def _read_filters(root: _Section) -> list:
+    """``(lambda_nm, fwhm_nm)`` of each filter, named apart."""
     filters, stems = [], set()
     for f in root.sections("filters"):
         lam, fwhm = f.number("lambda_nm", minimum=1e-6), f.number("fwhm_nm", 0.5)
         if not fwhm > 0.0:
             f.fail("fwhm_nm", f"must be positive, got {fwhm}")
-        if lambda_grid is not None and not lambda_grid[0] <= lam <= lambda_grid[-1]:
-            f.fail("lambda_nm", f"must lie in grids.lambda_nm [{lambda_grid[0]}, "
-                                f"{lambda_grid[-1]}], got {lam}")
         stem = curve_stem(lam)
         if stem in stems:
             f.fail("lambda_nm", f"filters name their outputs rounded to 0.01 nm, so they must "
@@ -350,7 +347,7 @@ def load_config(raw: dict) -> RunConfig:
         detuning_grid_nm=detuning_grid,
         time_grid_ps=time_grid,
         lambda_grid_nm=lambda_grid,
-        filters=_read_filters(root, lambda_grid),
+        filters=_read_filters(root),
         collection_exponent=spectra.number("collection_exponent", 1.0, minimum=0.0),
         irf_sigma_ps=spectra.number("irf_sigma_ps", 0.0, minimum=0.0),
         hilbert=solver.build(HilbertSpec, solver.integer("n_max", 2, minimum=1)),

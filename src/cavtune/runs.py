@@ -129,7 +129,7 @@ def simulate_dynamic(cfg: RunConfig, profile: Optional[TuningProfile] = None):
 def _observe(cfg: RunConfig, traj):
     """``(traj, map, curves)``: the emission map of ``traj`` and its filtered traces."""
     pl_map = synthesize_map(traj, cfg.lambda_grid_nm, cfg.collection_exponent)
-    curves = [apply_filter(pl_map, lam_c, fwhm) for lam_c, fwhm in cfg.filters]
+    curves = [apply_filter(traj, c, fwhm, cfg.collection_exponent) for c, fwhm in cfg.filters]
     return traj, pl_map, [irf_convolve(curve, cfg.irf_sigma_ps) for curve in curves]
 
 

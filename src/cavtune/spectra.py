@@ -1,15 +1,15 @@
 """Time-resolved PL maps, bandpass-filtered decay curves, and burst/dip metrics.
 
-Map synthesis is quasi-static: at each recorded time the emission of coupled
+Emission is quasi-static: at each recorded time the emission of coupled
 mode l is a Lorentzian line at the instantaneous mode wavelength with
 linewidth set by the instantaneous loss rate, weighted by the photon flux
-``2*kappa_l*n_l`` and a collection weight ``|target amplitude|**(2p)``.
+``2*kappa_t*n_l`` and a collection weight ``|target amplitude|**(2p)``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
@@ -88,6 +88,18 @@ class BurstMetrics:
         }
 
 
+def _emission_lines(traj: Trajectory, p: float) -> Iterator[tuple]:
+    """``(centre_nm, fwhm_nm, flux)`` of each mode's line per time; see :func:`synthesize_map`."""
+    if p < 0.0:
+        raise InvalidInput(f"collection exponent must be >= 0, got {p}")
+    for lam_l, kappa_l, w_l, n_l in ((traj.lambda1_nm, traj.kappa1, traj.w1, traj.n1),
+                                     (traj.lambda2_nm, traj.kappa2, traj.w2, traj.n2)):
+        # the FWHM is 2*kappa_l in angular frequency, converted at the line position;
+        # tiny negative populations from integrator tolerance are clipped
+        fwhm_nm = 2.0 * kappa_l * lam_l**2 / TWO_PI_C_NM
+        yield lam_l, fwhm_nm, w_l**p * 2.0 * traj.kappa_t * SECONDS_PER_PS * np.clip(n_l, 0.0, None)
+
+
 def synthesize_map(
     traj: Trajectory, lambda_grid_nm: Sequence[float], collection_exponent: float = 1.0
 ) -> PLMap:
@@ -106,39 +118,30 @@ def synthesize_map(
     lam = np.asarray(lambda_grid_nm, dtype=float)
     if lam.size == 0:
         raise InvalidInput("wavelength grid must be non-empty")
-    if collection_exponent < 0.0:
-        raise InvalidInput(f"collection exponent must be >= 0, got {collection_exponent}")
-
-    p = collection_exponent
     out = np.zeros((traj.t_ps.size, lam.size))
-    # tiny negative populations from integrator tolerance are clipped
-    pops = {1: np.clip(traj.n1, 0.0, None), 2: np.clip(traj.n2, 0.0, None)}
-    centers = {1: traj.lambda1_nm, 2: traj.lambda2_nm}
-    kappas = {1: traj.kappa1, 2: traj.kappa2}
-    weights = {1: traj.w1**p, 2: traj.w2**p}
-    for mode in (1, 2):
-        lam_l = centers[mode][:, None]
-        # spectral FWHM in angular frequency is 2*kappa_l; convert at the line position
-        gamma_nm = 2.0 * kappas[mode][:, None] * lam_l**2 / TWO_PI_C_NM
+    for lam_l, gamma_nm, flux in _emission_lines(traj, collection_exponent):
+        lam_l, gamma_nm = lam_l[:, None], gamma_nm[:, None]
         lorentz = (gamma_nm / (2.0 * np.pi)) / ((lam[None, :] - lam_l) ** 2 + (gamma_nm / 2.0) ** 2)
-        flux = weights[mode] * 2.0 * traj.kappa_t * SECONDS_PER_PS * pops[mode]
         out += flux[:, None] * lorentz
     return PLMap(lam, traj.t_ps, out)
 
 
-def apply_filter(pl_map: PLMap, lambda_c_nm: float, fwhm_nm: float) -> DecayCurve:
-    """Integrate the map against a unit-peak Lorentzian bandpass filter."""
-    lam = pl_map.lambda_grid_nm
-    if not (lam[0] <= lambda_c_nm <= lam[-1]):
-        raise InvalidInput(
-            f"filter center {lambda_c_nm} nm outside map grid [{lam[0]}, {lam[-1]}] nm"
-        )
+def apply_filter(traj: Trajectory, lambda_c_nm: float, fwhm_nm: float,
+                 collection_exponent: float = 1.0) -> DecayCurve:
+    """The emission of ``traj`` through a unit-peak Lorentzian filter, over all wavelengths.
+
+    A line of FWHM ``gamma_l`` through a filter of half-width ``h`` gives
+    ``h*s/((lambda_c - lambda_l)**2 + s**2)`` of its flux, ``s = h + gamma_l/2``
+    (Eberly & Wodkiewicz, J. Opt. Soc. Am. 67, 1252 (1977)).
+    """
     if fwhm_nm <= 0.0:
         raise InvalidInput(f"filter FWHM must be positive, got {fwhm_nm}")
     half = fwhm_nm / 2.0
-    profile = half**2 / ((lam - lambda_c_nm) ** 2 + half**2)
-    intensity = np.trapezoid(pl_map.intensity * profile[None, :], lam, axis=1)
-    return DecayCurve(pl_map.t_grid_ps, intensity, lambda_c_nm, fwhm_nm)
+    intensity = np.zeros(traj.t_ps.size)
+    for lam_l, gamma_nm, flux in _emission_lines(traj, collection_exponent):
+        s = half + gamma_nm / 2.0
+        intensity += flux * half * s / ((lambda_c_nm - lam_l) ** 2 + s**2)
+    return DecayCurve(traj.t_ps, intensity, lambda_c_nm, fwhm_nm)
 
 
 def burst_metrics(curve: DecayCurve, baseline_window_ps: tuple) -> BurstMetrics:

@@ -95,6 +95,15 @@ def se_rates(det_nm: float, g: float = KAPPA_T / 10.0, gamma_leaky: float = 5e8)
     return float(rate), float(exact), float(predicted)
 
 
+def filter_by_quadrature(pl_map, lambda_c_nm: float, fwhm_nm: float) -> np.ndarray:
+    """The trapezoid rule of a map through a unit-peak Lorentzian filter, over the map's
+    wavelength grid: the quadrature oracle of the closed-form ``apply_filter``."""
+    lam = pl_map.lambda_grid_nm
+    half = fwhm_nm / 2.0
+    profile = half**2 / ((lam - lambda_c_nm) ** 2 + half**2)
+    return np.trapezoid(pl_map.intensity * profile[None, :], lam, axis=1)
+
+
 def run_from(cfg, profile, rho0):
     """``runs.simulate_dynamic(cfg, profile)`` started from ``rho0`` instead of ``cfg``'s state."""
     traj = evolve(cfg.params, profile, rho0, cfg.time_grid_ps, rtol=cfg.rtol, atol=cfg.atol)

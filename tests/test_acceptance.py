@@ -7,7 +7,7 @@ stated tolerance.
 
 import json
 from contextlib import contextmanager
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -32,19 +32,21 @@ from cavtune import (
 )
 from cavtune.config import TAU_FC_CALIBRATED_PS, load_config, scenario_config
 from cavtune.runs import delay_scan, initial_state_for, simulate_dynamic
-from cavtune.spectra import burst_metrics
+from cavtune.spectra import burst_metrics, synthesize_map
 from snapshot import (
     SE_RATE_DETUNINGS_NM,
     SHIPPED_RUNS,
     SNAPSHOT_PATH,
     distances,
     measure,
+    run_cli,
     run_shipped,
 )
 from conftest import (
     ETA,
     KAPPA_T,
     LAMBDA_T,
+    filter_by_quadrature,
     make_params,
     polished_eigenvalues,
     random_valid_system,
@@ -115,6 +117,40 @@ def test_delay_scan_matches_fig4_delay_runs(delay_runs):
         np.testing.assert_array_equal(pl_map.intensity[before], ref_map.intensity[before])
         for curve, ref_curve in zip(curves, ref_curves):
             np.testing.assert_array_equal(curve.intensity[before], ref_curve.intensity[before])
+
+
+def test_closed_form_filter_matches_quadrature(burst_run):
+    # every 50th row of the burst's curve against the trapezoid rule of its map
+    # on +-200 nm at 1e-3 nm: beyond +-L a line leaves gamma h^2 / (3 pi L^3)
+    # of its flux through the filter (under 1e-9 here), and the trapezoid rule
+    # on Lorentzians sampled this finely errs far less
+    cfg, (traj, _, curves) = burst_run
+    (lambda_c, fwhm), = cfg.filters
+    grid = LAMBDA_T + 1e-3 * np.arange(-200000, 200001)
+    n = traj.t_ps.size
+    rows = np.arange(0, n, 50)
+    per_time = [f.name for f in fields(traj) if np.shape(getattr(traj, f.name))[:1] == (n,)]
+    quadrature = np.concatenate([
+        filter_by_quadrature(
+            synthesize_map(replace(traj, **{f: getattr(traj, f)[chunk] for f in per_time}), grid),
+            lambda_c, fwhm,
+        )
+        for chunk in np.array_split(rows, 7)  # 3 rows, 10 MB, at a time
+    ])
+    closed = curves[0].intensity[rows]
+    assert np.max(np.abs(closed - quadrature)) <= 1e-8 * np.max(quadrature)
+
+
+def test_curves_do_not_depend_on_the_map_grid(shipped_outputs, tmp_path):
+    raw = scenario_config("fig3-burst")
+    raw["grids"]["lambda_nm"] = {"start": 1551.0, "stop": 1553.0, "n": 41}
+    path = tmp_path / "narrow.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    run_cli(["dynamic", "--config", path, "--out", tmp_path / "narrow"])
+    shipped = shipped_outputs / "fig3-burst"
+    for name in ("curve_1552.20nm.csv", "metrics.json"):
+        assert (tmp_path / "narrow" / name).read_bytes() == (shipped / name).read_bytes(), name
+    assert (tmp_path / "narrow" / "map.csv").read_bytes() != (shipped / "map.csv").read_bytes()
 
 
 def test_acceptance_1_exceptional_point_q_halving():

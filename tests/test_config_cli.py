@@ -162,7 +162,7 @@ GAP_ROWS = [
     ("pump", "pulses", [{"t0_ps": 0.0, "area": 1.0, "width_ps": 0.0}], "pump.pulses[0]"),
     ("pump", "mode", "bogus", "pump.mode"),
     (None, "filters", [{"lambda_nm": 1552.2, "fwhm_nm": 0.0}], "filters[0].fwhm_nm"),
-    (None, "filters", [{"lambda_nm": 1549.0}], "filters[0].lambda_nm"),
+    (None, "filters", [{"lambda_nm": 0.0}], "filters[0].lambda_nm"),
     (None, "delays_ps", [1500.4, 1499.6], "delays_ps"),
     (None, "filters", [{"lambda_nm": 1552.2}, {"lambda_nm": 1552.204}], "filters[1].lambda_nm"),
     ("solver", "atol", 0.0, "solver.atol"),
@@ -178,19 +178,35 @@ class TestOptionalKeys:
         assert params.target.omega == wl_to_omega(1552.0)
 
     def test_irf_sigma_smears_each_filtered_curve(self):
-        cfg = load_config(small_dynamic_config(spectra={"irf_sigma_ps": 40.0}))
-        _, pl_map, curves = simulate_dynamic(cfg)
+        spectra = {"irf_sigma_ps": 40.0, "collection_exponent": 2.0}
+        cfg = load_config(small_dynamic_config(spectra=spectra))
+        traj, pl_map, curves = simulate_dynamic(cfg)
         _, plain_map, plain_curves = simulate_dynamic(replace(cfg, irf_sigma_ps=0.0))
         assert np.array_equal(pl_map.intensity, plain_map.intensity)
         for (lam_c, fwhm), curve, plain in zip(cfg.filters, curves, plain_curves, strict=True):
-            filtered = apply_filter(pl_map, lam_c, fwhm)
+            filtered = apply_filter(traj, lam_c, fwhm, 2.0)
             assert np.array_equal(plain.intensity, filtered.intensity)
             assert np.array_equal(curve.intensity, irf_convolve(filtered, 40.0).intensity)
             assert not np.allclose(curve.intensity, plain.intensity)
 
 
+    def test_filter_outside_the_map_grid(self, tmp_path):
+        # a filtered curve integrates the lines over every wavelength, so its
+        # centre need not lie in grids.lambda_nm [1550.8, 1553.2]
+        raw = small_dynamic_config(filters=[{"lambda_nm": 1552.2}, {"lambda_nm": 1554.0}])
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        res = CliRunner().invoke(main, ["dynamic", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert res.exit_code == 0, res.output
+        traj, _, _ = simulate_dynamic(load_config(raw))
+        rows = (tmp_path / "o" / "curve_1554.00nm.csv").read_text().splitlines()[1:]
+        written = np.array([float(row.split(",")[1]) for row in rows])
+        assert np.array_equal(written, apply_filter(traj, 1554.0, 0.5).intensity)
+        assert written.min() > 0.0
+
+
 def gap_config(section, key, value):
-    # a dynamic scenario, since filters and delays are read against its grids and pulse
+    # a dynamic scenario, since delays are read against its pulse
     raw = scenario_config("fig3-burst")
     (raw.setdefault(section, {}) if section else raw)[key] = value
     return raw
@@ -520,8 +536,9 @@ class TestSelftestCommand:
         res = runner.invoke(main, ["selftest"])
         assert res.exit_code == 0, res.output
         lines = [l for l in res.output.splitlines() if "PASS" in l or "FAIL" in l]
-        assert len(lines) >= 10
+        assert len(lines) == 15
         assert all("PASS" in l for l in lines)
+        assert any(l.startswith("closed-form filter against quadrature") for l in lines)
 
     def test_negative_control_fails_trace_check(self, monkeypatch):
         # the trace check alone runs on a broken target dissipator: with it,

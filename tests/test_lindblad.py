@@ -255,7 +255,7 @@ class TestEvolve:
 
     def test_burst_appears_in_filtered_trace(self):
         # CW pump, pulse at t0, zero initial detuning: transient burst
-        from cavtune import apply_filter, synthesize_map
+        from cavtune import apply_filter
 
         p = make_params(pump=PumpSchedule(cw_rate=1e8))
         profile = TuningProfile(pulses=(FreeCarrierPulse(0.0, 0.6, 352.0),))
@@ -263,8 +263,7 @@ class TestEvolve:
         rho0 = steady_state(p, spec=spec)
         t = np.linspace(-300.0, 1200.0, 501)
         traj = evolve(p, profile, rho0, t)
-        pl = synthesize_map(traj, np.linspace(1550.6, 1553.4, 141))
-        curve = apply_filter(pl, 1552.2, 0.5)
+        curve = apply_filter(traj, 1552.2, 0.5)
         pre = curve.intensity[t < 0].mean()
         assert curve.intensity.max() > 1.5 * pre
         assert abs(t[np.argmax(curve.intensity)]) < 100.0
@@ -726,7 +725,8 @@ class TestAgainstRK45Oracle:
         def observed(**tolerances):
             traj = evolve(cfg.params, profile, rho0, t, **tolerances)
             pl = synthesize_map(traj, cfg.lambda_grid_nm, cfg.collection_exponent)
-            return traj, pl.intensity, apply_filter(pl, lam_c, fwhm).intensity
+            curve = apply_filter(traj, lam_c, fwhm, cfg.collection_exponent)
+            return traj, pl.intensity, curve.intensity
 
         default = observed()
         monkeypatch.setattr(lindblad, "solve_ivp", self._rk45)
@@ -848,17 +848,16 @@ class TestSteadyState:
 
     @staticmethod
     def _long_time_check(spec):
-        from cavtune import apply_filter, synthesize_map
+        from cavtune import apply_filter
 
         p = make_params(pump=PumpSchedule(cw_rate=1e8))
         rho_ss = steady_state(p, spec=spec)
         t = np.linspace(0.0, 12000.0, 241)
         traj = evolve(p, TuningProfile(), vacuum_state(spec), t)
-        lam_grid = np.linspace(1550.6, 1553.4, 141)
-        curve = apply_filter(synthesize_map(traj, lam_grid), 1552.2, 0.5)
+        curve = apply_filter(traj, 1552.2, 0.5)
 
         traj_ss = evolve(p, TuningProfile(), rho_ss, np.array([0.0, 1.0]))
-        curve_ss = apply_filter(synthesize_map(traj_ss, lam_grid), 1552.2, 0.5)
+        curve_ss = apply_filter(traj_ss, 1552.2, 0.5)
         assert curve.intensity[-1] == pytest.approx(curve_ss.intensity[0], rel=0.01)
         return traj.density(-1), rho_ss
 
