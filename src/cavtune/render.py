@@ -164,14 +164,18 @@ def render_heatmap_ppm(
 
 
 def sniff_csv(path) -> tuple[str, list, np.ndarray]:
-    """Classify an emitted CSV as curve / map / sweep and parse it."""
+    """Classify an emitted CSV as curve / map / sweep and parse it.
+
+    A cell that is not a finite number (``nan``, ``inf``) is a
+    :class:`SchemaError` that names its line and column.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise SchemaError(f"{path}: empty file") from None
-        rows = []
+        rows, line_nos = [], []
         for line_no, row in enumerate(reader, start=2):
             if not row or all(not c.strip() for c in row):
                 continue
@@ -183,10 +187,16 @@ def sniff_csv(path) -> tuple[str, list, np.ndarray]:
                 rows.append([float(c) for c in row])
             except ValueError as exc:
                 raise SchemaError(f"{path}: line {line_no}: {exc}") from None
+            line_nos.append(line_no)
     if not rows:
         raise SchemaError(f"{path}: no data rows")
     data = np.asarray(rows, dtype=float)
     header = [h.strip() for h in header]
+    bad = np.argwhere(~np.isfinite(data))
+    if bad.size:
+        i, j = bad[0]
+        raise SchemaError(f"{path}: line {line_nos[i]}, column {header[j]!r}: "
+                          f"not a finite number: {data[i, j]}")
     if header == ["t_ps", "lambda_nm", "intensity_au"]:
         return "map", header, data
     if header[0] in ("t_ps", "detuning_nm", "control_nm", "control", "index"):

@@ -117,20 +117,20 @@ def initial_state_for(cfg: RunConfig) -> np.ndarray:
 
 
 def simulate_dynamic(cfg: RunConfig, profile: Optional[TuningProfile] = None):
-    """Trajectory, map and filtered curves of ``cfg`` from its initial state, under ``profile``."""
+    """The trajectory of ``cfg`` from its initial state, under ``profile``."""
     from .lindblad import evolve
 
     profile = profile or cfg.profile
     rho0 = initial_state_for(cfg)
-    traj = evolve(cfg.params, profile, rho0, cfg.time_grid_ps, rtol=cfg.rtol, atol=cfg.atol)
-    return _observe(cfg, traj)
+    return evolve(cfg.params, profile, rho0, cfg.time_grid_ps, rtol=cfg.rtol, atol=cfg.atol)
 
 
-def _observe(cfg: RunConfig, traj):
-    """``(traj, map, curves)``: the emission map of ``traj`` and its filtered traces."""
-    pl_map = synthesize_map(traj, cfg.lambda_grid_nm, cfg.collection_exponent)
-    curves = [apply_filter(traj, c, fwhm, cfg.collection_exponent) for c, fwhm in cfg.filters]
-    return traj, pl_map, [irf_convolve(curve, cfg.irf_sigma_ps) for curve in curves]
+def filtered_curves(cfg: RunConfig, traj) -> list:
+    """The traces of ``traj`` through each of ``cfg.filters``, convolved with its IRF."""
+    return [
+        irf_convolve(apply_filter(traj, c, fwhm, cfg.collection_exponent), cfg.irf_sigma_ps)
+        for c, fwhm in cfg.filters
+    ]
 
 
 def delay_profile(cfg: RunConfig, delay_ps: float) -> TuningProfile:
@@ -141,7 +141,7 @@ def delay_profile(cfg: RunConfig, delay_ps: float) -> TuningProfile:
 def delay_scan(cfg: RunConfig):
     """The pulse-free reference, then the run of each delay of ``cfg.delays_ps``.
 
-    Yields ``(traj, map, curves)``, the reference first.  Before its pulse, a
+    Yields each run's ``Trajectory``, the reference first.  Before its pulse, a
     delayed run is the reference: the pulse adds no shift before it starts,
     and every run starts from the same initial state.  So the reference is
     integrated once, with a segment end at the last grid time at or before
@@ -161,7 +161,7 @@ def delay_scan(cfg: RunConfig):
         cfg.params, replace(cfg.profile, pulses=()), initial_state_for(cfg), t_grid,
         breakpoints_ps=t_grid[starts], **options,
     )
-    yield _observe(cfg, reference)
+    yield reference
     for delay, k in zip(cfg.delays_ps, starts):
         profile = delay_profile(cfg, delay)
         states = reference.states.copy()
@@ -169,12 +169,17 @@ def delay_scan(cfg: RunConfig):
             tail = evolve(cfg.params, profile, reference.density(k), t_grid[k:], **options)
             states[k:] = 0.0
             states[k:, np.searchsorted(reference.keep, tail.keep)] = tail.states
-        traj = make_trajectory(cfg.params, profile, t_grid, states, reference.keep, reference.dim)
-        yield _observe(cfg, traj)
+        yield make_trajectory(cfg.params, profile, t_grid, states, reference.keep, reference.dim)
 
 
-def _metrics_entry(curve: DecayCurve, window) -> dict:
+def _metrics_entry(curve: DecayCurve, window, reference: Optional[DecayCurve] = None) -> dict:
+    """The metrics of ``curve``, or of its ratio to ``reference`` when one is given."""
     entry = {"lambda_nm": curve.center_nm, "fwhm_nm": curve.fwhm_nm}
+    if reference is not None:
+        floor = max(float(reference.intensity.max()), 1e-300) * 1e-12
+        ratio = curve.intensity / np.clip(reference.intensity, floor, None)
+        curve = DecayCurve(curve.t_grid_ps, ratio, curve.center_nm, curve.fwhm_nm)
+        entry["normalization"] = "ratio to the pulse-free reference decay"
     if window is None:
         entry["error"] = "no control pulse: no baseline window"
         return entry
@@ -201,7 +206,13 @@ def write_map_csv(path: Path, pl_map: PLMap) -> None:
             fh.write(template.replace("{t}", format_number(t)) % tuple(row.tolist()))
 
 
-def _emit_dynamic_outputs(outdir: Path, prefix: str, pl_map: PLMap, curves, cfg: RunConfig, render):
+def _write_curve_csv(path: Path, curve: DecayCurve) -> None:
+    write_csv(path, ["t_ps", "intensity_au"], zip(curve.t_grid_ps, curve.intensity))
+
+
+def _emit_dynamic_outputs(outdir: Path, prefix: str, traj, curves, cfg: RunConfig, render):
+    """Write the emission map of ``traj``, synthesized here, and ``curves``."""
+    pl_map = synthesize_map(traj, cfg.lambda_grid_nm, cfg.collection_exponent)
     outputs = []
     map_csv = outdir / f"{prefix}map.csv"
     write_map_csv(map_csv, pl_map)
@@ -209,7 +220,7 @@ def _emit_dynamic_outputs(outdir: Path, prefix: str, pl_map: PLMap, curves, cfg:
 
     for curve in curves:
         name = f"{prefix}{curve_stem(curve.center_nm)}.csv"
-        write_csv(outdir / name, ["t_ps", "intensity_au"], zip(curve.t_grid_ps, curve.intensity))
+        _write_curve_csv(outdir / name, curve)
         outputs.append(name)
 
     if render:
@@ -232,17 +243,16 @@ def _emit_dynamic_outputs(outdir: Path, prefix: str, pl_map: PLMap, curves, cfg:
     return outputs
 
 
-def _truncation_drift(cfg: RunConfig, profile, base_result) -> dict:
-    """Re-run one Fock level higher and report the worst relative drift."""
+def _truncation_drift(cfg: RunConfig, profile, traj, curves) -> dict:
+    """Re-run ``traj`` one Fock level higher and report the worst relative drift."""
     bigger = replace(cfg, hilbert=HilbertSpec(cfg.hilbert.n_max + 1))
-    traj_a, _, curves_a = base_result
-    traj_b, _, curves_b = simulate_dynamic(bigger, profile)
+    traj_b = simulate_dynamic(bigger, profile)
     drift = 0.0
     for field in ("n_e", "n_t", "n_fp", "n1", "n2"):
-        a, b = getattr(traj_a, field), getattr(traj_b, field)
+        a, b = getattr(traj, field), getattr(traj_b, field)
         scale = max(float(np.max(np.abs(b))), 1e-300)
         drift = max(drift, float(np.max(np.abs(a - b))) / scale)
-    for ca, cb in zip(curves_a, curves_b):
+    for ca, cb in zip(curves, filtered_curves(bigger, traj_b)):
         scale = max(float(np.max(np.abs(cb.intensity))), 1e-300)
         drift = max(drift, float(np.max(np.abs(ca.intensity - cb.intensity))) / scale)
     return {
@@ -254,61 +264,48 @@ def _truncation_drift(cfg: RunConfig, profile, base_result) -> dict:
 
 
 def run_dynamic(cfg: RunConfig, outdir: Path, render: bool = False):
-    """Dynamic scenario: map CSV, filtered curve CSVs, metrics JSON, optional plots."""
+    """Dynamic scenario: map CSV, filtered curve CSVs, metrics JSON, optional plots.
+
+    A plain run and each run of a delay scan pass through one loop; a scan
+    adds its reference curves and the metrics of each run's ratio to them.
+    """
     started = time.monotonic()
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     outputs = []
 
     if cfg.delays_ps:
+        # the output prefix, baseline window and profile of each run
+        plan = [(delay_prefix(d), (d - BASELINE_SPAN_PS, d), delay_profile(cfg, d))
+                for d in cfg.delays_ps]
         runs = delay_scan(cfg)
         # the decay trace without a control pulse normalizes the delayed runs:
         # against a decaying baseline, raw-trace metrics are ill-posed
-        _, _, ref_curves = next(runs)
-        for ref_curve in ref_curves:
+        references = filtered_curves(cfg, next(runs))
+        for ref_curve in references:
             name = f"reference_{curve_stem(ref_curve.center_nm)}.csv"
-            write_csv(
-                outdir / name,
-                ["t_ps", "intensity_au"],
-                zip(ref_curve.t_grid_ps, ref_curve.intensity),
-            )
+            _write_curve_csv(outdir / name, ref_curve)
             outputs.append(name)
-
-        metrics = {"scenario": cfg.scenario, "delays": []}
-        for i, (delay, result) in enumerate(zip(cfg.delays_ps, runs)):
-            _, pl_map, curves = result
-            prefix = delay_prefix(delay)
-            outputs += _emit_dynamic_outputs(outdir, prefix, pl_map, curves, cfg, render)
-            window = (delay - BASELINE_SPAN_PS, delay)
-            entries = []
-            for curve, ref_curve in zip(curves, ref_curves):
-                floor = max(float(ref_curve.intensity.max()), 1e-300) * 1e-12
-                ratio = DecayCurve(
-                    curve.t_grid_ps,
-                    curve.intensity / np.clip(ref_curve.intensity, floor, None),
-                    curve.center_nm,
-                    curve.fwhm_nm,
-                )
-                entry = _metrics_entry(ratio, window)
-                entry["normalization"] = "ratio to the pulse-free reference decay"
-                entries.append(entry)
-            metrics["delays"].append({"delay_ps": delay, "filters": entries})
-            if cfg.check_truncation and i == 0:
-                drift = _truncation_drift(cfg, delay_profile(cfg, delay), result)
-                metrics["truncation_check"] = drift
     else:
-        traj, pl_map, curves = simulate_dynamic(cfg)
-        outputs += _emit_dynamic_outputs(outdir, "", pl_map, curves, cfg, render)
-        metrics = {
-            "scenario": cfg.scenario,
-            "filters": [_metrics_entry(c, cfg.baseline_window_ps) for c in curves],
-        }
-        if cfg.check_truncation:
-            metrics["truncation_check"] = _truncation_drift(cfg, cfg.profile, (traj, pl_map, curves))
+        plan = [("", cfg.baseline_window_ps, cfg.profile)]
+        runs = [simulate_dynamic(cfg)]
+        references = [None] * len(cfg.filters)
+
+    metrics = {"scenario": cfg.scenario}
+    entries = []
+    for i, ((prefix, window, profile), traj) in enumerate(zip(plan, runs)):
+        curves = filtered_curves(cfg, traj)
+        outputs += _emit_dynamic_outputs(outdir, prefix, traj, curves, cfg, render)
+        entries.append([_metrics_entry(c, window, ref) for c, ref in zip(curves, references)])
+        if cfg.check_truncation and i == 0:
+            metrics["truncation_check"] = _truncation_drift(cfg, profile, traj, curves)
+    if cfg.delays_ps:
+        metrics["delays"] = [{"delay_ps": d, "filters": e} for d, e in zip(cfg.delays_ps, entries)]
+    else:
+        metrics["filters"] = entries[0]
 
     metrics_path = outdir / "metrics.json"
     write_json(metrics_path, metrics)
     outputs.append(metrics_path.name)
     write_manifest(outdir, cfg, outputs, started)
     return outputs
-

@@ -13,12 +13,19 @@ from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
-from .errors import InvalidInput, NoFeature
+from .errors import InvalidInput, NoFeature, require_finite
 from .modespace import TWO_PI_C_NM
 from .tuning import SECONDS_PER_PS
 
 if TYPE_CHECKING:
     from .lindblad import Trajectory
+
+
+def _require_finite_arrays(record, **arrays) -> None:
+    """Raise :class:`InvalidInput` unless every entry of each named array is finite."""
+    for name, values in arrays.items():
+        if not np.isfinite(values).all():
+            raise InvalidInput(f"{type(record).__name__}.{name} must be finite")
 
 
 @dataclass(frozen=True)
@@ -35,6 +42,7 @@ class PLMap:
         inten = np.asarray(self.intensity, dtype=float)
         if lam.size == 0 or t.size == 0:
             raise InvalidInput("map grids must be non-empty")
+        _require_finite_arrays(self, lambda_grid_nm=lam, t_grid_ps=t, intensity=inten)
         if lam.size > 1 and not np.all(np.diff(lam) > 0.0):
             raise InvalidInput("wavelength grid must be strictly increasing")
         if t.size > 1 and not np.all(np.diff(t) > 0.0):
@@ -64,6 +72,8 @@ class DecayCurve:
         inten = np.asarray(self.intensity, dtype=float)
         if t.size != inten.size:
             raise InvalidInput("time grid and intensity must have equal length")
+        _require_finite_arrays(self, t_grid_ps=t, intensity=inten)
+        require_finite(self, "center_nm", "fwhm_nm")
         if inten.size and inten.min() < 0.0:
             raise InvalidInput(f"curve intensities must be >= 0, min {inten.min()}")
         object.__setattr__(self, "t_grid_ps", t)

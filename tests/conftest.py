@@ -25,7 +25,8 @@ from cavtune import (
 )
 from cavtune.fitting import FitOptions, _active_params, _bounds_for, _CompiledModel, _starts
 from cavtune.lindblad import _Generator
-from cavtune.runs import _observe
+from cavtune.runs import filtered_curves
+from cavtune.spectra import synthesize_map
 
 KAPPA_T = 1.564e11
 ETA = 1.564e11
@@ -106,8 +107,13 @@ def filter_by_quadrature(pl_map, lambda_c_nm: float, fwhm_nm: float) -> np.ndarr
 
 def run_from(cfg, profile, rho0):
     """``runs.simulate_dynamic(cfg, profile)`` started from ``rho0`` instead of ``cfg``'s state."""
-    traj = evolve(cfg.params, profile, rho0, cfg.time_grid_ps, rtol=cfg.rtol, atol=cfg.atol)
-    return _observe(cfg, traj)
+    return evolve(cfg.params, profile, rho0, cfg.time_grid_ps, rtol=cfg.rtol, atol=cfg.atol)
+
+
+def map_and_curves(cfg, traj):
+    """The emission map and the filtered curves of ``traj`` that ``runs.run_dynamic`` writes."""
+    pl_map = synthesize_map(traj, cfg.lambda_grid_nm, cfg.collection_exponent)
+    return pl_map, filtered_curves(cfg, traj)
 
 
 class broken_target_generator(_Generator):

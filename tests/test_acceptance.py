@@ -31,7 +31,7 @@ from cavtune import (
     wl_to_omega,
 )
 from cavtune.config import TAU_FC_CALIBRATED_PS, load_config, scenario_config
-from cavtune.runs import delay_scan, initial_state_for, simulate_dynamic
+from cavtune.runs import delay_scan, filtered_curves, initial_state_for, simulate_dynamic
 from cavtune.spectra import burst_metrics, synthesize_map
 from snapshot import (
     SE_RATE_DETUNINGS_NM,
@@ -48,6 +48,7 @@ from conftest import (
     LAMBDA_T,
     filter_by_quadrature,
     make_params,
+    map_and_curves,
     polished_eigenvalues,
     random_valid_system,
     run_from,
@@ -69,13 +70,15 @@ def criterion(number, name):
 @pytest.fixture(scope="module")
 def burst_run():
     cfg = load_config(scenario_config("fig3-burst"))
-    return cfg, simulate_dynamic(cfg)
+    traj = simulate_dynamic(cfg)
+    return cfg, traj, filtered_curves(cfg, traj)
 
 
 @pytest.fixture(scope="module")
 def dip_run():
     cfg = load_config(scenario_config("fig3-dip"))
-    return cfg, simulate_dynamic(cfg)
+    traj = simulate_dynamic(cfg)
+    return cfg, traj, filtered_curves(cfg, traj)
 
 
 @pytest.fixture(scope="module")
@@ -85,7 +88,8 @@ def delay_runs():
     template = cfg.profile.pulses[0]
 
     def run(profile):
-        return run_from(cfg, profile, rho0.copy())
+        traj = run_from(cfg, profile, rho0.copy())
+        return traj, filtered_curves(cfg, traj)
 
     reference = run(TuningProfile(static_detuning_nm=0.0))
     delays = {}
@@ -101,9 +105,12 @@ def test_delay_scan_matches_fig4_delay_runs(delay_runs):
     # its from-scratch run does, at the reference's first segment end
     cfg, _, delays, _ = delay_runs
     t = cfg.time_grid_ps
-    (_, ref_map, ref_curves), *scanned = delay_scan(cfg)
+    reference, *scanned = delay_scan(cfg)
+    ref_map, ref_curves = map_and_curves(cfg, reference)
     assert list(cfg.delays_ps) == list(delays)
-    for (delay, (_, oracle_map, oracle_curves)), (_, pl_map, curves) in zip(delays.items(), scanned):
+    for (delay, (oracle_traj, _)), traj in zip(delays.items(), scanned):
+        oracle_map, oracle_curves = map_and_curves(cfg, oracle_traj)
+        pl_map, curves = map_and_curves(cfg, traj)
         if delay == 1500.0:
             np.testing.assert_array_equal(pl_map.intensity, oracle_map.intensity)
         col_max = oracle_map.intensity.max(axis=0)
@@ -124,7 +131,7 @@ def test_closed_form_filter_matches_quadrature(burst_run):
     # on +-200 nm at 1e-3 nm: beyond +-L a line leaves gamma h^2 / (3 pi L^3)
     # of its flux through the filter (under 1e-9 here), and the trapezoid rule
     # on Lorentzians sampled this finely errs far less
-    cfg, (traj, _, curves) = burst_run
+    cfg, traj, curves = burst_run
     (lambda_c, fwhm), = cfg.filters
     grid = LAMBDA_T + 1e-3 * np.arange(-200000, 200001)
     n = traj.t_ps.size
@@ -179,11 +186,11 @@ def test_acceptance_2_basis_equivalence_1000_draws():
 def test_acceptance_3_master_equation_oracles(burst_run, dip_run, delay_runs):
     with criterion(3, "master-equation oracles"):
         # (a) trace deviation on every shipped trajectory
-        for _, (traj, _, _) in (burst_run, dip_run):
+        for _, traj, _ in (burst_run, dip_run):
             assert traj.trace_dev_max < 1e-8
         _, reference, delays, _ = delay_runs
         assert reference[0].trace_dev_max < 1e-8
-        for traj, _, _ in delays.values():
+        for traj, _ in delays.values():
             assert traj.trace_dev_max < 1e-8
 
         # (b) bare-cavity photon decay matches exp(-2 kappa t) to 1e-6 relative
@@ -296,7 +303,7 @@ def calibrate_burst_tau_fc(cfg):
 
     def fwhm_for(tau):
         profile = replace(cfg.profile, pulses=(replace(cfg.profile.pulses[0], tau_fc_ps=tau),))
-        _, _, curves = run_from(cfg, profile, rho0.copy())
+        curves = filtered_curves(cfg, run_from(cfg, profile, rho0.copy()))
         return burst_metrics(curves[0], cfg.baseline_window_ps).fwhm_ps
 
     lo, hi = 120.0, 620.0
@@ -318,7 +325,7 @@ def calibrate_burst_tau_fc(cfg):
 def test_acceptance_5_calibrated_burst_and_dip(burst_run, dip_run):
     with criterion(5, "calibrated burst/dip reproduction"):
         # one-dimensional scan pins the burst FWHM at 232 ps
-        cfg_burst, (traj_b, _, curves_b) = burst_run
+        cfg_burst, traj_b, curves_b = burst_run
         tau_scan, fwhm_scan = calibrate_burst_tau_fc(cfg_burst)
         assert abs(fwhm_scan - 232.0) <= 5.0
         assert abs(tau_scan - TAU_FC_CALIBRATED_PS) <= 10.0  # frozen value re-derived
@@ -328,7 +335,7 @@ def test_acceptance_5_calibrated_burst_and_dip(burst_run, dip_run):
         assert abs(burst.fwhm_ps - 232.0) <= 5.0
         assert 2.0 <= burst.depth <= 5.0
 
-        cfg_dip, (traj_d, _, curves_d) = dip_run
+        cfg_dip, traj_d, curves_d = dip_run
         dip = burst_metrics(curves_d[0], cfg_dip.baseline_window_ps)
         assert dip.kind == "dip"
         assert 1.4 <= dip.depth <= 3.0
@@ -339,9 +346,9 @@ def test_acceptance_6_delay_tracking_and_inversion(delay_runs):
     with criterion(6, "delayed-control waveform shaping"):
         cfg, reference, delays, run = delay_runs
         t = cfg.time_grid_ps
-        ref = reference[2][0].intensity
+        ref = reference[1][0].intensity
         safe_ref = np.where(ref > 0, ref, np.inf)
-        for delay, (_, _, curves) in delays.items():
+        for delay, (_, curves) in delays.items():
             ratio = curves[0].intensity / safe_ref
             mask = t > 100.0  # past the pump pulse
             t_ext = t[mask][np.argmax(ratio[mask])]
@@ -354,8 +361,8 @@ def test_acceptance_6_delay_tracking_and_inversion(delay_runs):
         pulse = FreeCarrierPulse(2000.0, template.delta_lambda_max_nm, template.tau_fc_ps)
         dipped = run(TuningProfile(static_detuning_nm=0.6, pulses=(pulse,)))
         detuned_ref = run(TuningProfile(static_detuning_nm=0.6))
-        ref2 = np.where(detuned_ref[2][0].intensity > 0, detuned_ref[2][0].intensity, np.inf)
-        ratio = dipped[2][0].intensity / ref2
+        ref2 = np.where(detuned_ref[1][0].intensity > 0, detuned_ref[1][0].intensity, np.inf)
+        ratio = dipped[1][0].intensity / ref2
         mask = t > 100.0
         t_min = t[mask][np.argmin(ratio[mask])]
         assert ratio[mask].min() < 0.7  # inverted: a dip, not a burst

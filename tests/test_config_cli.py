@@ -24,7 +24,7 @@ from cavtune.config import (
     scenario_config,
 )
 from cavtune.runs import simulate_dynamic
-from conftest import broken_target_generator, synthetic_data
+from conftest import broken_target_generator, map_and_curves, synthetic_data
 
 
 def small_dynamic_config(**overrides):
@@ -180,8 +180,10 @@ class TestOptionalKeys:
     def test_irf_sigma_smears_each_filtered_curve(self):
         spectra = {"irf_sigma_ps": 40.0, "collection_exponent": 2.0}
         cfg = load_config(small_dynamic_config(spectra=spectra))
-        traj, pl_map, curves = simulate_dynamic(cfg)
-        _, plain_map, plain_curves = simulate_dynamic(replace(cfg, irf_sigma_ps=0.0))
+        traj = simulate_dynamic(cfg)
+        pl_map, curves = map_and_curves(cfg, traj)
+        plain_cfg = replace(cfg, irf_sigma_ps=0.0)
+        plain_map, plain_curves = map_and_curves(plain_cfg, simulate_dynamic(plain_cfg))
         assert np.array_equal(pl_map.intensity, plain_map.intensity)
         for (lam_c, fwhm), curve, plain in zip(cfg.filters, curves, plain_curves, strict=True):
             filtered = apply_filter(traj, lam_c, fwhm, 2.0)
@@ -198,7 +200,7 @@ class TestOptionalKeys:
         path.write_text(json.dumps(raw))
         res = CliRunner().invoke(main, ["dynamic", "--config", str(path), "--out", str(tmp_path / "o")])
         assert res.exit_code == 0, res.output
-        traj, _, _ = simulate_dynamic(load_config(raw))
+        traj = simulate_dynamic(load_config(raw))
         rows = (tmp_path / "o" / "curve_1554.00nm.csv").read_text().splitlines()[1:]
         written = np.array([float(row.split(",")[1]) for row in rows])
         assert np.array_equal(written, apply_filter(traj, 1554.0, 0.5).intensity)

@@ -673,7 +673,7 @@ class TestSolveIvpContract:
         cfg = load_config(scenario_config("fig3-burst"))
         for start in ("steady", "vacuum", "excited"):
             run = replace(cfg, hilbert=HilbertSpec(n_max), initial_state=start)
-            traj, _, _ = simulate_dynamic(run)
+            traj = simulate_dynamic(run)
             assert traj.states.shape == (cfg.time_grid_ps.size, size)
         dim = HilbertSpec(n_max).dim
         assert lengths and set(lengths) == {dim * dim}

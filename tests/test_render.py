@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 from cavtune import SchemaError
+from cavtune.cli import main
 from cavtune.render import render_csv_file, render_curve_svg, render_heatmap_ppm, sniff_csv
 
 
@@ -98,3 +100,23 @@ class TestRenderCsv:
         csv_path.write_text("foo,bar\n1,2\n")
         with pytest.raises(SchemaError, match="unrecognized"):
             sniff_csv(csv_path)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "layout, text, line, column",
+        [
+            ("curve", "t_ps,intensity_au\n0,1\n\n4,{cell}\n8,1\n", 4, "intensity_au"),
+            ("map", "t_ps,lambda_nm,intensity_au\n0,1551,1\n0,1552,{cell}\n"
+                    "1,1551,1\n1,1552,1\n", 3, "intensity_au"),
+            ("map grid", "t_ps,lambda_nm,intensity_au\n0,1551,1\n0,{cell},1\n", 3, "lambda_nm"),
+        ],
+    )
+    def test_non_finite_cell_exits_2(self, tmp_path, layout, text, line, column, cell):
+        # a NaN passes every comparison, so render would plot or colour it
+        # silently; the CLI must stop with the cell's line and column instead
+        csv_path = tmp_path / "in.csv"
+        csv_path.write_text(text.format(cell=cell))
+        res = CliRunner().invoke(main, ["render", str(csv_path), "--out", str(tmp_path / "out")])
+        assert res.exit_code == 2, res.output
+        assert f"line {line}, column '{column}': not a finite number" in res.output
+        assert not (tmp_path / "out").exists()

@@ -1,11 +1,13 @@
 """The delay scan and the map writer of cavtune.runs."""
 
 import filecmp
+import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from cavtune import runs
 from cavtune.config import load_config, scenario_config
 from cavtune.lindblad import steady_state
 from cavtune.runs import (
@@ -13,12 +15,14 @@ from cavtune.runs import (
     delay_scan,
     format_number,
     initial_state_for,
+    run_dynamic,
+    simulate_dynamic,
     write_map_csv,
 )
 from cavtune.modespace import BareMode, wl_to_omega
-from cavtune.spectra import PLMap
+from cavtune.spectra import PLMap, synthesize_map
 from cavtune.tuning import fp_shift_at
-from conftest import densities, run_from
+from conftest import densities, map_and_curves, run_from
 
 # on the 4 ps grid from -100 to 2000 ps: on the grid, 1502 off it, -300 before
 # the grid start and 2400 after its end
@@ -34,37 +38,40 @@ PUMP_WINDOW_DELAYS = [0.0, 2.0, 700.0, 1502.0, -300.0]
 PUMP_WINDOW_EXACT = (0.0, -300.0)
 
 
+def delay_raw(delays=DELAYS):
+    """The mini delay scan's config document, at ``n_max = 1``."""
+    return {
+        "schema": 1,
+        "scenario": "mini-delay",
+        "kind": "dynamic",
+        "system": {
+            "lambda_t_nm": 1552.0,
+            "kappa_t": 1.564e11,
+            "kappa_fp": 4.692e11,
+            "eta": 1.564e11,
+            "g": 1.0e10,
+            "gamma_leaky": 5.0e8,
+        },
+        "pump": {
+            "cw_rate": 0.0,
+            "pulses": [{"t0_ps": 0.0, "area": 1.0, "width_ps": 6.0}],
+        },
+        "profile": {
+            "static_detuning_nm": 0.0,
+            "pulses": [{"t0_ps": 0.0, "delta_lambda_max_nm": 0.6, "tau_fc_ps": 352.0}],
+        },
+        "grids": {
+            "time_ps": {"start": -100.0, "stop": 2000.0, "n": 526},
+            "lambda_nm": {"start": 1550.8, "stop": 1553.2, "n": 31},
+        },
+        "filters": [{"lambda_nm": 1552.2, "fwhm_nm": 0.5}],
+        "solver": {"n_max": 1, "initial_state": "vacuum"},
+        "delays_ps": delays,
+    }
+
+
 def delay_config(delays=DELAYS):
-    return load_config(
-        {
-            "schema": 1,
-            "scenario": "mini-delay",
-            "kind": "dynamic",
-            "system": {
-                "lambda_t_nm": 1552.0,
-                "kappa_t": 1.564e11,
-                "kappa_fp": 4.692e11,
-                "eta": 1.564e11,
-                "g": 1.0e10,
-                "gamma_leaky": 5.0e8,
-            },
-            "pump": {
-                "cw_rate": 0.0,
-                "pulses": [{"t0_ps": 0.0, "area": 1.0, "width_ps": 6.0}],
-            },
-            "profile": {
-                "static_detuning_nm": 0.0,
-                "pulses": [{"t0_ps": 0.0, "delta_lambda_max_nm": 0.6, "tau_fc_ps": 352.0}],
-            },
-            "grids": {
-                "time_ps": {"start": -100.0, "stop": 2000.0, "n": 526},
-                "lambda_nm": {"start": 1550.8, "stop": 1553.2, "n": 31},
-            },
-            "filters": [{"lambda_nm": 1552.2, "fwhm_nm": 0.5}],
-            "solver": {"n_max": 1, "initial_state": "vacuum"},
-            "delays_ps": delays,
-        }
-    )
+    return load_config(delay_raw(delays))
 
 
 @pytest.mark.parametrize(
@@ -83,11 +90,14 @@ def test_delay_scan_matches_from_scratch_runs(delays, exact, tol):
     t = cfg.time_grid_ps
     assert 1502.0 not in t and 700.0 in t and 0.0 in t
     rho0 = initial_state_for(cfg)
-    (_, ref_map, ref_curves), *delayed = delay_scan(cfg)
+    reference, *delayed = delay_scan(cfg)
+    ref_map, ref_curves = map_and_curves(cfg, reference)
     assert len(delayed) == len(delays)
-    for delay, (traj, pl_map, curves) in zip(delays, delayed):
+    for delay, traj in zip(delays, delayed):
+        pl_map, curves = map_and_curves(cfg, traj)
         # the independent oracle: one from-scratch run with the pulse at the delay
-        oracle_traj, oracle_map, oracle_curves = run_from(cfg, delay_profile(cfg, delay), rho0)
+        oracle_traj = run_from(cfg, delay_profile(cfg, delay), rho0)
+        oracle_map, oracle_curves = map_and_curves(cfg, oracle_traj)
         if delay in exact:
             np.testing.assert_array_equal(densities(traj), densities(oracle_traj))
             np.testing.assert_array_equal(pl_map.intensity, oracle_map.intensity)
@@ -101,6 +111,43 @@ def test_delay_scan_matches_from_scratch_runs(delays, exact, tol):
         np.testing.assert_array_equal(pl_map.intensity[before], ref_map.intensity[before])
         for curve, ref_curve in zip(curves, ref_curves):
             np.testing.assert_array_equal(curve.intensity[before], ref_curve.intensity[before])
+
+
+
+@pytest.mark.parametrize("delays", [None, [1000.0, 700.0]], ids=["plain", "delay-scan"])
+def test_a_map_is_synthesized_only_where_it_is_written(tmp_path, monkeypatch, delays):
+    # the truncation rerun and a scan's pulse-free reference write no map
+    raw = delay_raw(delays)
+    raw["solver"]["check_truncation"] = True
+    syntheses = []
+
+    def counting_synthesize_map(*args, **kwargs):
+        syntheses.append(None)
+        return synthesize_map(*args, **kwargs)
+
+    monkeypatch.setattr(runs, "synthesize_map", counting_synthesize_map)
+    run_dynamic(load_config(raw), tmp_path)
+    assert len(syntheses) == len(list(tmp_path.glob("*map.csv"))) == len(delays or [None])
+
+
+def test_delay_scan_checks_truncation_on_its_first_delay(tmp_path, monkeypatch):
+    # the first delay in the config's order, not the earliest, is rerun one
+    # Fock level higher
+    raw = delay_raw([1000.0, 700.0])
+    raw["solver"]["check_truncation"] = True
+    cfg = load_config(raw)
+    reruns = []
+
+    def recording_simulate_dynamic(run_cfg, profile=None):
+        reruns.append((run_cfg.hilbert.n_max, profile))
+        return simulate_dynamic(run_cfg, profile)
+
+    monkeypatch.setattr(runs, "simulate_dynamic", recording_simulate_dynamic)
+    run_dynamic(cfg, tmp_path)
+    check = json.loads((tmp_path / "metrics.json").read_text(encoding="utf-8"))["truncation_check"]
+    assert (check["n_max"], check["n_max_check"]) == (1, 2)
+    assert check["max_relative_drift"] < 0.01 and check["within_1_percent"] is True
+    assert reruns == [(2, delay_profile(cfg, 1000.0))]
 
 
 def _thermo_scaled_dip():

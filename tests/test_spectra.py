@@ -149,6 +149,30 @@ class TestNonNegativity:
             assert smeared.intensity.min() >= 0.0
 
 
+class TestFiniteness:
+    """The map and curve types reject NaN and +-inf, which pass ``x < 0``."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["lambda_grid_nm", "t_grid_ps", "intensity"])
+    def test_map_rejects_non_finite(self, field, bad):
+        # a one-point grid has no diff for a NaN to fail
+        fields = {"lambda_grid_nm": np.array([1551.0]), "t_grid_ps": np.array([0.0]),
+                  "intensity": np.ones((1, 1))}
+        fields[field] = np.full_like(fields[field], bad)
+        with pytest.raises(InvalidInput, match=f"PLMap.{field} must be finite"):
+            PLMap(**fields)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["t_grid_ps", "intensity", "center_nm", "fwhm_nm"])
+    def test_curve_rejects_non_finite(self, field, bad):
+        fields = {"t_grid_ps": np.array([0.0, 1.0]), "intensity": np.ones(2),
+                  "center_nm": 1552.0, "fwhm_nm": 0.5}
+        value = fields[field]
+        fields[field] = bad if np.ndim(value) == 0 else np.append(value[:1], bad)
+        with pytest.raises(InvalidInput, match=f"DecayCurve.{field} must be finite"):
+            DecayCurve(**fields)
+
+
 class TestApplyFilter:
     def test_wide_filter_recovers_integral(self):
         # the whole flux passes, less the share 1 - h/s of a line 0.41 nm wide
