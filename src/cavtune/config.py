@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -24,15 +24,7 @@ import numpy as np
 from .errors import CavtuneError, SchemaError
 from .fitting import PARAM_NAMES, FitOptions
 from .modespace import BareMode, EmitterParams, SystemParams, wl_to_omega
-from .tuning import (
-    FreeCarrierPulse,
-    HilbertSpec,
-    PumpPulse,
-    PumpSchedule,
-    ThermoOpticModel,
-    TuningProfile,
-    fp_shift_at,
-)
+from .tuning import FreeCarrierPulse, HilbertSpec, PumpPulse, PumpSchedule, TuningProfile
 
 SCHEMA_VERSION = 1
 
@@ -289,25 +281,25 @@ def load_config(raw: dict) -> RunConfig:
 
     profile_node = root.section("profile", {})
     thermo = profile_node.section("thermo", {})
-    profile = profile_node.build(
-        TuningProfile,
-        static_detuning_nm=profile_node.number("static_detuning_nm", 0.0),
-        thermo=thermo.build(
-            ThermoOpticModel,
-            thermo.number("coeff_nm_per_mw", 0.0, minimum=0.0),
-            thermo.number("power_mw", 0.0, minimum=0.0),
-        ),
-        pulses=tuple(
-            p.build(FreeCarrierPulse, p.number("t0_ps"),
-                    p.number("delta_lambda_max_nm", minimum=0.0), p.number("tau_fc_ps"))
-            for p in profile_node.sections("pulses")
-        ),
+    # the FP mode before any pulse: static offset plus thermo-optic red shift
+    lambda_fp = lambda_t + (
+        profile_node.number("static_detuning_nm", 0.0)
+        + thermo.number("coeff_nm_per_mw", 0.0, minimum=0.0)
+        * thermo.number("power_mw", 0.0, minimum=0.0)
     )
+    if not 0.0 < lambda_fp < np.inf:
+        profile_node.fail("static_detuning_nm", f"puts the FP mode at {lambda_fp} nm; its "
+                                                f"wavelength must be positive and finite")
+    profile = TuningProfile(tuple(
+        p.build(FreeCarrierPulse, p.number("t0_ps"),
+                p.number("delta_lambda_max_nm", minimum=0.0), p.number("tau_fc_ps"))
+        for p in profile_node.sections("pulses")
+    ))
     omega_t = wl_to_omega(lambda_t)
     params = system.build(lambda: SystemParams(
         EmitterParams(omega_t if lambda0 is None else wl_to_omega(lambda0), g, gamma_leaky),
         BareMode(omega_t, kappa_t),
-        BareMode(wl_to_omega(lambda_t + fp_shift_at(replace(profile, pulses=()), 0.0)), kappa_fp),
+        BareMode(wl_to_omega(lambda_fp), kappa_fp),
         eta,
         schedule,
     ))

@@ -44,6 +44,11 @@ _COLUMN_UNITS = {
     "lambda1": ("", "_nm"), "lambda2": ("", "_nm"), "q1": ("",), "q2": ("",), "tau": ("", "_ns"),
     "lambda1_err": ("", "_nm"), "q1_err": ("",), "tau_err": ("", "_ns"),
 }
+# the control kind that each control header other than a bare "control" names
+_CONTROL_KINDS = {
+    **dict.fromkeys(("control_nm", "detuning", "detuning_nm"), "detuning_nm"),
+    **dict.fromkeys(("control_mw", "power", "power_mw"), "power_mw"),
+}
 
 
 @dataclass(frozen=True)
@@ -146,8 +151,11 @@ def read_anticrossing_csv(source, control_kind: Optional[str] = None) -> Anticro
 
     A header may carry its column's unit: ``_nm`` on the control (or
     ``detuning``), ``lambda`` and ``lambda1_err`` columns, ``_ns`` on the
-    ``tau`` columns.  A ``control_mw``, ``power`` or ``power_mw`` header
-    implies a power control column.  Any other header is a :class:`SchemaError`,
+    ``tau`` columns.  A control header with a unit, or named ``detuning`` or
+    ``power``, sets the control kind (:data:`_CONTROL_KINDS`), and a
+    ``control_kind`` (the config's ``fit.control``) that differs from it is a
+    :class:`SchemaError`; a bare ``control`` header takes ``control_kind``,
+    by default ``"detuning_nm"``.  Any other header is a :class:`SchemaError`,
     and so is a value that is not finite or an uncertainty that is not positive.
     """
     if hasattr(source, "read"):
@@ -164,8 +172,12 @@ def read_anticrossing_csv(source, control_kind: Optional[str] = None) -> Anticro
     columns = {}
     for idx, raw in enumerate(header):
         base = _column_of(raw)
-        if raw.strip().lower() in ("control_mw", "power", "power_mw"):
-            control_kind = control_kind or "power_mw"
+        kind = _CONTROL_KINDS.get(raw.strip().lower())
+        if kind is not None:
+            if control_kind not in (None, kind):
+                raise SchemaError(f"header {raw!r} names a {kind} control column, but "
+                                  f"fit.control is {control_kind!r}")
+            control_kind = kind
         if base in columns:
             raise SchemaError(f"duplicate column {base!r} (header column {idx + 1})")
         columns[base] = idx

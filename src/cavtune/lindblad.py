@@ -223,11 +223,11 @@ class _Generator:
 
 def _delta_fp_fn(params: SystemParams, profile: TuningProfile):
     """``delta_fp(t_ps)`` in rad/ps, in float arithmetic: it runs on every RHS call."""
-    lambda_t = omega_to_wl(params.target.omega)
+    lambda_fp = omega_to_wl(params.fp.omega)
     ref = _frame_omega(params)
 
     def delta_fp(t_ps: float) -> float:
-        return (wl_to_omega(lambda_t + fp_shift_scalar(profile, t_ps)) - ref) * _PS
+        return (wl_to_omega(lambda_fp + fp_shift_scalar(profile, t_ps)) - ref) * _PS
 
     return delta_fp
 
@@ -329,9 +329,10 @@ def evolve(
 ) -> Trajectory:
     """Integrate the master equation over ``t_grid_ps`` with time-dependent tuning.
 
-    The Fock space is that of ``rho0``.  The FP frequency follows
-    ``lambda_t + fp_shift_at(profile, t)``, and only its loss rate comes from
-    ``params.fp``; the pump rate follows ``params.pump``.  The integration
+    The Fock space is that of ``rho0``.  The FP wavelength at time ``t`` is
+    that of ``params.fp`` plus ``fp_shift_at(profile, t)``: without pulses
+    the FP mode stays at ``params.fp``, so a steady state of ``params`` is
+    stationary.  The pump rate follows ``params.pump``.  The integration
     restarts at every pulse onset and at each time of ``breakpoints_ps``, so
     the state recorded at such a time is the end of an integrator segment.
     Each segment is integrated by BDF, with the generator as its Jacobian, at
@@ -406,7 +407,7 @@ def evolve(
 
 
 def make_trajectory(params, profile, t_grid, states, keep, dim) -> Trajectory:
-    """The observables of ``states`` under ``profile``, one state per time of ``t_grid``.
+    """The observables of ``states`` under ``params`` and ``profile``, one per time of ``t_grid``.
 
     ``states`` is ``(t, keep.size)``: the entries ``keep`` of each vec(rho),
     rho ``dim`` x ``dim`` and 0 elsewhere.  Raises :class:`NumericalFailure`,
@@ -424,9 +425,8 @@ def make_trajectory(params, profile, t_grid, states, keep, dim) -> Trajectory:
 
     trace_dev, herm_dev, min_eig = _require_valid(states, keep, dim, t_grid)
 
-    lambda_t = omega_to_wl(params.target.omega)
     shifts = np.atleast_1d(fp_shift_at(profile, t_grid))
-    fp = BareMode(wl_to_omega(lambda_t + shifts), params.fp.kappa)
+    fp = BareMode(wl_to_omega(omega_to_wl(params.fp.omega) + shifts), params.fp.kappa)
     cm = couple(params.target, fp, params.eta)
     a_re = cm.alpha.real
     w1, w2 = abs(cm.alpha) ** 2, abs(cm.beta) ** 2

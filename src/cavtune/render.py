@@ -41,15 +41,24 @@ def _fmt_tick(v: float) -> str:
     return f"{v:.6g}"
 
 
+def _require_finite(name: str, values: np.ndarray) -> None:
+    """A :class:`SchemaError` naming ``name`` if one of ``values`` is NaN or +-inf."""
+    bad = values[~np.isfinite(values)]
+    if bad.size:
+        raise SchemaError(f"{name}: not a finite number: {bad[0]}")
+
+
 def render_curve_svg(x, series, x_label: str, y_label: str, title: str = "") -> str:
-    """SVG 1.1 line plot; ``series`` is a list of (name, values) pairs."""
+    """SVG 1.1 line plot; ``series`` is a list of (name, values) pairs, all finite."""
     x = np.asarray(x, dtype=float)
     if x.size == 0 or not series:
         raise SchemaError("no data to plot")
+    _require_finite(x_label, x)
     ys = [np.asarray(v, dtype=float) for _, v in series]
-    for y in ys:
+    for (name, _), y in zip(series, ys):
         if y.size != x.size:
             raise SchemaError("series length does not match the x grid")
+        _require_finite(name, y)
     x_lo, x_hi = float(x.min()), float(x.max())
     y_all = np.concatenate(ys)
     y_lo, y_hi = float(y_all.min()), float(y_all.max())
@@ -144,10 +153,11 @@ def _colormap(values: np.ndarray, colormap: str) -> np.ndarray:
 def render_heatmap_ppm(
     intensity: np.ndarray, colormap: str = "heat", log_scale: bool = False
 ) -> bytes:
-    """Binary PPM (P6) heatmap; rows run bottom-to-top (first row at the bottom)."""
+    """Binary PPM (P6) heatmap of finite intensities; the first row is at the bottom."""
     z = np.asarray(intensity, dtype=float)
     if z.ndim != 2 or z.size == 0:
         raise SchemaError("heatmap needs a non-empty 2D intensity array")
+    _require_finite("heatmap intensity", z)
     peak = z.max()
     if peak <= 0.0:
         raise SchemaError("heatmap input is empty (all intensities are zero)")

@@ -112,7 +112,6 @@ def initial_state_for(cfg: RunConfig) -> np.ndarray:
         return vacuum_state(cfg.hilbert)
     if cfg.initial_state == "excited":
         return emitter_excited_state(cfg.hilbert)
-    # params.fp is the FP mode of the pre-pulse (baseline) profile
     return steady_state(cfg.params, spec=cfg.hilbert)
 
 
@@ -158,7 +157,7 @@ def delay_scan(cfg: RunConfig):
     options = dict(rtol=cfg.rtol, atol=cfg.atol)
     starts = [max(int(np.searchsorted(t_grid, d, side="right")) - 1, 0) for d in cfg.delays_ps]
     reference = evolve(
-        cfg.params, replace(cfg.profile, pulses=()), initial_state_for(cfg), t_grid,
+        cfg.params, TuningProfile(), initial_state_for(cfg), t_grid,
         breakpoints_ps=t_grid[starts], **options,
     )
     yield reference

@@ -158,7 +158,7 @@ def _check_purcell_rate():
     p = replace(p, fp=BareMode(wl_to_omega(DEFAULT_SYSTEM["lambda_t_nm"] + 8.0), p.fp.kappa))
     expected = p.emitter.gamma_leaky + p.purcell_rate
     t = np.linspace(0.0, 2.0 / (expected * 1e-12), 201)
-    traj = evolve(p, TuningProfile(static_detuning_nm=8.0), emitter_excited_state(HilbertSpec(1)), t)
+    traj = evolve(p, TuningProfile(), emitter_excited_state(HilbertSpec(1)), t)
     mask = (t > 50.0) & (traj.n_e > 1e-12)
     rate = -np.polyfit(t[mask] * 1e-12, np.log(traj.n_e[mask]), 1)[0]
     return abs(rate - expected) / expected < 0.05, (
@@ -260,12 +260,12 @@ def _check_metric_scale_invariance():
 def _check_pulse_superposition():
     p1 = FreeCarrierPulse(0.0, 0.4, 120.0)
     p2 = FreeCarrierPulse(300.0, 0.7, 220.0)
-    both = TuningProfile(static_detuning_nm=0.3, pulses=(p1, p2))
+    both = TuningProfile(pulses=(p1, p2))
     only1 = TuningProfile(pulses=(p1,))
     only2 = TuningProfile(pulses=(p2,))
     t = np.linspace(-100.0, 1500.0, 641)
     lhs = fp_shift_at(both, t)
-    rhs = 0.3 + fp_shift_at(only1, t) + fp_shift_at(only2, t)
+    rhs = fp_shift_at(only1, t) + fp_shift_at(only2, t)
     ok = np.max(np.abs(lhs - rhs)) == 0.0
     return ok, "two-pulse shift equals the sum of single-pulse shifts"
 

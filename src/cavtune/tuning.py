@@ -1,8 +1,8 @@
-"""Time-dependent drives: FP-cavity wavelength shift models and emitter pumping.
+"""Time-dependent drives: free-carrier shifts of the FP cavity and emitter pumping.
 
-Sign discipline: thermo-optic heating shifts the FP resonance to longer
-wavelength (positive nm), photoexcited free carriers shift it to shorter
-wavelength (negative nm) with an exponential recovery.
+Where the FP mode sits before any pulse is ``SystemParams.fp``; a profile
+holds only the pulses.  Photoexcited free carriers shift the FP resonance
+from there to shorter wavelength (negative nm) with an exponential recovery.
 
 The pump schedule and the Fock-space truncation that a master-equation run
 takes are plain dataclasses kept here, beside the tuning profile, so that
@@ -20,26 +20,6 @@ from .errors import InvalidInput, require_finite
 
 SECONDS_PER_PS = 1e-12  # multiplies rad/s rates into rad/ps
 _FWHM_TO_SIGMA = 1.0 / (2.0 * np.sqrt(2.0 * np.log(2.0)))
-
-
-@dataclass(frozen=True)
-class ThermoOpticModel:
-    """Linear red shift per unit CW heating power."""
-
-    coeff_nm_per_mw: float
-    power_mw: float
-
-    def __post_init__(self):
-        require_finite(self, "coeff_nm_per_mw", "power_mw")
-        if self.coeff_nm_per_mw < 0.0:
-            raise InvalidInput(f"thermo-optic coefficient must be >= 0, got {self.coeff_nm_per_mw}")
-        if self.power_mw < 0.0:
-            raise InvalidInput(f"heating power must be >= 0, got {self.power_mw}")
-
-
-def thermo_shift(model: ThermoOpticModel) -> float:
-    """Red shift in nm: coeff * power."""
-    return model.coeff_nm_per_mw * model.power_mw
 
 
 @dataclass(frozen=True)
@@ -64,25 +44,21 @@ class FreeCarrierPulse:
 
 @dataclass(frozen=True)
 class TuningProfile:
-    """Static offset plus thermo-optic and free-carrier contributions.
+    """The free-carrier pulses that move the FP mode from ``SystemParams.fp``.
 
-    ``static_detuning_nm`` is lambda_FP - lambda_t at baseline; the default
-    ``thermo`` heats nothing.  Pulses are kept sorted by arrival time;
-    overlapping pulses add.
+    Pulses are kept sorted by arrival time; overlapping pulses add.  The
+    default profile has none: the FP mode stays where ``params.fp`` puts it.
     """
 
-    static_detuning_nm: float = 0.0
-    thermo: ThermoOpticModel = ThermoOpticModel(0.0, 0.0)
     pulses: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
-        require_finite(self, "static_detuning_nm")
         ordered = tuple(sorted(self.pulses, key=lambda p: p.t0_ps))
         object.__setattr__(self, "pulses", ordered)
 
 
 def fp_shift_at(profile: TuningProfile, t_ps):
-    """FP wavelength shift (nm, relative to lambda_t) at time(s) ``t_ps``.
+    """The pulses' FP wavelength shift (nm) at time(s) ``t_ps``, from ``SystemParams.fp``.
 
     Pulses with arrival times in the future of ``t_ps`` contribute nothing.
     An array of times is answered by :func:`fp_shift_scalar` at each time, so
@@ -103,7 +79,7 @@ def fp_shift_scalar(profile: TuningProfile, t_ps: float) -> float:
     The master-equation integrator calls this on every right-hand-side
     evaluation, where array arithmetic would cost more than the step it feeds.
     """
-    shift = float(profile.static_detuning_nm) + thermo_shift(profile.thermo)
+    shift = 0.0
     for pulse in profile.pulses:
         dt = t_ps - pulse.t0_ps
         if dt >= 0.0:

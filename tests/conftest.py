@@ -1,5 +1,4 @@
 from contextlib import contextmanager
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -75,22 +74,16 @@ def se_rates(det_nm: float, g: float = KAPPA_T / 10.0, gamma_leaky: float = 5e8)
     on the emitter diagonal; and the Euclidean mode sum
     ``gamma_leaky + gamma_t * sum_l |c_l|^2 kappa_t/kappa_l``.
     """
-    p = make_params(g=g, gamma_leaky=gamma_leaky)
-    fp = BareMode(wl_to_omega(LAMBDA_T + det_nm), p.fp.kappa)
-    cm = couple(p.target, fp, p.eta)
+    p = make_params(g=g, gamma_leaky=gamma_leaky, lambda_fp=LAMBDA_T + det_nm)
+    cm = couple(p.target, p.fp, p.eta)
     predicted = gamma_leaky + p.purcell_rate * (
         se_rate_ratio(cm, 1, KAPPA_T) + se_rate_ratio(cm, 2, KAPPA_T)
     )
-    matrix = hamiltonian_bare_basis(replace(p, fp=fp))
+    matrix = hamiltonian_bare_basis(p)
     matrix[0, 0] -= 0.5j * gamma_leaky
     exact = -2.0 * polished_eigenvalues(matrix).imag.max()
     t_grid = np.linspace(0.0, 2.5e12 / predicted, 301)
-    traj = evolve(
-        p,
-        TuningProfile(static_detuning_nm=det_nm),
-        emitter_excited_state(HilbertSpec(1)),
-        t_grid,
-    )
+    traj = evolve(p, TuningProfile(), emitter_excited_state(HilbertSpec(1)), t_grid)
     mask = (t_grid > 60.0) & (traj.n_e > 1e-12)
     rate = -np.polyfit(t_grid[mask] * 1e-12, np.log(traj.n_e[mask]), 1)[0]
     return float(rate), float(exact), float(predicted)

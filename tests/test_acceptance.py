@@ -87,15 +87,15 @@ def delay_runs():
     rho0 = initial_state_for(cfg)
     template = cfg.profile.pulses[0]
 
-    def run(profile):
-        traj = run_from(cfg, profile, rho0.copy())
+    def run(profile, params=cfg.params):
+        traj = run_from(replace(cfg, params=params), profile, rho0.copy())
         return traj, filtered_curves(cfg, traj)
 
-    reference = run(TuningProfile(static_detuning_nm=0.0))
+    reference = run(TuningProfile())
     delays = {}
     for delay in (1500.0, 2000.0, 2500.0):
         pulse = FreeCarrierPulse(delay, template.delta_lambda_max_nm, template.tau_fc_ps)
-        delays[delay] = run(TuningProfile(static_detuning_nm=0.0, pulses=(pulse,)))
+        delays[delay] = run(TuningProfile(pulses=(pulse,)))
     return cfg, reference, delays, run
 
 
@@ -209,9 +209,7 @@ def test_acceptance_3_master_equation_oracles(burst_run, dip_run, delay_runs):
         p = make_params(g=g, gamma_leaky=gamma_leaky, eta=0.0, lambda_fp=1560.0)
         expected_rate = gamma_leaky + 2.0 * g**2 / KAPPA_T
         t_grid = np.linspace(0.0, 2e12 / expected_rate, 201)
-        traj = evolve(
-            p, TuningProfile(static_detuning_nm=8.0), emitter_excited_state(HilbertSpec(1)), t_grid
-        )
+        traj = evolve(p, TuningProfile(), emitter_excited_state(HilbertSpec(1)), t_grid)
         mask = t_grid > 50.0
         rate = -np.polyfit(t_grid[mask] * 1e-12, np.log(traj.n_e[mask]), 1)[0]
         assert abs(rate - expected_rate) / expected_rate < 0.05
@@ -355,12 +353,15 @@ def test_acceptance_6_delay_tracking_and_inversion(delay_runs):
             assert abs(t_ext - delay) <= 50.0
             assert ratio[mask].max() > 1.5
 
-        # +0.6 nm static detuning: the blue control pulse transits the
+        # the FP 0.6 nm red of the target: the blue control pulse transits the
         # resonance and the feature inverts
         template = cfg.profile.pulses[0]
         pulse = FreeCarrierPulse(2000.0, template.delta_lambda_max_nm, template.tau_fc_ps)
-        dipped = run(TuningProfile(static_detuning_nm=0.6, pulses=(pulse,)))
-        detuned_ref = run(TuningProfile(static_detuning_nm=0.6))
+        detuned = replace(
+            cfg.params, fp=BareMode(wl_to_omega(cfg.lambda_t_nm + 0.6), cfg.params.fp.kappa)
+        )
+        dipped = run(TuningProfile(pulses=(pulse,)), detuned)
+        detuned_ref = run(TuningProfile(), detuned)
         ref2 = np.where(detuned_ref[1][0].intensity > 0, detuned_ref[1][0].intensity, np.inf)
         ratio = dipped[1][0].intensity / ref2
         mask = t > 100.0

@@ -139,6 +139,22 @@ class TestConfigValidation:
         assert res.exit_code == 2, res.output
         assert "baseline_window_ps: " in res.output
 
+    @pytest.mark.parametrize("offsets, lambda_fp", [
+        ({"static_detuning_nm": -2000.0}, "-448.0"),
+        ({"static_detuning_nm": -1552.0}, "0.0"),
+        ({"thermo": {"coeff_nm_per_mw": 1e200, "power_mw": 1e200}}, "inf"),
+    ])
+    def test_fp_baseline_out_of_range_reports_the_profile(self, offsets, lambda_fp):
+        # the FP wavelength is lambda_t_nm plus the profile's offsets: the
+        # error names the offset key and the wavelength, not the system section
+        raw = small_dynamic_config()
+        raw["profile"].update(offsets)
+        with pytest.raises(SchemaError, match=re.escape(
+            f"profile.static_detuning_nm: puts the FP mode at {lambda_fp} nm; its wavelength "
+            "must be positive and finite"
+        )):
+            load_config(raw)
+
     def test_delays_need_single_template_pulse(self):
         raw = small_dynamic_config(delays_ps=[100.0, 200.0])
         raw["profile"]["pulses"].append(
@@ -166,6 +182,10 @@ GAP_ROWS = [
     (None, "delays_ps", [1500.4, 1499.6], "delays_ps"),
     (None, "filters", [{"lambda_nm": 1552.2}, {"lambda_nm": 1552.204}], "filters[1].lambda_nm"),
     ("solver", "atol", 0.0, "solver.atol"),
+    ("profile", "static_detuning_nm", -2000.0, "profile.static_detuning_nm"),
+    ("profile", "thermo", {"coeff_nm_per_mw": 0.1, "power_mw": -1.0}, "profile.thermo.power_mw"),
+    ("profile", "thermo", {"coeff_nm_per_mw": -0.1, "power_mw": 1.0},
+     "profile.thermo.coeff_nm_per_mw"),
 ]
 
 
@@ -358,6 +378,19 @@ class TestCliFit:
         written = np.array([float(line.split(",")[1]) for line in lines[1:]])
         assert written.size == 5 * data.n_rows
         assert np.sqrt(written @ written) == pytest.approx(norm, rel=1e-9, abs=1e-12)
+
+    def test_fit_control_against_the_header_exits_2(self, tmp_path):
+        # sweep.csv's detuning_nm column is no power, whatever fit.control says
+        sweep = tmp_path / "sweep"
+        res = CliRunner().invoke(main, ["static-sweep", "--scenario", "fig2-sweep",
+                                        "--out", str(sweep)])
+        assert res.exit_code == 0, res.output
+        cfg = fit_config(tmp_path, "fit.json", {"control": "power_mw"})
+        res = CliRunner().invoke(main, ["fit", str(sweep / "sweep.csv"), "--config", str(cfg),
+                                        "--out", str(tmp_path / "fit")])
+        assert res.exit_code == 2, res.output
+        assert "header 'detuning_nm' names a detuning_nm control column, but fit.control is " \
+               "'power_mw'" in res.output
 
     def test_config_seed_and_override(self, tmp_path):
         data = synthetic_data(**TRUTH, detunings_nm=np.linspace(-1.2, 1.2, 25),

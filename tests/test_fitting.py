@@ -78,6 +78,30 @@ class TestDataIngest:
         data = read_anticrossing_csv(io.StringIO(text))
         assert data.control_kind == "power_mw"
 
+    @pytest.mark.parametrize("header, kind, other", [
+        (header, kind, other)
+        for kind, other, headers in (
+            ("detuning_nm", "power_mw", ("control_nm", "detuning", "detuning_nm")),
+            ("power_mw", "detuning_nm", ("control_mw", "power", "power_mw")),
+        )
+        for header in headers
+    ])
+    def test_control_header_and_fit_control_must_agree(self, header, kind, other):
+        # fit.control must not refit a power column as a detuning, or the reverse
+        text = f"{header},lambda1,lambda2\n" + "\n".join(f"{c},1551,1553" for c in range(5))
+        for control_kind in (None, kind):
+            data = read_anticrossing_csv(io.StringIO(text), control_kind=control_kind)
+            assert data.control_kind == kind
+        message = f"header '{header}' names a {kind} control column, but fit.control is '{other}'"
+        with pytest.raises(SchemaError, match=message):
+            read_anticrossing_csv(io.StringIO(text), control_kind=other)
+
+    @pytest.mark.parametrize("control_kind", [None, "detuning_nm", "power_mw"])
+    def test_bare_control_header_takes_fit_control(self, control_kind):
+        text = "control,lambda1,lambda2\n" + "\n".join(f"{c},1551,1553" for c in range(5))
+        data = read_anticrossing_csv(io.StringIO(text), control_kind=control_kind)
+        assert data.control_kind == (control_kind or "detuning_nm")
+
     def test_csv_schema_errors_carry_location(self):
         with pytest.raises(SchemaError, match="lambda2"):
             read_anticrossing_csv(io.StringIO("control,lambda1\n1,2\n"))

@@ -11,8 +11,6 @@ from cavtune import (
     PumpPulse,
     PumpSchedule,
     SystemParams,
-    ThermoOpticModel,
-    TuningProfile,
     anticrossing_sweep,
     couple,
     coupled_hamiltonian,
@@ -503,9 +501,6 @@ class TestDomainInvariants:
             (FreeCarrierPulse(0.0, 0.6, 300.0), "t0_ps"),
             (FreeCarrierPulse(0.0, 0.6, 300.0), "delta_lambda_max_nm"),
             (FreeCarrierPulse(0.0, 0.6, 300.0), "tau_fc_ps"),
-            (ThermoOpticModel(0.01, 1.0), "coeff_nm_per_mw"),
-            (ThermoOpticModel(0.01, 1.0), "power_mw"),
-            (TuningProfile(), "static_detuning_nm"),
             (make_params().emitter, "g"),
             (make_params().emitter, "gamma_leaky"),
             (make_params(), "eta"),

@@ -22,6 +22,16 @@ class TestCurveSvg:
         with pytest.raises(SchemaError):
             render_curve_svg(np.array([]), [("y", np.array([]))], "x", "y")
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["x", "first", "second"])
+    def test_non_finite_value_names_its_series(self, where, value):
+        # a NaN y crashed the tick search, and an inf x gave NaN coordinates
+        columns = {name: np.arange(4.0) for name in ("x", "first", "second")}
+        columns[where][2] = value
+        series = [(name, columns[name]) for name in ("first", "second")]
+        with pytest.raises(SchemaError, match=f"^{where}: not a finite number: {value}$"):
+            render_curve_svg(columns["x"], series, "x", "y")
+
 
 class TestHeatmapPpm:
     def test_p6_header_and_size(self):
@@ -40,6 +50,14 @@ class TestHeatmapPpm:
     def test_all_zero_rejected(self):
         with pytest.raises(SchemaError):
             render_heatmap_ppm(np.zeros((4, 4)))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_cell_rejected(self, value):
+        # such a cell was a black pixel, cast with a RuntimeWarning
+        z = np.ones((3, 4))
+        z[1, 2] = value
+        with pytest.raises(SchemaError, match=f"^heatmap intensity: not a finite number: {value}$"):
+            render_heatmap_ppm(z)
 
     def test_log_scale_differs(self):
         z = np.array([[1e-6, 1e-3, 1.0]])

@@ -2,14 +2,12 @@
 
 import filecmp
 import json
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from cavtune import runs
 from cavtune.config import load_config, scenario_config
-from cavtune.lindblad import steady_state
 from cavtune.runs import (
     delay_profile,
     delay_scan,
@@ -21,7 +19,6 @@ from cavtune.runs import (
 )
 from cavtune.modespace import BareMode, wl_to_omega
 from cavtune.spectra import PLMap, synthesize_map
-from cavtune.tuning import fp_shift_at
 from conftest import densities, map_and_curves, run_from
 
 # on the 4 ps grid from -100 to 2000 ps: on the grid, 1502 off it, -300 before
@@ -158,20 +155,20 @@ def _thermo_scaled_dip():
 
 
 @pytest.mark.parametrize(
-    "raw",
-    [scenario_config("fig3-burst"), scenario_config("fig3-dip"), _thermo_scaled_dip()],
+    "raw, lambda_fp, kappa_fp",
+    [
+        (scenario_config("fig3-burst"), 1552.0, 4.692e11),
+        (scenario_config("fig3-dip"), 1552.0 + 0.6, 4.692e11),
+        # lambda_t + (static_detuning_nm + coeff_nm_per_mw * power_mw)
+        (_thermo_scaled_dip(), 1552.0 + (0.6 + 0.03 * 7.0), 4.692e11 * 1.7),
+    ],
     ids=["fig3-burst", "fig3-dip", "thermo-kappa-scaled"],
 )
-def test_initial_state_is_the_steady_state_of_the_config(raw):
-    # initial_state_for takes the FP mode of the steady state from params.fp:
-    # that must be the pre-pulse (baseline) profile's mode at 0 ps, bit for bit
+def test_config_places_the_fp_mode_in_params(raw, lambda_fp, kappa_fp):
+    # params.fp is the one statement of where the FP mode sits before any
+    # pulse: the steady state and every evolve start from it
     cfg = load_config(raw)
-    assert cfg.initial_state == "steady"
-    baseline = replace(cfg.profile, pulses=())
-    fp0 = BareMode(wl_to_omega(cfg.lambda_t_nm + fp_shift_at(baseline, 0.0)), cfg.params.fp.kappa)
-    assert fp0 == cfg.params.fp
-    expected = steady_state(replace(cfg.params, fp=fp0), spec=cfg.hilbert)
-    assert np.array_equal(initial_state_for(cfg), expected)
+    assert cfg.params.fp == BareMode(wl_to_omega(lambda_fp), kappa_fp)
 
 
 def test_map_csv_matches_per_value_writer(tmp_path):

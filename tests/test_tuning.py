@@ -1,48 +1,23 @@
 import numpy as np
 import pytest
 
-from cavtune import (
-    FreeCarrierPulse,
-    InvalidInput,
-    ThermoOpticModel,
-    TuningProfile,
-    fp_shift_at,
-    thermo_shift,
-)
+from cavtune import FreeCarrierPulse, InvalidInput, TuningProfile, fp_shift_at
 from cavtune.config import SCENARIO_NAMES, load_config, scenario_config
 from cavtune.runs import delay_profile
 from cavtune.tuning import fp_shift_scalar
 
 
-class TestThermoOptic:
-    def test_zero_power(self):
-        assert thermo_shift(ThermoOpticModel(0.1, 0.0)) == 0.0
-
-    def test_linear(self):
-        assert thermo_shift(ThermoOpticModel(0.1, 10.0)) == pytest.approx(1.0)
-        assert thermo_shift(ThermoOpticModel(0.05, 4.0)) == pytest.approx(0.2)
-
-    def test_negative_power_rejected(self):
-        with pytest.raises(InvalidInput):
-            ThermoOpticModel(0.1, -1.0)
-        with pytest.raises(InvalidInput):
-            ThermoOpticModel(-0.1, 1.0)
-
-    def test_no_heating_is_the_zero_model(self):
-        # ThermoOpticModel(0.0, 0.0) is the one "no heating"
-        assert TuningProfile().thermo == ThermoOpticModel(0.0, 0.0)
-
-
 class TestFpShift:
     def test_pre_pulse_baseline(self):
-        prof = TuningProfile(static_detuning_nm=0.25, pulses=(FreeCarrierPulse(100.0, 0.6, 150.0),))
-        assert fp_shift_at(prof, -50.0) == 0.25
-        assert fp_shift_at(prof, 99.999) == 0.25
+        # before its pulse the FP stays where params.fp puts it
+        prof = TuningProfile(pulses=(FreeCarrierPulse(100.0, 0.6, 150.0),))
+        assert fp_shift_at(prof, -50.0) == 0.0
+        assert fp_shift_at(prof, 99.999) == 0.0
 
     def test_pulled_onto_resonance(self):
-        # static +0.6 nm cancelled exactly by the pulse at its arrival
-        prof = TuningProfile(static_detuning_nm=0.6, pulses=(FreeCarrierPulse(0.0, 0.6, 200.0),))
-        assert fp_shift_at(prof, 0.0) == pytest.approx(0.0, abs=1e-15)
+        # a +0.6 nm FP is pulled exactly onto the target at the pulse's arrival
+        prof = TuningProfile(pulses=(FreeCarrierPulse(0.0, 0.6, 200.0),))
+        assert fp_shift_at(prof, 0.0) == -0.6
 
     def test_exponential_half_life(self):
         tau = 180.0
@@ -58,28 +33,23 @@ class TestFpShift:
         p1 = FreeCarrierPulse(0.0, 0.4, 100.0)
         p2 = FreeCarrierPulse(150.0, 0.7, 300.0)
         t = np.linspace(-50.0, 2000.0, 500)
-        both = fp_shift_at(TuningProfile(static_detuning_nm=0.2, pulses=(p1, p2)), t)
-        split = (
-            0.2
-            + fp_shift_at(TuningProfile(pulses=(p1,)), t)
-            + fp_shift_at(TuningProfile(pulses=(p2,)), t)
+        both = fp_shift_at(TuningProfile(pulses=(p1, p2)), t)
+        split = fp_shift_at(TuningProfile(pulses=(p1,)), t) + fp_shift_at(
+            TuningProfile(pulses=(p2,)), t
         )
         assert np.array_equal(both, split)
 
     def test_recovery_within_five_lifetimes(self):
-        prof = TuningProfile(static_detuning_nm=0.1, pulses=(FreeCarrierPulse(0.0, 0.6, 200.0),))
+        prof = TuningProfile(pulses=(FreeCarrierPulse(0.0, 0.6, 200.0),))
         t = np.linspace(1001.0, 3000.0, 50)  # > 5 tau
-        assert np.all(np.abs(fp_shift_at(prof, t) - 0.1) < 0.01 * 0.6)
+        assert np.all(np.abs(fp_shift_at(prof, t)) < 0.01 * 0.6)
 
     def test_sign_discipline(self):
-        prof = TuningProfile(
-            thermo=ThermoOpticModel(0.1, 5.0), pulses=(FreeCarrierPulse(0.0, 0.6, 200.0),)
-        )
+        # free carriers shift blue (negative nm), never red
+        pulses = (FreeCarrierPulse(0.0, 0.6, 200.0), FreeCarrierPulse(300.0, 0.2, 90.0))
+        prof = TuningProfile(pulses=pulses)
         t = np.linspace(-100.0, 1500.0, 200)
-        thermo_part = thermo_shift(prof.thermo)
-        assert thermo_part >= 0.0  # red
-        fc_part = fp_shift_at(prof, t) - thermo_part
-        assert np.all(fc_part <= 1e-15)  # blue
+        assert np.all(fp_shift_at(prof, t) <= 0.0)
 
     def test_pulses_sorted_on_construction(self):
         p1 = FreeCarrierPulse(500.0, 0.1, 100.0)
@@ -88,8 +58,7 @@ class TestFpShift:
         assert [p.t0_ps for p in prof.pulses] == [-10.0, 500.0]
 
     def test_constant_profile(self):
-        prof = TuningProfile(static_detuning_nm=0.3)
-        assert np.array_equal(fp_shift_at(prof, [0.0, 10.0, 20.0]), [0.3, 0.3, 0.3])
+        assert np.array_equal(fp_shift_at(TuningProfile(), [0.0, 10.0, 20.0]), [0.0, 0.0, 0.0])
 
     def test_monotonic_recovery(self):
         prof = TuningProfile(pulses=(FreeCarrierPulse(0.0, 0.6, 150.0),))
@@ -110,7 +79,7 @@ class TestFpShift:
         assert abs((t_back + dt) - tau * np.log(amp / thresh)) <= dt
 
     def test_array_shape_kept(self):
-        prof = TuningProfile(static_detuning_nm=0.1, pulses=(FreeCarrierPulse(0.0, 0.6, 150.0),))
+        prof = TuningProfile(pulses=(FreeCarrierPulse(0.0, 0.6, 150.0),))
         t = np.linspace(-10.0, 500.0, 12).reshape(3, 4)
         assert np.array_equal(fp_shift_at(prof, t), fp_shift_at(prof, t.ravel()).reshape(3, 4))
         assert fp_shift_at(prof, np.array([])).shape == (0,)
