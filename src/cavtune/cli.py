@@ -104,8 +104,8 @@ _run_command("dynamic", run_dynamic,
 @click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False),
               default=None, help="Config with a 'fit' section (init/bounds/options).")
 @click.option("--out", "outdir", type=click.Path(file_okay=False), required=True)
-@click.option("--seed", type=int, default=None,
-              help="Seed for the multi-start initializations; overrides fit.seed.")
+@click.option("--seed", type=int, default=FitOptions.seed, show_default=True,
+              help="Seed for the multi-start initializations.")
 def cmd_fit(data_csv, config_path, outdir, seed):
     """Fit the coupled-mode model to an anticrossing CSV."""
     started = time.monotonic()
@@ -123,9 +123,7 @@ def cmd_fit(data_csv, config_path, outdir, seed):
             "gamma_leaky": DEFAULT_SYSTEM["gamma_leaky"],
             **settings.get("init", {}),
         }
-        options = settings.get("options", FitOptions())
-        if seed is not None:
-            options = replace(options, seed=seed)
+        options = replace(settings.get("options", FitOptions()), seed=seed)
         result = run_fit(data, init, bounds=settings.get("bounds"), options=options)
 
         out = Path(outdir)

@@ -93,11 +93,9 @@ class _Section:
             self.fail(key, "must not be null")
         return value
 
-    def _bounded(self, key, value, minimum, maximum):
+    def _at_least(self, key, value, minimum):
         if minimum is not None and value < minimum:
             self.fail(key, f"must be >= {minimum}, got {value}")
-        if maximum is not None and value > maximum:
-            self.fail(key, f"must be <= {maximum}, got {value}")
         return value
 
     def number(self, key, default=_REQUIRED, minimum=None) -> Optional[float]:
@@ -106,13 +104,13 @@ class _Section:
             return None
         if not _is_number(value):
             self.fail(key, f"expected a finite number, got {value!r}")
-        return float(self._bounded(key, value, minimum, None))
+        return float(self._at_least(key, value, minimum))
 
-    def integer(self, key, default=_REQUIRED, minimum=None, maximum=None) -> int:
+    def integer(self, key, default=_REQUIRED, minimum=None) -> int:
         value = self._get(key, default)
         if not isinstance(value, int) or isinstance(value, bool):
             self.fail(key, f"expected an integer, got {value!r}")
-        return self._bounded(key, value, minimum, maximum)
+        return self._at_least(key, value, minimum)
 
     def choice(self, key, options, default=_REQUIRED) -> Optional[str]:
         """A string, one of ``options`` unless they are None."""
@@ -214,8 +212,6 @@ class RunConfig:
     check_truncation: bool
     baseline_window_ps: Optional[tuple]
     delays_ps: Optional[list]
-    colormap: str
-    log_scale: bool
     fit: dict  # "control" (or None), "init" and "bounds" by parameter name, "options": FitOptions
 
     @property
@@ -280,13 +276,8 @@ def load_config(raw: dict) -> RunConfig:
     )
 
     profile_node = root.section("profile", {})
-    thermo = profile_node.section("thermo", {})
-    # the FP mode before any pulse: static offset plus thermo-optic red shift
-    lambda_fp = lambda_t + (
-        profile_node.number("static_detuning_nm", 0.0)
-        + thermo.number("coeff_nm_per_mw", 0.0, minimum=0.0)
-        * thermo.number("power_mw", 0.0, minimum=0.0)
-    )
+    # the FP mode before any pulse
+    lambda_fp = lambda_t + profile_node.number("static_detuning_nm", 0.0)
     if not 0.0 < lambda_fp < np.inf:
         profile_node.fail("static_detuning_nm", f"puts the FP mode at {lambda_fp} nm; its "
                                                 f"wavelength must be positive and finite")
@@ -324,7 +315,7 @@ def load_config(raw: dict) -> RunConfig:
         root.fail("delays_ps", f"delays name their outputs rounded to whole ps, so they must "
                                f"differ when rounded, got {delays}")
 
-    spectra, solver, render = (root.section(k, {}) for k in ("spectra", "solver", "render"))
+    spectra, solver = root.section("spectra", {}), root.section("solver", {})
     fit = root.section("fit", {})
     init, bounds, fit_defaults = fit.section("init", {}), fit.section("bounds", {}), FitOptions()
     atol = solver.number("atol", SOLVER_ATOL)
@@ -349,8 +340,6 @@ def load_config(raw: dict) -> RunConfig:
         check_truncation=solver.flag("check_truncation"),
         baseline_window_ps=window,
         delays_ps=delays,
-        colormap=render.choice("colormap", ("heat", "gray"), "heat"),
-        log_scale=render.flag("log_scale"),
         fit={
             "control": fit.choice("control", ("detuning_nm", "power_mw"), None),
             "init": {n: init.number(n) for n in PARAM_NAMES if n in init.node},
@@ -358,7 +347,6 @@ def load_config(raw: dict) -> RunConfig:
             "options": FitOptions(
                 max_evals=fit.integer("max_evals", fit_defaults.max_evals, minimum=1),
                 multistart=fit.integer("multistart", fit_defaults.multistart, minimum=0),
-                seed=fit.integer("seed", fit_defaults.seed, minimum=0, maximum=2**32 - 1),
             ),
         },
     )

@@ -36,16 +36,8 @@ from .modespace import (
     omega_to_wl,
     wl_to_omega,
 )
-# HilbertSpec and PumpSchedule live in tuning, free of scipy; they are
-# re-exported here as part of this module's interface
-from .tuning import (
-    SECONDS_PER_PS as _PS,
-    HilbertSpec,
-    PumpSchedule,
-    TuningProfile,
-    fp_shift_at,
-    fp_shift_scalar,
-)
+from . import tuning
+from .tuning import SECONDS_PER_PS as _PS, TuningProfile, fp_shift_at, fp_shift_scalar
 
 # steady_state fails above this residual ||L rho|| / ||rho|| (rad/ps)
 STEADY_RESIDUAL_TOL = 1e-10
@@ -66,7 +58,7 @@ class OperatorSet:
 
 
 @lru_cache(maxsize=8)
-def build_space(spec: HilbertSpec) -> OperatorSet:
+def build_space(spec: tuning.HilbertSpec) -> OperatorSet:
     """Truncated-boson and emitter operators for the given Hilbert space."""
     m = spec.n_max + 1
     a = np.zeros((m, m))
@@ -91,20 +83,20 @@ def build_space(spec: HilbertSpec) -> OperatorSet:
     )
 
 
-def vacuum_state(spec: HilbertSpec) -> np.ndarray:
+def vacuum_state(spec: tuning.HilbertSpec) -> np.ndarray:
     rho = np.zeros((spec.dim, spec.dim), dtype=complex)
     rho[0, 0] = 1.0
     return rho
 
 
-def fock_state(spec: HilbertSpec, e: int, n_t: int, n_fp: int) -> np.ndarray:
+def fock_state(spec: tuning.HilbertSpec, e: int, n_t: int, n_fp: int) -> np.ndarray:
     rho = np.zeros((spec.dim, spec.dim), dtype=complex)
     k = spec.index(e, n_t, n_fp)
     rho[k, k] = 1.0
     return rho
 
 
-def emitter_excited_state(spec: HilbertSpec) -> np.ndarray:
+def emitter_excited_state(spec: tuning.HilbertSpec) -> np.ndarray:
     return fock_state(spec, 1, 0, 0)
 
 
@@ -112,11 +104,11 @@ def expectation(op: np.ndarray, rho: np.ndarray) -> complex:
     return complex(np.einsum("ij,ji->", op, rho))
 
 
-def _spec_from_dim(dim: int) -> HilbertSpec:
+def _spec_from_dim(dim: int) -> tuning.HilbertSpec:
     m = round(np.sqrt(dim / 2.0))
     if 2 * m * m != dim or m < 2:
         raise InvalidInput(f"state dimension {dim} is not 2*(n_max+1)**2 with n_max >= 1")
-    return HilbertSpec(m - 1)
+    return tuning.HilbertSpec(m - 1)
 
 
 def _frame_omega(params: SystemParams) -> float:
@@ -124,7 +116,7 @@ def _frame_omega(params: SystemParams) -> float:
     return params.target.omega
 
 
-def _model(params: SystemParams, spec: HilbertSpec):
+def _model(params: SystemParams, spec: tuning.HilbertSpec):
     """Operators, the Hamiltonian without its FP term, and the fixed channels, in rad/ps.
 
     Returns ``(ops, h0, channels)``.  Each channel ``(rate, L)`` adds
@@ -295,7 +287,7 @@ class Trajectory:
 
 
 def _segment_breakpoints(
-    profile: TuningProfile, pump: PumpSchedule, t0: float, t1: float, extra: Sequence[float]
+    profile: TuningProfile, pump: tuning.PumpSchedule, t0: float, t1: float, extra: Sequence[float]
 ):
     """Times where the RHS is non-smooth, the ``extra`` times, and locally required step caps."""
     points = set(extra)
@@ -565,7 +557,7 @@ def mode_populations(rho: np.ndarray, coupled: CoupledModes) -> tuple[float, flo
 
 def dense_superoperator(
     params: SystemParams,
-    spec: HilbertSpec,
+    spec: tuning.HilbertSpec,
     pump_rate: Optional[float] = None,
 ) -> np.ndarray:
     """The compiled generator (1/s) on row-major vec(rho), as a dense matrix.
@@ -579,7 +571,7 @@ def dense_superoperator(
     return gen.matrix(_fixed_delta(params), pump_rate * _PS).toarray() / _PS
 
 
-def steady_state(params: SystemParams, spec: HilbertSpec) -> np.ndarray:
+def steady_state(params: SystemParams, spec: tuning.HilbertSpec) -> np.ndarray:
     """The steady state reached from the vacuum under CW pumping, the FP mode at ``params.fp``.
 
     Solves ``L vec(rho) = 0``, ``tr rho = 1`` by sparse LU on the entries that

@@ -19,9 +19,26 @@ _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 70, 20, 36, 50
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 
+def _escape(text: str) -> str:
+    """``text`` as XML character data, as ``xml.sax.saxutils.escape`` gives it;
+    importing that would load urllib, http and ssl, about 7 MB, into the CLI."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
+def _axis_range(lo: float, hi: float) -> tuple:
+    """``(lo, hi)``, or ``(lo, lo + 1)`` when ``hi`` is within a few ulps of ``lo``.
+
+    Across a few ulps no tick step is both round and representable, so such a
+    span is drawn like a flat one.
+    """
+    if hi - lo <= 4.0 * np.spacing(max(abs(lo), abs(hi))):
+        return lo, lo + 1.0
+    return lo, hi
+
+
 def _ticks(lo: float, hi: float, n: int = 6):
-    if hi <= lo:
-        hi = lo + 1.0
+    """Round values in ``[lo, hi]``, at most ``n`` of them."""
+    lo, hi = _axis_range(lo, hi)
     raw = (hi - lo) / max(n - 1, 1)
     mag = 10.0 ** np.floor(np.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
@@ -30,10 +47,11 @@ def _ticks(lo: float, hi: float, n: int = 6):
             break
     first = np.ceil(lo / step) * step
     ticks = []
-    v = first
-    while v <= hi + 1e-12 * abs(step):
+    for k in range(n):  # step >= (hi - lo) / (n - 1): no more than n ticks fit
+        v = first + k * step
+        if not v <= hi + 1e-12 * abs(step):  # a nan tick ends the axis too
+            break
         ticks.append(0.0 if abs(v) < 1e-12 * step else v)
-        v += step
     return ticks
 
 
@@ -49,7 +67,10 @@ def _require_finite(name: str, values: np.ndarray) -> None:
 
 
 def render_curve_svg(x, series, x_label: str, y_label: str, title: str = "") -> str:
-    """SVG 1.1 line plot; ``series`` is a list of (name, values) pairs, all finite."""
+    """SVG 1.1 line plot; ``series`` is a list of (name, values) pairs, all finite.
+
+    The title, the axis labels and the series names are escaped as XML text.
+    """
     x = np.asarray(x, dtype=float)
     if x.size == 0 or not series:
         raise SchemaError("no data to plot")
@@ -59,13 +80,9 @@ def render_curve_svg(x, series, x_label: str, y_label: str, title: str = "") -> 
         if y.size != x.size:
             raise SchemaError("series length does not match the x grid")
         _require_finite(name, y)
-    x_lo, x_hi = float(x.min()), float(x.max())
+    x_lo, x_hi = _axis_range(float(x.min()), float(x.max()))
     y_all = np.concatenate(ys)
-    y_lo, y_hi = float(y_all.min()), float(y_all.max())
-    if y_hi == y_lo:
-        y_hi = y_lo + 1.0
-    if x_hi == x_lo:
-        x_hi = x_lo + 1.0
+    y_lo, y_hi = _axis_range(float(y_all.min()), float(y_all.max()))
     pad = 0.04 * (y_hi - y_lo)
     y_lo, y_hi = y_lo - pad, y_hi + pad
 
@@ -84,7 +101,7 @@ def render_curve_svg(x, series, x_label: str, y_label: str, title: str = "") -> 
     if title:
         parts.append(
             f'<text x="{_WIDTH / 2:.1f}" y="22" text-anchor="middle" '
-            f'font-family="monospace" font-size="14">{title}</text>'
+            f'font-family="monospace" font-size="14">{_escape(title)}</text>'
         )
     axis_color = "#333333"
     x0, y0 = _MARGIN_L, _HEIGHT - _MARGIN_B
@@ -116,12 +133,12 @@ def render_curve_svg(x, series, x_label: str, y_label: str, title: str = "") -> 
         )
     parts.append(
         f'<text x="{(_MARGIN_L + _WIDTH - _MARGIN_R) / 2:.1f}" y="{_HEIGHT - 12}" '
-        f'text-anchor="middle" font-family="monospace" font-size="12">{x_label}</text>'
+        f'text-anchor="middle" font-family="monospace" font-size="12">{_escape(x_label)}</text>'
     )
     parts.append(
         f'<text x="16" y="{(_MARGIN_T + _HEIGHT - _MARGIN_B) / 2:.1f}" text-anchor="middle" '
         f'font-family="monospace" font-size="12" transform="rotate(-90 16 '
-        f'{(_MARGIN_T + _HEIGHT - _MARGIN_B) / 2:.1f})">{y_label}</text>'
+        f'{(_MARGIN_T + _HEIGHT - _MARGIN_B) / 2:.1f})">{_escape(y_label)}</text>'
     )
     for k, (name, y) in enumerate(series):
         color = _COLORS[k % len(_COLORS)]
@@ -132,7 +149,7 @@ def render_curve_svg(x, series, x_label: str, y_label: str, title: str = "") -> 
         parts.append(
             f'<text x="{_WIDTH - _MARGIN_R - 6}" y="{_MARGIN_T + 16 + 16 * k}" '
             f'text-anchor="end" font-family="monospace" font-size="11" '
-            f'fill="{color}">{name}</text>'
+            f'fill="{color}">{_escape(name)}</text>'
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -225,8 +225,7 @@ def _emit_dynamic_outputs(outdir: Path, prefix: str, traj, curves, cfg: RunConfi
     if render:
         from .render import render_curve_svg, render_heatmap_ppm
 
-        ppm = render_heatmap_ppm(pl_map.intensity, colormap=cfg.colormap, log_scale=cfg.log_scale)
-        (outdir / f"{prefix}map.ppm").write_bytes(ppm)
+        (outdir / f"{prefix}map.ppm").write_bytes(render_heatmap_ppm(pl_map.intensity))
         outputs.append(f"{prefix}map.ppm")
         for curve in curves:
             svg = render_curve_svg(

@@ -12,8 +12,6 @@ import numpy as np
 
 from .config import DEFAULT_SYSTEM
 from .lindblad import (
-    HilbertSpec,
-    PumpSchedule,
     build_space,
     dense_superoperator,
     emitter_excited_state,
@@ -34,7 +32,7 @@ from .modespace import (
     wl_to_omega,
 )
 from .spectra import DecayCurve, apply_filter, burst_metrics, synthesize_map
-from .tuning import FreeCarrierPulse, TuningProfile, fp_shift_at
+from .tuning import FreeCarrierPulse, HilbertSpec, PumpSchedule, TuningProfile, fp_shift_at
 
 
 def _default_params(pump=PumpSchedule(), **rates) -> SystemParams:

@@ -159,7 +159,8 @@ def burst_metrics(curve: DecayCurve, baseline_window_ps: tuple) -> BurstMetrics:
 
     The baseline is the mean over ``[t_a, t_b)``; the extremum search covers
     ``t >= t_b``.  Raises :class:`NoFeature` when the curve is flat against
-    the baseline scatter, and when the baseline is 0, where the depth is undefined.
+    the baseline scatter, and when the depth is undefined: on a baseline of 0
+    and at a dip that reaches 0.
     """
     t = curve.t_grid_ps
     y = curve.intensity
@@ -195,9 +196,8 @@ def burst_metrics(curve: DecayCurve, baseline_window_ps: tuple) -> BurstMetrics:
     if i0 == 0.0:
         raise NoFeature("depth undefined on a zero baseline")
     if kind == "dip" and ext <= 0.0:
-        depth = float("inf")
-    else:
-        depth = ext / i0 if kind == "burst" else i0 / ext
+        raise NoFeature("depth undefined: the dip reaches zero")
+    depth = ext / i0 if kind == "burst" else i0 / ext
     half_level = 0.5 * (i0 + ext)
     t_left = _half_crossing(t, y, i_ext, half_level, direction=-1)
     t_right = _half_crossing(t, y, i_ext, half_level, direction=+1)

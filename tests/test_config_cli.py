@@ -61,11 +61,12 @@ DROPPED_DRIVE_KEYS = ["pump.mode", "profile.pulses[0].tau_rise_ps"]
 
 
 def with_key(raw, path, value=1.0):
-    """``raw`` with ``value`` set at ``path``, such as ``profile.pulses[0].tau_rise_ps``."""
+    """``raw`` with ``value`` set at ``path``, such as ``profile.pulses[0].tau_rise_ps``;
+    a missing section on the way is added empty."""
     *parents, key = [int(k) if k.isdigit() else k for k in re.findall(r"[^.\[\]]+", path)]
     node = raw
     for k in parents:
-        node = node[k]
+        node = node[k] if isinstance(k, int) else node.setdefault(k, {})
     node[key] = value
     return raw
 
@@ -79,7 +80,7 @@ class TestConfigValidation:
     # neither a typo nor a key the schema has dropped may pass
     @pytest.mark.parametrize("path", [
         "system.kapa_t", "solver.frame", "solver.fixed_step_ps", "profile.kappa_fp_scale",
-        *DROPPED_DRIVE_KEYS,
+        *DROPPED_DRIVE_KEYS, "render", "profile.thermo", "fit.seed",
     ])
     def test_unknown_key_reports_path(self, path):
         with pytest.raises(SchemaError, match=re.escape(f"{path}: unknown key")):
@@ -140,15 +141,16 @@ class TestConfigValidation:
         assert "baseline_window_ps: " in res.output
 
     @pytest.mark.parametrize("offsets, lambda_fp", [
-        ({"static_detuning_nm": -2000.0}, "-448.0"),
-        ({"static_detuning_nm": -1552.0}, "0.0"),
-        ({"thermo": {"coeff_nm_per_mw": 1e200, "power_mw": 1e200}}, "inf"),
+        ({"profile.static_detuning_nm": -2000.0}, "-448.0"),
+        ({"profile.static_detuning_nm": -1552.0}, "0.0"),
+        ({"system.lambda_t_nm": 1e308, "profile.static_detuning_nm": 1e308}, "inf"),
     ])
     def test_fp_baseline_out_of_range_reports_the_profile(self, offsets, lambda_fp):
-        # the FP wavelength is lambda_t_nm plus the profile's offsets: the
+        # the FP wavelength is lambda_t_nm plus the profile's offset: the
         # error names the offset key and the wavelength, not the system section
         raw = small_dynamic_config()
-        raw["profile"].update(offsets)
+        for path, value in offsets.items():
+            with_key(raw, path, value)
         with pytest.raises(SchemaError, match=re.escape(
             f"profile.static_detuning_nm: puts the FP mode at {lambda_fp} nm; its wavelength "
             "must be positive and finite"
@@ -183,9 +185,6 @@ GAP_ROWS = [
     (None, "filters", [{"lambda_nm": 1552.2}, {"lambda_nm": 1552.204}], "filters[1].lambda_nm"),
     ("solver", "atol", 0.0, "solver.atol"),
     ("profile", "static_detuning_nm", -2000.0, "profile.static_detuning_nm"),
-    ("profile", "thermo", {"coeff_nm_per_mw": 0.1, "power_mw": -1.0}, "profile.thermo.power_mw"),
-    ("profile", "thermo", {"coeff_nm_per_mw": -0.1, "power_mw": 1.0},
-     "profile.thermo.coeff_nm_per_mw"),
 ]
 
 
@@ -392,15 +391,14 @@ class TestCliFit:
         assert "header 'detuning_nm' names a detuning_nm control column, but fit.control is " \
                "'power_mw'" in res.output
 
-    def test_config_seed_and_override(self, tmp_path):
+    def test_seed_option_seeds_the_extra_starts(self, tmp_path):
         data = synthetic_data(**TRUTH, detunings_nm=np.linspace(-1.2, 1.2, 25),
                               noise_sigma_nm=0.01, seed=2)
         table = write_table(tmp_path / "table.csv", data)
         init = {"eta": 1.3e11, "kappa_t": 1.2e11, "kappa_fp": 5.5e11, "lambda_t": 1552.1}
-        seeded = fit_config(tmp_path, "seeded.json", {"init": init, "multistart": 1, "seed": 5})
-        plain = fit_config(tmp_path, "plain.json", {"init": init, "multistart": 1})
+        cfg = fit_config(tmp_path, "fit.json", {"init": init, "multistart": 1})
 
-        def run(name, cfg, *extra):
+        def run(name, *extra):
             out = tmp_path / name
             res = CliRunner().invoke(
                 main, ["fit", str(table), "--config", str(cfg), "--out", str(out), *extra]
@@ -408,11 +406,9 @@ class TestCliFit:
             assert res.exit_code == 0, res.output
             return (out / "fit.json").read_text()
 
-        from_config = run("a", seeded)
-        assert from_config == run("b", plain, "--seed", "5")
-        assert from_config != run("c", plain)
-        # an explicit --seed overrides fit.seed
-        assert run("d", seeded, "--seed", "0") == run("c", plain)
+        assert run("a", "--seed", "5") != run("b")
+        # the default seed is FitOptions' 0
+        assert run("c", "--seed", "0") == run("b")
 
     @pytest.mark.parametrize("seed", ["-1", "4294967296"])
     def test_out_of_range_seed_exits_2(self, tmp_path, seed):
@@ -432,12 +428,6 @@ class TestCliFit:
         res = CliRunner().invoke(main, ["render", str(out / "residuals.csv"), "--out", str(svg)])
         assert res.exit_code == 0, res.output
         assert "weighted_residual" in svg.read_text()
-
-    def test_bad_config_seed_rejected(self):
-        raw = scenario_config("fig2-sweep")
-        raw["fit"] = {"seed": -1}
-        with pytest.raises(SchemaError, match="fit.seed"):
-            load_config(raw)
 
 
 class TestCliDynamic:

@@ -90,11 +90,11 @@ def test_lindblad_names_resolve_lazily(tmp_path):
         assert sorted(star.keys() - {"__builtins__"}) == sorted(cavtune.__all__)
 
         import cavtune.lindblad
-        import cavtune.tuning
         import scipy.integrate
 
-        assert cavtune.lindblad.PumpSchedule is cavtune.tuning.PumpSchedule
-        assert cavtune.lindblad.HilbertSpec is cavtune.tuning.HilbertSpec
+        # the pump and Hilbert-space dataclasses have one home, cavtune.tuning
+        assert not hasattr(cavtune.lindblad, "PumpSchedule")
+        assert not hasattr(cavtune.lindblad, "HilbertSpec")
         # the benchmark tracer finds this name by identity and wraps it
         assert cavtune.lindblad.solve_ivp is scipy.integrate.solve_ivp
         try:

@@ -1,9 +1,19 @@
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+from xml.dom import minidom
+
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import cavtune
 from cavtune import SchemaError
 from cavtune.cli import main
+from cavtune.config import scenario_config
 from cavtune.render import render_csv_file, render_curve_svg, render_heatmap_ppm, sniff_csv
 
 
@@ -31,6 +41,35 @@ class TestCurveSvg:
         series = [(name, columns[name]) for name in ("first", "second")]
         with pytest.raises(SchemaError, match=f"^{where}: not a finite number: {value}$"):
             render_curve_svg(columns["x"], series, "x", "y")
+
+    def test_span_of_a_few_ulps_is_drawn_flat(self):
+        # the tick search stepped v += step, and with step below half an ulp
+        # of v it never ended; a fresh interpreter's timeout keeps a hang out
+        # of the suite
+        code = """
+            import numpy as np
+            from cavtune.render import render_curve_svg
+            flat, index = np.full(3, 1552.0), np.arange(3.0)
+            for ulps in (1, 2, 4):
+                spread = flat + index * (ulps / 2) * np.spacing(1552.0)
+                for axis, x, y in (("x", spread, flat), ("y", index, spread)):
+                    flat_x = flat if axis == "x" else index
+                    drawn = render_curve_svg(x, [("y", y)], "x", "y")
+                    print(axis, ulps, drawn == render_curve_svg(flat_x, [("y", flat)], "x", "y"))
+        """
+        env = {**os.environ, "PYTHONPATH": str(Path(cavtune.__file__).parents[1])}
+        proc = subprocess.run([sys.executable, "-c", textwrap.dedent(code)],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stdout.split("\n")[:-1] == [
+            f"{axis} {ulps} True" for ulps in (1, 2, 4) for axis in ("x", "y")
+        ]
+
+    def test_text_is_escaped(self):
+        name, title = "a<b&c", "<x> & 'y'"
+        svg = render_curve_svg(np.arange(3.0), [(name, np.arange(3.0))], "t<ps>", name, title)
+        texts = {t.firstChild.data for t in minidom.parseString(svg).getElementsByTagName("text")}
+        assert {name, title, "t<ps>"} <= texts
 
 
 class TestHeatmapPpm:
@@ -138,3 +177,30 @@ class TestRenderCsv:
         assert res.exit_code == 2, res.output
         assert f"line {line}, column '{column}': not a finite number" in res.output
         assert not (tmp_path / "out").exists()
+
+
+def svg_texts(path) -> set:
+    """The text of each ``<text>`` element of the SVG file at ``path``; it must parse."""
+    return {t.firstChild.data for t in minidom.parse(str(path)).getElementsByTagName("text")}
+
+
+class TestCliTextIsEscaped:
+    def test_render_of_a_header_with_markup(self, tmp_path):
+        csv_path = tmp_path / "curve.csv"
+        csv_path.write_text("t_ps,a<b&c\n0,1\n1,2\n2,1\n")
+        res = CliRunner().invoke(main, ["render", str(csv_path), "--out", str(tmp_path / "c.svg")])
+        assert res.exit_code == 0, res.output
+        assert "a<b&c" in svg_texts(tmp_path / "c.svg")
+
+    def test_scenario_with_markup_titles_the_plots(self, tmp_path):
+        raw = scenario_config("fig2-sweep")
+        raw["scenario"] = "<sweep> & co"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        res = CliRunner().invoke(
+            main, ["static-sweep", "--config", str(cfg), "--out", str(out), "--render"]
+        )
+        assert res.exit_code == 0, res.output
+        assert "<sweep> & co: coupled-mode Q" in svg_texts(out / "sweep_q.svg")
+        assert "<sweep> & co: coupled-mode wavelengths" in svg_texts(out / "sweep_wavelengths.svg")

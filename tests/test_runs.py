@@ -6,9 +6,11 @@ import json
 import numpy as np
 import pytest
 
-from cavtune import runs
+from cavtune import NoFeature, runs
 from cavtune.config import load_config, scenario_config
+from cavtune.render import render_csv_file, render_heatmap_ppm
 from cavtune.runs import (
+    _metrics_entry,
     delay_profile,
     delay_scan,
     format_number,
@@ -18,7 +20,7 @@ from cavtune.runs import (
     write_map_csv,
 )
 from cavtune.modespace import BareMode, wl_to_omega
-from cavtune.spectra import PLMap, synthesize_map
+from cavtune.spectra import DecayCurve, PLMap, burst_metrics, synthesize_map
 from conftest import densities, map_and_curves, run_from
 
 # on the 4 ps grid from -100 to 2000 ps: on the grid, 1502 off it, -300 before
@@ -148,8 +150,9 @@ def test_delay_scan_checks_truncation_on_its_first_delay(tmp_path, monkeypatch):
 
 
 def _thermo_scaled_dip():
+    # the dip's 0.6 nm offset plus a 0.03 nm/mW thermo-optic shift at 7 mW
     raw = scenario_config("fig3-dip")
-    raw["profile"]["thermo"] = {"coeff_nm_per_mw": 0.03, "power_mw": 7.0}
+    raw["profile"]["static_detuning_nm"] = 0.6 + 0.03 * 7.0
     raw["system"]["kappa_fp"] *= 1.7
     return raw
 
@@ -159,7 +162,7 @@ def _thermo_scaled_dip():
     [
         (scenario_config("fig3-burst"), 1552.0, 4.692e11),
         (scenario_config("fig3-dip"), 1552.0 + 0.6, 4.692e11),
-        # lambda_t + (static_detuning_nm + coeff_nm_per_mw * power_mw)
+        # lambda_t + static_detuning_nm
         (_thermo_scaled_dip(), 1552.0 + (0.6 + 0.03 * 7.0), 4.692e11 * 1.7),
     ],
     ids=["fig3-burst", "fig3-dip", "thermo-kappa-scaled"],
@@ -185,3 +188,29 @@ def test_map_csv_matches_per_value_writer(tmp_path):
             for lam_j, v in zip(pl_map.lambda_grid_nm, row):
                 fh.write(f"{format_number(ti)},{format_number(lam_j)},{format_number(v)}\n")
     assert filecmp.cmp(tmp_path / "map.csv", tmp_path / "reference.csv", shallow=False)
+
+
+def test_render_of_the_written_map_is_the_heatmap_of_the_run(tmp_path):
+    # `cavtune render map.csv --colormap --log` is the one way to restyle a
+    # run's heatmap: the %.17g cells of map.csv give back the map exactly
+    cfg = delay_config(None)
+    run_dynamic(cfg, tmp_path, render=True)
+    pl_map, _ = map_and_curves(cfg, simulate_dynamic(cfg))
+    assert (tmp_path / "map.ppm").read_bytes() == render_heatmap_ppm(pl_map.intensity)
+    for colormap, log_scale in (("heat", False), ("gray", True)):
+        out = render_csv_file(tmp_path / "map.csv", tmp_path / "restyled.ppm",
+                              colormap=colormap, log_scale=log_scale)
+        assert out.read_bytes() == render_heatmap_ppm(pl_map.intensity, colormap, log_scale)
+
+
+def test_dip_to_zero_is_an_error_entry():
+    # its depth I_0 / I_min would be infinite, which JSON cannot hold
+    t = np.linspace(-600.0, 1200.0, 3601)
+    y = 1.0 - np.exp(-0.5 * ((t - 450.0) / 80.0) ** 2)
+    curve = DecayCurve(t, y, 1552.0, 0.5)
+    assert y.min() == 0.0
+    with pytest.raises(NoFeature, match="^depth undefined: the dip reaches zero$"):
+        burst_metrics(curve, (-600.0, 0.0))
+    entry = _metrics_entry(curve, (-600.0, 0.0))
+    assert entry["error"] == "depth undefined: the dip reaches zero"
+    json.dumps(entry, allow_nan=False)
