@@ -427,10 +427,7 @@ def scenario_config(name: str) -> dict:
         cfg["filters"] = [{"lambda_nm": 1552.0, "fwhm_nm": 0.5}]
         cfg["solver"]["initial_state"] = "vacuum"
         return cfg
-    raise SchemaError(
-        f"unknown scenario {name!r}; shipped scenarios: fig2-sweep, fig3-burst, "
-        f"fig3-dip, fig4-delay"
-    )
+    raise SchemaError(f"unknown scenario {name!r}; shipped scenarios: {', '.join(SCENARIO_NAMES)}")
 
 
 SCENARIO_NAMES = ("fig2-sweep", "fig3-burst", "fig3-dip", "fig4-delay")

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from copy import copy
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -57,25 +56,21 @@ class OperatorSet:
     n_fp: np.ndarray
 
 
-@lru_cache(maxsize=8)
 def build_space(spec: tuning.HilbertSpec) -> OperatorSet:
     """Truncated-boson and emitter operators for the given Hilbert space."""
     m = spec.n_max + 1
     a = np.zeros((m, m))
     for n in range(1, m):
         a[n - 1, n] = np.sqrt(n)
-    i2 = np.eye(2)
-    im = np.eye(m)
-    s_minus = np.array([[0.0, 1.0], [0.0, 0.0]])
-
-    sigma_minus = np.kron(s_minus, np.kron(im, im))
-    a_t = np.kron(i2, np.kron(a, im))
-    a_fp = np.kron(i2, np.kron(im, a))
+    cavities = np.eye(m * m)  # the identity on (target, FP)
+    sigma_minus = np.kron(np.array([[0.0, 1.0], [0.0, 0.0]]), cavities)
+    a_t = np.kron(np.eye(2), np.kron(a, np.eye(m)))
+    a_fp = np.kron(np.eye(2 * m), a)
     return OperatorSet(
         dim=2 * m * m,
         sigma_minus=sigma_minus,
         sigma_plus=sigma_minus.T.copy(),
-        n_e=np.kron(np.diag([0.0, 1.0]), np.kron(im, im)),
+        n_e=np.kron(np.diag([0.0, 1.0]), cavities),
         a_t=a_t,
         a_fp=a_fp,
         n_t=a_t.T @ a_t,
@@ -83,17 +78,15 @@ def build_space(spec: tuning.HilbertSpec) -> OperatorSet:
     )
 
 
-def vacuum_state(spec: tuning.HilbertSpec) -> np.ndarray:
-    rho = np.zeros((spec.dim, spec.dim), dtype=complex)
-    rho[0, 0] = 1.0
-    return rho
-
-
 def fock_state(spec: tuning.HilbertSpec, e: int, n_t: int, n_fp: int) -> np.ndarray:
     rho = np.zeros((spec.dim, spec.dim), dtype=complex)
     k = spec.index(e, n_t, n_fp)
     rho[k, k] = 1.0
     return rho
+
+
+def vacuum_state(spec: tuning.HilbertSpec) -> np.ndarray:
+    return fock_state(spec, 0, 0, 0)
 
 
 def emitter_excited_state(spec: tuning.HilbertSpec) -> np.ndarray:
@@ -286,28 +279,23 @@ class Trajectory:
         return rho.reshape(self.dim, self.dim)
 
 
-def _segment_breakpoints(
-    profile: TuningProfile, pump: tuning.PumpSchedule, t0: float, t1: float, extra: Sequence[float]
-):
-    """Times where the RHS is non-smooth, the ``extra`` times, and locally required step caps."""
-    points = set(extra)
-    points.update(p.t0_ps for p in profile.pulses)
-    caps = []  # (a, b, max_step)
-    for p in pump.pulse_events:
-        s = p.sigma_ps
-        points.add(p.t0_ps - 5.0 * s)
-        points.add(p.t0_ps + 5.0 * s)
-        caps.append((p.t0_ps - 5.0 * s, p.t0_ps + 5.0 * s, max(s / 2.0, 1e-3)))
-    pts = sorted(t for t in points if t0 < t < t1)
-    return [t0] + pts + [t1], caps
+def _segments(profile: TuningProfile, pump: tuning.PumpSchedule, t0: float, t1: float, extra):
+    """The integrator segments ``(a, b, max_step)`` that cover ``[t0, t1]``.
 
-
-def _max_step_for(a: float, b: float, caps) -> float:
-    step = b - a
-    for ca, cb, cap in caps:
-        if a < cb and b > ca:  # overlap
-            step = min(step, cap)
-    return max(step, 1e-6)
+    A segment ends at each time where the RHS is non-smooth (a pulse onset,
+    either edge of a pump pulse's +-5 sigma window) and at each ``extra``
+    time.  A segment that overlaps pump windows steps at most the smallest of
+    their sigma/2 (at least 1e-3 ps); every step cap is at least 1e-6 ps.
+    """
+    windows = [
+        (p.t0_ps - 5.0 * p.sigma_ps, p.t0_ps + 5.0 * p.sigma_ps, max(p.sigma_ps / 2.0, 1e-3))
+        for p in pump.pulse_events
+    ]
+    points = {*extra, *(p.t0_ps for p in profile.pulses), *(t for w in windows for t in w[:2])}
+    bounds = [t0] + sorted(t for t in points if t0 < t < t1) + [t1]
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        step = min([b - a] + [cap for ca, cb, cap in windows if a < cb and b > ca])
+        yield a, b, max(step, 1e-6)
 
 
 def evolve(
@@ -372,14 +360,11 @@ def evolve(
 
         return rhs, jac
 
-    bounds, caps = _segment_breakpoints(
-        profile, pump, float(t_grid[0]), float(t_grid[-1]), breakpoints_ps
-    )
-
     states = np.empty((t_grid.size, keep.size), dtype=complex)
     y = rho0.ravel()
     states[0] = y[keep]
-    for a, b in zip(bounds[:-1], bounds[1:]):
+    for a, b, max_step in _segments(profile, pump, float(t_grid[0]), float(t_grid[-1]),
+                                    breakpoints_ps):
         rhs, jac = segment_on(a)
         inside = np.flatnonzero((t_grid > a) & (t_grid <= b))
         t_eval = np.unique(np.append(t_grid[inside], b))
@@ -387,7 +372,7 @@ def evolve(
         # tracer reads n_max from len(y0)
         sol = solve_ivp(
             rhs, (a, b), y, method="BDF", t_eval=t_eval, jac=jac, rtol=rtol, atol=atol,
-            max_step=_max_step_for(a, b, caps),
+            max_step=max_step,
         )
         if not sol.success:
             raise NumericalFailure(f"integrator failed in segment [{a}, {b}] ps: {sol.message}")
@@ -467,39 +452,48 @@ def _components(keep: np.ndarray, dim: int) -> np.ndarray:
         labels = grown
 
 
-def _block_checks(states: np.ndarray, keep: np.ndarray, dim: int) -> tuple[float, float, float]:
-    """Largest trace deviation from 1, largest deviation from Hermiticity and
-    smallest eigenvalue of the Hermitian parts, over ``states``.
+def _block_checks(states: np.ndarray, keep: np.ndarray, dim: int) -> tuple[np.ndarray, ...]:
+    """Per state: the trace deviation from 1, the largest deviation from
+    Hermiticity and the smallest eigenvalue of the Hermitian part.
 
     Each row of ``states`` holds the entries ``keep`` of the row-major vec(rho)
     of a ``dim`` x ``dim`` matrix that is 0 elsewhere.  A nonzero rho_ij has i
     and j in one component of :func:`_components`, so rho is block-diagonal
     over the components (an index in no kept entry is a zero 1 x 1 block), and
-    the three values of the whole matrices come from the components' submatrices.
+    its eigenvalues are those of the components' submatrices.
     """
     rows, cols = np.divmod(keep, dim)
-    trace_dev = float(np.max(np.abs(states[:, rows == cols].sum(axis=1) - 1.0)))
-    labels = _components(keep, dim)
-    members = [np.flatnonzero(labels == label) for label in np.unique(labels)]
+    trace_dev = np.abs(states[:, rows == cols].sum(axis=1) - 1.0)
     column = np.full(dim * dim, keep.size)  # the column of states of each entry of vec(rho)
     column[keep] = np.arange(keep.size)
-    herm_dev, min_eig = 0.0, np.inf
+    labels = _components(keep, dim)
+    members = [np.flatnonzero(labels == label) for label in np.unique(labels)]
+    # per component size, the columns of the submatrices of the components of that size
+    wheres = []
     for size in sorted({m.size for m in members}):
-        # the submatrices of the components of this size, at every time
         basis = np.array([m for m in members if m.size == size])
-        where = column[basis[:, :, None] * dim + basis[:, None, :]]
-        kept = where < keep.size
-        # 128 states at a time, so that the temporaries stay small beside the states
-        for chunk in np.split(states, range(128, len(states), 128)):
-            blocks = np.zeros((len(chunk),) + where.shape, dtype=complex)
-            blocks[:, kept] = chunk[:, where[kept]]
-            # the adjoints, then in place the Hermitian parts
+        wheres.append(column[basis[:, :, None] * dim + basis[:, None, :]])
+    herm_dev = np.empty(len(states))
+    eigenvalues = np.empty((len(states), dim))  # the components' dim eigenvalues together
+    # 128 states at a time, so that the temporaries stay small beside the states;
+    # the last column, at index keep.size, holds the entries that are 0
+    padded = np.zeros((min(len(states), 128), keep.size + 1), dtype=complex)
+    for start in range(0, len(states), 128):
+        at = slice(start, start + 128)
+        chunk = padded[: len(states[at])]
+        chunk[:, :-1] = states[at]
+        adjoints = np.conj(chunk[:, column[cols * dim + rows]])
+        herm_dev[at] = np.abs(chunk[:, :-1] - adjoints).max(axis=1)
+        filled = 0
+        for where in wheres:
+            blocks = chunk[:, where]
             hermitian_parts = np.conj(np.swapaxes(blocks, -1, -2))
-            herm_dev = max(herm_dev, float(np.max(np.abs(blocks - hermitian_parts))))
             hermitian_parts += blocks
             hermitian_parts *= 0.5
-            min_eig = min(min_eig, float(np.linalg.eigvalsh(hermitian_parts).min()))
-    return trace_dev, herm_dev, min_eig
+            values = np.linalg.eigvalsh(hermitian_parts).reshape(len(chunk), -1)
+            eigenvalues[at, filled : filled + values.shape[1]] = values
+            filled += values.shape[1]
+    return trace_dev, herm_dev, eigenvalues.min(axis=1)
 
 
 def _state_fault(trace_dev: float, herm_dev: float, min_eig: float) -> Optional[str]:
@@ -519,23 +513,23 @@ def _state_fault(trace_dev: float, herm_dev: float, min_eig: float) -> Optional[
 
 
 def _require_valid(states, keep, dim, times=None) -> tuple[float, float, float]:
-    """:func:`_block_checks` of ``states``; raises :class:`NumericalFailure` if one is not valid.
+    """The extremes of :func:`_block_checks` over ``states``; raises
+    :class:`NumericalFailure` if a state is not valid.
 
-    Only after a violation are the states checked one at a time, so that the
-    message names the first failing time of ``times``; without ``times`` the
-    one state is a steady state.
+    The message names the first failing time of ``times``; without ``times``
+    the one state is a steady state.
     """
-    checks = _block_checks(states, keep, dim)
-    fault = _state_fault(*checks)
+    trace_dev, herm_dev, min_eig = _block_checks(states, keep, dim)
+    extremes = float(trace_dev.max()), float(herm_dev.max()), float(min_eig.min())
+    fault = _state_fault(*extremes)
     if fault is None:
-        return checks
+        return extremes
     if times is None:
         raise NumericalFailure(f"steady state {fault}")
-    for t, row in zip(times, states):
-        row_fault = _state_fault(*_block_checks(row[None], keep, dim))
-        if row_fault is not None:
-            raise NumericalFailure(f"state at t = {t} ps {row_fault}")
-    raise NumericalFailure(f"states {fault}")
+    for t, *checks in zip(times, trace_dev, herm_dev, min_eig):
+        fault = _state_fault(*checks)
+        if fault is not None:
+            raise NumericalFailure(f"state at t = {t} ps {fault}")
 
 
 def mode_populations(rho: np.ndarray, coupled: CoupledModes) -> tuple[float, float]:
@@ -601,7 +595,8 @@ def steady_state(params: SystemParams, spec: tuning.HilbertSpec) -> np.ndarray:
         raise NumericalFailure(
             f"steady-state residual {residual:.3e} not below {STEADY_RESIDUAL_TOL:.3e}"
         )
-    return _sanitize_state(x.reshape(d, d))
+    _require_valid(x[keep][None], keep, d)
+    return x.reshape(d, d)
 
 
 def _closure(mat: sparse.spmatrix, vec_rho0: np.ndarray) -> np.ndarray:
@@ -622,9 +617,3 @@ def _closure(mat: sparse.spmatrix, vec_rho0: np.ndarray) -> np.ndarray:
             return np.flatnonzero(seen)
         seen = grown
 
-
-def _sanitize_state(rho: np.ndarray) -> np.ndarray:
-    """``rho``, checked on its nonzero entries; raises :class:`NumericalFailure` if invalid."""
-    keep = np.flatnonzero(rho)
-    _require_valid(rho.ravel()[keep][None], keep, rho.shape[0])
-    return rho

@@ -25,27 +25,34 @@ def _escape(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def _axis_range(lo: float, hi: float) -> tuple:
-    """``(lo, hi)``, or ``(lo, lo + 1)`` when ``hi`` is within a few ulps of ``lo``.
+def _plot_span(label: str, values: np.ndarray, pad: float) -> tuple:
+    """The plotted range of ``values``, widened by ``pad`` of its span at each end.
 
-    Across a few ulps no tick step is both round and representable, so such a
-    span is drawn like a flat one.
+    A span within a few ulps is drawn like a flat one, from ``lo`` to
+    ``lo + 1``: across a few ulps no tick step is both round and
+    representable.  A range whose span or padded ends overflow a float is a
+    :class:`SchemaError` naming ``label``.
     """
+    lo, hi = float(values.min()), float(values.max())
     if hi - lo <= 4.0 * np.spacing(max(abs(lo), abs(hi))):
-        return lo, lo + 1.0
+        hi = lo + 1.0
+    margin = pad * (hi - lo)
+    lo, hi = lo - margin, hi + margin
+    if not np.isfinite(hi - lo):
+        raise SchemaError(f"{label}: the plot range of {values.min()} to {values.max()} "
+                          f"overflows a float")
     return lo, hi
 
 
 def _ticks(lo: float, hi: float, n: int = 6):
     """Round values in ``[lo, hi]``, at most ``n`` of them."""
-    lo, hi = _axis_range(lo, hi)
     raw = (hi - lo) / max(n - 1, 1)
     mag = 10.0 ** np.floor(np.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         if raw <= mult * mag:
-            step = mult * mag
+            step = float(mult * mag)  # Python floats: a k * step past the largest is inf
             break
-    first = np.ceil(lo / step) * step
+    first = float(np.ceil(lo / step)) * step
     ticks = []
     for k in range(n):  # step >= (hi - lo) / (n - 1): no more than n ticks fit
         v = first + k * step
@@ -80,11 +87,8 @@ def render_curve_svg(x, series, x_label: str, y_label: str, title: str = "") -> 
         if y.size != x.size:
             raise SchemaError("series length does not match the x grid")
         _require_finite(name, y)
-    x_lo, x_hi = _axis_range(float(x.min()), float(x.max()))
-    y_all = np.concatenate(ys)
-    y_lo, y_hi = _axis_range(float(y_all.min()), float(y_all.max()))
-    pad = 0.04 * (y_hi - y_lo)
-    y_lo, y_hi = y_lo - pad, y_hi + pad
+    x_lo, x_hi = _plot_span(x_label, x, 0.0)
+    y_lo, y_hi = _plot_span(y_label, np.concatenate(ys), 0.04)
 
     def sx(v):
         return _MARGIN_L + (v - x_lo) / (x_hi - x_lo) * (_WIDTH - _MARGIN_L - _MARGIN_R)
@@ -191,7 +195,7 @@ def render_heatmap_ppm(
 
 
 def sniff_csv(path) -> tuple[str, list, np.ndarray]:
-    """Classify an emitted CSV as curve / map / sweep and parse it.
+    """Classify an emitted CSV as ``"map"`` or ``"curve"`` and parse it.
 
     A cell that is not a finite number (``nan``, ``inf``) is a
     :class:`SchemaError` that names its line and column.

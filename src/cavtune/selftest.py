@@ -6,19 +6,19 @@ diagnostic, not a replacement for the full pytest suite.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 
 from .config import DEFAULT_SYSTEM
 from .lindblad import (
-    build_space,
+    _closure,
+    _Generator,
     dense_superoperator,
     emitter_excited_state,
     evolve,
     fock_state,
     liouvillian_apply,
-    mode_populations,
+    make_trajectory,
+    vacuum_state,
 )
 from .modespace import (
     TWO_PI_C_NM,
@@ -35,14 +35,15 @@ from .spectra import DecayCurve, apply_filter, burst_metrics, synthesize_map
 from .tuning import FreeCarrierPulse, HilbertSpec, PumpSchedule, TuningProfile, fp_shift_at
 
 
-def _default_params(pump=PumpSchedule(), **rates) -> SystemParams:
-    """``DEFAULT_SYSTEM``, the FP mode on the target, with ``rates`` (g, gamma_leaky, eta) replaced."""
+def _default_params(pump=PumpSchedule(), fp_red_nm=0.0, **rates) -> SystemParams:
+    """``DEFAULT_SYSTEM``, the FP mode ``fp_red_nm`` red of the target, with
+    ``rates`` (g, gamma_leaky, eta) replaced."""
     system = {**DEFAULT_SYSTEM, **rates}
     omega_t = wl_to_omega(system["lambda_t_nm"])
     return SystemParams(
         EmitterParams(omega_t, system["g"], system["gamma_leaky"]),
         BareMode(omega_t, system["kappa_t"]),
-        BareMode(omega_t, system["kappa_fp"]),
+        BareMode(wl_to_omega(system["lambda_t_nm"] + fp_red_nm), system["kappa_fp"]),
         system["eta"],
         pump,
     )
@@ -152,8 +153,7 @@ def _check_emitter_leaky_decay():
 def _check_purcell_rate():
     # no cavity-pair coupling and the FP mode 8 nm off: the emitter decays
     # through the target at the adiabatic (weak-coupling) rate
-    p = _default_params(g=DEFAULT_SYSTEM["kappa_t"] / 20.0, eta=0.0)
-    p = replace(p, fp=BareMode(wl_to_omega(DEFAULT_SYSTEM["lambda_t_nm"] + 8.0), p.fp.kappa))
+    p = _default_params(fp_red_nm=8.0, g=DEFAULT_SYSTEM["kappa_t"] / 20.0, eta=0.0)
     expected = p.emitter.gamma_leaky + p.purcell_rate
     t = np.linspace(0.0, 2.0 / (expected * 1e-12), 201)
     traj = evolve(p, TuningProfile(), emitter_excited_state(HilbertSpec(1)), t)
@@ -179,51 +179,35 @@ def _check_dense_oracle():
 
 
 def _check_mode_population_sum():
+    # the closed-form n1, n2 that the emission model reads, on random valid
+    # states over the vacuum's closure under a CW pump
     spec = HilbertSpec(2)
-    p = _default_params()
-    cm = couple(p.target, p.fp, p.eta)
-    ops = build_space(spec)
+    p = _default_params(pump=PumpSchedule(cw_rate=1e8))
+    gen = _Generator(p, spec)
+    keep = _closure(abs(gen.l0) + abs(gen.l_pump), vacuum_state(spec).ravel())
     rng = np.random.RandomState(5)
-    ok = True
-    for _ in range(10):
-        x = rng.randn(spec.dim, spec.dim) + 1j * rng.randn(spec.dim, spec.dim)
-        rho = x @ x.conj().T
-        rho /= np.trace(rho).real
-        n1, n2 = mode_populations(rho, cm)
-        total = np.einsum("ij,ji->", ops.n_t + ops.n_fp, rho).real
-        ok = ok and abs(n1 + n2 - total) < 1e-8
+    x = rng.randn(10, spec.dim, spec.dim) + 1j * rng.randn(10, spec.dim, spec.dim)
+    rhos = (x @ np.conj(np.swapaxes(x, 1, 2))).reshape(10, -1)[:, keep]  # positive, pinched
+    rhos /= rhos[:, keep % (spec.dim + 1) == 0].sum(axis=1, keepdims=True).real
+    traj = make_trajectory(p, TuningProfile(), np.arange(10.0), rhos, keep, spec.dim)
+    ok = np.max(np.abs(traj.n1 + traj.n2 - (traj.n_t + traj.n_fp))) < 1e-8
     return ok, "n1 + n2 equals <n_t> + <n_fp> on random states"
 
 
 def _single_line():
-    """A line of unit population and weight at the target; 8001 points over +-80 linewidths."""
-    from .lindblad import Trajectory
+    """One target photon, the FP uncoupled 5 nm red, over 8001 points of +-80 linewidths.
 
-    n = 5
+    Mode 2 is then a line of unit population and weight at the target, and
+    mode 1 carries no flux.
+    """
     lam_t = DEFAULT_SYSTEM["lambda_t_nm"]
-    kappa = DEFAULT_SYSTEM["kappa_t"]
-    traj = Trajectory(
-        t_ps=np.linspace(0.0, 10.0, n),
-        n_e=np.zeros(n),
-        n_t=np.ones(n),
-        n_fp=np.zeros(n),
-        n1=np.ones(n),
-        n2=np.zeros(n),
-        lambda1_nm=np.full(n, lam_t),
-        lambda2_nm=np.full(n, lam_t + 5.0),
-        kappa1=np.full(n, kappa),
-        kappa2=np.full(n, kappa),
-        w1=np.ones(n),
-        w2=np.zeros(n),
-        states=np.zeros((n, 1), dtype=complex),
-        keep=np.array([0]),
-        dim=8,
-        kappa_t=kappa,
-        trace_dev_max=0.0,
-        hermiticity_dev_max=0.0,
-        min_eigenvalue=0.0,
-    )
-    line_fwhm = 2.0 * kappa * lam_t**2 / TWO_PI_C_NM
+    p = _default_params(fp_red_nm=5.0, eta=0.0)
+    spec = HilbertSpec(1)
+    rho = fock_state(spec, 0, 1, 0).ravel()
+    keep = np.flatnonzero(rho)
+    traj = make_trajectory(p, TuningProfile(), np.linspace(0.0, 10.0, 5),
+                           np.tile(rho[keep], (5, 1)), keep, spec.dim)
+    line_fwhm = 2.0 * p.target.kappa * lam_t**2 / TWO_PI_C_NM
     return traj, np.linspace(lam_t - 80 * line_fwhm, lam_t + 80 * line_fwhm, 8001)
 
 

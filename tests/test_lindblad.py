@@ -37,7 +37,8 @@ from cavtune.lindblad import (
     _closure,
     _delta_fp_fn,
     _Generator,
-    _sanitize_state,
+    _require_valid,
+    _segments,
     expectation,
     make_trajectory,
 )
@@ -378,6 +379,27 @@ class TestEvolve:
         free = evolve(p, TuningProfile(), emitter_excited_state(spec), t[before])
         np.testing.assert_array_equal(densities(with_pulse)[before], densities(free))
 
+    def test_segments_cap_steps_by_the_narrowest_overlapping_pump_window(self):
+        # the wide pump window (-5.5, 45.5) ps holds the narrow one's upper
+        # part (-12.7, 12.7) ps, and the free-carrier onset at -8 ps lies in
+        # the narrow one alone; the extra time 150 ps lies past t1
+        narrow, wide = PumpPulse(0.0, 1.0, 6.0), PumpPulse(20.0, 1.0, 12.0)
+        pump = PumpSchedule(pulse_events=(wide, narrow))
+        profile = TuningProfile(pulses=(FreeCarrierPulse(-8.0, 0.6, 150.0),))
+        sn, sw = narrow.sigma_ps, wide.sigma_ps
+        n_lo, n_hi = 0.0 - 5.0 * sn, 0.0 + 5.0 * sn
+        w_lo, w_hi = 20.0 - 5.0 * sw, 20.0 + 5.0 * sw
+        assert sn / 2.0 < sw / 2.0 < 60.0 - w_hi
+        assert list(_segments(profile, pump, -50.0, 100.0, [60.0, 150.0])) == [
+            (-50.0, n_lo, n_lo + 50.0),
+            (n_lo, -8.0, sn / 2.0),
+            (-8.0, w_lo, sn / 2.0),
+            (w_lo, n_hi, sn / 2.0),
+            (n_hi, w_hi, sw / 2.0),
+            (w_hi, 60.0, 60.0 - w_hi),
+            (60.0, 100.0, 40.0),
+        ]
+
     def test_scalar_delta_matches_array_path(self, in_frame):
         pulses = (
             FreeCarrierPulse(0.0, 0.6, 352.0),
@@ -573,6 +595,24 @@ class TestStateValidity:
                     make_trajectory(p, TuningProfile(), self.T, states, keep, spec.dim)
                 assert str(failure.value).startswith(f"state at t = {self.T[7]} ps ")
 
+    def test_failing_states_are_checked_in_one_pass(self, monkeypatch):
+        # rows 7 and 9 fail; the first failing time comes from the values of
+        # the one pass over all states, not from a second pass row by row
+        spec = HilbertSpec(1)
+        p, keep, states = self._states(spec, self.T.size)
+        states[[7, 9], 0] += 1e-6
+        calls = []
+
+        def counting_block_checks(*args):
+            calls.append(args)
+            return _block_checks(*args)
+
+        monkeypatch.setattr(lindblad, "_block_checks", counting_block_checks)
+        with pytest.raises(NumericalFailure, match="trace .* deviates from 1") as failure:
+            make_trajectory(p, TuningProfile(), self.T, states, keep, spec.dim)
+        assert str(failure.value).startswith(f"state at t = {self.T[7]} ps ")
+        assert len(calls) == 1
+
 
 class TestBlockChecks:
     """``_block_checks`` on the kept entries against dense ``eigvalsh`` on the whole matrices."""
@@ -581,16 +621,20 @@ class TestBlockChecks:
     def _dense(rhos):
         adjoints = np.conj(np.swapaxes(rhos, 1, 2))
         return (
-            np.max(np.abs(np.einsum("tii->t", rhos) - 1.0)),
-            np.max(np.abs(rhos - adjoints)),
-            np.linalg.eigvalsh(0.5 * (rhos + adjoints)).min(),
+            np.abs(np.einsum("tii->t", rhos) - 1.0),
+            np.abs(rhos - adjoints).max(axis=(1, 2)),
+            np.linalg.eigvalsh(0.5 * (rhos + adjoints)).min(axis=1),
         )
 
     @classmethod
     def _compare(cls, rhos, keep):
+        """The per-state values against the dense ones; returns their extremes."""
         got = _block_checks(rhos.reshape(len(rhos), -1)[:, keep], keep, rhos.shape[1])
-        np.testing.assert_allclose(got, cls._dense(rhos), rtol=0.0, atol=1e-12)
-        return got
+        for values, dense in zip(got, cls._dense(rhos)):
+            assert values.shape == (len(rhos),)
+            np.testing.assert_allclose(values, dense, rtol=0.0, atol=1e-12)
+        trace_dev, herm_dev, min_eig = got
+        return trace_dev.max(), herm_dev.max(), min_eig.min()
 
     @staticmethod
     def _keep(spec, rho0):
@@ -930,8 +974,9 @@ class TestSteadyState:
             state[entry] += factor * limit
             if entry == (3, 3):
                 state[0, 0] -= factor * limit  # the trace stays 1
+            keep = np.flatnonzero(state)
             if passes:
-                assert _sanitize_state(state) is state
+                _require_valid(state.ravel()[keep][None], keep, 4)
             else:
                 with pytest.raises(NumericalFailure, match=message):
-                    _sanitize_state(state)
+                    _require_valid(state.ravel()[keep][None], keep, 4)

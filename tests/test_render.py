@@ -42,6 +42,24 @@ class TestCurveSvg:
         with pytest.raises(SchemaError, match=f"^{where}: not a finite number: {value}$"):
             render_curve_svg(columns["x"], series, "x", "y")
 
+    @pytest.mark.parametrize("axis, values", [
+        ("x", [-1e308, 0.0, 1e308]),
+        ("y", [-1e308, 0.0, 1e308]),
+        ("y", [1.75e308, 1.76e308, 1.797e308]),  # only the padded top passes the largest float
+    ])
+    def test_plot_range_past_the_largest_float_names_its_axis(self, axis, values):
+        # an infinite span or end made every coordinate nan
+        wide, index = np.array(values), np.arange(3.0)
+        x, y = (wide, index) if axis == "x" else (index, wide)
+        with pytest.raises(SchemaError, match=f"^{axis}: the plot range of .* overflows a float$"):
+            render_curve_svg(x, [("first", y)], "x", "y")
+
+    def test_span_near_the_largest_float_is_drawn(self):
+        # a tick step times its index passes the largest float
+        svg = render_curve_svg(np.array([0.0, 1e308, 1.7e308]), [("y", np.arange(3.0))], "x", "y")
+        assert "nan" not in svg and "inf" not in svg
+        minidom.parseString(svg)
+
     def test_span_of_a_few_ulps_is_drawn_flat(self):
         # the tick search stepped v += step, and with step below half an ulp
         # of v it never ended; a fresh interpreter's timeout keeps a hang out
@@ -177,6 +195,15 @@ class TestRenderCsv:
         assert res.exit_code == 2, res.output
         assert f"line {line}, column '{column}': not a finite number" in res.output
         assert not (tmp_path / "out").exists()
+
+
+def test_curve_past_the_largest_float_exits_2(tmp_path):
+    csv_path = tmp_path / "wide.csv"
+    csv_path.write_text("t_ps,y\n0,-1e308\n1,0\n2,1e308\n")
+    res = CliRunner().invoke(main, ["render", str(csv_path), "--out", str(tmp_path / "out")])
+    assert res.exit_code == 2, res.output
+    assert "y: the plot range of -1e+308 to 1e+308 overflows a float" in res.output
+    assert not (tmp_path / "out").exists()
 
 
 def svg_texts(path) -> set:
