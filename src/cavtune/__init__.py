@@ -29,7 +29,7 @@ _EXPORTS = {
         " synthesize_map",
         "fitting": "AnticrossingData FitOptions FitResult fit read_anticrossing_csv",
         "lindblad": "Trajectory build_space dense_superoperator emitter_excited_state evolve"
-        " fock_state liouvillian_apply mode_populations steady_state vacuum_state",
+        " fock_state liouvillian_apply steady_state vacuum_state",
     }.items()
     for name in names.split()
 }

@@ -275,16 +275,26 @@ def load_config(raw: dict) -> RunConfig:
         cavity_cw_rate=pump.number("cavity_cw_rate", 0.0, minimum=0.0),
     )
 
+    delays = root.numbers("delays_ps", None)
+    if delays is not None and len(set(map(delay_prefix, delays))) < len(delays):
+        root.fail("delays_ps", f"delays name their outputs rounded to whole ps, so they must "
+                               f"differ when rounded, got {delays}")
     profile_node = root.section("profile", {})
     # the FP mode before any pulse
     lambda_fp = lambda_t + profile_node.number("static_detuning_nm", 0.0)
     if not 0.0 < lambda_fp < np.inf:
         profile_node.fail("static_detuning_nm", f"puts the FP mode at {lambda_fp} nm; its "
                                                 f"wavelength must be positive and finite")
+    pulses = profile_node.sections("pulses")
+    if delays is not None and len(pulses) != 1:
+        root.fail("delays_ps", "delay scans need exactly one template pulse in profile.pulses")
+    if delays is not None and pulses[0].number("t0_ps", None) is not None:
+        pulses[0].fail("t0_ps", "delays_ps sets each run's pulse time in a delay scan")
     profile = TuningProfile(tuple(
-        p.build(FreeCarrierPulse, p.number("t0_ps"),
+        # a scan's template sits at its first delay; runs.delay_profile moves it to each
+        p.build(FreeCarrierPulse, p.number("t0_ps") if delays is None else delays[0],
                 p.number("delta_lambda_max_nm", minimum=0.0), p.number("tau_fc_ps"))
-        for p in profile_node.sections("pulses")
+        for p in pulses
     ))
     omega_t = wl_to_omega(lambda_t)
     params = system.build(lambda: SystemParams(
@@ -303,17 +313,11 @@ def load_config(raw: dict) -> RunConfig:
         root.fail("grids", "dynamic runs need time_ps and lambda_nm grids")
 
     window = root.interval("baseline_window_ps", None, strict=True)
-    delays = root.numbers("delays_ps", None)
     if window is not None and delays is not None:
         root.fail("baseline_window_ps", "a delay scan takes the baseline window before each "
                                         "delay, so this key cannot be set with delays_ps")
-    if window is None and profile.pulses:
+    if window is None and delays is None and profile.pulses:
         window = (profile.pulses[0].t0_ps - BASELINE_SPAN_PS, profile.pulses[0].t0_ps)
-    if delays is not None and len(profile.pulses) != 1:
-        root.fail("delays_ps", "delay scans need exactly one template pulse in profile.pulses")
-    if delays is not None and len(set(map(delay_prefix, delays))) < len(delays):
-        root.fail("delays_ps", f"delays name their outputs rounded to whole ps, so they must "
-                               f"differ when rounded, got {delays}")
 
     spectra, solver = root.section("spectra", {}), root.section("solver", {})
     fit = root.section("fit", {})
@@ -419,7 +423,7 @@ def scenario_config(name: str) -> dict:
         cfg["profile"] = {
             "static_detuning_nm": 0.0,
             "pulses": [
-                {"t0_ps": 2000.0, "delta_lambda_max_nm": 0.6, "tau_fc_ps": TAU_FC_CALIBRATED_PS}
+                {"delta_lambda_max_nm": 0.6, "tau_fc_ps": TAU_FC_CALIBRATED_PS}
             ],
         }
         cfg["delays_ps"] = [1500.0, 2000.0, 2500.0]

@@ -29,7 +29,6 @@ from .config import SOLVER_ATOL, SOLVER_RTOL
 from .errors import InvalidInput, NumericalFailure
 from .modespace import (
     BareMode,
-    CoupledModes,
     SystemParams,
     couple,
     omega_to_wl,
@@ -91,10 +90,6 @@ def vacuum_state(spec: tuning.HilbertSpec) -> np.ndarray:
 
 def emitter_excited_state(spec: tuning.HilbertSpec) -> np.ndarray:
     return fock_state(spec, 1, 0, 0)
-
-
-def expectation(op: np.ndarray, rho: np.ndarray) -> complex:
-    return complex(np.einsum("ij,ji->", op, rho))
 
 
 def _spec_from_dim(dim: int) -> tuning.HilbertSpec:
@@ -530,23 +525,6 @@ def _require_valid(states, keep, dim, times=None) -> tuple[float, float, float]:
         fault = _state_fault(*checks)
         if fault is not None:
             raise NumericalFailure(f"state at t = {t} ps {fault}")
-
-
-def mode_populations(rho: np.ndarray, coupled: CoupledModes) -> tuple[float, float]:
-    """Photon numbers of the two coupled modes.
-
-    Uses the unitary mode transform ``b_1 = alpha a_t - beta a_fp,
-    b_2 = conj(beta) a_t + alpha a_fp`` (alpha real by phase convention),
-    which conserves ``n_1 + n_2 = <n_t> + <n_fp>`` exactly.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    spec = _spec_from_dim(rho.shape[0])
-    ops = build_space(spec)
-    b1 = coupled.alpha * ops.a_t - coupled.beta * ops.a_fp
-    b2 = np.conj(coupled.beta) * ops.a_t + coupled.alpha * ops.a_fp
-    n1 = expectation(b1.conj().T @ b1, rho).real
-    n2 = expectation(b2.conj().T @ b2, rho).real
-    return float(n1), float(n2)
 
 
 def dense_superoperator(

@@ -65,6 +65,28 @@ def se_rate_ratio(coupled: CoupledModes, mode_index: int, kappa_t: float) -> flo
     return float(abs(c) ** 2 * kappa_t / kappa_l)
 
 
+def expectation(op: np.ndarray, rho: np.ndarray) -> complex:
+    """``tr(op rho)``."""
+    return complex(np.einsum("ij,ji->", op, rho))
+
+
+def mode_populations(rho: np.ndarray, coupled: CoupledModes) -> tuple[float, float]:
+    """Photon numbers of the two coupled modes, from their operators: the
+    oracle of the closed-form ``Trajectory.n1``/``n2``.
+
+    Uses the unitary mode transform ``b_1 = alpha a_t - beta a_fp,
+    b_2 = conj(beta) a_t + alpha a_fp`` (alpha real by phase convention),
+    which conserves ``n_1 + n_2 = <n_t> + <n_fp>`` exactly.
+    """
+    rho = np.asarray(rho, dtype=complex)
+    ops = build_space(lindblad._spec_from_dim(rho.shape[0]))
+    b1 = coupled.alpha * ops.a_t - coupled.beta * ops.a_fp
+    b2 = np.conj(coupled.beta) * ops.a_t + coupled.alpha * ops.a_fp
+    n1 = expectation(b1.conj().T @ b1, rho).real
+    n2 = expectation(b2.conj().T @ b2, rho).real
+    return float(n1), float(n2)
+
+
 def se_rates(det_nm: float, g: float = KAPPA_T / 10.0, gamma_leaky: float = 5e8) -> tuple:
     """Acceptance 4's emitter decay rates (1/s) with the FP mode ``det_nm`` off the target.
 

@@ -8,8 +8,10 @@ from click.testing import CliRunner
 
 from cavtune import (
     FitOptions,
+    NumericalFailure,
     SchemaError,
     apply_filter,
+    couple,
     irf_convolve,
     lindblad,
     selftest,
@@ -139,6 +141,23 @@ class TestConfigValidation:
         )
         assert res.exit_code == 2, res.output
         assert "baseline_window_ps: " in res.output
+
+    @pytest.mark.parametrize("t0_ps", [2000.0, -12345.0])
+    def test_template_pulse_time_rejected_with_delays(self, tmp_path, t0_ps):
+        # delays_ps states each run's pulse time; the template's own changed no output
+        assert load_config(scenario_config("fig4-delay")).baseline_window_ps is None
+        raw = scenario_config("fig4-delay")
+        raw["profile"]["pulses"][0]["t0_ps"] = t0_ps
+        message = "profile.pulses[0].t0_ps: delays_ps sets each run's pulse time in a delay scan"
+        with pytest.raises(SchemaError, match="^" + re.escape(message) + "$"):
+            load_config(raw)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        res = CliRunner().invoke(
+            main, ["dynamic", "--config", str(cfg), "--out", str(tmp_path / "out")]
+        )
+        assert res.exit_code == 2, res.output
+        assert message in res.output
 
     @pytest.mark.parametrize("offsets, lambda_fp", [
         ({"profile.static_detuning_nm": -2000.0}, "-448.0"),
@@ -450,6 +469,7 @@ class TestCliDynamic:
         # baseline before the control pulse at 2000 ps is exactly 0
         cfg = scenario_config("fig4-delay")
         del cfg["delays_ps"]
+        cfg["profile"]["pulses"][0]["t0_ps"] = 2000.0
         cfg["pump"]["pulses"][0]["t0_ps"] = 2100.0
         cfg["grids"]["time_ps"] = {"start": 1000.0, "stop": 3000.0, "n": 201}
         cfg_path = tmp_path / "cfg.json"
@@ -501,7 +521,7 @@ class TestCliDelayScan:
         cfg["pump"] = {"cw_rate": 0.0, "pulses": [{"t0_ps": 0.0, "area": 1.0, "width_ps": 6.0}]}
         cfg["solver"]["initial_state"] = "vacuum"
         cfg["grids"]["time_ps"] = {"start": -100.0, "stop": 1600.0, "n": 426}
-        cfg["profile"]["pulses"][0]["t0_ps"] = 700.0
+        del cfg["profile"]["pulses"][0]["t0_ps"]
         cfg["delays_ps"] = [700.0, 1000.0]
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
@@ -555,19 +575,37 @@ class TestUnwritablePath:
         assert f"error: cannot write outputs under {blocker / target}" in res.output
 
 
+def selftest_rows(output: str) -> list:
+    """The ``(name, status, detail)`` rows of a ``cavtune selftest`` table."""
+    rows = [re.fullmatch(r"(.+?)\s+(PASS|FAIL)  (.*)", line) for line in output.splitlines()]
+    return [row.groups() for row in rows if row]
+
+
+def spy_on(monkeypatch, name, alter):
+    """Wrap ``selftest.<name>``; each call returns ``alter(args, result)``, recorded
+    with ``args`` in the returned list."""
+    calls, real = [], getattr(selftest, name)
+
+    def wrapped(*args):
+        calls.append((args, alter(args, real(*args))))
+        return calls[-1][1]
+
+    monkeypatch.setattr(selftest, name, wrapped)
+    return calls
+
+
 class TestSelftestCommand:
     def test_selftest_passes(self):
         runner = CliRunner()
         res = runner.invoke(main, ["selftest"])
         assert res.exit_code == 0, res.output
-        lines = [l for l in res.output.splitlines() if "PASS" in l or "FAIL" in l]
-        assert len(lines) == 15
-        assert all("PASS" in l for l in lines)
-        assert any(l.startswith("closed-form filter against quadrature") for l in lines)
+        rows = selftest_rows(res.output)
+        assert [name for name, _, _ in rows] == [name for name, _ in selftest.CHECKS]
+        assert all(status == "PASS" for _, status, _ in rows)
+        assert res.output.splitlines()[-1] == "15/15 checks passed"
 
     def test_negative_control_fails_trace_check(self, monkeypatch):
-        # the trace check alone runs on a broken target dissipator: with it,
-        # the other evolve checks would fail uncaught
+        # the trace check alone runs on a broken target dissipator
         def broken_trace_check():
             with monkeypatch.context() as patch:
                 patch.setattr(lindblad, "_Generator", broken_target_generator)
@@ -583,6 +621,96 @@ class TestSelftestCommand:
         failed = [l for l in res.output.splitlines() if "FAIL" in l]
         assert len(failed) == 1 and failed[0].startswith("master-equation trace preservation")
 
+    def test_broken_generator_fails_exactly_the_checks_that_run_it(self, monkeypatch):
+        # the whole table prints: the checks that integrate with the broken
+        # generator fail on its trace instead of ending the run
+        monkeypatch.setattr(lindblad, "_Generator", broken_target_generator)
+        res = CliRunner().invoke(main, ["selftest"])
+        assert res.exit_code == 1, res.output
+        rows = selftest_rows(res.output)
+        assert [name for name, _, _ in rows] == [name for name, _ in selftest.CHECKS]
+        assert [name for name, status, _ in rows if status == "FAIL"] == [
+            "generator trace conservation",
+            "master-equation trace preservation",
+            "bare-cavity photon decay",
+            "weak-coupling emitter rate",
+            "dense superoperator oracle",
+        ]
+        assert res.output.splitlines()[-1] == "10/15 checks passed"
+
+    def test_a_check_that_raises_is_a_fail_row(self, monkeypatch):
+        def raising():
+            raise NumericalFailure("no spectrum")
+
+        checks = [(name, raising if name == "spectral map area" else fn)
+                  for name, fn in selftest.CHECKS]
+        monkeypatch.setattr(selftest, "CHECKS", checks)
+        res = CliRunner().invoke(main, ["selftest"])
+        assert res.exit_code == 1, res.output
+        rows = selftest_rows(res.output)
+        assert len(rows) == 15
+        assert [row for row in rows if row[1] == "FAIL"] == [
+            ("spectral map area", "FAIL", "NumericalFailure: no spectrum")
+        ]
+        assert res.output.splitlines()[-1] == "14/15 checks passed"
+
+
+class TestSelftestDetails:
+    """Each check's detail is the worst value it measured: here under a fault
+    injected where the check reads its values, measured again by the test."""
+
+    def test_trace_determinant(self, monkeypatch):
+        def detuned(args, cm):
+            t, f, eta = args
+            return couple(replace(t, omega=t.omega * (1.0 + 1e-8)), f, eta)
+
+        calls = spy_on(monkeypatch, "couple", detuned)
+        passed, detail = selftest._check_eigen_trace_det()
+        devs = []
+        for (t, f, eta), cm in calls:
+            wt, wf = t.complex_freq(), f.complex_freq()
+            mu1, mu2 = cm.eigenvalue(1), cm.eigenvalue(2)
+            devs += [abs(wt + wf - mu1 - mu2) / abs(wt + wf),
+                     abs(wt * wf - eta**2 - mu1 * mu2) / abs(wt * wf)]
+        assert len(calls) == 50 and max(devs) > 1e-9
+        assert not passed and f"deviation {max(devs):.2e} over 50 draws" in detail
+
+    def test_basis_equivalence(self, monkeypatch):
+        def shifted(args, h):
+            h[0, 0] += 1e-6 * np.abs(h).max()
+            return h
+
+        bare = spy_on(monkeypatch, "hamiltonian_bare_basis", lambda args, h: h)
+        coupled = spy_on(monkeypatch, "coupled_hamiltonian", shifted)
+        passed, detail = selftest._check_basis_equivalence()
+        devs = []
+        for (_, h1), (_, h2) in zip(bare, coupled):
+            e1 = np.sort_complex(np.linalg.eigvals(h1))
+            e2 = np.sort_complex(np.linalg.eigvals(h2))
+            devs.append(np.max(np.abs(e1 - e2)) / max(abs(e1).max(), 1.0))
+        assert len(devs) == 200
+        assert not passed and f"scale {max(devs):.2e} over 200 draws" in detail
+
+    def test_mode_population_sum(self, monkeypatch):
+        def skewed(args, traj):
+            traj.n1 = traj.n1 + 1e-6 * np.arange(traj.n1.size)
+            return traj
+
+        calls = spy_on(monkeypatch, "make_trajectory", skewed)
+        passed, detail = selftest._check_mode_population_sum()
+        (_, traj), = calls
+        dev = np.max(np.abs(traj.n1 + traj.n2 - traj.n_t - traj.n_fp))
+        assert dev > 1e-6
+        assert not passed and f"= {dev:.2e} on random states" in detail
+
+    def test_pulse_superposition(self, monkeypatch):
+        calls = spy_on(monkeypatch, "fp_shift_at",
+                       lambda args, shift: shift + 0.25 * (len(args[0].pulses) == 2))
+        passed, detail = selftest._check_pulse_superposition()
+        (_, both), (_, only1), (_, only2) = calls
+        dev = np.max(np.abs(both - only1 - only2))
+        assert dev == pytest.approx(0.25)
+        assert not passed and detail.endswith(f"= {dev:.2e} nm")
 
 class TestCalibratedScenarioValues:
     def test_frozen_tau_matches_shipped_configs(self):

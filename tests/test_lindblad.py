@@ -22,7 +22,6 @@ from cavtune import (
     fock_state,
     fp_shift_at,
     liouvillian_apply,
-    mode_populations,
     omega_to_wl,
     steady_state,
     vacuum_state,
@@ -39,7 +38,6 @@ from cavtune.lindblad import (
     _Generator,
     _require_valid,
     _segments,
-    expectation,
     make_trajectory,
 )
 from cavtune.runs import simulate_dynamic
@@ -49,7 +47,9 @@ from conftest import (
     LAMBDA_T,
     broken_target_generator,
     densities,
+    expectation,
     make_params,
+    mode_populations,
     se_rate_ratio,
 )
 

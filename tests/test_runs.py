@@ -38,7 +38,11 @@ PUMP_WINDOW_EXACT = (0.0, -300.0)
 
 
 def delay_raw(delays=DELAYS):
-    """The mini delay scan's config document, at ``n_max = 1``."""
+    """The mini delay scan's config document, at ``n_max = 1``; without
+    ``delays``, a plain run with its pulse at 0 ps."""
+    pulse = {"delta_lambda_max_nm": 0.6, "tau_fc_ps": 352.0}
+    if delays is None:
+        pulse["t0_ps"] = 0.0
     return {
         "schema": 1,
         "scenario": "mini-delay",
@@ -57,7 +61,7 @@ def delay_raw(delays=DELAYS):
         },
         "profile": {
             "static_detuning_nm": 0.0,
-            "pulses": [{"t0_ps": 0.0, "delta_lambda_max_nm": 0.6, "tau_fc_ps": 352.0}],
+            "pulses": [pulse],
         },
         "grids": {
             "time_ps": {"start": -100.0, "stop": 2000.0, "n": 526},
