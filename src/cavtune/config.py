@@ -362,7 +362,7 @@ def load_config_file(path) -> RunConfig:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise SchemaError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise SchemaError(f"{path}: top-level document must be an object")

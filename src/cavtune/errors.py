@@ -24,8 +24,11 @@ class SchemaError(CavtuneError, ValueError):
 
 
 def require_finite(record, *fields: str) -> None:
-    """Raise :class:`InvalidInput` unless each named field is finite (NaN passes ``x < 0``)."""
+    """Raise :class:`InvalidInput` unless each named field, a number or a numpy array, is
+    finite (NaN passes ``x < 0``); the message names the field's first non-finite value."""
     for name in fields:
         value = getattr(record, name)
-        if not math.isfinite(value):
-            raise InvalidInput(f"{type(record).__name__}.{name} must be finite, got {value}")
+        # abs(x) < inf is False for NaN and +-inf, entry by entry in an array
+        bad = value[~(abs(value) < math.inf)] if getattr(value, "ndim", 0) else [value]
+        if len(bad) and not math.isfinite(bad[0]):
+            raise InvalidInput(f"{type(record).__name__}.{name} must be finite, got {bad[0]}")

@@ -18,9 +18,6 @@ objective.
 
 from __future__ import annotations
 
-import csv
-import io
-import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -28,6 +25,7 @@ import numpy as np
 
 from .errors import InvalidInput, SchemaError
 from .modespace import TWO_PI_C_NM, decay_rate, detuning_wl_to_omega, pair_modes, wl_to_omega
+from .render import read_csv_table
 
 DEFAULT_SIGMA_LAMBDA_NM = 0.05
 DEFAULT_SIGMA_Q_FRAC = 0.10
@@ -133,7 +131,7 @@ class AnticrossingData:
 
 def _column_of(header: str) -> str:
     """The column that ``header`` names; a unit suffix must be one that column takes."""
-    name = header.strip().lower()
+    name = header.lower()
     stem = name[:-3] if name[-3:] in ("_nm", "_mw", "_ns") else name
     units = _COLUMN_UNITS.get(stem)
     if units is None:
@@ -157,22 +155,13 @@ def read_anticrossing_csv(source, control_kind: Optional[str] = None) -> Anticro
     :class:`SchemaError`; a bare ``control`` header takes ``control_kind``,
     by default ``"detuning_nm"``.  Any other header is a :class:`SchemaError`,
     and so is a value that is not finite or an uncertainty that is not positive.
+    ``source`` is a path or a text stream, as :func:`cavtune.render.read_csv_table` takes.
     """
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        with open(source, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    reader = csv.reader(io.StringIO(text))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise SchemaError("empty CSV: missing header row") from None
-
+    header, line_numbers, cells = read_csv_table(source)
     columns = {}
     for idx, raw in enumerate(header):
         base = _column_of(raw)
-        kind = _CONTROL_KINDS.get(raw.strip().lower())
+        kind = _CONTROL_KINDS.get(raw.lower())
         if kind is not None:
             if control_kind not in (None, kind):
                 raise SchemaError(f"header {raw!r} names a {kind} control column, but "
@@ -188,45 +177,24 @@ def read_anticrossing_csv(source, control_kind: Optional[str] = None) -> Anticro
         if err in columns and not all(q in columns for q in weighted):
             raise SchemaError(f"column {err!r} needs the column(s) it weights: {weighted}")
 
-    rows = []
-    for line_no, row in enumerate(reader, start=2):
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        if len(row) != len(header):
-            raise SchemaError(f"row {line_no}: expected {len(header)} cells, got {len(row)}")
-        parsed = {}
-        for base, idx in columns.items():
-            cell = row[idx].strip()
-            if cell == "":
-                parsed[base] = None
-                continue
-            try:
-                value = float(cell)
-            except ValueError:
-                value = math.nan
-            if not math.isfinite(value):
-                raise SchemaError(f"row {line_no}, column {header[idx]!r}: "
-                                  f"not a finite number: {cell!r}")
-            if base.endswith("_err") and not value > 0.0:
-                raise SchemaError(f"row {line_no}, column {header[idx]!r}: "
-                                  f"an uncertainty must be positive, got {cell!r}")
-            parsed[base] = value
-        rows.append((line_no, parsed))
-
-    if len(rows) < 4:
-        raise SchemaError(f"need at least 4 data rows, got {len(rows)}")
+    if len(cells) < 4:
+        raise SchemaError(f"need at least 4 data rows, got {len(cells)}")
 
     def column(name, required=False):
-        values = [parsed.get(name) for _, parsed in rows]
-        present = [v is not None for v in values]
-        if not any(present):
+        values = cells[:, columns[name]] if name in columns else np.full(len(cells), np.nan)
+        missing = np.isnan(values)  # an empty cell: the parser rejects a nan one
+        if missing.all():
             if required:
                 raise SchemaError(f"column {name!r} has no values")
             return None
-        if not all(present):
-            bad = rows[present.index(False)][0]
-            raise SchemaError(f"row {bad}: missing value in column {name!r}")
-        return np.array(values, dtype=float)
+        if missing.any():
+            raise SchemaError(f"line {line_numbers[missing.argmax()]}: "
+                              f"missing value in column {name!r}")
+        if name.endswith("_err") and not (values > 0.0).all():
+            i = (values <= 0.0).argmax()
+            raise SchemaError(f"line {line_numbers[i]}, column {header[columns[name]]!r}: "
+                              f"an uncertainty must be positive, got {values[i]}")
+        return values
 
     return AnticrossingData(
         control=column("control", required=True),

@@ -8,6 +8,7 @@ black - red - yellow - white, or "gray") normalized to the per-map maximum.
 from __future__ import annotations
 
 import csv
+import math
 from pathlib import Path
 
 import numpy as np
@@ -194,40 +195,69 @@ def render_heatmap_ppm(
     return b"P6\n%d %d\n255\n" % (w, h) + rgb.tobytes()
 
 
+def _cell_value(cell: str, name, line: int, column: str) -> float:
+    """One cell of :func:`read_csv_table`: NaN if empty, else a finite number."""
+    if not cell.strip():
+        return math.nan
+    try:
+        value = float(cell)
+    except ValueError:
+        value = math.nan
+    if math.isfinite(value):
+        return value
+    raise SchemaError(f"{name}: line {line}, column {column!r}: not a finite number: "
+                      f"{cell.strip()!r}")
+
+
+def read_csv_table(source) -> tuple[list, list, np.ndarray]:
+    """Parse a CSV table of numbers into ``(header, line_numbers, cells)``.
+
+    ``source`` is a path, read as UTF-8 with or without a byte-order mark, or a
+    text stream.  Header cells are stripped and blank lines skipped; an empty
+    cell is NaN.  A row whose width is not the header's, a cell that is not a
+    finite number and a file that is not UTF-8 CSV are a :class:`SchemaError`
+    naming the file, and the line and column where there are any.
+    """
+    if not hasattr(source, "read"):
+        with open(source, "r", encoding="utf-8-sig") as fh:
+            return read_csv_table(fh)
+    name = getattr(source, "name", "<stream>")
+    reader = csv.reader(source)
+    rows, line_numbers = [], []
+    try:
+        header = [cell.strip() for cell in next(reader, [])]
+        for line, row in enumerate(reader, start=2):
+            try:  # a row of finite numbers parses in one pass
+                values = [float(cell) for cell in row]
+            except ValueError:
+                values = []
+            if len(values) != len(header) or not math.isfinite(sum(values)):
+                if not any(cell.strip() for cell in row):
+                    continue
+                if len(row) != len(header):
+                    raise SchemaError(f"{name}: line {line}: expected {len(header)} cells, "
+                                      f"got {len(row)}")
+                values = [_cell_value(cell, name, line, col) for cell, col in zip(row, header)]
+            rows.append(values)
+            line_numbers.append(line)
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise SchemaError(f"{name}: cannot read as UTF-8 CSV: {exc}") from None
+    return header, line_numbers, np.array(rows, dtype=float).reshape(len(rows), len(header))
+
+
 def sniff_csv(path) -> tuple[str, list, np.ndarray]:
     """Classify an emitted CSV as ``"map"`` or ``"curve"`` and parse it.
 
-    A cell that is not a finite number (``nan``, ``inf``) is a
+    A cell that is empty or not a finite number (``nan``, ``inf``) is a
     :class:`SchemaError` that names its line and column.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: empty file") from None
-        rows, line_nos = [], []
-        for line_no, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != len(header):
-                raise SchemaError(
-                    f"{path}: line {line_no}: expected {len(header)} cells, got {len(row)}"
-                )
-            try:
-                rows.append([float(c) for c in row])
-            except ValueError as exc:
-                raise SchemaError(f"{path}: line {line_no}: {exc}") from None
-            line_nos.append(line_no)
-    if not rows:
+    header, line_numbers, data = read_csv_table(path)
+    if not len(data):
         raise SchemaError(f"{path}: no data rows")
-    data = np.asarray(rows, dtype=float)
-    header = [h.strip() for h in header]
-    bad = np.argwhere(~np.isfinite(data))
-    if bad.size:
-        i, j = bad[0]
-        raise SchemaError(f"{path}: line {line_nos[i]}, column {header[j]!r}: "
-                          f"not a finite number: {data[i, j]}")
+    empty = np.argwhere(np.isnan(data))
+    if empty.size:
+        i, j = empty[0]
+        raise SchemaError(f"{path}: line {line_numbers[i]}, column {header[j]!r}: empty cell")
     if header == ["t_ps", "lambda_nm", "intensity_au"]:
         return "map", header, data
     if header[0] in ("t_ps", "detuning_nm", "control_nm", "control", "index"):

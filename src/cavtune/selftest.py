@@ -116,7 +116,7 @@ def _check_master_equation_trace():
     profile = TuningProfile(pulses=(FreeCarrierPulse(50.0, 0.6, 150.0),))
     t = np.linspace(0.0, 400.0, 101)
     traj = evolve(p, profile, emitter_excited_state(HilbertSpec(1)), t)
-    return traj.trace_dev_max < 1e-8, f"max trace deviation {traj.trace_dev_max:.2e}"
+    return traj.trace_dev_max < 1e-12, f"max trace deviation {traj.trace_dev_max:.2e}"
 
 
 def _check_cavity_decay():

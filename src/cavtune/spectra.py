@@ -21,13 +21,6 @@ if TYPE_CHECKING:
     from .lindblad import Trajectory
 
 
-def _require_finite_arrays(record, **arrays) -> None:
-    """Raise :class:`InvalidInput` unless every entry of each named array is finite."""
-    for name, values in arrays.items():
-        if not np.isfinite(values).all():
-            raise InvalidInput(f"{type(record).__name__}.{name} must be finite")
-
-
 @dataclass(frozen=True)
 class PLMap:
     """Intensity (arbitrary units) over (time x wavelength)."""
@@ -37,12 +30,12 @@ class PLMap:
     intensity: np.ndarray  # shape (n_times, n_wavelengths)
 
     def __post_init__(self):
-        lam = np.asarray(self.lambda_grid_nm, dtype=float)
-        t = np.asarray(self.t_grid_ps, dtype=float)
-        inten = np.asarray(self.intensity, dtype=float)
+        for name in ("lambda_grid_nm", "t_grid_ps", "intensity"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        lam, t, inten = self.lambda_grid_nm, self.t_grid_ps, self.intensity
         if lam.size == 0 or t.size == 0:
             raise InvalidInput("map grids must be non-empty")
-        _require_finite_arrays(self, lambda_grid_nm=lam, t_grid_ps=t, intensity=inten)
+        require_finite(self, "lambda_grid_nm", "t_grid_ps", "intensity")
         if lam.size > 1 and not np.all(np.diff(lam) > 0.0):
             raise InvalidInput("wavelength grid must be strictly increasing")
         if t.size > 1 and not np.all(np.diff(t) > 0.0):
@@ -53,9 +46,6 @@ class PLMap:
             )
         if inten.min() < 0.0:
             raise InvalidInput(f"map intensities must be >= 0, min {inten.min()}")
-        object.__setattr__(self, "lambda_grid_nm", lam)
-        object.__setattr__(self, "t_grid_ps", t)
-        object.__setattr__(self, "intensity", inten)
 
 
 @dataclass(frozen=True)
@@ -68,16 +58,14 @@ class DecayCurve:
     fwhm_nm: float
 
     def __post_init__(self):
-        t = np.asarray(self.t_grid_ps, dtype=float)
-        inten = np.asarray(self.intensity, dtype=float)
+        for name in ("t_grid_ps", "intensity"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        t, inten = self.t_grid_ps, self.intensity
         if t.size != inten.size:
             raise InvalidInput("time grid and intensity must have equal length")
-        _require_finite_arrays(self, t_grid_ps=t, intensity=inten)
-        require_finite(self, "center_nm", "fwhm_nm")
+        require_finite(self, "t_grid_ps", "intensity", "center_nm", "fwhm_nm")
         if inten.size and inten.min() < 0.0:
             raise InvalidInput(f"curve intensities must be >= 0, min {inten.min()}")
-        object.__setattr__(self, "t_grid_ps", t)
-        object.__setattr__(self, "intensity", inten)
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from scipy import sparse
 
 from cavtune import (
     FitOptions,
@@ -575,6 +576,41 @@ class TestUnwritablePath:
         assert f"error: cannot write outputs under {blocker / target}" in res.output
 
 
+class TestUnreadableInput:
+    """An input file that cannot be decoded or parsed is a schema error: exit 2
+    and one ``error:`` line naming the file, not a traceback."""
+
+    @staticmethod
+    def assert_schema_error(res, path):
+        assert res.exit_code == 2, res.output
+        errors = [line for line in res.output.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and str(path) in errors[0], res.output
+        assert "Traceback" not in res.output
+
+    @pytest.mark.parametrize("command, target", [("fit", "fit"), ("render", "table.svg")])
+    @pytest.mark.parametrize("fault", ["byte 0xff", "200000-character cell"])
+    def test_fit_and_render(self, tmp_path, command, target, fault):
+        table = small_table(tmp_path)
+        header, first, rest = table.read_bytes().split(b"\n", 2)
+        if fault == "byte 0xff":
+            first = first[:3] + b"\xff" + first[3:]
+        else:
+            first = b"1" * 200_000 + first[first.index(b","):]
+        table.write_bytes(b"\n".join([header, first, rest]))
+        res = CliRunner().invoke(main, [command, str(table), "--out", str(tmp_path / target)])
+        self.assert_schema_error(res, table)
+        assert not (tmp_path / target).exists()
+
+    def test_dynamic_config(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        # a Latin-1 editor saves a y-umlaut in the scenario name as the one byte 0xFF
+        document = json.dumps(small_dynamic_config()).encode()
+        cfg_path.write_bytes(document.replace(b"mini", b"mi\xffni"))
+        res = CliRunner().invoke(main, ["dynamic", "--config", str(cfg_path),
+                                        "--out", str(tmp_path / "dyn")])
+        self.assert_schema_error(res, cfg_path)
+
+
 def selftest_rows(output: str) -> list:
     """The ``(name, status, detail)`` rows of a ``cavtune selftest`` table."""
     rows = [re.fullmatch(r"(.+?)\s+(PASS|FAIL)  (.*)", line) for line in output.splitlines()]
@@ -711,6 +747,20 @@ class TestSelftestDetails:
         dev = np.max(np.abs(both - only1 - only2))
         assert dev == pytest.approx(0.25)
         assert not passed and detail.endswith(f"= {dev:.2e} nm")
+
+    def test_master_equation_trace(self, monkeypatch):
+        # a leak of 1e-13 rad/ps stays far below the 1e-8 at which evolve
+        # raises, so the check's own limit must catch it
+        class leaking_generator(lindblad._Generator):
+            def __init__(self, params, spec):
+                super().__init__(params, spec)
+                self.l0 = (self.l0 + 1e-13 * sparse.identity(self.l0.shape[0])).tocsr()
+
+        monkeypatch.setattr(lindblad, "_Generator", leaking_generator)
+        passed, detail = selftest._check_master_equation_trace()
+        dev = np.expm1(1e-13 * 400.0)  # tr(rho) = exp(1e-13 t) at the last of 400 ps
+        assert not passed and detail == f"max trace deviation {dev:.2e}"
+
 
 class TestCalibratedScenarioValues:
     def test_frozen_tau_matches_shipped_configs(self):

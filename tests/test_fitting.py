@@ -105,7 +105,7 @@ class TestDataIngest:
     def test_csv_schema_errors_carry_location(self):
         with pytest.raises(SchemaError, match="lambda2"):
             read_anticrossing_csv(io.StringIO("control,lambda1\n1,2\n"))
-        with pytest.raises(SchemaError, match="row 3"):
+        with pytest.raises(SchemaError, match="line 3"):
             read_anticrossing_csv(
                 io.StringIO(
                     "control,lambda1,lambda2\n1,1551,1553\n2,x,1553\n3,1551,1553\n4,1551,1553\n5,1551,1553\n"
@@ -157,7 +157,7 @@ class TestDataIngest:
         rows[2][column] = cell
         text = header + "\n".join(",".join(row) for row in rows)
         name = header.split(",")[column].strip()
-        with pytest.raises(SchemaError, match=f"row 4, column '{name}': not a finite number"):
+        with pytest.raises(SchemaError, match=f"line 4, column '{name}': not a finite number"):
             read_anticrossing_csv(io.StringIO(text))
 
     @pytest.mark.parametrize("column", ["lambda1_err_nm", "q1_err", "tau_err"])
@@ -166,8 +166,8 @@ class TestDataIngest:
         # a zero sigma divides every residual of its column by zero
         rows = "\n".join(f"{c},1551,1553,1000,2000,1,{cell if c == 1 else '0.5'}" for c in range(5))
         header = f"control,lambda1,lambda2,q1,q2,tau,{column}\n"
-        with pytest.raises(SchemaError, match=f"row 3, column '{column}': an uncertainty must be "
-                                              f"positive, got '{cell}'"):
+        with pytest.raises(SchemaError, match=f"line 3, column '{column}': an uncertainty must be "
+                                              f"positive, got {float(cell)}"):
             read_anticrossing_csv(io.StringIO(header + rows))
 
     @pytest.mark.parametrize("field", ["control", "lambda1", "q2", "tau_ns", "sigma_lambda"])

@@ -11,7 +11,7 @@ import pytest
 from click.testing import CliRunner
 
 import cavtune
-from cavtune import SchemaError
+from cavtune import SchemaError, read_anticrossing_csv
 from cavtune.cli import main
 from cavtune.config import scenario_config
 from cavtune.render import render_csv_file, render_curve_svg, render_heatmap_ppm, sniff_csv
@@ -164,10 +164,12 @@ class TestRenderCsv:
         with pytest.raises(SchemaError, match="no data rows"):
             render_csv_file(csv_path, tmp_path / "x.svg")
 
-    def test_malformed_cell_reports_line(self, tmp_path):
+    @pytest.mark.parametrize("cell, message", [("oops", "not a finite number: 'oops'"),
+                                               ("", "empty cell")], ids=["text", "empty"])
+    def test_malformed_cell_reports_line(self, tmp_path, cell, message):
         csv_path = tmp_path / "bad.csv"
-        csv_path.write_text("t_ps,intensity_au\n0,1\n5,oops\n")
-        with pytest.raises(SchemaError, match="line 3"):
+        csv_path.write_text(f"t_ps,intensity_au\n0,1\n5,{cell}\n")
+        with pytest.raises(SchemaError, match=f"line 3, column 'intensity_au': {message}"):
             sniff_csv(csv_path)
 
     def test_unknown_layout_rejected(self, tmp_path):
@@ -195,6 +197,35 @@ class TestRenderCsv:
         assert res.exit_code == 2, res.output
         assert f"line {line}, column '{column}': not a finite number" in res.output
         assert not (tmp_path / "out").exists()
+
+
+class TestOneCsvParser:
+    """``sniff_csv`` and ``read_anticrossing_csv`` parse through one reader."""
+
+    def test_both_readers_name_the_same_cell(self, tmp_path):
+        csv_path = tmp_path / "table.csv"
+        csv_path.write_text("control,lambda1,lambda2\n0,1551,1553\n\n1,1551,inf\n"
+                            "2,1551,1553\n3,1551,1553\n")
+        messages = []
+        for reader in (sniff_csv, read_anticrossing_csv):
+            with pytest.raises(SchemaError) as raised:
+                reader(csv_path)
+            messages.append(str(raised.value))
+        assert messages == 2 * [f"{csv_path}: line 4, column 'lambda2': not a finite number: 'inf'"]
+
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        # a spreadsheet may save its table with a BOM before the first header
+        text = "control_nm,lambda1,lambda2\n" + "".join(f"{c},1551,1553\n" for c in range(5))
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        (kind, header, data), again = sniff_csv(plain), sniff_csv(marked)
+        assert again[:2] == (kind, header) and np.array_equal(again[2], data)
+        fitted, refitted = read_anticrossing_csv(plain), read_anticrossing_csv(marked)
+        assert refitted.control_kind == fitted.control_kind == "detuning_nm"
+        for name in ("control", "lambda1", "lambda2"):
+            assert np.array_equal(getattr(refitted, name), getattr(fitted, name))
 
 
 def test_curve_past_the_largest_float_exits_2(tmp_path):

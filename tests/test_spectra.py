@@ -159,7 +159,7 @@ class TestFiniteness:
         fields = {"lambda_grid_nm": np.array([1551.0]), "t_grid_ps": np.array([0.0]),
                   "intensity": np.ones((1, 1))}
         fields[field] = np.full_like(fields[field], bad)
-        with pytest.raises(InvalidInput, match=f"PLMap.{field} must be finite"):
+        with pytest.raises(InvalidInput, match=f"PLMap.{field} must be finite, got {bad}"):
             PLMap(**fields)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -169,8 +169,13 @@ class TestFiniteness:
                   "center_nm": 1552.0, "fwhm_nm": 0.5}
         value = fields[field]
         fields[field] = bad if np.ndim(value) == 0 else np.append(value[:1], bad)
-        with pytest.raises(InvalidInput, match=f"DecayCurve.{field} must be finite"):
+        with pytest.raises(InvalidInput, match=f"DecayCurve.{field} must be finite, got {bad}"):
             DecayCurve(**fields)
+
+    def test_message_names_the_first_non_finite_value(self):
+        intensity = np.array([[1.0, 2.0], [-np.inf, np.nan]])
+        with pytest.raises(InvalidInput, match="PLMap.intensity must be finite, got -inf"):
+            PLMap(np.array([1551.0, 1552.0]), np.array([0.0, 1.0]), intensity)
 
 
 class TestApplyFilter:
