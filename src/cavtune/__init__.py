@@ -24,7 +24,7 @@ _EXPORTS = {
         "modespace": "BareMode CoupledModes EmitterParams SystemParams anticrossing_sweep couple"
         " coupled_hamiltonian detuning_wl_to_omega hamiltonian_bare_basis omega_to_wl q_factor"
         " wl_to_omega",
-        "tuning": "FreeCarrierPulse HilbertSpec PumpPulse PumpSchedule TuningProfile fp_shift_at",
+        "tuning": "FreeCarrierPulse HilbertSpec PumpPulse PumpSchedule fp_shift_at",
         "spectra": "BurstMetrics DecayCurve PLMap apply_filter burst_metrics irf_convolve"
         " synthesize_map",
         "fitting": "AnticrossingData FitOptions FitResult fit read_anticrossing_csv",

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import CavtuneError, SchemaError
 from .fitting import PARAM_NAMES, FitOptions
 from .modespace import BareMode, EmitterParams, SystemParams, wl_to_omega
-from .tuning import FreeCarrierPulse, HilbertSpec, PumpPulse, PumpSchedule, TuningProfile
+from .tuning import FreeCarrierPulse, HilbertSpec, PumpPulse, PumpSchedule
 
 SCHEMA_VERSION = 1
 
@@ -198,7 +198,7 @@ class RunConfig:
     scenario: str
     kind: str  # "static-sweep" | "dynamic"
     params: SystemParams
-    profile: TuningProfile
+    pulses: tuple  # FreeCarrierPulse, sorted by t0_ps
     detuning_grid_nm: Optional[np.ndarray]
     time_grid_ps: Optional[np.ndarray]
     lambda_grid_nm: Optional[np.ndarray]
@@ -285,17 +285,17 @@ def load_config(raw: dict) -> RunConfig:
     if not 0.0 < lambda_fp < np.inf:
         profile_node.fail("static_detuning_nm", f"puts the FP mode at {lambda_fp} nm; its "
                                                 f"wavelength must be positive and finite")
-    pulses = profile_node.sections("pulses")
-    if delays is not None and len(pulses) != 1:
+    nodes = profile_node.sections("pulses")
+    if delays is not None and len(nodes) != 1:
         root.fail("delays_ps", "delay scans need exactly one template pulse in profile.pulses")
-    if delays is not None and pulses[0].number("t0_ps", None) is not None:
-        pulses[0].fail("t0_ps", "delays_ps sets each run's pulse time in a delay scan")
-    profile = TuningProfile(tuple(
-        # a scan's template sits at its first delay; runs.delay_profile moves it to each
+    if delays is not None and nodes[0].number("t0_ps", None) is not None:
+        nodes[0].fail("t0_ps", "delays_ps sets each run's pulse time in a delay scan")
+    pulses = tuple(sorted((
+        # a scan's template sits at its first delay; runs.delay_pulses moves it to each
         p.build(FreeCarrierPulse, p.number("t0_ps") if delays is None else delays[0],
                 p.number("delta_lambda_max_nm", minimum=0.0), p.number("tau_fc_ps"))
-        for p in pulses
-    ))
+        for p in nodes
+    ), key=lambda p: p.t0_ps))
     omega_t = wl_to_omega(lambda_t)
     params = system.build(lambda: SystemParams(
         EmitterParams(omega_t if lambda0 is None else wl_to_omega(lambda0), g, gamma_leaky),
@@ -316,8 +316,8 @@ def load_config(raw: dict) -> RunConfig:
     if window is not None and delays is not None:
         root.fail("baseline_window_ps", "a delay scan takes the baseline window before each "
                                         "delay, so this key cannot be set with delays_ps")
-    if window is None and delays is None and profile.pulses:
-        window = (profile.pulses[0].t0_ps - BASELINE_SPAN_PS, profile.pulses[0].t0_ps)
+    if window is None and delays is None and pulses:
+        window = (pulses[0].t0_ps - BASELINE_SPAN_PS, pulses[0].t0_ps)
 
     spectra, solver = root.section("spectra", {}), root.section("solver", {})
     fit = root.section("fit", {})
@@ -330,7 +330,7 @@ def load_config(raw: dict) -> RunConfig:
         scenario=root.choice("scenario", None, "custom"),
         kind=kind,
         params=params,
-        profile=profile,
+        pulses=pulses,
         detuning_grid_nm=detuning_grid,
         time_grid_ps=time_grid,
         lambda_grid_nm=lambda_grid,
@@ -359,11 +359,11 @@ def load_config(raw: dict) -> RunConfig:
 
 
 def load_config_file(path) -> RunConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             raw = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise SchemaError(f"{path}: not valid JSON: {exc}") from exc
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8 JSON, or an integer too long
+        raise SchemaError(f"{path}: cannot read as JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise SchemaError(f"{path}: top-level document must be an object")
     return load_config(raw)

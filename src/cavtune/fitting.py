@@ -23,9 +23,9 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InvalidInput, SchemaError
+from .errors import CavtuneError, InvalidInput, SchemaError
 from .modespace import TWO_PI_C_NM, decay_rate, detuning_wl_to_omega, pair_modes, wl_to_omega
-from .render import read_csv_table
+from .render import read_csv_table, source_name
 
 DEFAULT_SIGMA_LAMBDA_NM = 0.05
 DEFAULT_SIGMA_Q_FRAC = 0.10
@@ -155,59 +155,62 @@ def read_anticrossing_csv(source, control_kind: Optional[str] = None) -> Anticro
     :class:`SchemaError`; a bare ``control`` header takes ``control_kind``,
     by default ``"detuning_nm"``.  Any other header is a :class:`SchemaError`,
     and so is a value that is not finite or an uncertainty that is not positive.
-    ``source`` is a path or a text stream, as :func:`cavtune.render.read_csv_table` takes.
+    ``source`` is a path or a text stream, and every error names it.
     """
     header, line_numbers, cells = read_csv_table(source)
-    columns = {}
-    for idx, raw in enumerate(header):
-        base = _column_of(raw)
-        kind = _CONTROL_KINDS.get(raw.lower())
-        if kind is not None:
-            if control_kind not in (None, kind):
-                raise SchemaError(f"header {raw!r} names a {kind} control column, but "
-                                  f"fit.control is {control_kind!r}")
-            control_kind = kind
-        if base in columns:
-            raise SchemaError(f"duplicate column {base!r} (header column {idx + 1})")
-        columns[base] = idx
-    for required in ("control", "lambda1", "lambda2"):
-        if required not in columns:
-            raise SchemaError(f"missing required column {required!r} in header")
-    for err, weighted in (("q1_err", ("q1", "q2")), ("tau_err", ("tau",))):
-        if err in columns and not all(q in columns for q in weighted):
-            raise SchemaError(f"column {err!r} needs the column(s) it weights: {weighted}")
+    try:
+        columns = {}
+        for idx, raw in enumerate(header):
+            base = _column_of(raw)
+            kind = _CONTROL_KINDS.get(raw.lower())
+            if kind is not None:
+                if control_kind not in (None, kind):
+                    raise SchemaError(f"header {raw!r} names a {kind} control column, but "
+                                      f"fit.control is {control_kind!r}")
+                control_kind = kind
+            if base in columns:
+                raise SchemaError(f"duplicate column {base!r} (header column {idx + 1})")
+            columns[base] = idx
+        for required in ("control", "lambda1", "lambda2"):
+            if required not in columns:
+                raise SchemaError(f"missing required column {required!r} in header")
+        for err, weighted in (("q1_err", ("q1", "q2")), ("tau_err", ("tau",))):
+            if err in columns and not all(q in columns for q in weighted):
+                raise SchemaError(f"column {err!r} needs the column(s) it weights: {weighted}")
 
-    if len(cells) < 4:
-        raise SchemaError(f"need at least 4 data rows, got {len(cells)}")
+        if len(cells) < 4:
+            raise SchemaError(f"need at least 4 data rows, got {len(cells)}")
 
-    def column(name, required=False):
-        values = cells[:, columns[name]] if name in columns else np.full(len(cells), np.nan)
-        missing = np.isnan(values)  # an empty cell: the parser rejects a nan one
-        if missing.all():
-            if required:
-                raise SchemaError(f"column {name!r} has no values")
-            return None
-        if missing.any():
-            raise SchemaError(f"line {line_numbers[missing.argmax()]}: "
-                              f"missing value in column {name!r}")
-        if name.endswith("_err") and not (values > 0.0).all():
-            i = (values <= 0.0).argmax()
-            raise SchemaError(f"line {line_numbers[i]}, column {header[columns[name]]!r}: "
-                              f"an uncertainty must be positive, got {values[i]}")
-        return values
+        def column(name, required=False):
+            values = cells[:, columns[name]] if name in columns else np.full(len(cells), np.nan)
+            missing = np.isnan(values)  # an empty cell: the parser rejects a nan one
+            if missing.all():
+                if required:
+                    raise SchemaError(f"column {name!r} has no values")
+                return None
+            if missing.any():
+                raise SchemaError(f"line {line_numbers[missing.argmax()]}: "
+                                  f"missing value in column {name!r}")
+            if name.endswith("_err") and not (values > 0.0).all():
+                i = (values <= 0.0).argmax()
+                raise SchemaError(f"line {line_numbers[i]}, column {header[columns[name]]!r}: "
+                                  f"an uncertainty must be positive, got {values[i]}")
+            return values
 
-    return AnticrossingData(
-        control=column("control", required=True),
-        lambda1=column("lambda1", required=True),
-        lambda2=column("lambda2", required=True),
-        control_kind=control_kind or "detuning_nm",
-        q1=column("q1"),
-        q2=column("q2"),
-        tau_ns=column("tau"),
-        sigma_lambda=column("lambda1_err"),
-        sigma_q=column("q1_err"),
-        sigma_tau=column("tau_err"),
-    )
+        return AnticrossingData(
+            control=column("control", required=True),
+            lambda1=column("lambda1", required=True),
+            lambda2=column("lambda2", required=True),
+            control_kind=control_kind or "detuning_nm",
+            q1=column("q1"),
+            q2=column("q2"),
+            tau_ns=column("tau"),
+            sigma_lambda=column("lambda1_err"),
+            sigma_q=column("q1_err"),
+            sigma_tau=column("tau_err"),
+        )
+    except CavtuneError as exc:  # the parser's own errors name the file already
+        raise type(exc)(f"{source_name(source)}: {exc}") from None
 
 
 PARAM_NAMES = ("eta", "kappa_t", "kappa_fp", "lambda_t", "cal_slope", "cal_offset", "g", "gamma_leaky")

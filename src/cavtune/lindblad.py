@@ -8,7 +8,7 @@ The master equation is
 with H the Hermitian part of the three-oscillator model and
 ``D[L]rho = L rho L^dag - 1/2 {L^dag L, rho}``.  The cavity Lindblad rates are
 ``2*kappa`` so that field amplitudes decay at ``kappa``, matching the
-complex-frequency convention of :mod:`cavtune.modespace`.
+complex-frequency convention of :mod:`cavtune.modespace`; ``P(t)`` is ``params.pump``.
 
 Integration is carried out in a frame rotating at the target-cavity frequency
 (numerics only; observables are frame-invariant) and in picosecond time units.
@@ -17,7 +17,7 @@ Integration is carried out in a frame rotating at the target-cavity frequency
 from __future__ import annotations
 
 from copy import copy
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -35,7 +35,7 @@ from .modespace import (
     wl_to_omega,
 )
 from . import tuning
-from .tuning import SECONDS_PER_PS as _PS, TuningProfile, fp_shift_at, fp_shift_scalar
+from .tuning import SECONDS_PER_PS as _PS, fp_shift_at, fp_shift_scalar
 
 # steady_state fails above this residual ||L rho|| / ||rho|| (rad/ps)
 STEADY_RESIDUAL_TOL = 1e-10
@@ -201,38 +201,31 @@ class _Generator:
         return block
 
 
-def _delta_fp_fn(params: SystemParams, profile: TuningProfile):
+def _delta_fp_fn(params: SystemParams, pulses: tuple):
     """``delta_fp(t_ps)`` in rad/ps, in float arithmetic: it runs on every RHS call."""
     lambda_fp = omega_to_wl(params.fp.omega)
     ref = _frame_omega(params)
 
     def delta_fp(t_ps: float) -> float:
-        return (wl_to_omega(lambda_fp + fp_shift_scalar(profile, t_ps)) - ref) * _PS
+        return (wl_to_omega(lambda_fp + fp_shift_scalar(pulses, t_ps)) - ref) * _PS
 
     return delta_fp
 
 
-def liouvillian_apply(
-    params: SystemParams,
-    rho: np.ndarray,
-    pump_rate: Optional[float] = None,
-) -> np.ndarray:
-    """drho/dt (1/s) with the FP mode at ``params.fp``, frequency and loss rate.
+def liouvillian_apply(params: SystemParams, rho: np.ndarray) -> np.ndarray:
+    """drho/dt (1/s) with the FP mode at ``params.fp`` and the CW pump of ``params.pump``.
 
-    ``pump_rate`` (1/s) defaults to the CW rate of ``params.pump``; for another
-    FP frequency pass ``dataclasses.replace(params, fp=...)``.  This
-    matrix-free commutator form never compiles the sparse generator, so it
-    serves as the independent oracle for it.
+    For another FP mode or pump rate pass ``dataclasses.replace(params, ...)``.
+    This matrix-free commutator form never compiles the sparse generator, so
+    it serves as the independent oracle for it.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise InvalidInput(f"density matrix must be square, got shape {rho.shape}")
     ops, h0, channels = _model(params, _spec_from_dim(rho.shape[0]))
-    if pump_rate is None:
-        pump_rate = params.pump.cw_rate
     h = h0 + _fixed_delta(params) * ops.n_fp
     out = -1j * (h @ rho - rho @ h)
-    for rate, op in channels + [(pump_rate * _PS, ops.sigma_plus)]:
+    for rate, op in channels + [(params.pump.cw_rate * _PS, ops.sigma_plus)]:
         ldl = op.T @ op
         out += rate * (op @ rho @ op.T) - 0.5 * rate * (ldl @ rho + rho @ ldl)
     return out / _PS
@@ -274,7 +267,7 @@ class Trajectory:
         return rho.reshape(self.dim, self.dim)
 
 
-def _segments(profile: TuningProfile, pump: tuning.PumpSchedule, t0: float, t1: float, extra):
+def _segments(pulses: tuple, pump: tuning.PumpSchedule, t0: float, t1: float, extra):
     """The integrator segments ``(a, b, max_step)`` that cover ``[t0, t1]``.
 
     A segment ends at each time where the RHS is non-smooth (a pulse onset,
@@ -286,7 +279,7 @@ def _segments(profile: TuningProfile, pump: tuning.PumpSchedule, t0: float, t1: 
         (p.t0_ps - 5.0 * p.sigma_ps, p.t0_ps + 5.0 * p.sigma_ps, max(p.sigma_ps / 2.0, 1e-3))
         for p in pump.pulse_events
     ]
-    points = {*extra, *(p.t0_ps for p in profile.pulses), *(t for w in windows for t in w[:2])}
+    points = {*extra, *(p.t0_ps for p in pulses), *(t for w in windows for t in w[:2])}
     bounds = [t0] + sorted(t for t in points if t0 < t < t1) + [t1]
     for a, b in zip(bounds[:-1], bounds[1:]):
         step = min([b - a] + [cap for ca, cb, cap in windows if a < cb and b > ca])
@@ -295,19 +288,20 @@ def _segments(profile: TuningProfile, pump: tuning.PumpSchedule, t0: float, t1: 
 
 def evolve(
     params: SystemParams,
-    profile: TuningProfile,
+    pulses: tuple,
     rho0: np.ndarray,
     t_grid_ps: Sequence[float],
     rtol: float = SOLVER_RTOL,
     atol: float = SOLVER_ATOL,
     breakpoints_ps: Sequence[float] = (),
 ) -> Trajectory:
-    """Integrate the master equation over ``t_grid_ps`` with time-dependent tuning.
+    """Integrate the master equation over ``t_grid_ps`` under the free-carrier ``pulses``.
 
     The Fock space is that of ``rho0``.  The FP wavelength at time ``t`` is
-    that of ``params.fp`` plus ``fp_shift_at(profile, t)``: without pulses
-    the FP mode stays at ``params.fp``, so a steady state of ``params`` is
-    stationary.  The pump rate follows ``params.pump``.  The integration
+    that of ``params.fp`` plus ``fp_shift_at(pulses, t)``, ``pulses`` being a
+    tuple of :class:`cavtune.tuning.FreeCarrierPulse` in any order: under
+    ``()`` the FP mode stays at ``params.fp``, so a steady state of ``params``
+    is stationary.  The pump rate follows ``params.pump``.  The integration
     restarts at every pulse onset and at each time of ``breakpoints_ps``, so
     the state recorded at such a time is the end of an integrator segment.
     Each segment is integrated by BDF, with the generator as its Jacobian, at
@@ -340,27 +334,21 @@ def evolve(
     gen = full.restricted(keep)
     pump = params.pump
 
-    def segment_on(a):
-        # Only the pulses started by a act on the segment [a, b].  At t = b
-        # that is the left limit of delta_fp: a pulse that starts at b stays
-        # out of the BDF evaluations there, and out of the Jacobian.
-        started = replace(profile, pulses=tuple(p for p in profile.pulses if p.t0_ps <= a))
-        delta_fp = _delta_fp_fn(params, started)
+    def rhs(t, y):
+        return gen.rhs(y, delta_fp(t), pump.rate_at_ps(t))
 
-        def rhs(t, y):
-            return gen.rhs(y, delta_fp(t), pump.rate_at_ps(t))
-
-        def jac(t, y):
-            return gen.matrix(delta_fp(t), pump.rate_at_ps(t))
-
-        return rhs, jac
+    def jac(t, y):
+        return gen.matrix(delta_fp(t), pump.rate_at_ps(t))
 
     states = np.empty((t_grid.size, keep.size), dtype=complex)
     y = rho0.ravel()
     states[0] = y[keep]
-    for a, b, max_step in _segments(profile, pump, float(t_grid[0]), float(t_grid[-1]),
+    for a, b, max_step in _segments(pulses, pump, float(t_grid[0]), float(t_grid[-1]),
                                     breakpoints_ps):
-        rhs, jac = segment_on(a)
+        # Only the pulses started by a act on the segment [a, b].  At t = b
+        # that is the left limit of delta_fp: a pulse that starts at b stays
+        # out of the BDF evaluations there, and out of the Jacobian.
+        delta_fp = _delta_fp_fn(params, tuple(p for p in pulses if p.t0_ps <= a))
         inside = np.flatnonzero((t_grid > a) & (t_grid <= b))
         t_eval = np.unique(np.append(t_grid[inside], b))
         # (fun, t_span, y0) positionally, y0 the whole vec(rho): the benchmark's
@@ -375,11 +363,11 @@ def evolve(
         y = sol.y[:, -1].copy()
         del sol  # the segment's output, freed before the next segment and post-processing
 
-    return make_trajectory(params, profile, t_grid, states, keep, spec.dim)
+    return make_trajectory(params, pulses, t_grid, states, keep, spec.dim)
 
 
-def make_trajectory(params, profile, t_grid, states, keep, dim) -> Trajectory:
-    """The observables of ``states`` under ``params`` and ``profile``, one per time of ``t_grid``.
+def make_trajectory(params, pulses, t_grid, states, keep, dim) -> Trajectory:
+    """The observables of ``states`` under ``params`` and ``pulses``, one per time of ``t_grid``.
 
     ``states`` is ``(t, keep.size)``: the entries ``keep`` of each vec(rho),
     rho ``dim`` x ``dim`` and 0 elsewhere.  Raises :class:`NumericalFailure`,
@@ -397,7 +385,7 @@ def make_trajectory(params, profile, t_grid, states, keep, dim) -> Trajectory:
 
     trace_dev, herm_dev, min_eig = _require_valid(states, keep, dim, t_grid)
 
-    shifts = np.atleast_1d(fp_shift_at(profile, t_grid))
+    shifts = np.atleast_1d(fp_shift_at(pulses, t_grid))
     fp = BareMode(wl_to_omega(omega_to_wl(params.fp.omega) + shifts), params.fp.kappa)
     cm = couple(params.target, fp, params.eta)
     a_re = cm.alpha.real
@@ -527,20 +515,14 @@ def _require_valid(states, keep, dim, times=None) -> tuple[float, float, float]:
             raise NumericalFailure(f"state at t = {t} ps {fault}")
 
 
-def dense_superoperator(
-    params: SystemParams,
-    spec: tuning.HilbertSpec,
-    pump_rate: Optional[float] = None,
-) -> np.ndarray:
+def dense_superoperator(params: SystemParams, spec: tuning.HilbertSpec) -> np.ndarray:
     """The compiled generator (1/s) on row-major vec(rho), as a dense matrix.
 
-    ``pump_rate`` (1/s) defaults to the CW rate of ``params.pump``, as in
-    :func:`liouvillian_apply`: checks of the compiled operator compare the two.
+    Like :func:`liouvillian_apply` it applies the FP mode ``params.fp`` and the
+    CW pump of ``params.pump``: checks of the compiled operator compare the two.
     """
     gen = _Generator(params, spec)
-    if pump_rate is None:
-        pump_rate = params.pump.cw_rate
-    return gen.matrix(_fixed_delta(params), pump_rate * _PS).toarray() / _PS
+    return gen.matrix(_fixed_delta(params), gen.p_cw).toarray() / _PS
 
 
 def steady_state(params: SystemParams, spec: tuning.HilbertSpec) -> np.ndarray:

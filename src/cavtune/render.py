@@ -209,19 +209,27 @@ def _cell_value(cell: str, name, line: int, column: str) -> float:
                       f"{cell.strip()!r}")
 
 
+def source_name(source) -> str:
+    """How an error names ``source``: a path as given, a stream by its ``name``."""
+    return getattr(source, "name", "<stream>") if hasattr(source, "read") else source
+
+
 def read_csv_table(source) -> tuple[list, list, np.ndarray]:
     """Parse a CSV table of numbers into ``(header, line_numbers, cells)``.
 
     ``source`` is a path, read as UTF-8 with or without a byte-order mark, or a
     text stream.  Header cells are stripped and blank lines skipped; an empty
     cell is NaN.  A row whose width is not the header's, a cell that is not a
-    finite number and a file that is not UTF-8 CSV are a :class:`SchemaError`
+    finite number and a file that cannot be read as UTF-8 CSV are a :class:`SchemaError`
     naming the file, and the line and column where there are any.
     """
     if not hasattr(source, "read"):
-        with open(source, "r", encoding="utf-8-sig") as fh:
-            return read_csv_table(fh)
-    name = getattr(source, "name", "<stream>")
+        try:
+            with open(source, "r", encoding="utf-8-sig") as fh:
+                return read_csv_table(fh)
+        except OSError as exc:
+            raise SchemaError(f"{source}: cannot read: {exc}") from None
+    name = source_name(source)
     reader = csv.reader(source)
     rows, line_numbers = [], []
     try:

@@ -27,7 +27,7 @@ from .spectra import (
     irf_convolve,
     synthesize_map,
 )
-from .tuning import HilbertSpec, TuningProfile
+from .tuning import HilbertSpec
 
 
 # every number in the CSV outputs; write_map_csv formats with it directly
@@ -115,13 +115,13 @@ def initial_state_for(cfg: RunConfig) -> np.ndarray:
     return steady_state(cfg.params, spec=cfg.hilbert)
 
 
-def simulate_dynamic(cfg: RunConfig, profile: Optional[TuningProfile] = None):
-    """The trajectory of ``cfg`` from its initial state, under ``profile``."""
+def simulate_dynamic(cfg: RunConfig, pulses: Optional[tuple] = None):
+    """The trajectory of ``cfg`` from its initial state, under ``pulses`` or ``cfg.pulses``."""
     from .lindblad import evolve
 
-    profile = profile or cfg.profile
+    pulses = cfg.pulses if pulses is None else pulses  # not `or`: () runs without pulses
     rho0 = initial_state_for(cfg)
-    return evolve(cfg.params, profile, rho0, cfg.time_grid_ps, rtol=cfg.rtol, atol=cfg.atol)
+    return evolve(cfg.params, pulses, rho0, cfg.time_grid_ps, rtol=cfg.rtol, atol=cfg.atol)
 
 
 def filtered_curves(cfg: RunConfig, traj) -> list:
@@ -132,9 +132,9 @@ def filtered_curves(cfg: RunConfig, traj) -> list:
     ]
 
 
-def delay_profile(cfg: RunConfig, delay_ps: float) -> TuningProfile:
-    """``cfg.profile`` with its one template pulse moved to ``delay_ps``."""
-    return replace(cfg.profile, pulses=(replace(cfg.profile.pulses[0], t0_ps=delay_ps),))
+def delay_pulses(cfg: RunConfig, delay_ps: float) -> tuple:
+    """The one template pulse of ``cfg.pulses``, moved to ``delay_ps``."""
+    return (replace(cfg.pulses[0], t0_ps=delay_ps),)
 
 
 def delay_scan(cfg: RunConfig):
@@ -149,7 +149,7 @@ def delay_scan(cfg: RunConfig):
     state there, and its observables are formed once from those states.  A
     run's entries of vec(rho) lie inside the reference's ``keep``
     (:func:`cavtune.lindblad.evolve`).  :func:`simulate_dynamic` with
-    :func:`delay_profile` is the from-scratch run this reproduces.
+    :func:`delay_pulses` is the from-scratch run this reproduces.
     """
     from .lindblad import evolve, make_trajectory
 
@@ -157,18 +157,18 @@ def delay_scan(cfg: RunConfig):
     options = dict(rtol=cfg.rtol, atol=cfg.atol)
     starts = [max(int(np.searchsorted(t_grid, d, side="right")) - 1, 0) for d in cfg.delays_ps]
     reference = evolve(
-        cfg.params, TuningProfile(), initial_state_for(cfg), t_grid,
+        cfg.params, (), initial_state_for(cfg), t_grid,
         breakpoints_ps=t_grid[starts], **options,
     )
     yield reference
     for delay, k in zip(cfg.delays_ps, starts):
-        profile = delay_profile(cfg, delay)
+        pulses = delay_pulses(cfg, delay)
         states = reference.states.copy()
         if k < t_grid.size - 1:
-            tail = evolve(cfg.params, profile, reference.density(k), t_grid[k:], **options)
+            tail = evolve(cfg.params, pulses, reference.density(k), t_grid[k:], **options)
             states[k:] = 0.0
             states[k:, np.searchsorted(reference.keep, tail.keep)] = tail.states
-        yield make_trajectory(cfg.params, profile, t_grid, states, reference.keep, reference.dim)
+        yield make_trajectory(cfg.params, pulses, t_grid, states, reference.keep, reference.dim)
 
 
 def _metrics_entry(curve: DecayCurve, window, reference: Optional[DecayCurve] = None) -> dict:
@@ -241,10 +241,10 @@ def _emit_dynamic_outputs(outdir: Path, prefix: str, traj, curves, cfg: RunConfi
     return outputs
 
 
-def _truncation_drift(cfg: RunConfig, profile, traj, curves) -> dict:
+def _truncation_drift(cfg: RunConfig, pulses, traj, curves) -> dict:
     """Re-run ``traj`` one Fock level higher and report the worst relative drift."""
     bigger = replace(cfg, hilbert=HilbertSpec(cfg.hilbert.n_max + 1))
-    traj_b = simulate_dynamic(bigger, profile)
+    traj_b = simulate_dynamic(bigger, pulses)
     drift = 0.0
     for field in ("n_e", "n_t", "n_fp", "n1", "n2"):
         a, b = getattr(traj, field), getattr(traj_b, field)
@@ -273,8 +273,8 @@ def run_dynamic(cfg: RunConfig, outdir: Path, render: bool = False):
     outputs = []
 
     if cfg.delays_ps:
-        # the output prefix, baseline window and profile of each run
-        plan = [(delay_prefix(d), (d - BASELINE_SPAN_PS, d), delay_profile(cfg, d))
+        # the output prefix, baseline window and pulses of each run
+        plan = [(delay_prefix(d), (d - BASELINE_SPAN_PS, d), delay_pulses(cfg, d))
                 for d in cfg.delays_ps]
         runs = delay_scan(cfg)
         # the decay trace without a control pulse normalizes the delayed runs:
@@ -285,18 +285,18 @@ def run_dynamic(cfg: RunConfig, outdir: Path, render: bool = False):
             _write_curve_csv(outdir / name, ref_curve)
             outputs.append(name)
     else:
-        plan = [("", cfg.baseline_window_ps, cfg.profile)]
+        plan = [("", cfg.baseline_window_ps, cfg.pulses)]
         runs = [simulate_dynamic(cfg)]
         references = [None] * len(cfg.filters)
 
     metrics = {"scenario": cfg.scenario}
     entries = []
-    for i, ((prefix, window, profile), traj) in enumerate(zip(plan, runs)):
+    for i, ((prefix, window, pulses), traj) in enumerate(zip(plan, runs)):
         curves = filtered_curves(cfg, traj)
         outputs += _emit_dynamic_outputs(outdir, prefix, traj, curves, cfg, render)
         entries.append([_metrics_entry(c, window, ref) for c, ref in zip(curves, references)])
         if cfg.check_truncation and i == 0:
-            metrics["truncation_check"] = _truncation_drift(cfg, profile, traj, curves)
+            metrics["truncation_check"] = _truncation_drift(cfg, pulses, traj, curves)
     if cfg.delays_ps:
         metrics["delays"] = [{"delay_ps": d, "filters": e} for d, e in zip(cfg.delays_ps, entries)]
     else:

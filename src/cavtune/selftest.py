@@ -32,7 +32,7 @@ from .modespace import (
     wl_to_omega,
 )
 from .spectra import DecayCurve, apply_filter, burst_metrics, synthesize_map
-from .tuning import FreeCarrierPulse, HilbertSpec, PumpSchedule, TuningProfile, fp_shift_at
+from .tuning import FreeCarrierPulse, HilbertSpec, PumpSchedule, fp_shift_at
 
 
 def _default_params(pump=PumpSchedule(), fp_red_nm=0.0, **rates) -> SystemParams:
@@ -113,9 +113,9 @@ def _check_basis_equivalence():
 
 def _check_master_equation_trace():
     p = _default_params(pump=PumpSchedule(cw_rate=1e8))
-    profile = TuningProfile(pulses=(FreeCarrierPulse(50.0, 0.6, 150.0),))
+    pulses = (FreeCarrierPulse(50.0, 0.6, 150.0),)
     t = np.linspace(0.0, 400.0, 101)
-    traj = evolve(p, profile, emitter_excited_state(HilbertSpec(1)), t)
+    traj = evolve(p, pulses, emitter_excited_state(HilbertSpec(1)), t)
     return traj.trace_dev_max < 1e-12, f"max trace deviation {traj.trace_dev_max:.2e}"
 
 
@@ -125,7 +125,7 @@ def _check_cavity_decay():
     kappa = p.target.kappa
     t_half = 1.0 / (2.0 * kappa) * 1e12  # ps
     t = np.linspace(0.0, t_half, 51)
-    traj = evolve(p, TuningProfile(), fock_state(spec, 0, 1, 0), t, rtol=1e-10, atol=1e-14)
+    traj = evolve(p, (), fock_state(spec, 0, 1, 0), t, rtol=1e-10, atol=1e-14)
     expected = np.exp(-1.0)
     got = traj.n_t[-1]
     return abs(got - expected) / expected < 1e-6, f"n_t(1/2kappa) = {got:.8f} vs e^-1"
@@ -136,7 +136,7 @@ def _check_emitter_leaky_decay():
     p = _default_params(g=0.0, gamma_leaky=gamma)
     spec = HilbertSpec(1)
     t = np.linspace(0.0, 1000.0, 101)
-    traj = evolve(p, TuningProfile(), emitter_excited_state(spec), t, rtol=1e-10, atol=1e-14)
+    traj = evolve(p, (), emitter_excited_state(spec), t, rtol=1e-10, atol=1e-14)
     expected = np.exp(-gamma * 1e-12 * t[-1])
     got = traj.n_e[-1]
     return abs(got - expected) / expected < 1e-6, f"n_e(t_end) = {got:.8f} vs {expected:.8f}"
@@ -148,7 +148,7 @@ def _check_purcell_rate():
     p = _default_params(fp_red_nm=8.0, g=DEFAULT_SYSTEM["kappa_t"] / 20.0, eta=0.0)
     expected = p.emitter.gamma_leaky + p.purcell_rate
     t = np.linspace(0.0, 2.0 / (expected * 1e-12), 201)
-    traj = evolve(p, TuningProfile(), emitter_excited_state(HilbertSpec(1)), t)
+    traj = evolve(p, (), emitter_excited_state(HilbertSpec(1)), t)
     mask = (t > 50.0) & (traj.n_e > 1e-12)
     rate = -np.polyfit(t[mask] * 1e-12, np.log(traj.n_e[mask]), 1)[0]
     return abs(rate - expected) / expected < 0.05, (
@@ -163,8 +163,8 @@ def _check_dense_oracle():
     x = rng.randn(spec.dim, spec.dim) + 1j * rng.randn(spec.dim, spec.dim)
     rho = x @ x.conj().T
     rho /= np.trace(rho).real
-    direct = liouvillian_apply(p, rho, pump_rate=2e8)
-    sup = dense_superoperator(p, pump_rate=2e8, spec=spec)
+    direct = liouvillian_apply(p, rho)
+    sup = dense_superoperator(p, spec)
     via_sup = (sup @ rho.reshape(-1)).reshape(spec.dim, spec.dim)
     dev = np.max(np.abs(direct - via_sup)) / np.max(np.abs(direct))
     return dev < 1e-10, f"matrix-free vs compiled generator deviation {dev:.2e}"
@@ -181,7 +181,7 @@ def _check_mode_population_sum():
     x = rng.randn(10, spec.dim, spec.dim) + 1j * rng.randn(10, spec.dim, spec.dim)
     rhos = (x @ np.conj(np.swapaxes(x, 1, 2))).reshape(10, -1)[:, keep]  # positive, pinched
     rhos /= rhos[:, keep % (spec.dim + 1) == 0].sum(axis=1, keepdims=True).real
-    traj = make_trajectory(p, TuningProfile(), np.arange(10.0), rhos, keep, spec.dim)
+    traj = make_trajectory(p, (), np.arange(10.0), rhos, keep, spec.dim)
     dev = np.max(np.abs(traj.n1 + traj.n2 - (traj.n_t + traj.n_fp)))
     return dev < 1e-8, f"max |n1 + n2 - <n_t> - <n_fp>| = {dev:.2e} on random states"
 
@@ -197,7 +197,7 @@ def _single_line():
     spec = HilbertSpec(1)
     rho = fock_state(spec, 0, 1, 0).ravel()
     keep = np.flatnonzero(rho)
-    traj = make_trajectory(p, TuningProfile(), np.linspace(0.0, 10.0, 5),
+    traj = make_trajectory(p, (), np.linspace(0.0, 10.0, 5),
                            np.tile(rho[keep], (5, 1)), keep, spec.dim)
     line_fwhm = 2.0 * p.target.kappa * lam_t**2 / TWO_PI_C_NM
     return traj, np.linspace(lam_t - 80 * line_fwhm, lam_t + 80 * line_fwhm, 8001)
@@ -234,12 +234,9 @@ def _check_metric_scale_invariance():
 def _check_pulse_superposition():
     p1 = FreeCarrierPulse(0.0, 0.4, 120.0)
     p2 = FreeCarrierPulse(300.0, 0.7, 220.0)
-    both = TuningProfile(pulses=(p1, p2))
-    only1 = TuningProfile(pulses=(p1,))
-    only2 = TuningProfile(pulses=(p2,))
     t = np.linspace(-100.0, 1500.0, 641)
-    lhs = fp_shift_at(both, t)
-    rhs = fp_shift_at(only1, t) + fp_shift_at(only2, t)
+    lhs = fp_shift_at((p1, p2), t)
+    rhs = fp_shift_at((p1,), t) + fp_shift_at((p2,), t)
     dev = np.max(np.abs(lhs - rhs))
     return dev == 0.0, f"max |two-pulse shift - sum of single shifts| = {dev:.2e} nm"
 

@@ -1,11 +1,11 @@
 """Time-dependent drives: free-carrier shifts of the FP cavity and emitter pumping.
 
-Where the FP mode sits before any pulse is ``SystemParams.fp``; a profile
-holds only the pulses.  Photoexcited free carriers shift the FP resonance
-from there to shorter wavelength (negative nm) with an exponential recovery.
+Where the FP mode sits before any pulse is ``SystemParams.fp``.  A run's FP drive is
+a plain tuple of :class:`FreeCarrierPulse`: free carriers shift the FP resonance from
+there to shorter wavelength (negative nm) with an exponential recovery; pulses add.
 
 The pump schedule and the Fock-space truncation that a master-equation run
-takes are plain dataclasses kept here, beside the tuning profile, so that
+takes are plain dataclasses kept here, beside the pulses, so that
 configuration and the scipy-free commands never import :mod:`cavtune.lindblad`.
 """
 
@@ -42,23 +42,8 @@ class FreeCarrierPulse:
             raise InvalidInput(f"free-carrier lifetime must be positive, got {self.tau_fc_ps}")
 
 
-@dataclass(frozen=True)
-class TuningProfile:
-    """The free-carrier pulses that move the FP mode from ``SystemParams.fp``.
-
-    Pulses are kept sorted by arrival time; overlapping pulses add.  The
-    default profile has none: the FP mode stays where ``params.fp`` puts it.
-    """
-
-    pulses: tuple = field(default_factory=tuple)
-
-    def __post_init__(self):
-        ordered = tuple(sorted(self.pulses, key=lambda p: p.t0_ps))
-        object.__setattr__(self, "pulses", ordered)
-
-
-def fp_shift_at(profile: TuningProfile, t_ps):
-    """The pulses' FP wavelength shift (nm) at time(s) ``t_ps``, from ``SystemParams.fp``.
+def fp_shift_at(pulses, t_ps):
+    """The FP wavelength shift (nm) of ``pulses`` at time(s) ``t_ps``, from ``SystemParams.fp``.
 
     Pulses with arrival times in the future of ``t_ps`` contribute nothing.
     An array of times is answered by :func:`fp_shift_scalar` at each time, so
@@ -68,19 +53,19 @@ def fp_shift_at(profile: TuningProfile, t_ps):
     if not np.all(np.isfinite(t)):
         raise InvalidInput("evaluation time must be finite")
     if t.ndim == 0:
-        return fp_shift_scalar(profile, float(t))
-    shifts = [fp_shift_scalar(profile, tk) for tk in t.ravel().tolist()]
+        return fp_shift_scalar(pulses, float(t))
+    shifts = [fp_shift_scalar(pulses, tk) for tk in t.ravel().tolist()]
     return np.array(shifts, dtype=float).reshape(t.shape)
 
 
-def fp_shift_scalar(profile: TuningProfile, t_ps: float) -> float:
+def fp_shift_scalar(pulses, t_ps: float) -> float:
     """The shift model at one float time, in float arithmetic and unchecked.
 
     The master-equation integrator calls this on every right-hand-side
     evaluation, where array arithmetic would cost more than the step it feeds.
     """
     shift = 0.0
-    for pulse in profile.pulses:
+    for pulse in pulses:
         dt = t_ps - pulse.t0_ps
         if dt >= 0.0:
             shift -= pulse.delta_lambda_max_nm * math.exp(-dt / pulse.tau_fc_ps)

@@ -13,7 +13,6 @@ from cavtune import (
     InvalidInput,
     PumpSchedule,
     SystemParams,
-    TuningProfile,
     build_space,
     couple,
     emitter_excited_state,
@@ -105,7 +104,7 @@ def se_rates(det_nm: float, g: float = KAPPA_T / 10.0, gamma_leaky: float = 5e8)
     matrix[0, 0] -= 0.5j * gamma_leaky
     exact = -2.0 * polished_eigenvalues(matrix).imag.max()
     t_grid = np.linspace(0.0, 2.5e12 / predicted, 301)
-    traj = evolve(p, TuningProfile(), emitter_excited_state(HilbertSpec(1)), t_grid)
+    traj = evolve(p, (), emitter_excited_state(HilbertSpec(1)), t_grid)
     mask = (t_grid > 60.0) & (traj.n_e > 1e-12)
     rate = -np.polyfit(t_grid[mask] * 1e-12, np.log(traj.n_e[mask]), 1)[0]
     return float(rate), float(exact), float(predicted)
@@ -120,9 +119,9 @@ def filter_by_quadrature(pl_map, lambda_c_nm: float, fwhm_nm: float) -> np.ndarr
     return np.trapezoid(pl_map.intensity * profile[None, :], lam, axis=1)
 
 
-def run_from(cfg, profile, rho0):
-    """``runs.simulate_dynamic(cfg, profile)`` started from ``rho0`` instead of ``cfg``'s state."""
-    return evolve(cfg.params, profile, rho0, cfg.time_grid_ps, rtol=cfg.rtol, atol=cfg.atol)
+def run_from(cfg, pulses, rho0):
+    """``runs.simulate_dynamic(cfg, pulses)`` started from ``rho0`` instead of ``cfg``'s state."""
+    return evolve(cfg.params, pulses, rho0, cfg.time_grid_ps, rtol=cfg.rtol, atol=cfg.atol)
 
 
 def map_and_curves(cfg, traj):

@@ -18,7 +18,6 @@ from cavtune import (
     FreeCarrierPulse,
     HilbertSpec,
     PumpSchedule,
-    TuningProfile,
     couple,
     coupled_hamiltonian,
     dense_superoperator,
@@ -85,17 +84,17 @@ def dip_run():
 def delay_runs():
     cfg = load_config(scenario_config("fig4-delay"))
     rho0 = initial_state_for(cfg)
-    template = cfg.profile.pulses[0]
+    template = cfg.pulses[0]
 
-    def run(profile, params=cfg.params):
-        traj = run_from(replace(cfg, params=params), profile, rho0.copy())
+    def run(pulses, params=cfg.params):
+        traj = run_from(replace(cfg, params=params), pulses, rho0.copy())
         return traj, filtered_curves(cfg, traj)
 
-    reference = run(TuningProfile())
+    reference = run(())
     delays = {}
     for delay in (1500.0, 2000.0, 2500.0):
         pulse = FreeCarrierPulse(delay, template.delta_lambda_max_nm, template.tau_fc_ps)
-        delays[delay] = run(TuningProfile(pulses=(pulse,)))
+        delays[delay] = run((pulse,))
     return cfg, reference, delays, run
 
 
@@ -198,7 +197,7 @@ def test_acceptance_3_master_equation_oracles(burst_run, dip_run, delay_runs):
         spec = HilbertSpec(1)
         t_grid = np.linspace(0.0, 1e12 / (2.0 * KAPPA_T), 41)
         traj = evolve(
-            p, TuningProfile(), fock_state(spec, 0, 1, 0), t_grid, rtol=1e-10, atol=1e-14
+            p, (), fock_state(spec, 0, 1, 0), t_grid, rtol=1e-10, atol=1e-14
         )
         expected = np.exp(-2.0 * KAPPA_T * 1e-12 * t_grid[1:])
         assert np.max(np.abs(traj.n_t[1:] - expected) / expected) < 1e-6
@@ -209,7 +208,7 @@ def test_acceptance_3_master_equation_oracles(burst_run, dip_run, delay_runs):
         p = make_params(g=g, gamma_leaky=gamma_leaky, eta=0.0, lambda_fp=1560.0)
         expected_rate = gamma_leaky + 2.0 * g**2 / KAPPA_T
         t_grid = np.linspace(0.0, 2e12 / expected_rate, 201)
-        traj = evolve(p, TuningProfile(), emitter_excited_state(HilbertSpec(1)), t_grid)
+        traj = evolve(p, (), emitter_excited_state(HilbertSpec(1)), t_grid)
         mask = t_grid > 50.0
         rate = -np.polyfit(t_grid[mask] * 1e-12, np.log(traj.n_e[mask]), 1)[0]
         assert abs(rate - expected_rate) / expected_rate < 0.05
@@ -222,8 +221,8 @@ def test_acceptance_3_master_equation_oracles(burst_run, dip_run, delay_runs):
             x = rng.randn(spec.dim, spec.dim) + 1j * rng.randn(spec.dim, spec.dim)
             rho = x @ x.conj().T
             rho /= np.trace(rho).real
-            direct = liouvillian_apply(p, rho, pump_rate=2e8)
-            sup = dense_superoperator(p, pump_rate=2e8, spec=spec)
+            direct = liouvillian_apply(p, rho)
+            sup = dense_superoperator(p, spec)
             via = (sup @ rho.reshape(-1)).reshape(spec.dim, spec.dim)
             assert np.max(np.abs(direct - via)) <= 1e-10 * np.max(np.abs(direct))
 
@@ -300,8 +299,8 @@ def calibrate_burst_tau_fc(cfg):
     rho0 = initial_state_for(cfg)
 
     def fwhm_for(tau):
-        profile = replace(cfg.profile, pulses=(replace(cfg.profile.pulses[0], tau_fc_ps=tau),))
-        curves = filtered_curves(cfg, run_from(cfg, profile, rho0.copy()))
+        pulses = (replace(cfg.pulses[0], tau_fc_ps=tau),)
+        curves = filtered_curves(cfg, run_from(cfg, pulses, rho0.copy()))
         return burst_metrics(curves[0], cfg.baseline_window_ps).fwhm_ps
 
     lo, hi = 120.0, 620.0
@@ -355,13 +354,13 @@ def test_acceptance_6_delay_tracking_and_inversion(delay_runs):
 
         # the FP 0.6 nm red of the target: the blue control pulse transits the
         # resonance and the feature inverts
-        template = cfg.profile.pulses[0]
+        template = cfg.pulses[0]
         pulse = FreeCarrierPulse(2000.0, template.delta_lambda_max_nm, template.tau_fc_ps)
         detuned = replace(
             cfg.params, fp=BareMode(wl_to_omega(cfg.lambda_t_nm + 0.6), cfg.params.fp.kappa)
         )
-        dipped = run(TuningProfile(pulses=(pulse,)), detuned)
-        detuned_ref = run(TuningProfile(), detuned)
+        dipped = run((pulse,), detuned)
+        detuned_ref = run((), detuned)
         ref2 = np.where(detuned_ref[1][0].intensity > 0, detuned_ref[1][0].intensity, np.inf)
         ratio = dipped[1][0].intensity / ref2
         mask = t > 100.0

@@ -1,4 +1,6 @@
+import errno
 import json
+import os
 import re
 from dataclasses import replace
 
@@ -12,9 +14,11 @@ from cavtune import (
     NumericalFailure,
     SchemaError,
     apply_filter,
+    config,
     couple,
     irf_convolve,
     lindblad,
+    render,
     selftest,
     wl_to_omega,
 )
@@ -24,6 +28,7 @@ from cavtune.config import (
     TAU_FC_CALIBRATED_PS,
     config_hash,
     load_config,
+    load_config_file,
     scenario_config,
 )
 from cavtune.runs import simulate_dynamic
@@ -610,6 +615,83 @@ class TestUnreadableInput:
                                         "--out", str(tmp_path / "dyn")])
         self.assert_schema_error(res, cfg_path)
 
+    def test_dynamic_config_with_an_integer_too_long_to_convert(self, tmp_path):
+        # json raises ValueError past Python's 4300-digit int conversion limit
+        cfg_path = tmp_path / "cfg.json"
+        document = json.dumps(small_dynamic_config()).replace('"n": 240', '"n": ' + "1" * 5000)
+        cfg_path.write_text(document, encoding="utf-8")
+        res = CliRunner().invoke(main, ["dynamic", "--config", str(cfg_path),
+                                        "--out", str(tmp_path / "dyn")])
+        self.assert_schema_error(res, cfg_path)
+
+    ROWS = "".join(f"{d},{1551.0 + d},{1553.0 + d}\n" for d in (-1.0, -0.5, 0.5, 1.0))
+
+    @pytest.mark.parametrize("text, message", [
+        ("t_ps,lambda1,lambda2\n" + ROWS, "unknown column 't_ps'"),
+        ("control,lambda1_ns,lambda2\n" + ROWS, "the lambda1 column takes"),
+        ("control,lambda1,lambda2,lambda1_nm\n" + ROWS.replace("\n", ",1552\n"),
+         "duplicate column"),
+        ("control,lambda1\n" + "".join(r.rsplit(",", 1)[0] + "\n" for r in ROWS.splitlines()),
+         "missing required column 'lambda2'"),
+        ("control,lambda1,lambda2,q1_err\n" + ROWS.replace("\n", ",1\n"), "needs the column"),
+        ("control,lambda1,lambda2\n" + ROWS.split("\n", 1)[1], "at least 4 data rows"),
+        ("control,lambda1,lambda2\n" + re.sub(r",[^,]*\n", ",\n", ROWS), "has no values"),
+        ("control,lambda1,lambda2\n" + ROWS.replace(",1554.0\n", ",\n"), "line 5: missing value"),
+        ("control,lambda1,lambda2,q1\n" + ROWS.replace("\n", ",1e4\n"), "q1 and q2"),
+        ("control,lambda1,lambda2\n" + ROWS.replace(",1554.0\n", ",nan\n"), "not a finite"),
+    ], ids=["unknown", "unit", "duplicate", "missing-column", "unweighted-error", "3-rows",
+            "no-values", "missing-value", "q1-without-q2", "parse-error"])
+    def test_fit_table_errors_name_the_file(self, tmp_path, text, message):
+        # the table's own rules, the data's invariants and the parser alike,
+        # each naming the file once
+        table = tmp_path / "table.csv"
+        table.write_text(text, encoding="utf-8")
+        res = CliRunner().invoke(main, ["fit", str(table), "--out", str(tmp_path / "fit")])
+        self.assert_schema_error(res, table)
+        assert res.output.startswith(f"error: {table}: ") and res.output.count(str(table)) == 1
+        assert message in res.output
+
+    def test_fit_control_clash_names_the_file(self, tmp_path):
+        table = tmp_path / "table.csv"
+        table.write_text("detuning_nm,lambda1,lambda2\n" + self.ROWS, encoding="utf-8")
+        cfg = fit_config(tmp_path, "fit.json", {"control": "power_mw"})
+        res = CliRunner().invoke(main, ["fit", str(table), "--config", str(cfg),
+                                        "--out", str(tmp_path / "fit")])
+        self.assert_schema_error(res, table)
+        assert "fit.control is 'power_mw'" in res.output
+
+    @pytest.mark.parametrize("fault", ["read", "open"])
+    @pytest.mark.parametrize("command", ["fit", "render", "dynamic --config"])
+    def test_input_that_fails_to_read(self, tmp_path, monkeypatch, command, fault):
+        # an OSError on an input names the input, not the output directory
+        if fault == "read":  # the kernel answers a read at address 0 with EIO
+            source = "/proc/self/mem"
+            if not os.path.exists(source):
+                pytest.skip("no /proc/self/mem")
+        else:
+            source = str(small_table(tmp_path))
+
+            def failing_open(*args, **kwargs):
+                raise OSError(errno.EIO, "Input/output error")
+
+            for module in (render, config):
+                monkeypatch.setattr(module, "open", failing_open, raising=False)
+        out = str(tmp_path / "out")
+        args = {"fit": ["fit", source, "--out", out],
+                "render": ["render", source, "--out", out],
+                "dynamic --config": ["dynamic", "--config", source, "--out", out]}[command]
+        res = CliRunner().invoke(main, args)
+        self.assert_schema_error(res, source)
+        assert "Input/output error" in res.output and "cannot write outputs" not in res.output
+
+
+def test_json_config_with_a_byte_order_mark(tmp_path):
+    # as spreadsheets and some editors save one; both CSV readers accept it too
+    for name in SCENARIO_NAMES:
+        path = tmp_path / f"{name}.json"
+        path.write_bytes(b"\xef\xbb\xbf" + json.dumps(scenario_config(name)).encode("utf-8"))
+        assert load_config_file(path).raw == load_config(scenario_config(name)).raw
+
 
 def selftest_rows(output: str) -> list:
     """The ``(name, status, detail)`` rows of a ``cavtune selftest`` table."""
@@ -741,7 +823,7 @@ class TestSelftestDetails:
 
     def test_pulse_superposition(self, monkeypatch):
         calls = spy_on(monkeypatch, "fp_shift_at",
-                       lambda args, shift: shift + 0.25 * (len(args[0].pulses) == 2))
+                       lambda args, shift: shift + 0.25 * (len(args[0]) == 2))
         passed, detail = selftest._check_pulse_superposition()
         (_, both), (_, only1), (_, only2) = calls
         dev = np.max(np.abs(both - only1 - only2))

@@ -13,7 +13,6 @@ from cavtune import (
     PumpPulse,
     PumpSchedule,
     SystemParams,
-    TuningProfile,
     build_space,
     couple,
     dense_superoperator,
@@ -104,7 +103,7 @@ class TestBuildSpace:
 class TestLiouvillian:
     def test_vacuum_stationary(self, default_params):
         rho = vacuum_state(HilbertSpec(2))
-        drho = liouvillian_apply(default_params, rho, pump_rate=0.0)
+        drho = liouvillian_apply(default_params, rho)
         assert np.max(np.abs(drho)) < 1e-20
 
     def test_bare_decay_generator(self, rng):
@@ -124,31 +123,31 @@ class TestLiouvillian:
 
     def test_trace_zero(self, rng, default_params):
         rho = random_density_matrix(rng, 18)
-        drho = liouvillian_apply(default_params, rho, pump_rate=3e8)
+        pumped = replace(default_params, pump=PumpSchedule(cw_rate=3e8))
+        drho = liouvillian_apply(pumped, rho)
         assert abs(np.trace(drho)) <= 1e-12 * np.linalg.norm(drho)
 
     def test_matches_dense_superoperator(self, rng):
+        # both oracles apply the CW rate of params.pump: they agree, and the
+        # matrix-free one differs from its unpumped self by 2e8 D[sigma+] rho
         p = make_params(pump=PumpSchedule(cw_rate=2e8, cavity_cw_rate=1e7))
+        unpumped = replace(p, pump=replace(p.pump, cw_rate=0.0))
         for n_max in (1, 2):
             spec = HilbertSpec(n_max)
             rho = random_density_matrix(rng, spec.dim)
-            direct = liouvillian_apply(p, rho, pump_rate=2e8)
-            sup = dense_superoperator(p, pump_rate=2e8, spec=spec)
+            direct = liouvillian_apply(p, rho)
+            sup = dense_superoperator(p, spec)
             via = (sup @ rho.reshape(-1)).reshape(spec.dim, spec.dim)
             assert np.max(np.abs(direct - via)) <= 1e-10 * np.max(np.abs(direct))
-
-    def test_oracles_share_the_pump_default(self, rng):
-        # without pump_rate, both oracles apply the CW rate of params.pump
-        p = make_params(pump=PumpSchedule(cw_rate=1e8))
-        spec = HilbertSpec(1)
-        rho = random_density_matrix(rng, spec.dim)
-        direct = liouvillian_apply(p, rho)
-        via = (dense_superoperator(p, spec=spec) @ rho.ravel()).reshape(spec.dim, spec.dim)
-        assert np.max(np.abs(direct - via)) <= 1e-12 * np.max(np.abs(direct))
+            sp = build_space(spec).sigma_plus
+            pump_term = 2e8 * (sp @ rho @ sp.T - 0.5 * (sp.T @ sp @ rho + rho @ sp.T @ sp))
+            dev = direct - liouvillian_apply(unpumped, rho) - pump_term
+            assert np.max(np.abs(dev)) <= 1e-10 * np.max(np.abs(pump_term))
 
     def test_compiled_operator_matches_matrix_free(self, rng, in_frame):
-        # the compiled sparse operator (as dense matrix and as the evolve RHS)
-        # against the matrix-free commutator form, over channel variants
+        # the compiled sparse operator (as dense matrix, and as the evolve RHS
+        # and Jacobian off the CW pump rate) against the matrix-free commutator
+        # form, over channel variants
         variants = {
             "default": make_params(pump=PumpSchedule(cw_rate=1e8)),
             "no leaky decay": make_params(gamma_leaky=0.0, pump=PumpSchedule(cw_rate=1e8)),
@@ -161,16 +160,17 @@ class TestLiouvillian:
                     rho = random_density_matrix(rng, spec.dim)
                     lambda_fp = LAMBDA_T + rng.uniform(-1.0, 1.0)
                     fp_now = BareMode(wl_to_omega(lambda_fp), p.fp.kappa)
-                    moved = replace(p, fp=fp_now)
                     pump = rng.uniform(0.0, 5e8)
+                    moved = replace(p, fp=fp_now, pump=replace(p.pump, cw_rate=pump))
                     with in_frame(frame):
-                        direct = liouvillian_apply(moved, rho, pump_rate=pump)
-                        sup = dense_superoperator(moved, pump_rate=pump, spec=spec)
+                        direct = liouvillian_apply(moved, rho)
+                        sup = dense_superoperator(moved, spec)
                         gen = _Generator(p, spec)
                     delta = fp_now.omega if frame == "lab" else fp_now.omega - p.target.omega
                     via_rhs = gen.rhs(rho.ravel(), delta * 1e-12, pump * 1e-12) / 1e-12
+                    via_mat = gen.matrix(delta * 1e-12, pump * 1e-12).toarray() @ rho.ravel() / 1e-12
                     scale = np.max(np.abs(direct))
-                    for via in (sup @ rho.ravel(), via_rhs):
+                    for via in (sup @ rho.ravel(), via_rhs, via_mat):
                         dev = np.max(np.abs(direct - via.reshape(spec.dim, spec.dim))) / scale
                         assert dev < 1e-12, (name, frame, n_max, dev)
 
@@ -215,7 +215,7 @@ class TestLiouvillian:
         expected += dissipator(at, 2 * p.target.kappa, rho)
         expected += dissipator(af, 2 * p.fp.kappa, rho)
         expected += dissipator(sm, p.emitter.gamma_leaky, rho)
-        got = liouvillian_apply(p, rho, pump_rate=0.0)
+        got = liouvillian_apply(p, rho)
         assert np.max(np.abs(got - expected)) <= 1e-10 * np.max(np.abs(expected))
 
     def test_dimension_mismatch(self, default_params):
@@ -229,7 +229,7 @@ class TestEvolve:
         p = make_params(g=0.0, gamma_leaky=gamma, eta=0.0)
         spec = HilbertSpec(1)
         t = np.linspace(0.0, 1500.0, 151)
-        traj = evolve(p, TuningProfile(), emitter_excited_state(spec), t, rtol=1e-10, atol=1e-14)
+        traj = evolve(p, (), emitter_excited_state(spec), t, rtol=1e-10, atol=1e-14)
         expected = np.exp(-gamma * 1e-12 * t)
         assert np.max(np.abs(traj.n_e - expected) / expected) < 1e-6
 
@@ -238,7 +238,7 @@ class TestEvolve:
         spec = HilbertSpec(1)
         t_half = 1e12 / (2.0 * p.target.kappa)
         t = np.linspace(0.0, t_half, 41)
-        traj = evolve(p, TuningProfile(), fock_state(spec, 0, 1, 0), t, rtol=1e-10, atol=1e-14)
+        traj = evolve(p, (), fock_state(spec, 0, 1, 0), t, rtol=1e-10, atol=1e-14)
         assert traj.n_t[-1] == pytest.approx(np.exp(-1.0), rel=1e-6)
 
     def test_purcell_decay_rate(self):
@@ -247,7 +247,7 @@ class TestEvolve:
         p = make_params(g=g, gamma_leaky=gamma_leaky, eta=0.0, lambda_fp=1560.0)
         expected = gamma_leaky + 2.0 * g**2 / KAPPA_T
         t = np.linspace(0.0, 2e12 / expected, 201)
-        traj = evolve(p, TuningProfile(), emitter_excited_state(HilbertSpec(1)), t)
+        traj = evolve(p, (), emitter_excited_state(HilbertSpec(1)), t)
         mask = t > 50.0
         rate = -np.polyfit(t[mask] * 1e-12, np.log(traj.n_e[mask]), 1)[0]
         assert rate == pytest.approx(expected, rel=0.05)
@@ -257,11 +257,11 @@ class TestEvolve:
         from cavtune import apply_filter
 
         p = make_params(pump=PumpSchedule(cw_rate=1e8))
-        profile = TuningProfile(pulses=(FreeCarrierPulse(0.0, 0.6, 352.0),))
+        pulses = (FreeCarrierPulse(0.0, 0.6, 352.0),)
         spec = HilbertSpec(2)
         rho0 = steady_state(p, spec=spec)
         t = np.linspace(-300.0, 1200.0, 501)
-        traj = evolve(p, profile, rho0, t)
+        traj = evolve(p, pulses, rho0, t)
         curve = apply_filter(traj, 1552.2, 0.5)
         pre = curve.intensity[t < 0].mean()
         assert curve.intensity.max() > 1.5 * pre
@@ -269,9 +269,9 @@ class TestEvolve:
 
     def test_trace_positivity_hermiticity(self):
         p = make_params(pump=PumpSchedule(cw_rate=1e8, pulse_events=(PumpPulse(200.0, 1.0, 6.0),)))
-        profile = TuningProfile(pulses=(FreeCarrierPulse(400.0, 0.6, 150.0),))
+        pulses = (FreeCarrierPulse(400.0, 0.6, 150.0),)
         t = np.linspace(0.0, 900.0, 301)
-        traj = evolve(p, profile, vacuum_state(HilbertSpec(2)), t)
+        traj = evolve(p, pulses, vacuum_state(HilbertSpec(2)), t)
         assert traj.trace_dev_max < 1e-8
         assert traj.hermiticity_dev_max < 1e-10
         assert traj.min_eigenvalue > -1e-8
@@ -282,10 +282,10 @@ class TestEvolve:
         # the array-valued post-processing against one scalar couple and one
         # operator-based mode_populations per recorded state
         p = make_params(pump=PumpSchedule(cw_rate=1e8))
-        profile = TuningProfile(pulses=(FreeCarrierPulse(50.0, 0.6, 150.0),))
+        pulses = (FreeCarrierPulse(50.0, 0.6, 150.0),)
         t = np.linspace(0.0, 400.0, 81)
-        traj = evolve(p, profile, emitter_excited_state(HilbertSpec(2)), t)
-        lam_fp = LAMBDA_T + fp_shift_at(profile, t)
+        traj = evolve(p, pulses, emitter_excited_state(HilbertSpec(2)), t)
+        lam_fp = LAMBDA_T + fp_shift_at(pulses, t)
         for i, rho in enumerate(densities(traj)):
             cm = couple(p.target, BareMode(wl_to_omega(float(lam_fp[i])), p.fp.kappa), p.eta)
             n1, n2 = mode_populations(rho, cm)
@@ -311,13 +311,13 @@ class TestEvolve:
 
     def test_truncation_convergence(self):
         p = make_params(pump=PumpSchedule(cw_rate=1e8))
-        profile = TuningProfile(pulses=(FreeCarrierPulse(0.0, 0.6, 352.0),))
+        pulses = (FreeCarrierPulse(0.0, 0.6, 352.0),)
         t = np.linspace(-100.0, 600.0, 201)
         out = {}
         for n_max in (2, 4):
             spec = HilbertSpec(n_max)
             rho0 = steady_state(p, spec=spec)
-            out[n_max] = evolve(p, profile, rho0, t)
+            out[n_max] = evolve(p, pulses, rho0, t)
         for field in ("n_e", "n_t", "n_fp", "n1", "n2"):
             a, b = getattr(out[2], field), getattr(out[4], field)
             scale = np.max(np.abs(b))
@@ -338,12 +338,12 @@ class TestEvolve:
         )
         spec = HilbertSpec(1)
         rho0 = emitter_excited_state(spec)
-        profile = TuningProfile(pulses=(FreeCarrierPulse(20.0, 5.0, 30.0),))
+        pulses = (FreeCarrierPulse(20.0, 5.0, 30.0),)
         t = np.linspace(0.0, 60.0, 61)
         obs = {}
         for frame in ("rotating", "lab"):
             with in_frame(frame):
-                traj = evolve(p, profile, rho0, t, rtol=1e-12, atol=1e-16)
+                traj = evolve(p, pulses, rho0, t, rtol=1e-12, atol=1e-16)
             obs[frame] = np.stack([traj.n_e, traj.n_t, traj.n_fp, traj.n1, traj.n2])
         return np.max(np.abs(obs["rotating"] - obs["lab"]))
 
@@ -354,11 +354,11 @@ class TestEvolve:
     def test_frame_invariance_detects_a_term_that_bypasses_the_seam(self, in_frame, monkeypatch):
         # a negative control: an FP detuning that subtracts the target frequency
         # itself stays in the rotating frame when the lab frame is patched in
-        def bypassing_delta_fp_fn(params, profile):
+        def bypassing_delta_fp_fn(params, pulses):
             lambda_fp = omega_to_wl(params.fp.omega)
 
             def delta_fp(t_ps):
-                omega_fp = wl_to_omega(lambda_fp + fp_shift_scalar(profile, t_ps))
+                omega_fp = wl_to_omega(lambda_fp + fp_shift_scalar(pulses, t_ps))
                 return (omega_fp - params.target.omega) * 1e-12
 
             return delta_fp
@@ -374,9 +374,9 @@ class TestEvolve:
         spec = HilbertSpec(1)
         t = np.linspace(0.0, 200.0, 41)
         before = t <= 100.0
-        pulsed = TuningProfile(pulses=(FreeCarrierPulse(100.0, 0.6, 150.0),))
+        pulsed = (FreeCarrierPulse(100.0, 0.6, 150.0),)
         with_pulse = evolve(p, pulsed, emitter_excited_state(spec), t)
-        free = evolve(p, TuningProfile(), emitter_excited_state(spec), t[before])
+        free = evolve(p, (), emitter_excited_state(spec), t[before])
         np.testing.assert_array_equal(densities(with_pulse)[before], densities(free))
 
     def test_segments_cap_steps_by_the_narrowest_overlapping_pump_window(self):
@@ -385,12 +385,12 @@ class TestEvolve:
         # the narrow one alone; the extra time 150 ps lies past t1
         narrow, wide = PumpPulse(0.0, 1.0, 6.0), PumpPulse(20.0, 1.0, 12.0)
         pump = PumpSchedule(pulse_events=(wide, narrow))
-        profile = TuningProfile(pulses=(FreeCarrierPulse(-8.0, 0.6, 150.0),))
+        pulses = (FreeCarrierPulse(-8.0, 0.6, 150.0),)
         sn, sw = narrow.sigma_ps, wide.sigma_ps
         n_lo, n_hi = 0.0 - 5.0 * sn, 0.0 + 5.0 * sn
         w_lo, w_hi = 20.0 - 5.0 * sw, 20.0 + 5.0 * sw
         assert sn / 2.0 < sw / 2.0 < 60.0 - w_hi
-        assert list(_segments(profile, pump, -50.0, 100.0, [60.0, 150.0])) == [
+        assert list(_segments(pulses, pump, -50.0, 100.0, [60.0, 150.0])) == [
             (-50.0, n_lo, n_lo + 50.0),
             (n_lo, -8.0, sn / 2.0),
             (-8.0, w_lo, sn / 2.0),
@@ -408,38 +408,38 @@ class TestEvolve:
         )
         t = np.concatenate([np.linspace(-100.0, 1200.0, 1301), [0.0, 150.0, 200.0]])
         for frame in ("rotating", "lab"):
-            for det_nm, profile in (
-                (0.3, TuningProfile(pulses=pulses[:1])),
-                (-0.2, TuningProfile(pulses=pulses)),
+            for det_nm, subset in (
+                (0.3, pulses[:1]),
+                (-0.2, pulses),
             ):
                 p = make_params(lambda_fp=LAMBDA_T + det_nm)
                 base = 0.0 if frame == "rotating" else p.target.omega
-                omega_fp = wl_to_omega(omega_to_wl(p.fp.omega) + fp_shift_at(profile, t))
+                omega_fp = wl_to_omega(omega_to_wl(p.fp.omega) + fp_shift_at(subset, t))
                 expected = (omega_fp - p.target.omega + base) * 1e-12
                 with in_frame(frame):
-                    fast = _delta_fp_fn(p, profile)
+                    fast = _delta_fp_fn(p, subset)
                 got = np.array([fast(float(tk)) for tk in t])
                 assert np.all(np.abs(got - expected) <= 1e-15 * np.abs(expected))
-                shifts = np.array([fp_shift_scalar(profile, float(tk)) for tk in t])
-                assert np.max(np.abs(shifts - fp_shift_at(profile, t))) <= 1e-15
+                shifts = np.array([fp_shift_scalar(subset, float(tk)) for tk in t])
+                assert np.max(np.abs(shifts - fp_shift_at(subset, t))) <= 1e-15
 
     def test_non_monotonic_grid_rejected(self, default_params):
         p = make_params(pump=PumpSchedule())
         with pytest.raises(InvalidInput):
-            evolve(p, TuningProfile(), vacuum_state(HilbertSpec(1)), [0.0, 10.0, 5.0])
+            evolve(p, (), vacuum_state(HilbertSpec(1)), [0.0, 10.0, 5.0])
 
     @pytest.mark.parametrize("shape", [(18,), (18, 3)])
     def test_non_square_state_rejected(self, shape):
         rho0 = np.zeros(shape, dtype=complex)
         rho0[0] = 1.0
         with pytest.raises(InvalidInput, match="square"):
-            evolve(make_params(), TuningProfile(), rho0, [0.0, 1.0])
+            evolve(make_params(), (), rho0, [0.0, 1.0])
 
     def test_zero_atol_rejected(self):
         # BDF's error scale atol + rtol*|y| is 0 on the entries that stay 0
         rho0 = vacuum_state(HilbertSpec(1))
         with pytest.raises(InvalidInput, match="atol"):
-            evolve(make_params(), TuningProfile(), rho0, [0.0, 1.0], atol=0.0)
+            evolve(make_params(), (), rho0, [0.0, 1.0], atol=0.0)
 
 
 class TestBlockEvolve:
@@ -457,22 +457,22 @@ class TestBlockEvolve:
     here, though the two patterns are ordered on their own.
     """
 
-    BURST = TuningProfile(pulses=(FreeCarrierPulse(0.0, 0.6, 352.421875),))
+    BURST = (FreeCarrierPulse(0.0, 0.6, 352.421875),)
     T_GRID = np.linspace(-100.0, 600.0, 176)
 
     @classmethod
-    def _full_space(cls, p, profile, rho0, t):
+    def _full_space(cls, p, pulses, rho0, t):
         """``(states, rhs_calls)`` of the full-space solve."""
         spec = HilbertSpec(round(np.sqrt(rho0.shape[0] / 2.0)) - 1)
         gen = _Generator(p, spec)
         pump = p.pump
-        inner = {q.t0_ps for q in profile.pulses}
+        inner = {q.t0_ps for q in pulses}
         bounds = [t[0]] + sorted(x for x in inner if t[0] < x < t[-1]) + [t[-1]]
         states = np.zeros((t.size, spec.dim**2), dtype=complex)
         states[0] = y = rho0.ravel()
         nfev = 0
         for a, b in zip(bounds[:-1], bounds[1:]):
-            started = replace(profile, pulses=tuple(q for q in profile.pulses if q.t0_ps <= a))
+            started = tuple(q for q in pulses if q.t0_ps <= a)
             delta_fp = _delta_fp_fn(p, started)
 
             def rhs(tk, v):
@@ -495,7 +495,7 @@ class TestBlockEvolve:
         return states.reshape(t.size, spec.dim, spec.dim), nfev
 
     @classmethod
-    def _check(cls, monkeypatch, p, profile, rho0):
+    def _check(cls, monkeypatch, p, pulses, rho0):
         calls = []
 
         def counted_solve_ivp(*args, **kwargs):
@@ -504,8 +504,8 @@ class TestBlockEvolve:
             return sol
 
         monkeypatch.setattr(lindblad, "solve_ivp", counted_solve_ivp)
-        traj = evolve(p, profile, rho0, cls.T_GRID)
-        expected, nfev = cls._full_space(p, profile, rho0, cls.T_GRID)
+        traj = evolve(p, pulses, rho0, cls.T_GRID)
+        expected, nfev = cls._full_space(p, pulses, rho0, cls.T_GRID)
         assert np.array_equal(densities(traj), expected)
         assert sum(calls) == nfev
         return traj
@@ -588,11 +588,11 @@ class TestStateValidity:
                 if entry == (3, 3):
                     states[i, column[0]] -= factor * limit  # the trace stays 1
             if passes:
-                traj = make_trajectory(p, TuningProfile(), self.T, states, keep, spec.dim)
+                traj = make_trajectory(p, (), self.T, states, keep, spec.dim)
                 assert traj.states is states
             else:
                 with pytest.raises(NumericalFailure, match=message) as failure:
-                    make_trajectory(p, TuningProfile(), self.T, states, keep, spec.dim)
+                    make_trajectory(p, (), self.T, states, keep, spec.dim)
                 assert str(failure.value).startswith(f"state at t = {self.T[7]} ps ")
 
     def test_failing_states_are_checked_in_one_pass(self, monkeypatch):
@@ -609,7 +609,7 @@ class TestStateValidity:
 
         monkeypatch.setattr(lindblad, "_block_checks", counting_block_checks)
         with pytest.raises(NumericalFailure, match="trace .* deviates from 1") as failure:
-            make_trajectory(p, TuningProfile(), self.T, states, keep, spec.dim)
+            make_trajectory(p, (), self.T, states, keep, spec.dim)
         assert str(failure.value).startswith(f"state at t = {self.T[7]} ps ")
         assert len(calls) == 1
 
@@ -753,18 +753,18 @@ class TestAgainstRK45Oracle:
     ):
         from cavtune import apply_filter, synthesize_map
         from cavtune.config import load_config, scenario_config
-        from cavtune.runs import delay_profile, initial_state_for
+        from cavtune.runs import delay_pulses, initial_state_for
 
         cfg = load_config(scenario_config(scenario))
         cfg = replace(cfg, hilbert=HilbertSpec(n_max))
-        profile = cfg.profile if delay_ps is None else delay_profile(cfg, delay_ps)
+        pulses = cfg.pulses if delay_ps is None else delay_pulses(cfg, delay_ps)
         step = cfg.time_grid_ps[1] - cfg.time_grid_ps[0]
         t = np.linspace(*window_ps, round((window_ps[1] - window_ps[0]) / step) + 1)
         rho0 = initial_state_for(cfg)
         (lam_c, fwhm), = cfg.filters
 
         def observed(**tolerances):
-            traj = evolve(cfg.params, profile, rho0, t, **tolerances)
+            traj = evolve(cfg.params, pulses, rho0, t, **tolerances)
             pl = synthesize_map(traj, cfg.lambda_grid_nm, cfg.collection_exponent)
             curve = apply_filter(traj, lam_c, fwhm, cfg.collection_exponent)
             return traj, pl.intensity, curve.intensity
@@ -795,7 +795,7 @@ class TestWeakCouplingRates:
         predicted_scale = p.emitter.gamma_leaky + p.purcell_rate
         t = np.linspace(0.0, 2.5e12 / predicted_scale, 301)
         moved = replace(p, fp=BareMode(wl_to_omega(LAMBDA_T + det_nm), p.fp.kappa))
-        traj = evolve(moved, TuningProfile(), emitter_excited_state(HilbertSpec(1)), t)
+        traj = evolve(moved, (), emitter_excited_state(HilbertSpec(1)), t)
         mask = (t > 60.0) & (traj.n_e > 1e-12)
         return -np.polyfit(t[mask] * 1e-12, np.log(traj.n_e[mask]), 1)[0]
 
@@ -883,7 +883,7 @@ class TestSteadyState:
         p = make_params(pump=PumpSchedule(cw_rate=1e8))
         spec = HilbertSpec(2)
         rho = steady_state(p, spec=spec)
-        drho = liouvillian_apply(p, rho, pump_rate=1e8)
+        drho = liouvillian_apply(p, rho)
         assert np.linalg.norm(drho) * 1e-12 < 1e-10 * np.linalg.norm(rho)
 
     @staticmethod
@@ -893,10 +893,10 @@ class TestSteadyState:
         p = make_params(pump=PumpSchedule(cw_rate=1e8))
         rho_ss = steady_state(p, spec=spec)
         t = np.linspace(0.0, 12000.0, 241)
-        traj = evolve(p, TuningProfile(), vacuum_state(spec), t)
+        traj = evolve(p, (), vacuum_state(spec), t)
         curve = apply_filter(traj, 1552.2, 0.5)
 
-        traj_ss = evolve(p, TuningProfile(), rho_ss, np.array([0.0, 1.0]))
+        traj_ss = evolve(p, (), rho_ss, np.array([0.0, 1.0]))
         curve_ss = apply_filter(traj_ss, 1552.2, 0.5)
         assert curve.intensity[-1] == pytest.approx(curve_ss.intensity[0], rel=0.01)
         return traj.density(-1), rho_ss
@@ -918,7 +918,7 @@ class TestSteadyState:
         p = make_params(lambda_fp=LAMBDA_T + det_nm, pump=PumpSchedule(cw_rate=1e8))
         spec = HilbertSpec(2)
         rho_ss = steady_state(p, spec=spec)
-        traj = evolve(p, TuningProfile(), rho_ss, np.linspace(0.0, 500.0, 101))
+        traj = evolve(p, (), rho_ss, np.linspace(0.0, 500.0, 101))
         ops = build_space(spec)
         for field, op in (("n_e", ops.n_e), ("n_t", ops.n_t), ("n_fp", ops.n_fp)):
             steady = expectation(op, rho_ss).real
@@ -957,7 +957,7 @@ class TestSteadyState:
         for n_max in (1, 3):
             spec = HilbertSpec(n_max)
             rho = steady_state(p, spec=spec)
-            evolved = evolve(p, TuningProfile(), vacuum_state(spec), [0.0, 3000.0]).density(-1)
+            evolved = evolve(p, (), vacuum_state(spec), [0.0, 3000.0]).density(-1)
             assert np.max(np.abs(rho - evolved)) < 1e-8
             assert expectation(build_space(spec).n_e, rho).real == 0.0
             assert abs(np.trace(rho) - 1.0) < 1e-12

@@ -6,12 +6,12 @@ import json
 import numpy as np
 import pytest
 
-from cavtune import NoFeature, runs
+from cavtune import NoFeature, evolve, runs
 from cavtune.config import load_config, scenario_config
 from cavtune.render import render_csv_file, render_heatmap_ppm
 from cavtune.runs import (
     _metrics_entry,
-    delay_profile,
+    delay_pulses,
     delay_scan,
     format_number,
     initial_state_for,
@@ -99,7 +99,7 @@ def test_delay_scan_matches_from_scratch_runs(delays, exact, tol):
     for delay, traj in zip(delays, delayed):
         pl_map, curves = map_and_curves(cfg, traj)
         # the independent oracle: one from-scratch run with the pulse at the delay
-        oracle_traj = run_from(cfg, delay_profile(cfg, delay), rho0)
+        oracle_traj = run_from(cfg, delay_pulses(cfg, delay), rho0)
         oracle_map, oracle_curves = map_and_curves(cfg, oracle_traj)
         if delay in exact:
             np.testing.assert_array_equal(densities(traj), densities(oracle_traj))
@@ -141,16 +141,27 @@ def test_delay_scan_checks_truncation_on_its_first_delay(tmp_path, monkeypatch):
     cfg = load_config(raw)
     reruns = []
 
-    def recording_simulate_dynamic(run_cfg, profile=None):
-        reruns.append((run_cfg.hilbert.n_max, profile))
-        return simulate_dynamic(run_cfg, profile)
+    def recording_simulate_dynamic(run_cfg, pulses=None):
+        reruns.append((run_cfg.hilbert.n_max, pulses))
+        return simulate_dynamic(run_cfg, pulses)
 
     monkeypatch.setattr(runs, "simulate_dynamic", recording_simulate_dynamic)
     run_dynamic(cfg, tmp_path)
     check = json.loads((tmp_path / "metrics.json").read_text(encoding="utf-8"))["truncation_check"]
     assert (check["n_max"], check["n_max_check"]) == (1, 2)
     assert check["max_relative_drift"] < 0.01 and check["within_1_percent"] is True
-    assert reruns == [(2, delay_profile(cfg, 1000.0))]
+    assert reruns == [(2, delay_pulses(cfg, 1000.0))]
+
+
+def test_simulate_dynamic_without_pulses():
+    # () asks for a run without pulses; only None takes the config's
+    cfg = load_config(scenario_config("fig3-burst"))
+    free = simulate_dynamic(cfg, ())
+    oracle = evolve(cfg.params, (), initial_state_for(cfg), cfg.time_grid_ps,
+                    rtol=cfg.rtol, atol=cfg.atol)
+    np.testing.assert_array_equal(densities(free), densities(oracle))
+    np.testing.assert_array_equal(free.lambda1_nm, oracle.lambda1_nm)
+    assert not np.array_equal(free.n_e, simulate_dynamic(cfg).n_e)
 
 
 def _thermo_scaled_dip():

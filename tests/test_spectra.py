@@ -304,12 +304,12 @@ class TestIrfConvolve:
 
 class TestQuasiStaticConsistency:
     def test_filtered_decay_tracks_slowest_eigenrate(self):
-        from cavtune import HilbertSpec, TuningProfile, emitter_excited_state, evolve
+        from cavtune import HilbertSpec, emitter_excited_state, evolve
         from conftest import make_params
 
         p = make_params(g=KAPPA / 15.0, gamma_leaky=5e8, eta=0.0, lambda_fp=1560.0)
         t = np.linspace(0.0, 1200.0, 401)
-        traj = evolve(p, TuningProfile(), emitter_excited_state(HilbertSpec(1)), t)
+        traj = evolve(p, (), emitter_excited_state(HilbertSpec(1)), t)
         curve = apply_filter(traj, 1552.0, 0.5)
         mask = t > 100.0
         rate_curve = -np.polyfit(t[mask], np.log(curve.intensity[mask]), 1)[0]

@@ -26,7 +26,6 @@ from scipy.integrate import solve_ivp
 from cavtune import (
     HilbertSpec,
     PumpSchedule,
-    TuningProfile,
     apply_filter,
     emitter_excited_state,
     evolve,
@@ -58,20 +57,20 @@ def h_eff(params, omega_fp: float) -> np.ndarray:
     ])
 
 
-def wavefunction(params, profile, t_grid) -> np.ndarray:
+def wavefunction(params, pulses, t_grid) -> np.ndarray:
     """``c(t)`` at each time of ``t_grid``, from ``c = (1, 0, 0)`` at its first.
 
     A pulse acts from its onset on: the segment that ends at an onset runs
     without that pulse.
     """
     lambda_fp = omega_to_wl(params.fp.omega)
-    onsets = sorted({p.t0_ps for p in profile.pulses if t_grid[0] < p.t0_ps < t_grid[-1]})
+    onsets = sorted({p.t0_ps for p in pulses if t_grid[0] < p.t0_ps < t_grid[-1]})
     bounds = [t_grid[0], *onsets, t_grid[-1]]
     c = np.array([1.0, 0.0, 0.0], dtype=complex)
     out = np.empty((t_grid.size, 3), dtype=complex)
     out[0] = c
     for a, b in zip(bounds[:-1], bounds[1:]):
-        started = TuningProfile(tuple(p for p in profile.pulses if p.t0_ps <= a))
+        started = tuple(p for p in pulses if p.t0_ps <= a)
 
         def rhs(t, y):
             return -1j * (h_eff(params, wl_to_omega(lambda_fp + fp_shift_at(started, t))) @ y)
@@ -86,13 +85,13 @@ def wavefunction(params, profile, t_grid) -> np.ndarray:
 
 
 def _scenario(name, **profile_keys):
-    """A fig3 scenario's system, profile, time grid and filter, unpumped."""
+    """A fig3 scenario's system, pulses, time grid and filter, unpumped."""
     raw = scenario_config(name)
     raw["profile"].update(profile_keys)
     cfg = load_config(raw)
     params = replace(cfg.params, pump=PumpSchedule())
     t = np.linspace(-20.0, 500.0, 261)
-    return params, cfg.profile, t, cfg.filters[0]
+    return params, cfg.pulses, t, cfg.filters[0]
 
 
 CASES = {
@@ -105,11 +104,11 @@ CASES = {
 }
 
 
-def oracle_trajectory(params, profile, t, keep, spec):
+def oracle_trajectory(params, pulses, t, keep, spec):
     """``c(t)`` and, for the filtered curve, its states as a trajectory:
     ``make_trajectory`` of ``c c^dag`` plus the ground state, on the entries
     ``keep`` of vec(rho)."""
-    c = wavefunction(params, profile, t)
+    c = wavefunction(params, pulses, t)
     d = spec.dim
     rho = np.zeros((t.size, d, d), dtype=complex)
     one = [spec.index(1, 0, 0), spec.index(0, 1, 0), spec.index(0, 0, 1)]
@@ -118,14 +117,14 @@ def oracle_trajectory(params, profile, t, keep, spec):
     flat = rho.reshape(t.size, -1)
     outside = np.delete(flat, keep, axis=1)
     assert not outside.any()
-    return c, make_trajectory(params, profile, t, flat[:, keep], keep, d)
+    return c, make_trajectory(params, pulses, t, flat[:, keep], keep, d)
 
 
-def deviations(params, profile, t, lambda_fwhm, n_max):
+def deviations(params, pulses, t, lambda_fwhm, n_max):
     """The relative deviation of ``evolve`` from the oracle, per compared series."""
     spec = HilbertSpec(n_max)
-    traj = evolve(params, profile, emitter_excited_state(spec), t)
-    c, oracle = oracle_trajectory(params, profile, t, traj.keep, spec)
+    traj = evolve(params, pulses, emitter_excited_state(spec), t)
+    c, oracle = oracle_trajectory(params, pulses, t, traj.keep, spec)
 
     def relative(got, want):
         return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
