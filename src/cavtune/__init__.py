@@ -22,8 +22,7 @@ _EXPORTS = {
     for module, names in {
         "errors": "CavtuneError InvalidInput NoFeature NumericalFailure SchemaError",
         "modespace": "BareMode CoupledModes EmitterParams SystemParams anticrossing_sweep couple"
-        " coupled_hamiltonian detuning_wl_to_omega hamiltonian_bare_basis omega_to_wl q_factor"
-        " wl_to_omega",
+        " coupled_hamiltonian detuning_wl_to_omega hamiltonian_bare_basis omega_to_wl wl_to_omega",
         "tuning": "FreeCarrierPulse HilbertSpec PumpPulse PumpSchedule fp_shift_at",
         "spectra": "BurstMetrics DecayCurve PLMap apply_filter burst_metrics irf_convolve"
         " synthesize_map",

@@ -203,7 +203,6 @@ class RunConfig:
     time_grid_ps: Optional[np.ndarray]
     lambda_grid_nm: Optional[np.ndarray]
     filters: list  # (lambda_nm, fwhm_nm)
-    collection_exponent: float
     irf_sigma_ps: float
     hilbert: HilbertSpec
     rtol: float
@@ -272,7 +271,6 @@ def load_config(raw: dict) -> RunConfig:
                     p.number("width_ps", 6.0))
             for p in pump.sections("pulses")
         ),
-        cavity_cw_rate=pump.number("cavity_cw_rate", 0.0, minimum=0.0),
     )
 
     delays = root.numbers("delays_ps", None)
@@ -335,7 +333,6 @@ def load_config(raw: dict) -> RunConfig:
         time_grid_ps=time_grid,
         lambda_grid_nm=lambda_grid,
         filters=_read_filters(root),
-        collection_exponent=spectra.number("collection_exponent", 1.0, minimum=0.0),
         irf_sigma_ps=spectra.number("irf_sigma_ps", 0.0, minimum=0.0),
         hilbert=solver.build(HilbertSpec, solver.integer("n_max", 2, minimum=1)),
         rtol=solver.number("rtol", SOLVER_RTOL, minimum=1e-13),
@@ -379,7 +376,7 @@ def _base_dynamic(scenario: str) -> dict:
             "time_ps": {"start": -600.0, "stop": 2400.0, "n": 1001},
             "lambda_nm": {"start": 1550.6, "stop": 1553.4, "n": 141},
         },
-        "spectra": {"collection_exponent": 1.0, "irf_sigma_ps": 0.0},
+        "spectra": {"irf_sigma_ps": 0.0},
         "solver": {"n_max": 2, "rtol": SOLVER_RTOL, "atol": SOLVER_ATOL, "initial_state": "steady"},
     }
 

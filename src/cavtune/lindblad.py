@@ -127,8 +127,6 @@ def _model(params: SystemParams, spec: tuning.HilbertSpec):
     ]
     if em.gamma_leaky > 0.0:
         channels.append((em.gamma_leaky * _PS, ops.sigma_minus))
-    if params.pump.cavity_cw_rate > 0.0:
-        channels.append((params.pump.cavity_cw_rate * _PS, ops.a_t.T))
     return ops, h0, channels
 
 

@@ -176,8 +176,8 @@ class CoupledModes:
     def q(self, mode: int) -> float:
         self._check_mode(mode)
         if mode == 1:
-            return q_factor(self.omega1, self.kappa1)
-        return q_factor(self.omega2, self.kappa2)
+            return self.omega1 / (2.0 * self.kappa1)
+        return self.omega2 / (2.0 * self.kappa2)
 
     def wavelength_nm(self, mode: int) -> float:
         return omega_to_wl(self.omega1 if mode == 1 else self.omega2)
@@ -186,13 +186,6 @@ class CoupledModes:
     def _check_mode(mode: int):
         if mode not in (1, 2):
             raise InvalidInput(f"mode index must be 1 or 2, got {mode}")
-
-
-def q_factor(omega, kappa) -> float:
-    """Quality factor Q = omega/(2*kappa) of a mode; :attr:`BareMode.q` is that of a bare one."""
-    if np.any(np.asarray(kappa) <= 0.0):
-        raise InvalidInput(f"loss rate must be positive, got {kappa}")
-    return omega / (2.0 * kappa)
 
 
 _DEGENERACY_RTOL = 1e-12

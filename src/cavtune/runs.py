@@ -127,7 +127,7 @@ def simulate_dynamic(cfg: RunConfig, pulses: Optional[tuple] = None):
 def filtered_curves(cfg: RunConfig, traj) -> list:
     """The traces of ``traj`` through each of ``cfg.filters``, convolved with its IRF."""
     return [
-        irf_convolve(apply_filter(traj, c, fwhm, cfg.collection_exponent), cfg.irf_sigma_ps)
+        irf_convolve(apply_filter(traj, c, fwhm), cfg.irf_sigma_ps)
         for c, fwhm in cfg.filters
     ]
 
@@ -211,7 +211,7 @@ def _write_curve_csv(path: Path, curve: DecayCurve) -> None:
 
 def _emit_dynamic_outputs(outdir: Path, prefix: str, traj, curves, cfg: RunConfig, render):
     """Write the emission map of ``traj``, synthesized here, and ``curves``."""
-    pl_map = synthesize_map(traj, cfg.lambda_grid_nm, cfg.collection_exponent)
+    pl_map = synthesize_map(traj, cfg.lambda_grid_nm)
     outputs = []
     map_csv = outdir / f"{prefix}map.csv"
     write_map_csv(map_csv, pl_map)

@@ -207,7 +207,7 @@ def _check_map_area():
     # single bright line of constant population: integrated map = flux;
     # +-80 linewidths: the Lorentzian tails then carry ~0.4% < 0.5% of the area
     traj, grid = _single_line()
-    integral = np.trapezoid(synthesize_map(traj, grid, collection_exponent=1.0).intensity[0], grid)
+    integral = np.trapezoid(synthesize_map(traj, grid).intensity[0], grid)
     flux = 2.0 * traj.kappa_t * 1e-12
     return abs(integral - flux) / flux < 5e-3, f"map integral {integral:.4e} vs flux {flux:.4e}"
 

@@ -2,8 +2,9 @@
 
 Emission is quasi-static: at each recorded time the emission of coupled
 mode l is a Lorentzian line at the instantaneous mode wavelength with
-linewidth set by the instantaneous loss rate, weighted by the photon flux
-``2*kappa_t*n_l`` and a collection weight ``|target amplitude|**(2p)``.
+linewidth set by the instantaneous loss rate, carrying the photon flux
+``|target amplitude|**2 * 2*kappa_t*n_l`` that leaves through the target
+cavity.
 """
 
 from __future__ import annotations
@@ -86,27 +87,23 @@ class BurstMetrics:
         }
 
 
-def _emission_lines(traj: Trajectory, p: float) -> Iterator[tuple]:
+def _emission_lines(traj: Trajectory) -> Iterator[tuple]:
     """``(centre_nm, fwhm_nm, flux)`` of each mode's line per time; see :func:`synthesize_map`."""
-    if p < 0.0:
-        raise InvalidInput(f"collection exponent must be >= 0, got {p}")
     for lam_l, kappa_l, w_l, n_l in ((traj.lambda1_nm, traj.kappa1, traj.w1, traj.n1),
                                      (traj.lambda2_nm, traj.kappa2, traj.w2, traj.n2)):
         # the FWHM is 2*kappa_l in angular frequency, converted at the line position;
         # tiny negative populations from integrator tolerance are clipped
         fwhm_nm = 2.0 * kappa_l * lam_l**2 / TWO_PI_C_NM
-        yield lam_l, fwhm_nm, w_l**p * 2.0 * traj.kappa_t * SECONDS_PER_PS * np.clip(n_l, 0.0, None)
+        yield lam_l, fwhm_nm, w_l * 2.0 * traj.kappa_t * SECONDS_PER_PS * np.clip(n_l, 0.0, None)
 
 
-def synthesize_map(
-    traj: Trajectory, lambda_grid_nm: Sequence[float], collection_exponent: float = 1.0
-) -> PLMap:
+def synthesize_map(traj: Trajectory, lambda_grid_nm: Sequence[float]) -> PLMap:
     """Quasi-static emission map from a trajectory's coupled-mode records.
 
     ``S(lambda, t) = sum_l w_l 2 kappa_t n_l L(lambda; lambda_l, dlambda_l)``
     with ``L`` an area-normalized Lorentzian of linewidth set by the mode's
     instantaneous loss rate and ``w_l`` the detected-channel weight
-    ``(|target amplitude|^2)**p``.  The flux factor uses the *bare target*
+    ``|target amplitude|^2``.  The flux factor uses the *bare target*
     loss rate: detection looks at the target cavity, so mode l contributes
     photons through the target mirror at ``2*kappa_t*|alpha_l|^2*n_l``.
     Weighting the flux with the eigenmode loss rate instead double-counts the
@@ -117,15 +114,14 @@ def synthesize_map(
     if lam.size == 0:
         raise InvalidInput("wavelength grid must be non-empty")
     out = np.zeros((traj.t_ps.size, lam.size))
-    for lam_l, gamma_nm, flux in _emission_lines(traj, collection_exponent):
+    for lam_l, gamma_nm, flux in _emission_lines(traj):
         lam_l, gamma_nm = lam_l[:, None], gamma_nm[:, None]
         lorentz = (gamma_nm / (2.0 * np.pi)) / ((lam[None, :] - lam_l) ** 2 + (gamma_nm / 2.0) ** 2)
         out += flux[:, None] * lorentz
     return PLMap(lam, traj.t_ps, out)
 
 
-def apply_filter(traj: Trajectory, lambda_c_nm: float, fwhm_nm: float,
-                 collection_exponent: float = 1.0) -> DecayCurve:
+def apply_filter(traj: Trajectory, lambda_c_nm: float, fwhm_nm: float) -> DecayCurve:
     """The emission of ``traj`` through a unit-peak Lorentzian filter, over all wavelengths.
 
     A line of FWHM ``gamma_l`` through a filter of half-width ``h`` gives
@@ -136,7 +132,7 @@ def apply_filter(traj: Trajectory, lambda_c_nm: float, fwhm_nm: float,
         raise InvalidInput(f"filter FWHM must be positive, got {fwhm_nm}")
     half = fwhm_nm / 2.0
     intensity = np.zeros(traj.t_ps.size)
-    for lam_l, gamma_nm, flux in _emission_lines(traj, collection_exponent):
+    for lam_l, gamma_nm, flux in _emission_lines(traj):
         s = half + gamma_nm / 2.0
         intensity += flux * half * s / ((lambda_c_nm - lam_l) ** 2 + s**2)
     return DecayCurve(traj.t_ps, intensity, lambda_c_nm, fwhm_nm)

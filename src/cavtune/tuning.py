@@ -4,9 +4,10 @@ Where the FP mode sits before any pulse is ``SystemParams.fp``.  A run's FP driv
 a plain tuple of :class:`FreeCarrierPulse`: free carriers shift the FP resonance from
 there to shorter wavelength (negative nm) with an exponential recovery; pulses add.
 
-The pump schedule and the Fock-space truncation that a master-equation run
-takes are plain dataclasses kept here, beside the pulses, so that
-configuration and the scipy-free commands never import :mod:`cavtune.lindblad`.
+The emitter's pump schedule, the model's one incoherent pump, and the
+Fock-space truncation that a master-equation run takes are plain dataclasses
+kept here, beside the pulses, so that configuration and the scipy-free
+commands never import :mod:`cavtune.lindblad`.
 """
 
 from __future__ import annotations
@@ -115,23 +116,18 @@ class PumpPulse:
 
 @dataclass(frozen=True)
 class PumpSchedule:
-    """CW plus pulsed incoherent pumping of the emitter.
+    """CW plus pulsed incoherent pumping of the emitter, the model's one pump (D[sigma+]).
 
     Each pulse adds its Gaussian rate envelope to the CW rate.
-    ``cavity_cw_rate`` is an optional incoherent pump of the target mode
-    (D[a_t^dag]); it defaults to off.
     """
 
     cw_rate: float = 0.0
     pulse_events: tuple = field(default_factory=tuple)
-    cavity_cw_rate: float = 0.0
 
     def __post_init__(self):
-        require_finite(self, "cw_rate", "cavity_cw_rate")
+        require_finite(self, "cw_rate")
         if self.cw_rate < 0.0:
             raise InvalidInput(f"CW pump rate must be >= 0, got {self.cw_rate}")
-        if self.cavity_cw_rate < 0.0:
-            raise InvalidInput(f"cavity pump rate must be >= 0, got {self.cavity_cw_rate}")
         object.__setattr__(
             self, "pulse_events", tuple(sorted(self.pulse_events, key=lambda p: p.t0_ps))
         )

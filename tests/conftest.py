@@ -126,7 +126,7 @@ def run_from(cfg, pulses, rho0):
 
 def map_and_curves(cfg, traj):
     """The emission map and the filtered curves of ``traj`` that ``runs.run_dynamic`` writes."""
-    pl_map = synthesize_map(traj, cfg.lambda_grid_nm, cfg.collection_exponent)
+    pl_map = synthesize_map(traj, cfg.lambda_grid_nm)
     return pl_map, filtered_curves(cfg, traj)
 
 

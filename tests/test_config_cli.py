@@ -64,8 +64,10 @@ def small_dynamic_config(**overrides):
     return cfg
 
 
-# the keys of the instant pump map and of the free-carrier rise time
-DROPPED_DRIVE_KEYS = ["pump.mode", "profile.pulses[0].tau_rise_ps"]
+# the keys of the instant pump map, the free-carrier rise time, the target-mode
+# pump and the collection exponent
+DROPPED_KEYS = ["pump.mode", "profile.pulses[0].tau_rise_ps", "pump.cavity_cw_rate",
+                "spectra.collection_exponent"]
 
 
 def with_key(raw, path, value=1.0):
@@ -79,6 +81,36 @@ def with_key(raw, path, value=1.0):
     return raw
 
 
+def without_key(raw, path):
+    """``raw`` with the key at ``path``, such as ``grids.lambda_nm``, deleted."""
+    *parents, key = path.split(".")
+    node = raw
+    for k in parents:
+        node = node[k]
+    del node[key]
+    return raw
+
+
+# (document, message): each document holds one error that load_config or
+# load_config_file must report with its key's path, or the file's
+CONFIG_ERRORS = {
+    "required": (without_key(scenario_config("fig3-burst"), "system.lambda_t_nm"),
+                 "system.lambda_t_nm: required key missing"),
+    "null": (with_key(scenario_config("fig3-burst"), "system.kappa_t", None),
+             "system.kappa_t: must not be null"),
+    "flag": (with_key(scenario_config("fig3-burst"), "solver.check_truncation", 1),
+             "solver.check_truncation: expected true or false, got 1"),
+    "section": (with_key(scenario_config("fig3-burst"), "pump", []),
+                "pump: expected an object, got list"),
+    "sweep grid": (without_key(scenario_config("fig2-sweep"), "grids.detuning_nm"),
+                   "grids.detuning_nm: required for a static sweep"),
+    "dynamic grid": (without_key(scenario_config("fig3-burst"), "grids.lambda_nm"),
+                     "grids: dynamic runs need time_ps and lambda_nm grids"),
+    "list document": ([scenario_config("fig3-burst")],
+                      "{file}: top-level document must be an object"),
+}
+
+
 class TestConfigValidation:
     def test_scenarios_all_load(self):
         for name in SCENARIO_NAMES:
@@ -88,11 +120,15 @@ class TestConfigValidation:
     # neither a typo nor a key the schema has dropped may pass
     @pytest.mark.parametrize("path", [
         "system.kapa_t", "solver.frame", "solver.fixed_step_ps", "profile.kappa_fp_scale",
-        *DROPPED_DRIVE_KEYS, "render", "profile.thermo", "fit.seed",
+        *DROPPED_KEYS, "render", "profile.thermo", "fit.seed",
     ])
     def test_unknown_key_reports_path(self, path):
         with pytest.raises(SchemaError, match=re.escape(f"{path}: unknown key")):
             load_config(with_key(small_dynamic_config(), path))
+
+    def test_unknown_scenario(self):
+        with pytest.raises(SchemaError, match="unknown scenario 'fig9'; shipped scenarios: "):
+            scenario_config("fig9")
 
     def test_unknown_top_level_key(self):
         raw = small_dynamic_config(extra_section={})
@@ -222,7 +258,7 @@ class TestOptionalKeys:
         assert params.target.omega == wl_to_omega(1552.0)
 
     def test_irf_sigma_smears_each_filtered_curve(self):
-        spectra = {"irf_sigma_ps": 40.0, "collection_exponent": 2.0}
+        spectra = {"irf_sigma_ps": 40.0}
         cfg = load_config(small_dynamic_config(spectra=spectra))
         traj = simulate_dynamic(cfg)
         pl_map, curves = map_and_curves(cfg, traj)
@@ -230,7 +266,7 @@ class TestOptionalKeys:
         plain_map, plain_curves = map_and_curves(plain_cfg, simulate_dynamic(plain_cfg))
         assert np.array_equal(pl_map.intensity, plain_map.intensity)
         for (lam_c, fwhm), curve, plain in zip(cfg.filters, curves, plain_curves, strict=True):
-            filtered = apply_filter(traj, lam_c, fwhm, 2.0)
+            filtered = apply_filter(traj, lam_c, fwhm)
             assert np.array_equal(plain.intensity, filtered.intensity)
             assert np.array_equal(curve.intensity, irf_convolve(filtered, 40.0).intensity)
             assert not np.allclose(curve.intensity, plain.intensity)
@@ -445,6 +481,30 @@ class TestCliFit:
         assert res.exit_code == 2, res.output
         assert "error: seed must lie in [0, 2**32)" in res.output
 
+    def test_fit_that_does_not_converge_exits_3(self, tmp_path):
+        sweep = tmp_path / "sweep"
+        res = CliRunner().invoke(main, ["static-sweep", "--scenario", "fig2-sweep",
+                                        "--out", str(sweep)])
+        assert res.exit_code == 0, res.output
+        cfg = fit_config(tmp_path, "fit.json", {"max_evals": 1})
+        out = tmp_path / "fit"
+        res = CliRunner().invoke(main, ["fit", str(sweep / "sweep.csv"), "--config", str(cfg),
+                                        "--out", str(out)])
+        assert res.exit_code == 3, res.output
+        assert res.output.startswith("fit DID NOT CONVERGE in ")
+        assert json.loads((out / "fit.json").read_text())["converged"] is False
+
+    def test_coupling_below_the_resolution_is_noted(self, tmp_path):
+        truth = {"eta": 5e9, "kappa_t": 1.564e11, "kappa_fp": 1.7e11, "lambda_t": 1552.0}
+        table = write_table(tmp_path / "table.csv",
+                            synthetic_data(**truth, detunings_nm=np.linspace(-1.5, 1.5, 61)))
+        cfg = fit_config(tmp_path, "fit.json", {"init": truth})
+        out = tmp_path / "fit"
+        res = CliRunner().invoke(main, ["fit", str(table), "--config", str(cfg), "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        assert "note: fitted coupling is below the measurement resolution" in res.output
+        assert json.loads((out / "fit.json").read_text())["near_degenerate"] is True
+
     def test_render_takes_the_residuals(self, tmp_path):
         out = tmp_path / "fit"
         res = CliRunner().invoke(main, ["fit", str(small_table(tmp_path)), "--out", str(out)])
@@ -487,6 +547,36 @@ class TestCliDynamic:
         assert entry["error"] == "depth undefined on a zero baseline"
         assert "metrics" not in entry
 
+    def test_run_without_control_pulses_records_no_metrics(self, tmp_path):
+        cfg = scenario_config("fig3-burst")
+        cfg["profile"]["pulses"] = []
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "dyn"
+        res = CliRunner().invoke(main, ["dynamic", "--config", str(cfg_path), "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        entry = json.loads((out / "metrics.json").read_text())["filters"][0]
+        assert entry["error"] == "no control pulse: no baseline window"
+        assert "metrics" not in entry
+
+    def test_numerical_failure_exits_4(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(lindblad, "STEADY_RESIDUAL_TOL", 1e-30)
+        out = tmp_path / "dyn"
+        res = CliRunner().invoke(main, ["dynamic", "--scenario", "fig3-burst", "--out", str(out)])
+        assert res.exit_code == 4, res.output
+        errors = [line for line in res.output.splitlines() if line.startswith("error: ")]
+        assert len(errors) == 1 and errors[0].startswith("error: steady-state residual "), errors
+
+    @pytest.mark.parametrize("name", CONFIG_ERRORS)
+    def test_config_error_exits_2_naming_its_path(self, tmp_path, name):
+        document, message = CONFIG_ERRORS[name]
+        kind = document["kind"] if isinstance(document, dict) else "dynamic"
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(document))
+        res = CliRunner().invoke(main, [kind, "--config", str(cfg_path), "--out", str(tmp_path / "x")])
+        assert res.exit_code == 2, res.output
+        assert f"error: {message.format(file=cfg_path)}\n" in res.output
+
     def test_schema_error_exit_code(self, tmp_path):
         bad = small_dynamic_config()
         bad["solver"]["initial_state"] = "thermal"
@@ -497,7 +587,7 @@ class TestCliDynamic:
         assert res.exit_code == 2
         assert "solver.initial_state" in res.output
 
-    @pytest.mark.parametrize("path", DROPPED_DRIVE_KEYS)
+    @pytest.mark.parametrize("path", DROPPED_KEYS)
     def test_dropped_drive_key_exits_2_before_integration(self, tmp_path, monkeypatch, path):
         def integrate(*args, **kwargs):
             raise AssertionError("integrated a config with an unknown key")

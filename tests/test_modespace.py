@@ -17,7 +17,6 @@ from cavtune import (
     detuning_wl_to_omega,
     hamiltonian_bare_basis,
     omega_to_wl,
-    q_factor,
     wl_to_omega,
 )
 from cavtune.modespace import decay_rate, pair_modes
@@ -98,23 +97,29 @@ class TestUnitConversions:
 
 class TestQFactor:
     def test_splitting_derived_kappa(self):
-        q = q_factor(wl_to_omega(1552.0), 1.564e11)
+        q = BareMode(wl_to_omega(1552.0), 1.564e11).q
         assert q == pytest.approx(3880.0, abs=1.0)
 
     def test_scaling_law(self):
-        q1 = q_factor(1e15, 1e11)
-        q2 = q_factor(1e15, 2e11)
+        q1 = BareMode(1e15, 1e11).q
+        q2 = BareMode(1e15, 2e11).q
         assert q1 == 2.0 * q2
+
+    def test_uncoupled_modes_keep_their_bare_q(self):
+        # eta = 0: each coupled mode is a bare mode, with its bare Q to the bit
+        target, fp = BareMode(1e15, 1e11), BareMode(1.001e15, 3e11)
+        cm = couple(target, fp, 0.0)
+        assert (cm.q(1), cm.q(2)) == (target.q, fp.q)
 
     def test_invalid_kappa(self):
         with pytest.raises(InvalidInput):
-            q_factor(1e15, 0.0)
+            BareMode(1e15, 0.0)
 
     def test_resonant_q_drop_factor_two(self):
         # kappa_fp = 3 kappa_t at zero detuning: both modes lose at 2 kappa_t
         omega = wl_to_omega(LAMBDA_T)
         cm = couple(BareMode(omega, KAPPA_T), BareMode(omega, 3 * KAPPA_T), ETA)
-        q_t = q_factor(omega, KAPPA_T)
+        q_t = BareMode(omega, KAPPA_T).q
         assert cm.q(1) / q_t == pytest.approx(0.5, abs=1e-12)
         assert cm.q(2) / q_t == pytest.approx(0.5, abs=1e-12)
 
@@ -494,7 +499,6 @@ class TestDomainInvariants:
         "record, field",
         [
             (PumpSchedule(), "cw_rate"),
-            (PumpSchedule(), "cavity_cw_rate"),
             (PumpPulse(0.0, 1.0, 10.0), "t0_ps"),
             (PumpPulse(0.0, 1.0, 10.0), "area"),
             (PumpPulse(0.0, 1.0, 10.0), "width_ps"),

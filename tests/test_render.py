@@ -32,6 +32,10 @@ class TestCurveSvg:
         with pytest.raises(SchemaError):
             render_curve_svg(np.array([]), [("y", np.array([]))], "x", "y")
 
+    def test_series_shorter_than_x_rejected(self):
+        with pytest.raises(SchemaError, match="series length does not match the x grid"):
+            render_curve_svg(np.arange(4.0), [("y", np.arange(3.0))], "x", "y")
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("where", ["x", "first", "second"])
     def test_non_finite_value_names_its_series(self, where, value):
@@ -108,6 +112,10 @@ class TestHeatmapPpm:
         with pytest.raises(SchemaError):
             render_heatmap_ppm(np.zeros((4, 4)))
 
+    def test_one_dimensional_input_rejected(self):
+        with pytest.raises(SchemaError, match="heatmap needs a non-empty 2D intensity array"):
+            render_heatmap_ppm(np.ones(4))
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_cell_rejected(self, value):
         # such a cell was a black pixel, cast with a RuntimeWarning
@@ -171,6 +179,13 @@ class TestRenderCsv:
         csv_path.write_text(f"t_ps,intensity_au\n0,1\n5,{cell}\n")
         with pytest.raises(SchemaError, match=f"line 3, column 'intensity_au': {message}"):
             sniff_csv(csv_path)
+
+    def test_short_row_exits_2(self, tmp_path):
+        csv_path = tmp_path / "short.csv"
+        csv_path.write_text("t_ps,lambda_nm,intensity_au\n0,1551,1\n0,1552\n")
+        res = CliRunner().invoke(main, ["render", str(csv_path), "--out", str(tmp_path / "out")])
+        assert res.exit_code == 2, res.output
+        assert f"error: {csv_path}: line 3: expected 3 cells, got 2\n" in res.output
 
     def test_unknown_layout_rejected(self, tmp_path):
         csv_path = tmp_path / "odd.csv"
