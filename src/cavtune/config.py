@@ -2,14 +2,14 @@
 
 Configs are plain JSON documents with a ``schema`` version field.  Every key
 is named once, at the typed getter of :class:`_Section` that reads it; the
-getter checks the value's type and range and puts the key's path in any
-error.  Once the whole document is read, every key that no getter read is an
-error (a typo in a physics parameter must not pass silently), so an unknown
-key is reported only after every bad value.  The domain types re-check their
-physical invariants on construction, and their errors are re-raised with the
-path of the section or list item they came from.  The ``fit`` section is
-resolved here too, into the control kind, initial values and bounds by fit
-parameter name, and :class:`cavtune.fitting.FitOptions`.
+getter checks the value's type and any range that only a config states, and
+puts the key's path in any error.  Once the whole document is read, every key
+that no getter read is an error (a typo in a physics parameter must not pass
+silently), so an unknown key is reported only after every bad value.  A
+physical rule is the domain type's own: its error is re-raised under the key
+its field names, else under the section or list item it came from.  The
+``fit`` section is resolved here too, into the control kind, initial values
+and bounds by fit parameter name, and :class:`cavtune.fitting.FitOptions`.
 """
 
 from __future__ import annotations
@@ -174,12 +174,16 @@ class _Section:
         self.children += found
         return found
 
-    def build(self, make, *args, **kwargs):
-        """``make(*args, **kwargs)``, with a domain error re-raised under this object's path."""
+    def build(self, make, *args, keys=None, **kwargs):
+        """``make(*args, **kwargs)``; a domain error is re-raised under the key its ``field``
+        names if this object read it (``keys`` renames fields), else under this object."""
         try:
             return make(*args, **kwargs)
         except CavtuneError as exc:
-            raise SchemaError(f"{self.path}: {exc}") from exc
+            field = getattr(exc, "field", None)
+            key = (keys or {}).get(field, field)
+            path = self.key_path(key) if key in self.read else self.path
+            raise SchemaError(f"{path}: {exc}") from exc
 
     def close(self):
         """Reject every key that no getter read, here and in the objects read from here."""
@@ -258,17 +262,16 @@ def load_config(raw: dict) -> RunConfig:
 
     system = root.section("system")
     lambda_t = system.number("lambda_t_nm", minimum=1e-6)
-    kappa_t, kappa_fp, eta = (system.number(k, minimum=0.0) for k in ("kappa_t", "kappa_fp", "eta"))
-    g, gamma_leaky = (system.number(k, 0.0, minimum=0.0) for k in ("g", "gamma_leaky"))
+    kappa_t, kappa_fp, eta = map(system.number, ("kappa_t", "kappa_fp", "eta"))
+    g, gamma_leaky = (system.number(k, 0.0) for k in ("g", "gamma_leaky"))
     lambda0 = system.number("lambda0_nm", None, minimum=1e-6)
 
     pump = root.section("pump", {})
     schedule = pump.build(
         PumpSchedule,
-        cw_rate=pump.number("cw_rate", 0.0, minimum=0.0),
+        cw_rate=pump.number("cw_rate", 0.0),
         pulse_events=tuple(
-            p.build(PumpPulse, p.number("t0_ps"), p.number("area", minimum=0.0),
-                    p.number("width_ps", 6.0))
+            p.build(PumpPulse, p.number("t0_ps"), p.number("area"), p.number("width_ps", 6.0))
             for p in pump.sections("pulses")
         ),
     )
@@ -291,17 +294,18 @@ def load_config(raw: dict) -> RunConfig:
     pulses = tuple(sorted((
         # a scan's template sits at its first delay; runs.delay_pulses moves it to each
         p.build(FreeCarrierPulse, p.number("t0_ps") if delays is None else delays[0],
-                p.number("delta_lambda_max_nm", minimum=0.0), p.number("tau_fc_ps"))
+                p.number("delta_lambda_max_nm"), p.number("tau_fc_ps"))
         for p in nodes
     ), key=lambda p: p.t0_ps))
     omega_t = wl_to_omega(lambda_t)
-    params = system.build(lambda: SystemParams(
-        EmitterParams(omega_t if lambda0 is None else wl_to_omega(lambda0), g, gamma_leaky),
-        BareMode(omega_t, kappa_t),
-        BareMode(wl_to_omega(lambda_fp), kappa_fp),
-        eta,
-        schedule,
-    ))
+    omega0 = omega_t if lambda0 is None else wl_to_omega(lambda0)
+    params = system.build(
+        SystemParams,
+        system.build(EmitterParams, omega0, g, gamma_leaky),
+        system.build(BareMode, omega_t, kappa_t, keys={"kappa": "kappa_t"}),
+        system.build(BareMode, wl_to_omega(lambda_fp), kappa_fp, keys={"kappa": "kappa_fp"}),
+        eta, schedule,
+    )
 
     grids = root.section("grids", {})
     detuning_grid, time_grid, lambda_grid = map(grids.grid, ("detuning_nm", "time_ps", "lambda_nm"))
@@ -319,7 +323,7 @@ def load_config(raw: dict) -> RunConfig:
 
     spectra, solver = root.section("spectra", {}), root.section("solver", {})
     fit = root.section("fit", {})
-    init, bounds, fit_defaults = fit.section("init", {}), fit.section("bounds", {}), FitOptions()
+    init, bounds = fit.section("init", {}), fit.section("bounds", {})
     atol = solver.number("atol", SOLVER_ATOL)
     if not atol > 0.0:  # BDF's error scale atol + rtol*|y| would be 0 where y stays 0
         solver.fail("atol", f"must be positive, got {atol}")
@@ -334,7 +338,7 @@ def load_config(raw: dict) -> RunConfig:
         lambda_grid_nm=lambda_grid,
         filters=_read_filters(root),
         irf_sigma_ps=spectra.number("irf_sigma_ps", 0.0, minimum=0.0),
-        hilbert=solver.build(HilbertSpec, solver.integer("n_max", 2, minimum=1)),
+        hilbert=solver.build(HilbertSpec, solver.integer("n_max", 2)),
         rtol=solver.number("rtol", SOLVER_RTOL, minimum=1e-13),
         atol=atol,
         initial_state=solver.choice("initial_state", ("steady", "vacuum", "excited"), "steady"),
@@ -345,10 +349,8 @@ def load_config(raw: dict) -> RunConfig:
             "control": fit.choice("control", ("detuning_nm", "power_mw"), None),
             "init": {n: init.number(n) for n in PARAM_NAMES if n in init.node},
             "bounds": {n: bounds.interval(n) for n in PARAM_NAMES if n in bounds.node},
-            "options": FitOptions(
-                max_evals=fit.integer("max_evals", fit_defaults.max_evals, minimum=1),
-                multistart=fit.integer("multistart", fit_defaults.multistart, minimum=0),
-            ),
+            "options": fit.build(FitOptions, fit.integer("max_evals", FitOptions.max_evals),
+                                 fit.integer("multistart", FitOptions.multistart)),
         },
     )
     root.close()

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the finiteness check of its domain types."""
+"""Exception types shared across the package, and the field checks of its domain types."""
 
 import math
 
@@ -8,7 +8,12 @@ class CavtuneError(Exception):
 
 
 class InvalidInput(CavtuneError, ValueError):
-    """An argument or parameter set violates a documented precondition or is unphysical."""
+    """An argument or parameter set violates a documented precondition or is unphysical;
+    ``field`` names the one field of a domain type whose rule it broke, or is None."""
+
+    def __init__(self, message: str, field: str | None = None):
+        super().__init__(message)
+        self.field = field
 
 
 class NumericalFailure(CavtuneError, RuntimeError):
@@ -31,4 +36,11 @@ def require_finite(record, *fields: str) -> None:
         # abs(x) < inf is False for NaN and +-inf, entry by entry in an array
         bad = value[~(abs(value) < math.inf)] if getattr(value, "ndim", 0) else [value]
         if len(bad) and not math.isfinite(bad[0]):
-            raise InvalidInput(f"{type(record).__name__}.{name} must be finite, got {bad[0]}")
+            raise InvalidInput(f"{type(record).__name__}.{name} must be finite, got {bad[0]}", name)
+
+
+def require(record, name: str, holds, rule: str) -> None:
+    """Unless ``holds``, raise :class:`InvalidInput`: ``<Type>.<name> must be <rule>, got <v>``."""
+    if not holds:
+        value = getattr(record, name)
+        raise InvalidInput(f"{type(record).__name__}.{name} must be {rule}, got {value}", name)

@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import CavtuneError, InvalidInput, SchemaError
+from .errors import CavtuneError, InvalidInput, SchemaError, require
 from .modespace import TWO_PI_C_NM, decay_rate, detuning_wl_to_omega, pair_modes, wl_to_omega
 from .render import read_csv_table, source_name
 
@@ -247,12 +247,10 @@ class FitOptions:
     seed: int = 0  # seeds numpy's RandomState, which takes [0, 2**32)
 
     def __post_init__(self):
-        if self.max_evals < 1:
-            raise InvalidInput(f"max_evals must be >= 1, got {self.max_evals}")
-        if self.multistart < 0:
-            raise InvalidInput(f"multistart must be >= 0, got {self.multistart}")
+        require(self, "max_evals", self.max_evals >= 1, ">= 1")
+        require(self, "multistart", self.multistart >= 0, ">= 0")
         if not 0 <= self.seed < 2**32:
-            raise InvalidInput(f"seed must lie in [0, 2**32), got {self.seed}")
+            raise InvalidInput(f"seed must lie in [0, 2**32), got {self.seed}", "seed")
 
 
 @dataclass(frozen=True)

@@ -314,6 +314,8 @@ def evolve(
     Raises :class:`InvalidInput` for a non-square ``rho0`` or ``atol <= 0``,
     and :class:`NumericalFailure` with the failing time on integrator
     breakdown and when a recorded state is not valid (:func:`make_trajectory`).
+    A state whose trace leaves 1 fails at the first right-hand-side evaluation
+    that sees it, which names an evaluation time of the integrator, not a grid time.
     """
     t_grid = np.asarray(t_grid_ps, dtype=float)
     if t_grid.size < 2 or not np.all(np.diff(t_grid) > 0.0):
@@ -331,8 +333,12 @@ def evolve(
     keep = _closure(abs(full.l0) + abs(full.l_pump), rho0.ravel())
     gen = full.restricted(keep)
     pump = params.pump
+    diag = slice(None, None, spec.dim + 1)  # the diagonal of rho in vec(rho)
 
     def rhs(t, y):
+        trace_dev = abs(y[diag].sum() - 1.0)
+        if not trace_dev <= 1e-8:  # the trace limit of _state_fault
+            raise NumericalFailure(f"state evaluated at t = {t} ps {_state_fault(trace_dev, 0, 0)}")
         return gen.rhs(y, delta_fp(t), pump.rate_at_ps(t))
 
     def jac(t, y):

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidInput, require_finite
+from .errors import InvalidInput, require, require_finite
 from .tuning import PumpSchedule
 
 C_M_PER_S = 2.99792458e8  # vacuum speed of light
@@ -80,12 +80,10 @@ class BareMode:
     kappa: float
 
     def __post_init__(self):
-        if not np.all((self.omega > 0.0) & np.isfinite(self.omega)):
-            raise InvalidInput(f"mode frequency must be positive and finite, got {self.omega}")
-        if not (self.kappa > 0.0 and np.isfinite(self.kappa)):
-            raise InvalidInput(f"loss rate must be positive and finite, got {self.kappa}")
-        if not np.all(self.q > 1.0):
-            raise InvalidInput(f"quality factor {self.q} must exceed 1 (kappa < omega/2)")
+        require(self, "omega", np.all((0.0 < self.omega) & (self.omega < np.inf)),
+                "positive and finite")
+        require(self, "kappa", 0.0 < self.kappa < np.inf, "positive and finite")
+        require(self, "kappa", np.all(self.q > 1.0), "below omega/2 (quality factor above 1)")
 
     @property
     def q(self) -> float:
@@ -108,13 +106,10 @@ class EmitterParams:
     gamma_leaky: float
 
     def __post_init__(self):
-        if not (self.omega0 > 0.0 and np.isfinite(self.omega0)):
-            raise InvalidInput(f"emitter frequency must be positive, got {self.omega0}")
+        require(self, "omega0", 0.0 < self.omega0 < np.inf, "positive and finite")
         require_finite(self, "g", "gamma_leaky")
-        if self.g < 0.0:
-            raise InvalidInput(f"coupling rate must be >= 0, got {self.g}")
-        if self.gamma_leaky < 0.0:
-            raise InvalidInput(f"leaky decay rate must be >= 0, got {self.gamma_leaky}")
+        require(self, "g", self.g >= 0.0, ">= 0")
+        require(self, "gamma_leaky", self.gamma_leaky >= 0.0, ">= 0")
 
 
 @dataclass(frozen=True)
@@ -129,8 +124,7 @@ class SystemParams:
 
     def __post_init__(self):
         require_finite(self, "eta")
-        if self.eta < 0.0:
-            raise InvalidInput(f"cavity-cavity coupling must be >= 0, got {self.eta}")
+        require(self, "eta", self.eta >= 0.0, ">= 0")
         if not isinstance(self.pump, PumpSchedule):
             raise InvalidInput(f"pump must be a PumpSchedule, got {self.pump!r}")
         kmin = min(self.target.kappa, self.fp.kappa)

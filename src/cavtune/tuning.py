@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInput, require_finite
+from .errors import InvalidInput, require, require_finite
 
 SECONDS_PER_PS = 1e-12  # multiplies rad/s rates into rad/ps
 _FWHM_TO_SIGMA = 1.0 / (2.0 * np.sqrt(2.0 * np.log(2.0)))
@@ -37,10 +37,8 @@ class FreeCarrierPulse:
 
     def __post_init__(self):
         require_finite(self, "t0_ps", "delta_lambda_max_nm", "tau_fc_ps")
-        if self.delta_lambda_max_nm < 0.0:
-            raise InvalidInput(f"peak blue shift must be >= 0, got {self.delta_lambda_max_nm}")
-        if self.tau_fc_ps <= 0.0:
-            raise InvalidInput(f"free-carrier lifetime must be positive, got {self.tau_fc_ps}")
+        require(self, "delta_lambda_max_nm", self.delta_lambda_max_nm >= 0.0, ">= 0")
+        require(self, "tau_fc_ps", self.tau_fc_ps > 0.0, "positive")
 
 
 def fp_shift_at(pulses, t_ps):
@@ -80,8 +78,7 @@ class HilbertSpec:
     n_max: int = 2
 
     def __post_init__(self):
-        if not isinstance(self.n_max, int) or self.n_max < 1:
-            raise InvalidInput(f"n_max must be an integer >= 1, got {self.n_max}")
+        require(self, "n_max", isinstance(self.n_max, int) and self.n_max >= 1, "an integer >= 1")
 
     @property
     def dim(self) -> int:
@@ -104,10 +101,8 @@ class PumpPulse:
 
     def __post_init__(self):
         require_finite(self, "t0_ps", "area", "width_ps")
-        if self.area < 0.0:
-            raise InvalidInput(f"pump area must be >= 0, got {self.area}")
-        if self.width_ps <= 0.0:
-            raise InvalidInput(f"pump width must be positive, got {self.width_ps}")
+        require(self, "area", self.area >= 0.0, ">= 0")
+        require(self, "width_ps", self.width_ps > 0.0, "positive")
 
     @property
     def sigma_ps(self) -> float:
@@ -126,8 +121,7 @@ class PumpSchedule:
 
     def __post_init__(self):
         require_finite(self, "cw_rate")
-        if self.cw_rate < 0.0:
-            raise InvalidInput(f"CW pump rate must be >= 0, got {self.cw_rate}")
+        require(self, "cw_rate", self.cw_rate >= 0.0, ">= 0")
         object.__setattr__(
             self, "pulse_events", tuple(sorted(self.pulse_events, key=lambda p: p.t0_ps))
         )

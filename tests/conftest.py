@@ -130,6 +130,31 @@ def map_and_curves(cfg, traj):
     return pl_map, filtered_curves(cfg, traj)
 
 
+def weak_pump_steady_block(params) -> np.ndarray:
+    """The closed-form steady state of ``params`` on ``|e00>, |g10>, |g01>`` to first
+    order in its CW pump ``P``: the oracle of ``steady_state`` under a weak pump.
+
+    The one-excitation block ``X`` solves ``H X - X H^dagger = -i P |e><e|`` with
+    the non-Hermitian ``H`` of the emitter and the two cavities in the target's
+    frame; each cavity state carries the emitter in ``g``, which the pump
+    depletes at ``P``.  Normalized, ``rho_g00 = 1 / (1 + tr X)``.  Two-excitation
+    states are dropped, which is the first-order error.
+    """
+    em, pump = params.emitter, params.pump.cw_rate
+    w_t = params.target.omega
+    h = np.array([
+        [em.omega0 - w_t - 0.5j * em.gamma_leaky, em.g, 0.0],
+        [em.g, -1j * (params.target.kappa + 0.5 * pump), params.eta],
+        [0.0, params.eta, params.fp.omega - w_t - 1j * (params.fp.kappa + 0.5 * pump)],
+    ])
+    # row-major vec(H X - X H^dagger) = (H kron 1 - 1 kron conj(H)) vec(X)
+    eye = np.eye(3)
+    source = np.zeros(9, dtype=complex)
+    source[0] = -1j * pump
+    x = np.linalg.solve(np.kron(h, eye) - np.kron(eye, h.conj()), source).reshape(3, 3)
+    return x / (1.0 + np.trace(x).real)
+
+
 class broken_target_generator(_Generator):
     """The compiled generator with the sign of the target channel's anticommutator
     flipped: a negative control whose generator breaks the trace.

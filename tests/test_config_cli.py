@@ -227,8 +227,12 @@ class TestConfigValidation:
             load_config(raw)
 
 
-# One row per config value that was once accepted silently or crashed with a
-# traceback: (section or None for the top level, key, value, reported path).
+# One row per config value that was once accepted silently, crashed with a
+# traceback or was reported without its key, and one per rule that a domain
+# type states for a config key: (section or None for the top level, key,
+# value, reported path).
+FC_PULSE = {"t0_ps": 0.0, "delta_lambda_max_nm": 0.6, "tau_fc_ps": 300.0}
+PUMP_PULSE = {"t0_ps": 0.0, "area": 1.0, "width_ps": 6.0}
 GAP_ROWS = [
     ("fit", "init", {"etaa": 1}, "fit.init.etaa"),
     ("fit", "bounds", {"etaa": [1, 2]}, "fit.bounds.etaa"),
@@ -238,7 +242,7 @@ GAP_ROWS = [
     ("pump", "pulses", 5, "pump.pulses"),
     (None, "filters", 5, "filters"),
     ("fit", "max_evals", -5, "fit.max_evals"),
-    ("pump", "pulses", [{"t0_ps": 0.0, "area": 1.0, "width_ps": 0.0}], "pump.pulses[0]"),
+    ("pump", "pulses", [{**PUMP_PULSE, "width_ps": 0.0}], "pump.pulses[0].width_ps"),
     ("pump", "mode", "bogus", "pump.mode"),
     (None, "filters", [{"lambda_nm": 1552.2, "fwhm_nm": 0.0}], "filters[0].fwhm_nm"),
     (None, "filters", [{"lambda_nm": 0.0}], "filters[0].lambda_nm"),
@@ -246,7 +250,23 @@ GAP_ROWS = [
     (None, "filters", [{"lambda_nm": 1552.2}, {"lambda_nm": 1552.204}], "filters[1].lambda_nm"),
     ("solver", "atol", 0.0, "solver.atol"),
     ("profile", "static_detuning_nm", -2000.0, "profile.static_detuning_nm"),
+    ("system", "kappa_t", 0, "system.kappa_t"),
+    ("system", "kappa_fp", 0, "system.kappa_fp"),
+    ("system", "kappa_t", 1e300, "system.kappa_t"),
+    ("profile", "pulses", [{**FC_PULSE, "tau_fc_ps": 0.0}], "profile.pulses[0].tau_fc_ps"),
+    ("system", "g", -1, "system.g"),
+    ("system", "gamma_leaky", -1, "system.gamma_leaky"),
+    ("system", "eta", -1, "system.eta"),
+    ("pump", "cw_rate", -1, "pump.cw_rate"),
+    ("pump", "pulses", [{**PUMP_PULSE, "area": -1}], "pump.pulses[0].area"),
+    ("profile", "pulses", [{**FC_PULSE, "delta_lambda_max_nm": -1}],
+     "profile.pulses[0].delta_lambda_max_nm"),
+    ("solver", "n_max", 0, "solver.n_max"),
+    ("fit", "multistart", -1, "fit.multistart"),
 ]
+# a row whose path an earlier row reports has its value in its test id too
+GAP_IDS = [path if all(row[-1] != path for row in GAP_ROWS[:i]) else f"{path}={value}"
+           for i, (*_, value, path) in enumerate(GAP_ROWS)]
 
 
 class TestOptionalKeys:
@@ -295,12 +315,12 @@ def gap_config(section, key, value):
 
 
 class TestConfigGaps:
-    @pytest.mark.parametrize("section,key,value,path", GAP_ROWS, ids=[r[-1] for r in GAP_ROWS])
+    @pytest.mark.parametrize("section,key,value,path", GAP_ROWS, ids=GAP_IDS)
     def test_load_config_names_the_key(self, section, key, value, path):
-        with pytest.raises(SchemaError, match=re.escape(path) + ":"):
+        with pytest.raises(SchemaError, match="^" + re.escape(path) + ":"):
             load_config(gap_config(section, key, value))
 
-    @pytest.mark.parametrize("section,key,value,path", GAP_ROWS, ids=[r[-1] for r in GAP_ROWS])
+    @pytest.mark.parametrize("section,key,value,path", GAP_ROWS, ids=GAP_IDS)
     def test_fit_command_exits_2(self, tmp_path, section, key, value, path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(gap_config(section, key, value)))
@@ -309,7 +329,7 @@ class TestConfigGaps:
             main, ["fit", str(table), "--config", str(cfg), "--out", str(tmp_path / "f")]
         )
         assert res.exit_code == 2, res.output
-        assert f"{path}:" in res.output
+        assert f"error: {path}:" in res.output
 
     def test_fit_section_resolves_onto_fit_options(self):
         raw = gap_config("fit", "bounds", {"g": [1e7, 1e12]})

@@ -1,3 +1,5 @@
+import re
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -50,6 +52,7 @@ from conftest import (
     make_params,
     mode_populations,
     se_rate_ratio,
+    weak_pump_steady_block,
 )
 
 
@@ -452,6 +455,22 @@ class TestEvolve:
         with pytest.raises(NumericalFailure,
                            match=r"^integrator failed in segment \[0\.0, 10\.0\] ps: forced failure$"):
             evolve(make_params(), (), rho0, [0.0, 10.0])
+
+    def test_broken_generator_stops_at_its_first_evaluation(self, monkeypatch):
+        # the "weak-coupling emitter rate" self-test's run, on a generator
+        # that breaks the trace: each right-hand-side evaluation checks the
+        # trace, so the run fails at once, no later than the first grid time
+        # after the start (the first state the grid check would reject),
+        # instead of integrating the whole grid first
+        monkeypatch.setattr(lindblad, "_Generator", broken_target_generator)
+        p = make_params(g=KAPPA_T / 20.0, eta=0.0, lambda_fp=LAMBDA_T + 8.0)
+        t = np.linspace(0.0, 2.0 / ((p.emitter.gamma_leaky + p.purcell_rate) * 1e-12), 201)
+        start = time.perf_counter()
+        with pytest.raises(NumericalFailure, match="trace of rho deviates from 1") as failure:
+            evolve(p, (), emitter_excited_state(HilbertSpec(1)), t)
+        assert time.perf_counter() - start < 0.5
+        evaluated = re.match(r"state evaluated at t = (\S+) ps ", str(failure.value))
+        assert evaluated and 0.0 < float(evaluated.group(1)) <= t[1], str(failure.value)
 
     def test_zero_atol_rejected(self):
         # BDF's error scale atol + rtol*|y| is 0 on the entries that stay 0
@@ -896,6 +915,31 @@ class TestSteadyState:
         gamma = p.emitter.gamma_leaky + p.purcell_rate
         assert pump_rate < 0.01 * gamma
         assert n_e == pytest.approx(pump_rate / gamma, rel=0.05)
+
+    @pytest.mark.parametrize("n_max", [1, 2, 3])
+    def test_weak_pump_closed_form(self, n_max):
+        # the one-excitation block against conftest.weak_pump_steady_block,
+        # which drops the two-excitation states: the deviation must be first
+        # order in the pump, within 7e-3 n_e (measured 1.6e-3 to 3.8e-3 n_e)
+        # and with a log-log slope of 1 over 1e4 to 1e6 1/s (measured 0.96 to
+        # 1.10; the 1e4 point sits near the solve's floor, so pairwise slopes
+        # reach 1.2).  A pump dissipator 1e-3 too strong, or an FP channel
+        # without its anticommutator, fails here.
+        spec = HilbertSpec(n_max)
+        block = np.ix_(*[[spec.index(1, 0, 0), spec.index(0, 1, 0), spec.index(0, 0, 1)]] * 2)
+        n_e_op = build_space(spec).n_e
+        pumps = (1e4, 1e5, 1e6, 1e8)
+        for det_nm in (0.0, 0.6, -0.6, -1.0):
+            devs = []
+            for pump in pumps:
+                p = make_params(lambda_fp=LAMBDA_T + det_nm, pump=PumpSchedule(cw_rate=pump))
+                rho = steady_state(p, spec)
+                x = weak_pump_steady_block(p)
+                devs.append(np.max(np.abs(rho[block] - x)) / np.max(np.abs(x)))
+                n_e = expectation(n_e_op, rho).real
+                assert devs[-1] <= 7e-3 * n_e, (det_nm, pump, devs[-1] / n_e)
+            slope = np.polyfit(np.log(pumps[:3]), np.log(devs[:3]), 1)[0]
+            assert abs(slope - 1.0) <= 0.15, (det_nm, slope)
 
     def test_residual_is_small(self, default_params):
         p = make_params(pump=PumpSchedule(cw_rate=1e8))
