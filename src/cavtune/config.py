@@ -44,7 +44,7 @@ DEFAULT_SYSTEM = {
     "lambda0_nm": None,  # emitter wavelength; None -> resonant with the target mode
 }
 
-# Tolerances of the adaptive (BDF) integrator of lindblad.evolve: the defaults of
+# Tolerances of the adaptive (NDF) integrator of lindblad.evolve: the defaults of
 # evolve, of solver.rtol/atol and of the shipped scenarios.  Against RK45 at rtol
 # 1e-12 they hold the shipped scenarios' maps and curves closer than RK45 at its
 # former defaults (rtol 1e-8, atol 1e-12) did (tests/test_lindblad.py).
@@ -325,7 +325,7 @@ def load_config(raw: dict) -> RunConfig:
     fit = root.section("fit", {})
     init, bounds = fit.section("init", {}), fit.section("bounds", {})
     atol = solver.number("atol", SOLVER_ATOL)
-    if not atol > 0.0:  # BDF's error scale atol + rtol*|y| would be 0 where y stays 0
+    if not atol > 0.0:  # the error scale atol + rtol*|y| would be 0 where y stays 0
         solver.fail("atol", f"must be positive, got {atol}")
     cfg = RunConfig(
         raw=raw,

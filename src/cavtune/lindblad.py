@@ -16,13 +16,14 @@ Integration is carried out in a frame rotating at the target-cavity frequency
 
 from __future__ import annotations
 
-from copy import copy
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 from scipy import sparse
+from scipy.integrate import DenseOutput, OdeSolver
 from scipy.integrate import solve_ivp  # a module-level name: bench/tracer.py wraps it
+from scipy.linalg.lapack import zgetrf, zgetrs
 from scipy.sparse.linalg import splu
 
 from .config import SOLVER_ATOL, SOLVER_RTOL
@@ -144,7 +145,9 @@ class _Generator:
     the CW emitter pump ``p_cw`` included; ``d_fp`` is the diagonal of
     ``-i(n_fp kron 1 - 1 kron n_fp)`` and ``l_pump`` (CSR) the emitter pump
     dissipator D[sigma+] at unit rate, so the pump term costs a product only
-    while a pulse adds to the CW rate.
+    while a pulse adds to the CW rate.  ``steady_state`` solves ``matrix``;
+    ``evolve`` integrates dense copies of the three terms on the entries that
+    its start reaches.
     """
 
     def __init__(self, params, spec):
@@ -170,33 +173,10 @@ class _Generator:
         n_fp = np.diag(ops.n_fp)
         self.d_fp = -1j * (n_fp[:, None] - n_fp[None, :]).ravel()
 
-    def rhs(self, y: np.ndarray, delta_fp: float, pump: float) -> np.ndarray:
-        dy = self.l0 @ y + (delta_fp * self.d_fp) * y
-        if pump != self.p_cw:
-            dy += (pump - self.p_cw) * (self.l_pump @ y)
-        return dy
-
     def matrix(self, delta_fp: float, pump: float) -> sparse.csr_matrix:
-        """``L`` at one ``(delta_fp, pump)``: evolve's BDF Jacobian, and what steady_state solves."""
+        """``L`` at one ``(delta_fp, pump)``: what steady_state solves."""
         shift = sparse.diags(delta_fp * self.d_fp)
         return (self.l0 + shift + (pump - self.p_cw) * self.l_pump).tocsr()
-
-    def restricted(self, keep: np.ndarray) -> "_Generator":
-        """This generator for vectors that are 0 off the entries ``keep`` of vec(rho).
-
-        ``keep`` must be closed under the pattern of ``l0`` and ``l_pump`` (see
-        :func:`_closure`).  The terms that act on the other entries are
-        dropped: they multiply zeros, so on such vectors every product is the
-        same, bit for bit, and the other entries stay exactly 0.
-        """
-        outside = np.ones(self.d_fp.size, dtype=bool)
-        outside[keep] = False
-        block = copy(self)
-        block.l0, block.l_pump = self.l0.copy(), self.l_pump.copy()
-        for mat in (block.l0, block.l_pump):
-            mat.data[outside[mat.indices]] = 0.0
-            mat.eliminate_zeros()
-        return block
 
 
 def _delta_fp_fn(params: SystemParams, pulses: tuple):
@@ -284,6 +264,218 @@ def _segments(pulses: tuple, pump: tuning.PumpSchedule, t0: float, t1: float, ex
         yield a, b, max(step, 1e-6)
 
 
+# The NDF of Shampine & Reichelt (SIAM J. Sci. Comput. 18, 1, 1997) in the
+# form and with the constants of scipy's BDF: kappa[k] modifies the order-k
+# formula, and its error estimate is error_const[k] times the corrector's change.
+_MAX_ORDER = 5
+_NEWTON_MAXITER = 4
+_KAPPA = np.array([0.0, -0.1850, -1.0 / 9.0, -0.0823, -0.0415, 0.0])
+_GAMMA = np.hstack((0.0, np.cumsum(1.0 / np.arange(1, _MAX_ORDER + 1))))
+_ALPHA = (1.0 - _KAPPA) * _GAMMA
+_ERROR_CONST = _KAPPA * _GAMMA + 1.0 / np.arange(1, _MAX_ORDER + 2)
+
+
+def _step_change(order: int, factor: float) -> np.ndarray:
+    """scipy's ``R`` of the step change by ``factor`` at ``order``: with the one
+    of ``factor`` 1, ``(R(factor) @ R(1)).T @ D[:order + 1]`` holds the backward
+    differences of the step ``factor * h``, ``D`` those of the step ``h``."""
+    i = np.arange(1, order + 1)[:, None]
+    m = np.zeros((order + 1, order + 1))
+    m[1:, 1:] = (i - 1 - factor * np.arange(1, order + 1)) / i
+    m[0] = 1.0
+    return np.cumprod(m, axis=0)
+
+
+_UNIT_STEP_CHANGE = [_step_change(order, 1.0) for order in range(_MAX_ORDER + 1)]
+
+
+class _LinearNDF(OdeSolver):
+    """The NDF, orders 1 to 5, for ``y' = A(t) y`` on the entries ``keep`` of ``y0``.
+
+    A ``solve_ivp`` method: ``solve_ivp(fun, t_span, y0, method=_LinearNDF,
+    keep=keep, matrix=matrix, rtol=..., atol=..., ...)``.  ``y0`` is a whole
+    vector that is 0 off the sorted indices ``keep``, and ``A(t)`` maps such
+    vectors to such vectors.  ``fun(t, y)`` is ``A(t) y`` and ``matrix(t)``
+    is ``A(t)``, both dense on ``keep`` alone; the stepper works there too.
+    The dense output, and so ``solve_ivp``'s ``y`` at ``t_eval``, is the whole
+    vector, exactly 0 off ``keep``; without ``t_eval``, ``solve_ivp`` would
+    record the stepper's own vectors, so ``t_eval`` is required.
+
+    Steps and orders follow scipy's BDF, which is this quasi-constant-step
+    NDF; the error norm is the RMS over ``keep``, of the local error estimate
+    over ``atol + rtol |y|``.  The Newton matrix ``I - c A(t)``, ``c`` the
+    step over the formula's leading coefficient, is factored by LAPACK at the
+    ``t`` of the step that needs it.  The factors are kept while ``c`` stays
+    within 30% of theirs, as CVODE keeps its iteration matrix (Hindmarsh et
+    al., ACM TOMS 31, 363, 2005), and are redone when the Newton iteration
+    fails.  ``njev`` counts the evaluations of ``matrix`` and ``nlu`` the
+    factorizations; each factorization takes one evaluation.
+    """
+
+    def __init__(self, fun, t0, y0, t_bound, *, keep, matrix, rtol, atol, max_step=np.inf,
+                 vectorized=False):
+        self.keep, self.size = keep, len(y0)
+        super().__init__(fun, t0, np.asarray(y0, dtype=complex)[keep], t_bound, vectorized,
+                         support_complex=True)
+        self.matrix, self.rtol, self.atol, self.max_step = matrix, rtol, atol, max_step
+        self.newton_tol = max(10.0 * np.finfo(float).eps / rtol, min(0.03, rtol**0.5))
+        f = self.fun(self.t, self.y)
+        self.h_abs = self._initial_step(f)
+        self.D = np.zeros((_MAX_ORDER + 3, self.n), dtype=complex)
+        self.D[0] = self.y
+        self.D[1] = f * (self.h_abs * self.direction)
+        self.order, self.n_equal_steps = 1, 0
+        self.lu = self.piv = self.c_lu = None
+
+    def _norm(self, x) -> float:
+        """The RMS of ``x`` over the block."""
+        return float(np.sqrt(np.vdot(x, x).real / self.n))
+
+    def _initial_step(self, f0) -> float:
+        """The first step of Hairer, Norsett & Wanner (Solving ODEs I, II.4), for order 1."""
+        span = abs(self.t_bound - self.t)
+        if span == 0.0:
+            return 0.0
+        scale = self.atol + self.rtol * np.abs(self.y)
+        d0, d1 = self._norm(self.y / scale), self._norm(f0 / scale)
+        h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, span)
+        f1 = self.fun(self.t + h0 * self.direction, self.y + h0 * self.direction * f0)
+        d2 = self._norm((f1 - f0) / scale) / h0
+        h1 = max(1e-6, h0 * 1e-3) if max(d1, d2) <= 1e-15 else (0.01 / max(d1, d2)) ** 0.5
+        return min(100.0 * h0, h1, span, self.max_step)
+
+    def _rescale(self, factor: float):
+        """Change the step by ``factor``: rescale the differences, and restart the count."""
+        order = self.order
+        change = _step_change(order, factor) @ _UNIT_STEP_CHANGE[order]
+        self.D[: order + 1] = change.T @ self.D[: order + 1]
+        self.n_equal_steps = 0
+
+    def _factor(self, t: float, c: float):
+        """Factor ``I - c A(t)``, as its transpose so that LAPACK reads it in place."""
+        m = self.matrix(t) * -c
+        m.flat[:: self.n + 1] += 1.0
+        self.lu, self.piv, _ = zgetrf(m.T, overwrite_a=True)  # a zero pivot fails _newton
+        self.c_lu = c
+        self.njev += 1
+        self.nlu += 1
+
+    def _newton(self, t_new, y_predict, c, psi, scale):
+        """scipy's BDF corrector on the current factors: ``(iterations, y, d)``, or None
+        if it does not converge; ``d`` is the corrector's change from ``y_predict``."""
+        y, d = y_predict.copy(), np.zeros_like(y_predict)
+        dy_norm_old = None
+        for k in range(_NEWTON_MAXITER):
+            residual = self.fun(t_new, y) * c
+            residual -= psi
+            residual -= d
+            dy = zgetrs(self.lu, self.piv, residual, trans=1, overwrite_b=True)[0]
+            dy_norm = self._norm(dy / scale)
+            if not np.isfinite(dy_norm):  # a derivative that is not finite, or a zero pivot
+                return None
+            rate = None if dy_norm_old is None else dy_norm / dy_norm_old
+            if rate is not None and (
+                rate >= 1.0 or rate ** (_NEWTON_MAXITER - k) / (1.0 - rate) * dy_norm > self.newton_tol
+            ):
+                return None
+            y += dy
+            d += dy
+            if dy_norm == 0.0 or rate is not None and rate / (1.0 - rate) * dy_norm < self.newton_tol:
+                return k + 1, y, d
+            dy_norm_old = dy_norm
+        return None
+
+    def _step_impl(self):
+        t, D = self.t, self.D
+        min_step = 10.0 * abs(np.nextafter(t, self.direction * np.inf) - t)
+        h_abs = min(max(self.h_abs, min_step), self.max_step)
+        if h_abs != self.h_abs:
+            self._rescale(h_abs / self.h_abs)
+
+        while True:
+            if not h_abs >= min_step:  # NaN fails too
+                return False, self.TOO_SMALL_STEP
+            t_new = t + h_abs * self.direction
+            if self.direction * (t_new - self.t_bound) > 0:
+                t_new = self.t_bound
+                self._rescale(abs(t_new - t) / h_abs)
+            h = t_new - t
+            h_abs = abs(h)
+            order = self.order
+            y_predict = D[: order + 1].sum(axis=0)
+            scale = self.atol + self.rtol * np.abs(y_predict)
+            psi = _GAMMA[1 : order + 1] @ D[1 : order + 1] / _ALPHA[order]
+            c = h / _ALPHA[order]
+
+            kept = self.lu is not None and abs(c / self.c_lu - 1.0) <= 0.3
+            if not kept:
+                self._factor(t_new, c)
+            solved = self._newton(t_new, y_predict, c, psi, scale)
+            if solved is None and kept:
+                self._factor(t_new, c)
+                solved = self._newton(t_new, y_predict, c, psi, scale)
+            if solved is None:
+                h_abs *= 0.5
+                self._rescale(0.5)
+                continue
+
+            n_iter, y_new, d = solved
+            safety = 0.9 * (2 * _NEWTON_MAXITER + 1) / (2 * _NEWTON_MAXITER + n_iter)
+            scale = self.atol + self.rtol * np.abs(y_new)
+            error_norm = _ERROR_CONST[order] * self._norm(d / scale)
+            if error_norm <= 1.0:
+                break
+            factor = max(0.2, safety * error_norm ** (-1.0 / (order + 1)))
+            h_abs *= factor
+            self._rescale(factor)
+
+        self.n_equal_steps += 1
+        self.t, self.y, self.h_abs = t_new, y_new, h_abs
+        # d is the (order + 1)-th difference of the new step: update the others
+        D[order + 2] = d - D[order + 1]
+        D[order + 1] = d
+        for i in reversed(range(order + 1)):
+            D[i] += D[i + 1]
+        if self.n_equal_steps < order + 1:
+            return True, None
+
+        # after order + 1 equal steps: the order, of the three next to it,
+        # that allows the longest step
+        norms = [np.inf, error_norm, np.inf]
+        if order > 1:
+            norms[0] = _ERROR_CONST[order - 1] * self._norm(D[order] / scale)
+        if order < _MAX_ORDER:
+            norms[2] = _ERROR_CONST[order + 1] * self._norm(D[order + 2] / scale)
+        with np.errstate(divide="ignore"):
+            factors = np.array(norms) ** (-1.0 / np.arange(order, order + 3))
+        self.order = order + int(np.argmax(factors)) - 1
+        factor = min(10.0, safety * float(np.max(factors)))
+        self.h_abs *= factor
+        self._rescale(factor)
+        return True, None
+
+    def _dense_output_impl(self):
+        return _BlockDenseOutput(self, self.D[: self.order + 1].copy())
+
+
+class _BlockDenseOutput(DenseOutput):
+    """The NDF's interpolating polynomial over the last step, as whole vectors 0 off ``keep``."""
+
+    def __init__(self, solver: _LinearNDF, D: np.ndarray):
+        super().__init__(solver.t_old, solver.t)
+        h = solver.h_abs * solver.direction
+        order = D.shape[0] - 1
+        self.t_shift = solver.t - h * np.arange(order)
+        self.denom = h * (1 + np.arange(order))
+        self.D, self.keep, self.size = D, solver.keep, solver.size
+
+    def _call_impl(self, t):
+        x = (np.atleast_1d(t) - self.t_shift[:, None]) / self.denom[:, None]
+        y = np.zeros((self.size, x.shape[1]), dtype=complex)
+        y[self.keep] = self.D[0][:, None] + self.D[1:].T @ np.cumprod(x, axis=0)
+        return y if t.ndim else y[:, 0]
+
+
 def evolve(
     params: SystemParams,
     pulses: tuple,
@@ -302,15 +494,15 @@ def evolve(
     is stationary.  The pump rate follows ``params.pump``.  The integration
     restarts at every pulse onset and at each time of ``breakpoints_ps``, so
     the state recorded at such a time is the end of an integrator segment.
-    Each segment is integrated by BDF, with the generator as its Jacobian, at
-    ``rtol``/``atol`` (defaults ``config.SOLVER_RTOL``/``SOLVER_ATOL``).  A
-    free-carrier pulse that starts at a grid time acts only after the state
-    there is recorded.  The right-hand side
-    computes only the entries of vec(rho) that ``rho0`` reaches (see
-    :func:`_closure`); the others stay exactly 0, so the result is that of
-    the whole generator, and the trajectory records only the reached entries
-    (``Trajectory.keep``).  The closure of any recorded state lies inside
-    ``keep``, so a run started from one records a subset of these entries.
+    A free-carrier pulse that starts at a grid time acts only after the state
+    there is recorded.  Only the entries of vec(rho) that ``rho0`` reaches
+    (see :func:`_closure`) are integrated; the others stay exactly 0, and the
+    trajectory records the reached entries alone (``Trajectory.keep``).  The
+    closure of any recorded state lies inside ``keep``, so a run started from
+    one records a subset of these entries.  Each segment is integrated by
+    :class:`_LinearNDF` on those entries, with the dense generator there as
+    its Newton matrix, at ``rtol``/``atol`` (defaults
+    ``config.SOLVER_RTOL``/``SOLVER_ATOL``).
     Raises :class:`InvalidInput` for a non-square ``rho0`` or ``atol <= 0``,
     and :class:`NumericalFailure` with the failing time on integrator
     breakdown and when a recorded state is not valid (:func:`make_trajectory`).
@@ -324,25 +516,37 @@ def evolve(
     if rho0.ndim != 2 or rho0.shape[0] != rho0.shape[1]:
         raise InvalidInput(f"density matrix must be square, got shape {rho0.shape}")
     spec = _spec_from_dim(rho0.shape[0])
-    if not atol > 0.0:  # BDF's error scale atol + rtol*|y| would be 0 where y stays 0
+    if not atol > 0.0:  # the error scale atol + rtol*|y| would be 0 where y stays 0
         raise InvalidInput(f"atol must be positive, got {atol}")
 
-    full = _Generator(params, spec)
-    # every term of L(t) keeps to the pattern of l0 + l_pump (the diagonal
-    # d_fp adds no entries)
-    keep = _closure(abs(full.l0) + abs(full.l_pump), rho0.ravel())
-    gen = full.restricted(keep)
+    gen = _Generator(params, spec)
+    # every term of L(t) keeps to the pattern of l0 + l_pump, and to that of
+    # l0 without pump pulses (the CW pump is in l0, and the diagonal d_fp adds
+    # no entries), so the terms on the other entries multiply zeros
+    flow = abs(gen.l0) + abs(gen.l_pump) if params.pump.pulse_events else abs(gen.l0)
+    keep = _closure(flow, rho0.ravel())
+    l0, l_pump = (m[keep][:, keep].toarray() for m in (gen.l0, gen.l_pump))
+    d_fp, p_cw = gen.d_fp[keep], gen.p_cw
     pump = params.pump
-    diag = slice(None, None, spec.dim + 1)  # the diagonal of rho in vec(rho)
+    diag = np.flatnonzero(keep % (spec.dim + 1) == 0)  # the diagonal of rho in the block
+
+    def drive(t):  # the FP term's diagonal, and the pump rate above the CW one
+        return delta_fp(t) * d_fp, pump.rate_at_ps(t) - p_cw
 
     def rhs(t, y):
         trace_dev = abs(y[diag].sum() - 1.0)
         if not trace_dev <= 1e-8:  # the trace limit of _state_fault
             raise NumericalFailure(f"state evaluated at t = {t} ps {_state_fault(trace_dev, 0, 0)}")
-        return gen.rhs(y, delta_fp(t), pump.rate_at_ps(t))
+        fp, pulsed = drive(t)
+        dy = l0 @ y
+        dy += fp * y
+        if pulsed != 0.0:
+            dy += pulsed * (l_pump @ y)
+        return dy
 
-    def jac(t, y):
-        return gen.matrix(delta_fp(t), pump.rate_at_ps(t))
+    def matrix(t):
+        fp, pulsed = drive(t)
+        return l0 + np.diag(fp) + pulsed * l_pump
 
     states = np.empty((t_grid.size, keep.size), dtype=complex)
     y = rho0.ravel()
@@ -351,15 +555,15 @@ def evolve(
                                     breakpoints_ps):
         # Only the pulses started by a act on the segment [a, b].  At t = b
         # that is the left limit of delta_fp: a pulse that starts at b stays
-        # out of the BDF evaluations there, and out of the Jacobian.
+        # out of the evaluations there, and out of the Newton matrix.
         delta_fp = _delta_fp_fn(params, tuple(p for p in pulses if p.t0_ps <= a))
         inside = np.flatnonzero((t_grid > a) & (t_grid <= b))
         t_eval = np.unique(np.append(t_grid[inside], b))
         # (fun, t_span, y0) positionally, y0 the whole vec(rho): the benchmark's
         # tracer reads n_max from len(y0)
         sol = solve_ivp(
-            rhs, (a, b), y, method="BDF", t_eval=t_eval, jac=jac, rtol=rtol, atol=atol,
-            max_step=max_step,
+            rhs, (a, b), y, method=_LinearNDF, t_eval=t_eval, rtol=rtol, atol=atol,
+            max_step=max_step, keep=keep, matrix=matrix,
         )
         if not sol.success:
             raise NumericalFailure(f"integrator failed in segment [{a}, {b}] ps: {sol.message}")

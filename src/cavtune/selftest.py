@@ -7,11 +7,13 @@ diagnostic, not a replacement for the full pytest suite.
 from __future__ import annotations
 
 import numpy as np
+from scipy.integrate import solve_ivp
 
 from .config import DEFAULT_SYSTEM
 from .lindblad import (
     _closure,
     _Generator,
+    _LinearNDF,
     dense_superoperator,
     emitter_excited_state,
     evolve,
@@ -117,6 +119,41 @@ def _check_master_equation_trace():
     t = np.linspace(0.0, 400.0, 101)
     traj = evolve(p, pulses, emitter_excited_state(HilbertSpec(1)), t)
     return traj.trace_dev_max < 1e-12, f"max trace deviation {traj.trace_dev_max:.2e}"
+
+
+ROTATING_DECAY_KEEP = np.array([1, 3, 4])
+
+
+def rotating_decay(rtol: float):
+    """``_LinearNDF`` on ``y' = (-k + i w(t)) y``, ``w(t) = w0 + w1 cos t``, against its closed form.
+
+    The entries ``ROTATING_DECAY_KEEP`` of a 6-vector start at 1 and the
+    others at 0; over t in [0, 10] the fastest entry turns about 16 times.
+    Returns the ``solve_ivp`` result at ``rtol`` and ``atol = rtol / 100`` on
+    101 times, and its largest deviation from
+    ``y(t) = exp(-k t + i (w0 t + w1 sin t))`` on the kept entries.
+    """
+    keep = ROTATING_DECAY_KEEP
+    k, w0, w1 = np.array([0.1, 0.5, 2.0]), np.array([1.0, -3.0, 10.0]), np.array([2.0, 0.5, 5.0])
+    t = np.linspace(0.0, 10.0, 101)
+
+    def rates(tk):
+        return -k + 1j * (w0 + w1 * np.cos(tk))
+
+    y0 = np.zeros(6, dtype=complex)
+    y0[keep] = 1.0
+    sol = solve_ivp(lambda tk, y: rates(tk) * y, (0.0, 10.0), y0, method=_LinearNDF, t_eval=t,
+                    rtol=rtol, atol=rtol / 100.0, keep=keep, matrix=lambda tk: np.diag(rates(tk)))
+    exact = np.exp(-np.outer(k, t) + 1j * (np.outer(w0, t) + np.outer(w1, np.sin(t))))
+    return sol, float(np.max(np.abs(sol.y[keep] - exact)))
+
+
+def _check_integrator_closed_form():
+    sol, err = rotating_decay(1e-10)
+    outside = np.delete(sol.y, ROTATING_DECAY_KEEP, axis=0).any()
+    return sol.success and err < 1e-8 and not outside, (
+        f"max error {err:.2e} at rtol 1e-10; entries off the block zero: {not outside}"
+    )
 
 
 def _check_cavity_decay():
@@ -248,6 +285,7 @@ CHECKS = [
     ("exceptional-point Q ratio", _check_exceptional_point),
     ("bare/coupled basis eigenvalue equivalence", _check_basis_equivalence),
     ("master-equation trace preservation", _check_master_equation_trace),
+    ("integrator against closed form", _check_integrator_closed_form),
     ("bare-cavity photon decay", _check_cavity_decay),
     ("emitter leaky-mode decay", _check_emitter_leaky_decay),
     ("weak-coupling emitter rate", _check_purcell_rate),

@@ -830,7 +830,7 @@ class TestSelftestCommand:
         rows = selftest_rows(res.output)
         assert [name for name, _, _ in rows] == [name for name, _ in selftest.CHECKS]
         assert all(status == "PASS" for _, status, _ in rows)
-        assert res.output.splitlines()[-1] == "15/15 checks passed"
+        assert res.output.splitlines()[-1] == "16/16 checks passed"
 
     def test_negative_control_fails_trace_check(self, monkeypatch):
         # the trace check alone runs on a broken target dissipator
@@ -864,7 +864,7 @@ class TestSelftestCommand:
             "weak-coupling emitter rate",
             "dense superoperator oracle",
         ]
-        assert res.output.splitlines()[-1] == "10/15 checks passed"
+        assert res.output.splitlines()[-1] == "11/16 checks passed"
 
     def test_a_check_that_raises_is_a_fail_row(self, monkeypatch):
         def raising():
@@ -876,11 +876,11 @@ class TestSelftestCommand:
         res = CliRunner().invoke(main, ["selftest"])
         assert res.exit_code == 1, res.output
         rows = selftest_rows(res.output)
-        assert len(rows) == 15
+        assert len(rows) == 16
         assert [row for row in rows if row[1] == "FAIL"] == [
             ("spectral map area", "FAIL", "NumericalFailure: no spectrum")
         ]
-        assert res.output.splitlines()[-1] == "14/15 checks passed"
+        assert res.output.splitlines()[-1] == "15/16 checks passed"
 
 
 class TestSelftestDetails:

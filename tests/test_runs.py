@@ -81,9 +81,9 @@ def delay_config(delays=DELAYS):
     "delays, exact, tol",
     [
         # a delayed run restarts where the reference does, at every delay,
-        # and that moves it at the level of BDF's tolerances: measured, the
-        # farthest off is by 1.65e-10 (pulses after the pump) and 8.2e-11
-        # (tails in the pump window) of the maxima
+        # and that moves it at the level of the integrator's tolerances:
+        # measured, the farthest off is by 1.56e-10 (pulses after the pump)
+        # and 6.0e-11 (tails in the pump window) of the maxima
         pytest.param(DELAYS, EXACT, 5e-10, id="pulses-after-pump"),
         pytest.param(PUMP_WINDOW_DELAYS, PUMP_WINDOW_EXACT, 5e-10, id="tails-in-pump-window"),
     ],
