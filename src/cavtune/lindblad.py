@@ -296,10 +296,11 @@ class _LinearNDF(OdeSolver):
     keep=keep, matrix=matrix, rtol=..., atol=..., ...)``.  ``y0`` is a whole
     vector that is 0 off the sorted indices ``keep``, and ``A(t)`` maps such
     vectors to such vectors.  ``fun(t, y)`` is ``A(t) y`` and ``matrix(t)``
-    is ``A(t)``, both dense on ``keep`` alone; the stepper works there too.
-    The dense output, and so ``solve_ivp``'s ``y`` at ``t_eval``, is the whole
-    vector, exactly 0 off ``keep``; without ``t_eval``, ``solve_ivp`` would
-    record the stepper's own vectors, so ``t_eval`` is required.
+    a new array holding ``A(t)``, both dense on ``keep`` alone; the stepper
+    works there too, and so does the dense output: ``solve_ivp``'s ``y`` at
+    ``t_eval`` has ``keep.size`` rows, the block of each state.  ``t_eval``
+    is required, since without it ``solve_ivp`` would record the stepper's
+    own vectors and try to stack them with the whole ``y0``.
 
     Steps and orders follow scipy's BDF, which is this quasi-constant-step
     NDF; the error norm is the RMS over ``keep``, of the local error estimate
@@ -314,7 +315,6 @@ class _LinearNDF(OdeSolver):
 
     def __init__(self, fun, t0, y0, t_bound, *, keep, matrix, rtol, atol, max_step=np.inf,
                  vectorized=False):
-        self.keep, self.size = keep, len(y0)
         super().__init__(fun, t0, np.asarray(y0, dtype=complex)[keep], t_bound, vectorized,
                          support_complex=True)
         self.matrix, self.rtol, self.atol, self.max_step = matrix, rtol, atol, max_step
@@ -353,7 +353,8 @@ class _LinearNDF(OdeSolver):
 
     def _factor(self, t: float, c: float):
         """Factor ``I - c A(t)``, as its transpose so that LAPACK reads it in place."""
-        m = self.matrix(t) * -c
+        m = self.matrix(t)
+        m *= -c
         m.flat[:: self.n + 1] += 1.0
         self.lu, self.piv, _ = zgetrf(m.T, overwrite_a=True)  # a zero pivot fails _newton
         self.c_lu = c
@@ -459,7 +460,7 @@ class _LinearNDF(OdeSolver):
 
 
 class _BlockDenseOutput(DenseOutput):
-    """The NDF's interpolating polynomial over the last step, as whole vectors 0 off ``keep``."""
+    """The NDF's interpolating polynomial over the last step, on the block ``keep``."""
 
     def __init__(self, solver: _LinearNDF, D: np.ndarray):
         super().__init__(solver.t_old, solver.t)
@@ -467,12 +468,11 @@ class _BlockDenseOutput(DenseOutput):
         order = D.shape[0] - 1
         self.t_shift = solver.t - h * np.arange(order)
         self.denom = h * (1 + np.arange(order))
-        self.D, self.keep, self.size = D, solver.keep, solver.size
+        self.D = D
 
     def _call_impl(self, t):
         x = (np.atleast_1d(t) - self.t_shift[:, None]) / self.denom[:, None]
-        y = np.zeros((self.size, x.shape[1]), dtype=complex)
-        y[self.keep] = self.D[0][:, None] + self.D[1:].T @ np.cumprod(x, axis=0)
+        y = self.D[0][:, None] + self.D[1:].T @ np.cumprod(x, axis=0)
         return y if t.ndim else y[:, 0]
 
 
@@ -525,9 +525,10 @@ def evolve(
     # no entries), so the terms on the other entries multiply zeros
     flow = abs(gen.l0) + abs(gen.l_pump) if params.pump.pulse_events else abs(gen.l0)
     keep = _closure(flow, rho0.ravel())
-    l0, l_pump = (m[keep][:, keep].toarray() for m in (gen.l0, gen.l_pump))
-    d_fp, p_cw = gen.d_fp[keep], gen.p_cw
     pump = params.pump
+    l0 = gen.l0[keep][:, keep].toarray()
+    l_pump = gen.l_pump[keep][:, keep].toarray() if pump.pulse_events else None
+    d_fp, p_cw = gen.d_fp[keep], gen.p_cw
     diag = np.flatnonzero(keep % (spec.dim + 1) == 0)  # the diagonal of rho in the block
 
     def drive(t):  # the FP term's diagonal, and the pump rate above the CW one
@@ -546,7 +547,11 @@ def evolve(
 
     def matrix(t):
         fp, pulsed = drive(t)
-        return l0 + np.diag(fp) + pulsed * l_pump
+        m = l0.copy()
+        m.flat[:: keep.size + 1] += fp
+        if pulsed != 0.0:
+            m += pulsed * l_pump
+        return m
 
     states = np.empty((t_grid.size, keep.size), dtype=complex)
     y = rho0.ravel()
@@ -567,8 +572,9 @@ def evolve(
         )
         if not sol.success:
             raise NumericalFailure(f"integrator failed in segment [{a}, {b}] ps: {sol.message}")
-        states[inside] = sol.y[keep, : inside.size].T
-        y = sol.y[:, -1].copy()
+        states[inside] = sol.y[:, : inside.size].T
+        y = np.zeros_like(y)
+        y[keep] = sol.y[:, -1]
         del sol  # the segment's output, freed before the next segment and post-processing
 
     return make_trajectory(params, pulses, t_grid, states, keep, spec.dim)

@@ -162,14 +162,14 @@ def render_curve_svg(x, series, x_label: str, y_label: str, title: str = "") -> 
 
 def _colormap(values: np.ndarray, colormap: str) -> np.ndarray:
     t = np.clip(values, 0.0, 1.0)
+    rgb = np.empty(t.shape + (3,), dtype=np.uint8)
     if colormap == "gray":
-        byte = np.rint(t * 255).astype(np.uint8)
-        return np.stack([byte, byte, byte], axis=-1)
+        rgb[...] = np.rint(t * 255)[..., None]
+        return rgb
     # "heat": black -> red -> yellow -> white, monotone luminance
-    r = np.clip(3.0 * t, 0.0, 1.0)
-    g = np.clip(3.0 * t - 1.0, 0.0, 1.0)
-    b = np.clip(3.0 * t - 2.0, 0.0, 1.0)
-    return np.rint(np.stack([r, g, b], axis=-1) * 255).astype(np.uint8)
+    for k in range(3):
+        rgb[..., k] = np.rint(np.clip(3.0 * t - k, 0.0, 1.0) * 255)
+    return rgb
 
 
 def render_heatmap_ppm(

@@ -130,8 +130,8 @@ def rotating_decay(rtol: float):
     The entries ``ROTATING_DECAY_KEEP`` of a 6-vector start at 1 and the
     others at 0; over t in [0, 10] the fastest entry turns about 16 times.
     Returns the ``solve_ivp`` result at ``rtol`` and ``atol = rtol / 100`` on
-    101 times, and its largest deviation from
-    ``y(t) = exp(-k t + i (w0 t + w1 sin t))`` on the kept entries.
+    101 times, whose ``y`` holds the kept entries alone, and its largest
+    deviation from ``y(t) = exp(-k t + i (w0 t + w1 sin t))``.
     """
     keep = ROTATING_DECAY_KEEP
     k, w0, w1 = np.array([0.1, 0.5, 2.0]), np.array([1.0, -3.0, 10.0]), np.array([2.0, 0.5, 5.0])
@@ -145,15 +145,12 @@ def rotating_decay(rtol: float):
     sol = solve_ivp(lambda tk, y: rates(tk) * y, (0.0, 10.0), y0, method=_LinearNDF, t_eval=t,
                     rtol=rtol, atol=rtol / 100.0, keep=keep, matrix=lambda tk: np.diag(rates(tk)))
     exact = np.exp(-np.outer(k, t) + 1j * (np.outer(w0, t) + np.outer(w1, np.sin(t))))
-    return sol, float(np.max(np.abs(sol.y[keep] - exact)))
+    return sol, float(np.max(np.abs(sol.y - exact)))
 
 
 def _check_integrator_closed_form():
     sol, err = rotating_decay(1e-10)
-    outside = np.delete(sol.y, ROTATING_DECAY_KEEP, axis=0).any()
-    return sol.success and err < 1e-8 and not outside, (
-        f"max error {err:.2e} at rtol 1e-10; entries off the block zero: {not outside}"
-    )
+    return sol.success and err < 1e-8, f"max error {err:.2e} at rtol 1e-10"
 
 
 def _check_cavity_decay():

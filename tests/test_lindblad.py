@@ -1,5 +1,6 @@
 import re
 import time
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -728,8 +729,10 @@ class TestSolveIvpContract:
 
     The benchmark's tracer reads n_max from ``len(y0)`` of each ``solve_ivp``
     call.  The stepper, ``_LinearNDF``, takes the block as its ``keep``
-    option; handing ``solve_ivp`` the block itself changes this test and the
-    tracer together.
+    option, and ``solve_ivp`` returns the block alone; handing ``solve_ivp``
+    the block itself changes this test and the tracer together.  Each ``y0``
+    is the only whole vector of a run, so it is where the entries off the
+    block are checked to be exactly 0.
     """
 
     @pytest.mark.parametrize("n_max, size", [(1, 20), (2, 70), (3, 168)])
@@ -739,8 +742,12 @@ class TestSolveIvpContract:
         def recording_solve_ivp(*args, **kwargs):
             lengths.append(len(args[2]))
             assert kwargs["method"] is lindblad._LinearNDF and callable(kwargs["matrix"])
-            blocks.append(kwargs["keep"].size)
-            return scipy_solve_ivp(*args, **kwargs)
+            keep = kwargs["keep"]
+            blocks.append(keep.size)
+            assert not np.delete(args[2], keep).any()
+            sol = scipy_solve_ivp(*args, **kwargs)
+            assert sol.y.shape == (keep.size, kwargs["t_eval"].size)
+            return sol
 
         monkeypatch.setattr(lindblad, "solve_ivp", recording_solve_ivp)
         cfg = load_config(scenario_config("fig3-burst"))
@@ -751,6 +758,30 @@ class TestSolveIvpContract:
         dim = HilbertSpec(n_max).dim
         assert lengths and set(lengths) == {dim * dim}
         assert set(blocks) == {size}
+
+
+class TestEvolveMemory:
+    def test_fig3_burst_peak_is_a_few_times_its_states(self):
+        # the peak of Python allocations in one evolve, over the bytes of the
+        # states it records: measured 2.98 with numpy 2.4 (about 1 MB of fixed
+        # cost plus twice the states: the dense output of the longest segment
+        # and its stacking); 4.0 leaves a third of margin.  A dense output
+        # that scatters into the whole vec(rho) reads 8.8.
+        from cavtune.runs import initial_state_for
+
+        cfg = load_config(scenario_config("fig3-burst"))
+        rho0 = initial_state_for(cfg)
+        evolve(cfg.params, cfg.pulses, rho0, cfg.time_grid_ps[:2])  # first-call costs untraced
+        tracemalloc.start()
+        try:
+            traj = evolve(cfg.params, cfg.pulses, rho0, cfg.time_grid_ps)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        ratio = peak / traj.states.nbytes
+        print(f"evolve peak over states, fig3-burst n_max 2: {peak / 1e6:.2f} MB / "
+              f"{traj.states.nbytes / 1e6:.2f} MB = {ratio:.2f}")
+        assert ratio < 4.0, ratio
 
 
 class TestLinearNDF:
@@ -764,7 +795,7 @@ class TestLinearNDF:
         errors = []
         for rtol in rtols:
             sol, error = rotating_decay(rtol)
-            assert sol.success and sol.y.shape == (6, 101)
+            assert sol.success and sol.y.shape == (3, 101)
             errors.append(error)
         errors = np.array(errors)
         assert np.all(errors < 100.0 * rtols), errors
@@ -772,10 +803,12 @@ class TestLinearNDF:
         slope = np.polyfit(np.log10(rtols), np.log10(errors), 1)[0]
         assert 0.6 <= slope <= 1.1, slope
 
-    def test_entries_outside_keep_stay_exactly_zero(self):
+    def test_output_is_the_block(self):
+        # the dense output covers the kept entries alone; that the whole
+        # vectors are 0 off keep is checked where they exist (TestSolveIvpContract)
         sol, _ = rotating_decay(1e-8)
-        assert not np.delete(sol.y, ROTATING_DECAY_KEEP, axis=0).any()
-        assert np.all(sol.y[ROTATING_DECAY_KEEP] != 0.0)
+        assert sol.y.shape == (ROTATING_DECAY_KEEP.size, 101)
+        assert np.all(sol.y != 0.0)
 
     def test_each_corrector_solves_its_equation(self, monkeypatch):
         # the y that a Newton solve returns satisfies c A(t) y - psi - d = 0 to
@@ -852,12 +885,8 @@ class TestAgainstRK45Oracle:
 
     @staticmethod
     def _rk45(fun, t_span, y0, method, keep, matrix, **options):
-        # fun acts on the block y0[keep]; the whole vectors go back to evolve
-        sol = scipy_solve_ivp(fun, t_span, y0[keep], method="RK45", **options)
-        whole = np.zeros((y0.size, sol.y.shape[1]), dtype=complex)
-        whole[keep] = sol.y
-        sol.y = whole
-        return sol
+        # fun acts on the block y0[keep], and evolve reads the block back
+        return scipy_solve_ivp(fun, t_span, y0[keep], method="RK45", **options)
 
     @pytest.mark.parametrize(
         "scenario, n_max, delay_ps, window_ps",

@@ -11,7 +11,7 @@ import pytest
 from click.testing import CliRunner
 
 import cavtune
-from cavtune import SchemaError, read_anticrossing_csv
+from cavtune import SchemaError, read_anticrossing_csv, render
 from cavtune.cli import main
 from cavtune.config import scenario_config
 from cavtune.render import render_csv_file, render_curve_svg, render_heatmap_ppm, sniff_csv
@@ -129,6 +129,31 @@ class TestHeatmapPpm:
         lin = render_heatmap_ppm(z)
         log = render_heatmap_ppm(z, log_scale=True)
         assert lin != log
+
+    @staticmethod
+    def _stacked_colormap(values, colormap):
+        # oracle: three float planes, stacked, then scaled and cast at once
+        t = np.clip(values, 0.0, 1.0)
+        if colormap == "gray":
+            byte = np.rint(t * 255).astype(np.uint8)
+            return np.stack([byte, byte, byte], axis=-1)
+        r = np.clip(3.0 * t, 0.0, 1.0)
+        g = np.clip(3.0 * t - 1.0, 0.0, 1.0)
+        b = np.clip(3.0 * t - 2.0, 0.0, 1.0)
+        return np.rint(np.stack([r, g, b], axis=-1) * 255).astype(np.uint8)
+
+    @pytest.mark.parametrize("log_scale", [False, True], ids=["linear", "log"])
+    @pytest.mark.parametrize("colormap", ["heat", "gray"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_the_stacked_colormap(self, monkeypatch, seed, colormap, log_scale):
+        rng = np.random.default_rng(seed)
+        z = rng.lognormal(sigma=3.0, size=(37, 53))
+        z[rng.random(z.shape) < 0.1] = 0.0
+        z[rng.random(z.shape) < 0.05] *= -1.0
+        z.flat[:6] = z.max() * np.array([1 / 3, 2 / 3, 0.5 / 255, 1.5 / 765, 1.0, 1e-7])
+        got = render_heatmap_ppm(z, colormap, log_scale)
+        monkeypatch.setattr(render, "_colormap", self._stacked_colormap)
+        assert got == render_heatmap_ppm(z, colormap, log_scale)
 
 
 class TestRenderCsv:
