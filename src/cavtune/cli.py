@@ -14,8 +14,9 @@ from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
-# before numpy starts its pool: no matrix here is large enough for a second BLAS thread to pay
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+# before numpy starts its pool, whatever the environment says: a second thread would not pay,
+# and OpenBLAS's threaded LU paths would move the outputs' last bits
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import click
 import numpy as np

@@ -20,11 +20,9 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import sparse
 from scipy.integrate import DenseOutput, OdeSolver
 from scipy.integrate import solve_ivp  # a module-level name: bench/tracer.py wraps it
 from scipy.linalg.lapack import zgetrf, zgetrs
-from scipy.sparse.linalg import splu
 
 from .config import SOLVER_ATOL, SOLVER_RTOL
 from .errors import InvalidInput, NumericalFailure
@@ -137,46 +135,62 @@ def _fixed_delta(params: SystemParams) -> float:
 
 
 class _Generator:
-    """The master equation compiled as ``L(t) = l0 + delta_fp(t) d_fp + (p(t) - p_cw) l_pump``.
+    """The master equation as ``L(t) = l0 + delta_fp(t) d_fp + (p(t) - p_cw) l_pump``
+    (rad/ps) on the row-major vec(rho), where ``vec(A rho B) = (A kron B^T) vec(rho)``.
 
-    Acts in rad/ps on the row-major vectorization of rho, where
-    ``vec(A rho B) = (A kron B^T) vec(rho)``: ``l0`` (CSR) holds the
-    Hamiltonian without its FP term and every time-independent dissipator,
-    the CW emitter pump ``p_cw`` included; ``d_fp`` is the diagonal of
-    ``-i(n_fp kron 1 - 1 kron n_fp)`` and ``l_pump`` (CSR) the emitter pump
-    dissipator D[sigma+] at unit rate, so the pump term costs a product only
-    while a pulse adds to the CW rate.  ``steady_state`` solves ``matrix``;
-    ``evolve`` integrates dense copies of the three terms on the entries that
-    its start reaches.
+    ``terms`` holds ``l0`` as pairs ``(A, B)`` of d x d matrices, one per
+    product ``A rho B``: ``-iH - 1/2 sum rate L^dag L`` on the left (H
+    without its FP term; the sum over every fixed channel and the CW emitter
+    pump ``p_cw``), its adjoint on the right, and ``(rate L, L^T)`` per
+    channel.  ``pump_terms`` holds D[sigma+] at unit rate, which costs a
+    product only while a pulse adds to the CW rate; ``d_fp`` is the diagonal
+    of ``-i(n_fp kron 1 - 1 kron n_fp)``.
     """
 
     def __init__(self, params, spec):
         ops, h0, channels = _model(params, spec)
-        eye = sparse.identity(ops.dim, format="csr")
-
-        def kron(a, b):
-            return sparse.kron(a, b, format="csr")
-
-        def dissipator(rate, op):
-            op = sparse.csr_matrix(op)
-            ldl = (op.T @ op).tocsr()
-            return rate * kron(op, op) - 0.5 * rate * (kron(ldl, eye) + kron(eye, ldl.T))
-
         self.p_cw = params.pump.cw_rate * _PS
-        self.l_pump = dissipator(1.0, ops.sigma_plus)
-        h0 = sparse.csr_matrix(h0)
-        l0 = -1j * (kron(h0, eye) - kron(eye, h0.T)) + self.p_cw * self.l_pump
-        for channel in channels:
-            l0 = l0 + dissipator(*channel)
-        l0.eliminate_zeros()
-        self.l0 = l0
+        channels = channels + [(self.p_cw, ops.sigma_plus)]
+        decay = sum(0.5 * rate * (op.T @ op) for rate, op in channels)
+        self.dim, eye = ops.dim, np.eye(ops.dim)
+        self.terms = [(-1j * h0 - decay, eye), (eye, 1j * h0 - decay)]
+        self.terms += [(rate * op, op.T) for rate, op in channels]
+        sp = ops.sigma_plus
+        self.pump_terms = [(-0.5 * sp.T @ sp, eye), (eye, -0.5 * sp.T @ sp), (sp, sp.T)]
         n_fp = np.diag(ops.n_fp)
         self.d_fp = -1j * (n_fp[:, None] - n_fp[None, :]).ravel()
 
-    def matrix(self, delta_fp: float, pump: float) -> sparse.csr_matrix:
-        """``L`` at one ``(delta_fp, pump)``: what steady_state solves."""
-        shift = sparse.diags(delta_fp * self.d_fp)
-        return (self.l0 + shift + (pump - self.p_cw) * self.l_pump).tocsr()
+    def reach(self, support, pumped: bool) -> np.ndarray:
+        """Sorted indices of vec(rho) that ``L`` populates from the nonzero entries of
+        ``support`` (d x d, or its vec), with ``l_pump`` if ``pumped``.
+
+        The d x d pattern grows as ``P <- P or |A| P |B|`` over the terms until
+        it stops changing, so ``L`` maps vectors on the result to vectors on it.
+        Every channel conserves ``N_bra - N_ket``, so from a state of one such
+        excitation block (the vacuum, the excited emitter and the steady state
+        are all in block 0) the result lies in that block.
+        """
+        terms = self.terms + self.pump_terms if pumped else self.terms
+        flows = [(abs(a), abs(b)) for a, b in terms]
+        seen = np.reshape(support, (self.dim, self.dim)) != 0.0
+        while True:
+            grown = seen | (sum(a @ seen @ b for a, b in flows) > 0.0)
+            if np.array_equal(grown, seen):
+                return np.flatnonzero(seen)
+            seen = grown
+
+    def block(self, keep: np.ndarray, pumped: bool) -> tuple[np.ndarray, Optional[np.ndarray]]:
+        """Dense ``l0`` on the entries ``keep`` of vec(rho), and ``l_pump`` if ``pumped``
+        (else None).  Term ``(A, B)`` puts ``A[r, r'] B[c', c]`` at entry ``(r, c), (r', c')``.
+        """
+        d = self.dim
+        r, c = np.divmod(keep, d)
+        left, right = (r[:, None] * d + r).ravel(), (c * d + c[:, None]).ravel()
+
+        def dense(terms):
+            return sum(a.take(left) * b.take(right) for a, b in terms).reshape(keep.size, -1)
+
+        return dense(self.terms), dense(self.pump_terms) if pumped else None
 
 
 def _delta_fp_fn(params: SystemParams, pulses: tuple):
@@ -194,8 +208,8 @@ def liouvillian_apply(params: SystemParams, rho: np.ndarray) -> np.ndarray:
     """drho/dt (1/s) with the FP mode at ``params.fp`` and the CW pump of ``params.pump``.
 
     For another FP mode or pump rate pass ``dataclasses.replace(params, ...)``.
-    This matrix-free commutator form never compiles the sparse generator, so
-    it serves as the independent oracle for it.
+    This matrix-free commutator form shares nothing with :class:`_Generator`
+    but :func:`_model`, so it serves as the independent oracle for it.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
@@ -496,7 +510,7 @@ def evolve(
     the state recorded at such a time is the end of an integrator segment.
     A free-carrier pulse that starts at a grid time acts only after the state
     there is recorded.  Only the entries of vec(rho) that ``rho0`` reaches
-    (see :func:`_closure`) are integrated; the others stay exactly 0, and the
+    (see :meth:`_Generator.reach`) are integrated; the others stay exactly 0, and the
     trajectory records the reached entries alone (``Trajectory.keep``).  The
     closure of any recorded state lies inside ``keep``, so a run started from
     one records a subset of these entries.  Each segment is integrated by
@@ -520,14 +534,12 @@ def evolve(
         raise InvalidInput(f"atol must be positive, got {atol}")
 
     gen = _Generator(params, spec)
-    # every term of L(t) keeps to the pattern of l0 + l_pump, and to that of
-    # l0 without pump pulses (the CW pump is in l0, and the diagonal d_fp adds
-    # no entries), so the terms on the other entries multiply zeros
-    flow = abs(gen.l0) + abs(gen.l_pump) if params.pump.pulse_events else abs(gen.l0)
-    keep = _closure(flow, rho0.ravel())
     pump = params.pump
-    l0 = gen.l0[keep][:, keep].toarray()
-    l_pump = gen.l_pump[keep][:, keep].toarray() if pump.pulse_events else None
+    # l_pump acts only while a pump pulse adds to the CW rate, which l0 holds,
+    # so without pulses it stays out; the terms outside keep multiply zeros
+    pump_pulses = bool(pump.pulse_events)
+    keep = gen.reach(rho0, pump_pulses)
+    l0, l_pump = gen.block(keep, pump_pulses)
     d_fp, p_cw = gen.d_fp[keep], gen.p_cw
     diag = np.flatnonzero(keep % (spec.dim + 1) == 0)  # the diagonal of rho in the block
 
@@ -730,64 +742,48 @@ def _require_valid(states, keep, dim, times=None) -> tuple[float, float, float]:
 
 
 def dense_superoperator(params: SystemParams, spec: tuning.HilbertSpec) -> np.ndarray:
-    """The compiled generator (1/s) on row-major vec(rho), as a dense matrix.
+    """The generator (1/s) on row-major vec(rho), as a dense matrix: :meth:`_Generator.block`
+    over all d^2 entries.
 
     Like :func:`liouvillian_apply` it applies the FP mode ``params.fp`` and the
-    CW pump of ``params.pump``: checks of the compiled operator compare the two.
+    CW pump of ``params.pump``: checks of the generator compare the two.
     """
     gen = _Generator(params, spec)
-    return gen.matrix(_fixed_delta(params), gen.p_cw).toarray() / _PS
+    l0, _ = gen.block(np.arange(spec.dim**2), False)
+    l0.flat[:: l0.shape[0] + 1] += _fixed_delta(params) * gen.d_fp
+    return l0 / _PS
 
 
 def steady_state(params: SystemParams, spec: tuning.HilbertSpec) -> np.ndarray:
     """The steady state reached from the vacuum under CW pumping, the FP mode at ``params.fp``.
 
-    Solves ``L vec(rho) = 0``, ``tr rho = 1`` by sparse LU on the entries that
-    ``L`` populates from the vacuum (:func:`_closure`; the others are 0), so an
-    emitter with neither coupling nor decay stays in its ground state.  Raises
-    :class:`NumericalFailure` when the solve is singular, when the residual
-    ``||L rho|| / ||rho||`` (rad/ps) is not below ``STEADY_RESIDUAL_TOL``, or
-    when rho is not a valid state.  Unpumped, that closure is rho_00 alone: the
-    vacuum.
+    Solves ``L vec(rho) = 0``, ``tr rho = 1`` by a dense LU solve on the
+    entries that ``L`` populates from the vacuum (:meth:`_Generator.reach`;
+    the others are 0), so an emitter with neither coupling nor decay stays in
+    its ground state.  Raises :class:`NumericalFailure` when the solve is
+    singular, when the residual ``||L rho|| / ||rho||`` (rad/ps) is not below
+    ``STEADY_RESIDUAL_TOL``, or when rho is not a valid state.  Unpumped,
+    that closure is rho_00 alone: the vacuum.
     """
     d = spec.dim
     gen = _Generator(params, spec)
-    mat = gen.matrix(_fixed_delta(params), gen.p_cw)
-    keep = _closure(mat, vacuum_state(spec).ravel())
-    sub = mat[keep][:, keep]
+    keep = gen.reach(vacuum_state(spec), False)
+    mat, _ = gen.block(keep, False)
+    mat.flat[:: keep.size + 1] += _fixed_delta(params) * gen.d_fp[keep]
     # the rho_00 row is redundant, since L preserves the trace: put tr rho = 1 there
-    trace_row = sparse.csr_matrix((keep % (d + 1) == 0).astype(complex)[None, :])
+    system = mat.copy()
+    system[0] = keep % (d + 1) == 0
     rhs = np.zeros(keep.size, dtype=complex)
     rhs[0] = 1.0
     x = np.zeros(d * d, dtype=complex)
     try:
-        x[keep] = splu(sparse.vstack([trace_row, sub[1:]], format="csc")).solve(rhs)
-    except RuntimeError as exc:  # exactly singular
+        x[keep] = np.linalg.solve(system, rhs)
+    except np.linalg.LinAlgError as exc:  # exactly singular
         raise NumericalFailure(f"steady state is not unique: {exc}") from exc
-    residual = np.linalg.norm(mat @ x) / max(np.linalg.norm(x), 1e-300)
+    residual = np.linalg.norm(mat @ x[keep]) / max(np.linalg.norm(x), 1e-300)
     if not residual < STEADY_RESIDUAL_TOL:
         raise NumericalFailure(
             f"steady-state residual {residual:.3e} not below {STEADY_RESIDUAL_TOL:.3e}"
         )
     _require_valid(x[keep][None], keep, d)
     return x.reshape(d, d)
-
-
-def _closure(mat: sparse.spmatrix, vec_rho0: np.ndarray) -> np.ndarray:
-    """Sorted indices of vec(rho) that ``mat`` populates from the nonzero entries of ``vec_rho0``.
-
-    The entries of the result are the support of ``vec_rho0`` grown under the
-    sparsity pattern of ``mat``, so ``mat`` maps vectors on them to vectors on
-    them, and the other entries stay 0.  Every channel of the model conserves
-    ``N_bra - N_ket``, so from a state of one such excitation block (the
-    vacuum, the excited emitter and the steady state are all in block 0) the
-    result lies in that block.
-    """
-    flow = abs(mat)
-    seen = vec_rho0 != 0.0
-    while True:
-        grown = seen | (flow @ seen.astype(float) > 0.0)
-        if np.array_equal(grown, seen):
-            return np.flatnonzero(seen)
-        seen = grown
-

@@ -11,7 +11,6 @@ from scipy.integrate import solve_ivp
 
 from .config import DEFAULT_SYSTEM
 from .lindblad import (
-    _closure,
     _Generator,
     _LinearNDF,
     dense_superoperator,
@@ -209,8 +208,7 @@ def _check_mode_population_sum():
     # states over the vacuum's closure under a CW pump
     spec = HilbertSpec(2)
     p = _default_params(pump=PumpSchedule(cw_rate=1e8))
-    gen = _Generator(p, spec)
-    keep = _closure(abs(gen.l0) + abs(gen.l_pump), vacuum_state(spec).ravel())
+    keep = _Generator(p, spec).reach(vacuum_state(spec), True)
     rng = np.random.RandomState(5)
     x = rng.randn(10, spec.dim, spec.dim) + 1j * rng.randn(10, spec.dim, spec.dim)
     rhos = (x @ np.conj(np.swapaxes(x, 1, 2))).reshape(10, -1)[:, keep]  # positive, pinched

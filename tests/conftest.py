@@ -2,7 +2,6 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
-from scipy import sparse
 
 from cavtune import (
     AnticrossingData,
@@ -156,19 +155,18 @@ def weak_pump_steady_block(params) -> np.ndarray:
 
 
 class broken_target_generator(_Generator):
-    """The compiled generator with the sign of the target channel's anticommutator
+    """The generator with the sign of the target channel's anticommutator
     flipped: a negative control whose generator breaks the trace.
 
-    The flip adds ``rate * (n_t kron 1 + 1 kron n_t)`` to ``l0``, with ``rate``
+    The flip adds ``rate * (n_t rho + rho n_t)`` to ``l0``, with ``rate``
     the target channel's ``2 kappa_t`` in rad/ps.
     """
 
     def __init__(self, params, spec):
         super().__init__(params, spec)
-        n_t = sparse.csr_matrix(build_space(spec).n_t)
-        eye = sparse.identity(spec.dim, format="csr")
-        rate = 2.0 * params.target.kappa * 1e-12
-        self.l0 = (self.l0 + rate * (sparse.kron(n_t, eye) + sparse.kron(eye, n_t))).tocsr()
+        n_t = 2.0 * params.target.kappa * 1e-12 * build_space(spec).n_t
+        eye = np.eye(spec.dim)
+        self.terms += [(n_t, eye), (eye, n_t)]
 
 
 @pytest.fixture

@@ -1,12 +1,16 @@
 """Import graph and thread policy.
 
 ``import cavtune`` loads neither numpy nor scipy, only the master-equation
-commands load scipy, and a CLI process runs one BLAS thread unless
-``OPENBLAS_NUM_THREADS`` says otherwise.  Each check runs in a fresh
-interpreter, since the pytest process has long imported numpy and scipy
-through other tests.
+commands load scipy, ``cavtune/lindblad.py`` imports nothing from
+``scipy.sparse``, and a CLI process runs one BLAS thread whatever
+``OPENBLAS_NUM_THREADS`` says, so its outputs do not depend on it.  Each
+check runs in a fresh interpreter, since the pytest process has long
+imported numpy and scipy through other tests.
 """
 
+import ast
+import filecmp
+import json
 import os
 import subprocess
 import sys
@@ -120,14 +124,54 @@ def test_cli_process_runs_one_thread(tmp_path):
     assert out.split() == ["1", "1"]
 
 
-def test_given_blas_thread_count_is_kept(tmp_path):
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts threads in /proc/self/task")
+def test_cli_process_runs_one_blas_thread_when_given_four(tmp_path):
     out = run_python(
         """
         import os
-        import cavtune.cli
-        print(os.environ["OPENBLAS_NUM_THREADS"])
+        import cavtune.cli, cavtune.lindblad
+        print(len(os.listdir("/proc/self/task")), os.environ["OPENBLAS_NUM_THREADS"])
         """,
         tmp_path,
-        OPENBLAS_NUM_THREADS="2",
+        OPENBLAS_NUM_THREADS="4",
     )
-    assert out.strip() == "2"
+    assert out.split() == ["1", "1"]
+
+
+def test_dynamic_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # fig3-burst at n_max 3 on a short grid: its 168-entry block is where
+    # OpenBLAS's multi-thread LU paths start, and they would move the last bits
+    from cavtune.config import scenario_config
+
+    cfg = scenario_config("fig3-burst")
+    cfg["solver"]["n_max"] = 3
+    cfg["grids"]["time_ps"] = {"start": -100.0, "stop": 500.0, "n": 121}
+    cfg["grids"]["lambda_nm"] = {"start": 1551.0, "stop": 1553.0, "n": 41}
+    (tmp_path / "short.json").write_text(json.dumps(cfg), encoding="utf-8")
+    for threads in ("1", "4"):
+        run_python(
+            f"""
+            from cavtune.cli import main
+            main(["dynamic", "--config", "short.json", "--out", "out{threads}"])
+            """,
+            tmp_path,
+            OPENBLAS_NUM_THREADS=threads,
+        )
+    names = sorted(p.name for p in (tmp_path / "out1").iterdir() if p.name != "manifest.json")
+    assert names and names == sorted(
+        p.name for p in (tmp_path / "out4").iterdir() if p.name != "manifest.json")
+    _, differ, errors = filecmp.cmpfiles(tmp_path / "out1", tmp_path / "out4", names, shallow=False)
+    assert not differ and not errors, differ
+
+
+def test_lindblad_imports_nothing_from_scipy_sparse():
+    tree = ast.parse(Path(SRC, "cavtune", "lindblad.py").read_text(encoding="utf-8"))
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module:
+            imported += [f"{node.module}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+    assert imported
+    assert not [name for name in imported
+                if name == "scipy.sparse" or name.startswith("scipy.sparse.")], imported

@@ -29,13 +29,13 @@ from cavtune import (
     vacuum_state,
     wl_to_omega,
 )
+from scipy import sparse
 from scipy.integrate import solve_ivp as scipy_solve_ivp
 
 from cavtune import lindblad
 from cavtune.config import SOLVER_ATOL, SOLVER_RTOL, load_config, scenario_config
 from cavtune.lindblad import (
     _block_checks,
-    _closure,
     _delta_fp_fn,
     _Generator,
     _LinearNDF,
@@ -153,9 +153,9 @@ class TestLiouvillian:
             assert np.max(np.abs(dev)) <= 1e-10 * np.max(np.abs(pump_term))
 
     def test_compiled_operator_matches_matrix_free(self, rng, in_frame):
-        # the compiled sparse operator (as dense matrix, as the three terms
-        # that evolve combines, and as matrix off the CW pump rate) against the
-        # matrix-free commutator form, over channel variants
+        # the generator (as dense matrix, and as the three terms that evolve
+        # combines, off the CW pump rate) against the matrix-free commutator
+        # form, over channel variants
         variants = {
             "default": make_params(pump=PumpSchedule(cw_rate=1e8)),
             "no leaky decay": make_params(gamma_leaky=0.0, pump=PumpSchedule(cw_rate=1e8)),
@@ -173,25 +173,27 @@ class TestLiouvillian:
                         direct = liouvillian_apply(moved, rho)
                         sup = dense_superoperator(moved, spec)
                         gen = _Generator(p, spec)
+                        l0, l_pump = gen.block(np.arange(spec.dim**2), True)
                     delta = fp_now.omega if frame == "lab" else fp_now.omega - p.target.omega
                     v = rho.ravel()
-                    via_rhs = (gen.l0 @ v + delta * 1e-12 * gen.d_fp * v
-                               + (pump * 1e-12 - gen.p_cw) * (gen.l_pump @ v)) / 1e-12
-                    via_mat = gen.matrix(delta * 1e-12, pump * 1e-12).toarray() @ rho.ravel() / 1e-12
+                    via_rhs = (l0 @ v + delta * 1e-12 * gen.d_fp * v
+                               + (pump * 1e-12 - gen.p_cw) * (l_pump @ v)) / 1e-12
                     scale = np.max(np.abs(direct))
-                    for via in (sup @ rho.ravel(), via_rhs, via_mat):
+                    for via in (sup @ rho.ravel(), via_rhs):
                         dev = np.max(np.abs(direct - via.reshape(spec.dim, spec.dim))) / scale
                         assert dev < 1e-12, (name, frame, n_max, dev)
 
     def test_broken_dissipator_breaks_trace(self, rng, monkeypatch):
-        # the self-test negative control reaches the compiled operator
+        # the self-test negative control reaches the generator's blocks
         p = make_params(pump=PumpSchedule(cw_rate=1e8))
         spec = HilbertSpec(1)
         y = random_density_matrix(rng, spec.dim).ravel()
         intact = _Generator(p, spec)
         monkeypatch.setattr(lindblad, "_Generator", broken_target_generator)
         broken = lindblad._Generator(p, spec)
-        trace = [abs((gen.matrix(0.0, 0.0) @ y)[:: spec.dim + 1].sum()) for gen in (intact, broken)]
+        every = np.arange(spec.dim**2)
+        trace = [abs((gen.block(every, False)[0] @ y)[:: spec.dim + 1].sum())
+                 for gen in (intact, broken)]
         assert trace[0] < 1e-15 and trace[1] > 1e-3
 
     def test_hand_built_kron_oracle(self, rng):
@@ -488,7 +490,8 @@ class TestBlockEvolve:
     """``evolve``, which integrates only the entries that rho0 reaches, against the whole vec(rho).
 
     The oracle integrates the whole vec(rho) itself: scipy's BDF on the full
-    ``_Generator.matrix``, one segment per pulse onset, as ``evolve`` splits
+    generator (``_Generator.block`` over every entry, held sparse), one
+    segment per pulse onset, as ``evolve`` splits
     the run.  The terms ``evolve`` drops multiply exact zeros, but its
     integrator and its error norm are its own, so the two agree to the
     integrators' tolerances, not bit for bit.  Measured on the cases here, the
@@ -506,6 +509,7 @@ class TestBlockEvolve:
         """The states of the full-space solve."""
         spec = HilbertSpec(round(np.sqrt(rho0.shape[0] / 2.0)) - 1)
         gen = _Generator(p, spec)
+        l0, l_pump = map(sparse.csr_matrix, gen.block(np.arange(spec.dim**2), True))
         pump = p.pump
         inner = {q.t0_ps for q in pulses}
         bounds = [t[0]] + sorted(x for x in inner if t[0] < x < t[-1]) + [t[-1]]
@@ -516,7 +520,8 @@ class TestBlockEvolve:
             delta_fp = _delta_fp_fn(p, started)
 
             def jac(tk, v):
-                return gen.matrix(delta_fp(tk), pump.rate_at_ps(tk))
+                shift = sparse.diags(delta_fp(tk) * gen.d_fp)
+                return (l0 + shift + (pump.rate_at_ps(tk) - gen.p_cw) * l_pump).tocsr()
 
             def rhs(tk, v):
                 return jac(tk, v) @ v
@@ -546,20 +551,24 @@ class TestBlockEvolve:
         p = make_params(pump=PumpSchedule(cw_rate=1e8))
         spec = HilbertSpec(n_max)
         gen = _Generator(p, spec)
+        l0, l_pump = gen.block(np.arange(spec.dim**2), True)
         ops = build_space(spec)
         n = np.diag(ops.n_e + ops.n_t + ops.n_fp).round().astype(int)
         k = (n[:, None] - n[None, :]).ravel()
         for rho0 in (steady_state(p, spec=spec), vacuum_state(spec), emitter_excited_state(spec)):
-            keep = _closure(abs(gen.l0) + abs(gen.l_pump), rho0.ravel())
+            keep = gen.reach(rho0, True)
             assert keep.size == size and np.all(k[keep] == 0)
-            # the columns keep of l0 have no entry off the rows keep
-            assert gen.l0[:, keep].nnz == gen.l0[keep][:, keep].nnz < gen.l0.nnz
+            # the columns keep of l0 and l_pump have no entry off the rows keep
+            for term in (l0, l_pump):
+                columns = term[:, keep]
+                assert np.count_nonzero(columns) == np.count_nonzero(columns[keep])
+            assert np.count_nonzero(l0[:, keep]) < np.count_nonzero(l0)
             # keep is closed: a state that is 0 off keep, such as any recorded
             # state of a run from rho0, reaches no entry outside it.  The delay
             # scan writes its tails into the reference's columns on this
             indicator = np.zeros(spec.dim**2)
             indicator[keep] = 1.0
-            assert np.array_equal(_closure(abs(gen.l0) + abs(gen.l_pump), indicator), keep)
+            assert np.array_equal(gen.reach(indicator, True), keep)
 
     @pytest.mark.parametrize("start", ["steady", "vacuum", "excited"])
     @pytest.mark.parametrize("n_max", [2, 3])
@@ -586,6 +595,46 @@ class TestBlockEvolve:
         assert set(np.unique(k[np.any(densities(traj) != 0.0, axis=0)])) == {-1, 0, 1}
 
 
+class TestReach:
+    """``_Generator.reach`` against the support that the matrix-free
+    ``liouvillian_apply`` populates, one basis matrix E_ij at a time."""
+
+    @staticmethod
+    def _grown(params, rho0):
+        """Sorted indices of vec(rho): the support of ``rho0``, grown by the
+        nonzero entries of ``liouvillian_apply`` on each E_ij of the support
+        until no new entry appears."""
+        d = rho0.shape[0]
+        seen = set(zip(*np.nonzero(rho0)))
+        todo = list(seen)
+        while todo:
+            basis = np.zeros((d, d))
+            basis[todo.pop()] = 1.0
+            for entry in zip(*np.nonzero(liouvillian_apply(params, basis))):
+                if entry not in seen:
+                    seen.add(entry)
+                    todo.append(entry)
+        return np.sort([i * d + j for i, j in seen])
+
+    @pytest.mark.parametrize("start", ["vacuum", "excited", "steady"])
+    @pytest.mark.parametrize("n_max", [1, 2])
+    def test_matches_matrix_free_closure(self, n_max, start):
+        # the CW pump puts D[sigma+] into liouvillian_apply, so both patterns
+        # of reach, with and without the pulsed l_pump, must give its closure
+        p = make_params(pump=PumpSchedule(cw_rate=1e8))
+        spec = HilbertSpec(n_max)
+        rho0 = {
+            "vacuum": lambda: vacuum_state(spec),
+            "excited": lambda: emitter_excited_state(spec),
+            "steady": lambda: steady_state(p, spec=spec),
+        }[start]()
+        expected = self._grown(p, rho0)
+        assert expected.size == {1: 20, 2: 70}[n_max]
+        gen = _Generator(p, spec)
+        for pumped in (False, True):
+            assert np.array_equal(gen.reach(rho0, pumped), expected), pumped
+
+
 class TestStateValidity:
     """``make_trajectory`` holds each recorded state to the limits of ``steady_state``."""
 
@@ -596,8 +645,7 @@ class TestStateValidity:
         # each row the entries on the vacuum's closure of the diagonal rho
         # with populations 0.5, 0.3 and 0.2 on |g00>, |g01> and |g10>
         p = make_params(pump=PumpSchedule(cw_rate=1e8))
-        gen = _Generator(p, spec)
-        keep = _closure(abs(gen.l0) + abs(gen.l_pump), vacuum_state(spec).ravel())
+        keep = _Generator(p, spec).reach(vacuum_state(spec), True)
         rho = np.zeros((spec.dim, spec.dim), dtype=complex)
         rho[[0, 1, 2], [0, 1, 2]] = (0.5, 0.3, 0.2)
         return p, keep, np.tile(rho.ravel()[keep], (size, 1))
@@ -668,8 +716,7 @@ class TestBlockChecks:
 
     @staticmethod
     def _keep(spec, rho0):
-        gen = _Generator(make_params(pump=PumpSchedule(cw_rate=1e8)), spec)
-        return _closure(abs(gen.l0) + abs(gen.l_pump), rho0.ravel())
+        return _Generator(make_params(pump=PumpSchedule(cw_rate=1e8)), spec).reach(rho0, True)
 
     @staticmethod
     def _superposition(spec):
@@ -1107,12 +1154,15 @@ class TestSteadyState:
             steady_state(p, spec=HilbertSpec(2))
 
     def test_singular_solve_is_not_unique(self, monkeypatch):
-        def singular(matrix):
-            raise RuntimeError("Factor is exactly singular")
+        # a generator whose l0 is 0 leaves the trace row alone in the system:
+        # exactly singular on the closure's 20 entries at n_max 1
+        class idle_generator(_Generator):
+            def block(self, keep, pumped):
+                l0, l_pump = super().block(keep, pumped)
+                return np.zeros_like(l0), l_pump
 
-        monkeypatch.setattr(lindblad, "splu", singular)
-        with pytest.raises(NumericalFailure,
-                           match="^steady state is not unique: Factor is exactly singular$"):
+        monkeypatch.setattr(lindblad, "_Generator", idle_generator)
+        with pytest.raises(NumericalFailure, match="^steady state is not unique: Singular matrix$"):
             steady_state(make_params(pump=PumpSchedule(cw_rate=1e8)), spec=HilbertSpec(1))
 
     def test_non_unique_returns_state_reached_from_vacuum(self):
